@@ -219,17 +219,17 @@ def _run_ricci_offdiag(cfg, manifold, rng) -> CheckReport:
 def _run_chsc(cfg, manifold, rng) -> CheckReport:
     values = []
     records = []
+    pds = []
     for _ in range(cfg.points):
         p = manifold.sample_point(rng)
         pd = inv.point_data(manifold, p)
+        pds.append(pd)
         for _ in range(cfg.samples):
             x = geo.random_unit_tangent(pd.metric, pd.m, rng)
             values.append(inv.holomorphic_sectional_curvature(pd, x))
             records.append((p, x))
-    arr = np.array(values)
-    mean = float(arr.mean())
-    spread = float(arr.max() - arr.min()) / max(abs(mean), 1e-12)
-    outlier = int(np.argmax(np.abs(arr - mean)))
+    mean, spread = inv.hsc_spread(values, pds)
+    outlier = int(np.argmax(np.abs(np.array(values) - mean)))
     p, x = records[outlier]
     worst = [WorstCase(point=p, frame=_vecs(x), residual=spread)]
     return _finish(cfg, manifold.name, [spread], worst)
@@ -287,28 +287,32 @@ _MANIFOLD_RUNNERS = {
 }
 
 
+def _run_loaded(cfg: RunConfig, target: geo.KahlerManifold | sub.Immersion) -> CheckReport:
+    """Run ``cfg.check`` on an already built manifold or immersion."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.check in MANIFOLD_CHECKS:
+        return _MANIFOLD_RUNNERS[cfg.check](cfg, target, rng)
+    if cfg.check == "umbilical":
+        return _run_umbilical(cfg, target, rng)
+    if cfg.check == "parallel-h":
+        rows = [
+            (u, sub.parallel_h_residual_at(target, u))
+            for u in _sample_immersion_points(cfg, target, rng)
+        ]
+        return _immersion_report(cfg, target, rows)
+    return _run_codazzi(cfg, target, rng, cfg.check == "codazzi-umbilical")
+
+
 def run_check(cfg: RunConfig) -> CheckReport:
     """Run one named check deterministically from its configuration."""
-    rng = np.random.default_rng(cfg.seed)
     if cfg.check in MANIFOLD_CHECKS:
         if cfg.manifold is None:
             raise ConfigError(f"check {cfg.check!r} needs --manifold")
-        manifold = models.load_manifold(cfg.manifold)
-        report = _MANIFOLD_RUNNERS[cfg.check](cfg, manifold, rng)
+        report = _run_loaded(cfg, models.load_manifold(cfg.manifold))
     else:
         if cfg.immersion is None:
             raise ConfigError(f"check {cfg.check!r} needs --immersion")
-        immersion = models.load_immersion(cfg.immersion)
-        if cfg.check == "umbilical":
-            report = _run_umbilical(cfg, immersion, rng)
-        elif cfg.check == "parallel-h":
-            rows = [
-                (u, sub.parallel_h_residual_at(immersion, u))
-                for u in _sample_immersion_points(cfg, immersion, rng)
-            ]
-            report = _immersion_report(cfg, immersion, rows)
-        else:
-            report = _run_codazzi(cfg, immersion, rng, cfg.check == "codazzi-umbilical")
+        report = _run_loaded(cfg, models.load_immersion(cfg.immersion))
     if cfg.output:
         with open(cfg.output, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -345,7 +349,7 @@ def run_suite(
             tol=tol,
             seed=seed,
         )
-        reports.append(run_check(cfg))
+        reports.append(_run_loaded(cfg, manifold))
     by_name = {r.check: r for r in reports}
 
     def ok(name: str) -> bool:

@@ -5,16 +5,23 @@ Expressions are built from constants, indexed variables of three kinds
 arithmetic operators, integer powers, and ``log``/``exp``.  ``z_k`` and
 ``zb_k`` are formally independent variables; the coupling ``zb_k = conj(z_k)``
 is imposed only when an evaluation assignment is built.  All nodes are
-immutable and every function here is pure, so trees can be shared and
-evaluated concurrently without synchronization.
+immutable, so trees can be shared and evaluated concurrently without
+synchronization.
+
+A ``Dag`` is the hash-consing table of one build: it interns nodes and
+memoizes derivatives, folds and domain risk on them, and lowers a list of
+roots to one ``Tape``, the single evaluator.  ``evaluate`` and
+``compile_evaluator`` lower one expression through a fresh table.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from itertools import islice
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Z = "z"
 ZB = "zb"
@@ -113,15 +120,25 @@ def _is_const(e: Expr, value: complex | None = None) -> bool:
     return value is None or e.value == value
 
 
+def _risky(e: Expr, memo: dict[int, bool]) -> bool:
+    # ``memo`` is keyed on node identity; its caller keeps the nodes alive.
+    hit = memo.get(id(e))
+    if hit is None:
+        if isinstance(e, (Const, Var)):
+            hit = False
+        elif isinstance(e, Unary):
+            hit = e.op == "log" or _risky(e.arg, memo)
+        elif isinstance(e, Binary):
+            hit = e.op == "/" or _risky(e.left, memo) or _risky(e.right, memo)
+        else:
+            hit = e.exponent < 0 or _risky(e.base, memo)
+        memo[id(e)] = hit
+    return hit
+
+
 def has_domain_risk(e: Expr) -> bool:
     """True if evaluating ``e`` can raise a domain error for some assignment."""
-    if isinstance(e, (Const, Var)):
-        return False
-    if isinstance(e, Unary):
-        return e.op == "log" or has_domain_risk(e.arg)
-    if isinstance(e, Binary):
-        return e.op == "/" or has_domain_risk(e.left) or has_domain_risk(e.right)
-    return e.exponent < 0 or has_domain_risk(e.base)
+    return _risky(e, {})
 
 
 def _provably_nonzero(e: Expr) -> bool:
@@ -141,112 +158,370 @@ def _provably_nonzero(e: Expr) -> bool:
     return False
 
 
-def add(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value + r.value)
-    if _is_const(l, 0):
-        return r
-    if _is_const(r, 0):
-        return l
-    return Binary("+", l, r)
+class _Builder:
+    """Smart constructors: constant subtrees and 0/1 identities fold as
+    nodes are built.
+
+    A subtree whose evaluation could raise a domain error is never folded
+    away, so folding cannot turn a domain error into a success.  The plain
+    builder makes ordinary trees; ``Dag`` interns what it makes.
+    """
+
+    def _make(self, node: Expr) -> Expr:
+        return node
+
+    def _has_risk(self, e: Expr) -> bool:
+        return has_domain_risk(e)
+
+    def add(self, l: Expr, r: Expr) -> Expr:
+        if isinstance(l, Const) and isinstance(r, Const):
+            return self._make(Const(l.value + r.value))
+        if _is_const(l, 0):
+            return r
+        if _is_const(r, 0):
+            return l
+        return self._make(Binary("+", l, r))
+
+    def sub(self, l: Expr, r: Expr) -> Expr:
+        if isinstance(l, Const) and isinstance(r, Const):
+            return self._make(Const(l.value - r.value))
+        if _is_const(r, 0):
+            return l
+        if _is_const(l, 0):
+            return self.neg(r)
+        return self._make(Binary("-", l, r))
+
+    def mul(self, l: Expr, r: Expr) -> Expr:
+        if isinstance(l, Const) and isinstance(r, Const):
+            return self._make(Const(l.value * r.value))
+        if _is_const(l, 0) and not self._has_risk(r):
+            return self._make(_ZERO)
+        if _is_const(r, 0) and not self._has_risk(l):
+            return self._make(_ZERO)
+        if _is_const(l, 1):
+            return r
+        if _is_const(r, 1):
+            return l
+        return self._make(Binary("*", l, r))
+
+    def div(self, l: Expr, r: Expr) -> Expr:
+        if isinstance(l, Const) and isinstance(r, Const) and r.value != 0:
+            return self._make(Const(l.value / r.value))
+        if _is_const(r, 1):
+            return l
+        if _is_const(l, 0) and _provably_nonzero(r):
+            return self._make(_ZERO)
+        return self._make(Binary("/", l, r))
+
+    def neg(self, e: Expr) -> Expr:
+        if isinstance(e, Const):
+            return self._make(Const(-e.value))
+        if isinstance(e, Unary) and e.op == "neg":
+            return e.arg
+        return self._make(Unary("neg", e))
+
+    def log(self, e: Expr) -> Expr:
+        if isinstance(e, Const) and e.value != 0:
+            return self._make(Const(cmath.log(e.value)))
+        return self._make(Unary("log", e))
+
+    def exp(self, e: Expr) -> Expr:
+        if isinstance(e, Const):
+            return self._make(Const(cmath.exp(e.value)))
+        return self._make(Unary("exp", e))
+
+    def power(self, base: Expr, exponent: int) -> Expr:
+        exponent = int(exponent)
+        if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
+            return self._make(Const(base.value**exponent))
+        if exponent == 1:
+            return base
+        if exponent == 0 and not self._has_risk(base):
+            return self._make(_ONE)
+        return self._make(Power(base, exponent))
 
 
-def sub(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value - r.value)
-    if _is_const(r, 0):
-        return l
-    if _is_const(l, 0):
-        return neg(r)
-    return Binary("-", l, r)
+_TREES = _Builder()
+add = _TREES.add
+sub = _TREES.sub
+mul = _TREES.mul
+div = _TREES.div
+neg = _TREES.neg
+log = _TREES.log
+exp = _TREES.exp
+power = _TREES.power
 
 
-def mul(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Const) and isinstance(r, Const):
-        return Const(l.value * r.value)
-    if _is_const(l, 0) and not has_domain_risk(r):
-        return _ZERO
-    if _is_const(r, 0) and not has_domain_risk(l):
-        return _ZERO
-    if _is_const(l, 1):
-        return r
-    if _is_const(r, 1):
-        return l
-    return Binary("*", l, r)
-
-
-def div(l: Expr, r: Expr) -> Expr:
-    if isinstance(l, Const) and isinstance(r, Const) and r.value != 0:
-        return Const(l.value / r.value)
-    if _is_const(r, 1):
-        return l
-    if _is_const(l, 0) and _provably_nonzero(r):
-        return _ZERO
-    return Binary("/", l, r)
-
-
-def neg(e: Expr) -> Expr:
+def _key(e: Expr) -> tuple:
+    # Children enter the key by identity, so it is only meaningful for nodes
+    # whose children are interned; a constant enters by its exact bits, so
+    # 0.0 and -0.0 (which differ under log's branch cut) stay apart.
     if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, Unary) and e.op == "neg":
-        return e.arg
-    return Unary("neg", e)
+        c = complex(e.value)
+        return (Const, c.real.hex(), c.imag.hex())
+    if isinstance(e, Var):
+        return (Var, e.kind, e.index)
+    if isinstance(e, Unary):
+        return (Unary, e.op, id(e.arg))
+    if isinstance(e, Binary):
+        return (Binary, e.op, id(e.left), id(e.right))
+    return (Power, id(e.base), e.exponent)
 
 
-def log(e: Expr) -> Expr:
-    if isinstance(e, Const) and e.value != 0:
-        return Const(cmath.log(e.value))
-    return Unary("log", e)
+class Dag(_Builder):
+    """Hash-consing table for one build, with memoized calculus.
+
+    Every node the table makes or interns is the one object for its
+    structure, so a derivative tree with repeated subexpressions is a DAG
+    with each subexpression stored once.  Derivatives, folds and domain
+    risk are memoized on node identity.  Keys never use the nodes' own
+    ``__hash__``, which walks the whole subtree on every call.  The table
+    lives as long as the build that owns it; nothing is cached globally.
+    """
+
+    def __init__(self):
+        self._nodes: dict[tuple, Expr] = {}
+        # id of an outside node -> (that node, kept alive so its id stays
+        # unique; its interned twin)
+        self._seen: dict[int, tuple[Expr, Expr]] = {}
+        self._risks: dict[int, bool] = {}
+        self._folds: dict[int, Expr] = {}
+        self._derivatives: dict[tuple[int, int], Expr] = {}
+        self._zero = self._make(_ZERO)
+        self._one = self._make(_ONE)
+
+    def _make(self, node: Expr) -> Expr:
+        return self._nodes.setdefault(_key(node), node)
+
+    def _has_risk(self, e: Expr) -> bool:
+        return _risky(e, self._risks)
+
+    def intern(self, e: Expr) -> Expr:
+        """The table's node equal to ``e``, adding it and its subtrees as needed."""
+        hit = self._seen.get(id(e))
+        if hit is not None:
+            return hit[1]
+        if self._nodes.get(_key(e)) is e:
+            return e
+        if isinstance(e, Unary):
+            arg = self.intern(e.arg)
+            node = e if arg is e.arg else Unary(e.op, arg)
+        elif isinstance(e, Binary):
+            left, right = self.intern(e.left), self.intern(e.right)
+            node = e if (left is e.left and right is e.right) else Binary(e.op, left, right)
+        elif isinstance(e, Power):
+            base = self.intern(e.base)
+            node = e if base is e.base else Power(base, e.exponent)
+        else:
+            node = e
+        node = self._make(node)
+        self._seen[id(e)] = (e, node)
+        return node
+
+    def fold(self, e: Expr) -> Expr:
+        """Collapse constant subtrees and 0/1 identities.
+
+        The result is evaluation-equivalent to ``e``; subtrees whose
+        evaluation could raise a domain error are never folded away.
+        """
+        return self._fold(self.intern(e))
+
+    def _fold(self, e: Expr) -> Expr:
+        done = self._folds.get(id(e))
+        if done is not None:
+            return done
+        if isinstance(e, (Const, Var)):
+            done = e
+        elif isinstance(e, Unary):
+            done = {"neg": self.neg, "log": self.log, "exp": self.exp}[e.op](self._fold(e.arg))
+        elif isinstance(e, Binary):
+            ops = {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div}
+            done = ops[e.op](self._fold(e.left), self._fold(e.right))
+        else:
+            done = self.power(self._fold(e.base), e.exponent)
+        self._folds[id(e)] = done
+        return done
+
+    def derivative(self, e: Expr, v: Var) -> Expr:
+        """Exact symbolic derivative of ``e`` with respect to the variable ``v``.
+
+        Variables of other kinds or indices (in particular ``zb_k`` under
+        ``d/dz_k`` and conversely) are held constant.  A constant factor or
+        divisor is carried through as such (``d(c x) = c dx``,
+        ``d(x / c) = dx / c``), so no dead ``x * 0`` term is built around a
+        subtree that could raise.
+        """
+        return self._derive(self.intern(e), self.intern(v))
+
+    def _derive(self, e: Expr, v: Expr) -> Expr:
+        key = (id(e), id(v))
+        d = self._derivatives.get(key)
+        if d is None:
+            d = self._derivatives[key] = self._derivative_rule(e, v)
+        return d
+
+    def _derivative_rule(self, e: Expr, v: Expr) -> Expr:
+        if isinstance(e, Const):
+            return self._zero
+        if isinstance(e, Var):
+            return self._one if e is v else self._zero
+        if isinstance(e, Unary):
+            d = self._derive(e.arg, v)
+            if e.op == "neg":
+                return self.neg(d)
+            if e.op == "log":
+                return self.div(d, e.arg)
+            return self.mul(e, d)  # exp
+        if isinstance(e, Binary):
+            l, r = e.left, e.right
+            if e.op == "*" and isinstance(l, Const):
+                return self.mul(l, self._derive(r, v))
+            if e.op == "*" and isinstance(r, Const):
+                return self.mul(self._derive(l, v), r)
+            if e.op == "/" and isinstance(r, Const):
+                return self.div(self._derive(l, v), r)
+            dl, dr = self._derive(l, v), self._derive(r, v)
+            if e.op == "+":
+                return self.add(dl, dr)
+            if e.op == "-":
+                return self.sub(dl, dr)
+            if e.op == "*":
+                return self.add(self.mul(dl, r), self.mul(l, dr))
+            # quotient rule
+            num = self.sub(self.mul(dl, r), self.mul(l, dr))
+            return self.div(num, self.power(r, 2))
+        db = self._derive(e.base, v)
+        scale = self.mul(self._make(Const(complex(e.exponent))), self.power(e.base, e.exponent - 1))
+        return self.mul(scale, db)
+
+    def tape(self, roots: Sequence[Expr]) -> "Tape":
+        """Lower ``roots`` to one straight-line tape.
+
+        Ops follow a depth-first post-order over the roots in turn, so the
+        ops any prefix of the roots needs form a prefix of the tape, and the
+        first op to fail is the subexpression a left-to-right recursive
+        evaluation would fail at.
+        """
+        roots = [self.intern(r) for r in roots]
+        order: list[Expr] = []
+        visited: set[int] = set()
+        ends: list[int] = []  # ops needed by each prefix of the roots
+        n_ops = 0
+
+        def visit(e: Expr) -> None:
+            nonlocal n_ops
+            if id(e) in visited:
+                return
+            visited.add(id(e))
+            if isinstance(e, Unary):
+                visit(e.arg)
+            elif isinstance(e, Binary):
+                visit(e.left)
+                visit(e.right)
+            elif isinstance(e, Power):
+                visit(e.base)
+            if not isinstance(e, (Const, Var)):
+                n_ops += 1
+            order.append(e)
+
+        for r in roots:
+            visit(r)
+            ends.append(n_ops)
+        return Tape(order, roots, ends)
 
 
-def exp(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(cmath.exp(e.value))
-    return Unary("exp", e)
+_UNARY_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp}
+_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def power(base: Expr, exponent: int) -> Expr:
-    exponent = int(exponent)
-    if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
-        return Const(base.value**exponent)
-    if exponent == 1:
-        return base
-    if exponent == 0 and not has_domain_risk(base):
-        return _ONE
-    return Power(base, exponent)
+def _domain_fault(node: Expr) -> str | None:
+    if isinstance(node, Unary) and node.op == "log":
+        return "log of zero"
+    if isinstance(node, Binary) and node.op == "/":
+        return "division by zero"
+    if isinstance(node, Power):
+        return "zero raised to a negative power"
+    return None
+
+
+class Tape:
+    """Straight-line program that evaluates several expressions together.
+
+    Slots hold, in order: constants, the integer exponents of powers, the
+    variables, then one value per op.  An op is ``(fn, i, j)`` and stores
+    ``fn(slot[i])`` (``j < 0``) or ``fn(slot[i], slot[j])``.  Values are
+    double-precision complex scalars, computed by the same Python operators
+    a recursive evaluation would apply, so they agree with it bit for bit.
+    Built by ``Dag.tape``; immutable afterwards.
+    """
+
+    def __init__(self, order: Sequence[Expr], roots: Sequence[Expr], ends: Sequence[int]):
+        consts = [e for e in order if isinstance(e, Const)]
+        exponents = sorted({e.exponent for e in order if isinstance(e, Power)})
+        variables = [e for e in order if isinstance(e, Var)]
+        nodes = [e for e in order if not isinstance(e, (Const, Var))]
+        slot = {id(e): k for k, e in enumerate(consts)}
+        exponent_slot = {n: len(consts) + k for k, n in enumerate(exponents)}
+        first_var = len(consts) + len(exponents)
+        slot.update((id(e), first_var + k) for k, e in enumerate(variables))
+        base = first_var + len(variables)
+        slot.update((id(e), base + k) for k, e in enumerate(nodes))
+        ops = []
+        for e in nodes:
+            if isinstance(e, Unary):
+                ops.append((_UNARY_FNS[e.op], slot[id(e.arg)], -1))
+            elif isinstance(e, Binary):
+                ops.append((_BINARY_FNS[e.op], slot[id(e.left)], slot[id(e.right)]))
+            else:
+                ops.append((operator.pow, slot[id(e.base)], exponent_slot[e.exponent]))
+        self._leaves: list = [complex(e.value) for e in consts] + exponents
+        self._variables = tuple(variables)
+        self._ops = ops
+        self._nodes = nodes
+        self._base = base
+        self._outputs = [slot[id(r)] for r in roots]
+        self._ends = list(ends)
+
+    def __len__(self) -> int:
+        """Number of ops (leaves excluded)."""
+        return len(self._ops)
+
+    def run(self, assignment: Assignment, outputs: int | None = None) -> list[complex]:
+        """Values of the first ``outputs`` roots (all by default).
+
+        Runs only the tape prefix those roots need.  Raises
+        ``EvaluationDomainError`` naming the first failing subexpression
+        for log(0), division by zero and zero raised to a negative power,
+        and ``ValueError`` when a variable has no value.
+        """
+        n = len(self._outputs) if outputs is None else outputs
+        try:
+            vals = self._leaves + [complex(assignment[v]) for v in self._variables]
+        except KeyError as err:
+            raise ValueError(f"no value assigned to '{unparse(err.args[0])}'") from None
+        end = self._ends[n - 1] if n else 0
+        ops = self._ops if end == len(self._ops) else islice(self._ops, end)
+        append = vals.append
+        try:
+            for fn, i, j in ops:
+                append(fn(vals[i]) if j < 0 else fn(vals[i], vals[j]))
+        except (ZeroDivisionError, ValueError):
+            node = self._nodes[len(vals) - self._base]
+            fault = _domain_fault(node)
+            if fault is None:
+                raise
+            raise EvaluationDomainError(fault, node) from None
+        return [vals[k] for k in self._outputs[:n]]
 
 
 def wirtinger_derivative(e: Expr, v: Var) -> Expr:
-    """Exact symbolic derivative of ``e`` with respect to the variable ``v``.
+    """Exact symbolic derivative of ``e`` with respect to ``v`` (see ``Dag.derivative``)."""
+    return Dag().derivative(e, v)
 
-    Variables of other kinds or indices (in particular ``zb_k`` under
-    ``d/dz_k`` and conversely) are held constant.
-    """
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e == v else _ZERO
-    if isinstance(e, Unary):
-        d = wirtinger_derivative(e.arg, v)
-        if e.op == "neg":
-            return neg(d)
-        if e.op == "log":
-            return div(d, e.arg)
-        return mul(e, d)  # exp
-    if isinstance(e, Binary):
-        dl = wirtinger_derivative(e.left, v)
-        dr = wirtinger_derivative(e.right, v)
-        if e.op == "+":
-            return add(dl, dr)
-        if e.op == "-":
-            return sub(dl, dr)
-        if e.op == "*":
-            return add(mul(dl, e.right), mul(e.left, dr))
-        # quotient rule
-        num = sub(mul(dl, e.right), mul(e.left, dr))
-        return div(num, power(e.right, 2))
-    db = wirtinger_derivative(e.base, v)
-    return mul(mul(Const(complex(e.exponent)), power(e.base, e.exponent - 1)), db)
+
+def constant_fold(e: Expr) -> Expr:
+    """Collapse constant subtrees and 0/1 identities (see ``Dag.fold``)."""
+    return Dag().fold(e)
 
 
 def evaluate(e: Expr, assignment: Assignment) -> complex:
@@ -254,97 +529,20 @@ def evaluate(e: Expr, assignment: Assignment) -> complex:
 
     ``assignment`` maps every variable occurring in ``e`` to a complex value.
     Raises ``EvaluationDomainError`` for log(0), division by zero, and zero
-    raised to a negative power (log uses the principal branch).
+    raised to a negative power (log uses the principal branch), and
+    ``ValueError`` for a variable without a value.
     """
-    if isinstance(e, Const):
-        return complex(e.value)
-    if isinstance(e, Var):
-        try:
-            return complex(assignment[e])
-        except KeyError:
-            raise ValueError(f"no value assigned to '{unparse(e)}'") from None
-    if isinstance(e, Unary):
-        a = evaluate(e.arg, assignment)
-        if e.op == "neg":
-            return -a
-        if e.op == "exp":
-            return cmath.exp(a)
-        if a == 0:
-            raise EvaluationDomainError("log of zero", e)
-        return cmath.log(a)
-    if isinstance(e, Binary):
-        l = evaluate(e.left, assignment)
-        r = evaluate(e.right, assignment)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if r == 0:
-            raise EvaluationDomainError("division by zero", e)
-        return l / r
-    b = evaluate(e.base, assignment)
-    if b == 0 and e.exponent < 0:
-        raise EvaluationDomainError("zero raised to a negative power", e)
-    return b**e.exponent
+    return Dag().tape([e]).run(assignment)[0]
 
 
 def compile_evaluator(e: Expr) -> Callable[[Assignment], complex]:
-    """Compile ``e`` to a closure ``assignment -> complex``.
+    """Lower ``e`` to a tape once and return ``assignment -> complex``.
 
-    Semantically equivalent to ``evaluate`` on valid inputs, a few times
-    faster; domain failures surface as the underlying ValueError /
-    ZeroDivisionError instead of EvaluationDomainError.
+    Same values and the same errors as ``evaluate``, without re-lowering
+    ``e`` on every call.
     """
-    if isinstance(e, Const):
-        v = complex(e.value)
-        return lambda a: v
-    if isinstance(e, Var):
-        return lambda a: a[e]
-    if isinstance(e, Unary):
-        f = compile_evaluator(e.arg)
-        if e.op == "neg":
-            return lambda a: -f(a)
-        if e.op == "exp":
-            return lambda a: cmath.exp(f(a))
-        return lambda a: cmath.log(f(a))
-    if isinstance(e, Binary):
-        fl = compile_evaluator(e.left)
-        fr = compile_evaluator(e.right)
-        if e.op == "+":
-            return lambda a: fl(a) + fr(a)
-        if e.op == "-":
-            return lambda a: fl(a) - fr(a)
-        if e.op == "*":
-            return lambda a: fl(a) * fr(a)
-        return lambda a: fl(a) / fr(a)
-    fb = compile_evaluator(e.base)
-    n = e.exponent
-    return lambda a: fb(a) ** n
-
-
-def constant_fold(e: Expr) -> Expr:
-    """Collapse constant subtrees and 0/1 identities.
-
-    The result is evaluation-equivalent to ``e``; subtrees whose evaluation
-    could raise a domain error are never folded away, so folding cannot turn
-    a domain error into a success.
-    """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Unary):
-        a = constant_fold(e.arg)
-        if e.op == "neg":
-            return neg(a)
-        if e.op == "log":
-            return log(a)
-        return exp(a)
-    if isinstance(e, Binary):
-        l = constant_fold(e.left)
-        r = constant_fold(e.right)
-        return {"+": add, "-": sub, "*": mul, "/": div}[e.op](l, r)
-    return power(constant_fold(e.base), e.exponent)
+    tape = Dag().tape([e])
+    return lambda assignment: tape.run(assignment)[0]
 
 
 def variables(e: Expr) -> frozenset[Var]:

@@ -177,10 +177,11 @@ class KahlerManifold:
     """Chart of a Kähler manifold defined by a symbolic potential.
 
     The constructor validates the potential (variable kinds/indices and
-    reality on sampled points) and eagerly builds the symbolic derivative
-    cache: ``g``, its first derivatives in both kinds, and the mixed second
-    derivatives needed for curvature.  Instances are immutable afterwards
-    and safe to evaluate concurrently.
+    reality on sampled points) and differentiates it once into a shared
+    DAG: ``g``, its first derivatives in both kinds, and the mixed second
+    derivatives needed for curvature.  ``tape`` evaluates them all, in that
+    order, so a prefix of it yields the metric alone.  Instances are
+    immutable afterwards and safe to evaluate concurrently.
     """
 
     def __init__(
@@ -202,44 +203,29 @@ class KahlerManifold:
             self._check_reality()
 
         m = self.m
-        diff, fold = ex.wirtinger_derivative, ex.constant_fold
-        K = fold(potential)
+        dag = ex.Dag()
+        d = dag.derivative
         zs = [Var(Z, i + 1) for i in range(m)]
         zbs = [Var(ZB, j + 1) for j in range(m)]
-        dK = [fold(diff(K, zs[i])) for i in range(m)]
-        self._g_ast = [[fold(diff(dK[i], zbs[j])) for j in range(m)] for i in range(m)]
-        self._dg_ast = [
-            [[fold(diff(self._g_ast[i][j], zs[a])) for j in range(m)] for i in range(m)]
-            for a in range(m)
-        ]
-        self._dgb_ast = [
-            [[fold(diff(self._g_ast[i][j], zbs[b])) for j in range(m)] for i in range(m)]
-            for b in range(m)
-        ]
+        K = dag.fold(potential)
+        r = range(m)
+        # Flat, row-major blocks; the derivatives of folded nodes come out
+        # folded, so only the potential needs an explicit fold.
+        g = [d(d(K, zs[i]), zbs[j]) for i in r for j in r]
+        dg = [d(g[i * m + j], zs[a]) for a in r for i in r for j in r]
+        dgb = [d(g[i * m + j], zbs[b]) for b in r for i in r for j in r]
         # d2g[i][j][k][l] = d_{z_i} d_{zb_j} g_{k lbar}
-        self._d2g_ast = [
-            [
-                [[fold(diff(self._dg_ast[i][k][l], zbs[j])) for l in range(m)] for k in range(m)]
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        comp = ex.compile_evaluator
-        self._potential_fn = comp(K)
-        self._g_fn = [[comp(a) for a in row] for row in self._g_ast]
-        self._dg_fn = [[[comp(a) for a in row] for row in blk] for blk in self._dg_ast]
-        self._dgb_fn = [[[comp(a) for a in row] for row in blk] for blk in self._dgb_ast]
-        self._d2g_fn = [
-            [[[comp(a) for a in row] for row in blk] for blk in blk2] for blk2 in self._d2g_ast
-        ]
+        d2g = [d(dg[(i * m + k) * m + l], zbs[j]) for i in r for j in r for k in r for l in r]
+        self.tape = dag.tape(g + dg + dgb + d2g)
+        self._jet_shapes = ((m, m), (m, m, m), (m, m, m), (m, m, m, m))
 
     def _check_reality(self):
         rng = np.random.default_rng(1811)
+        potential = ex.compile_evaluator(self.potential)
         for _ in range(8):
             p = self.domain.sample_point(rng, self.m)
-            a = self.assignment(p)
             try:
-                value = ex.evaluate(self.potential, a)
+                value = potential(self.assignment(p))
             except ex.EvaluationDomainError:
                 continue
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
@@ -267,31 +253,24 @@ class KahlerManifold:
     def sample_point(self, rng: np.random.Generator, margin: float = 0.1) -> ChartPoint:
         return self.domain.sample_point(rng, self.m, margin)
 
-    # Raw tensor evaluation (no validation); used by metric_at and the
-    # finite-difference oracle.
+    def jets(self, p: Sequence[complex], blocks: int = 4) -> list[np.ndarray]:
+        """The first ``blocks`` of ``(g, dg, dgb, d2g)`` at ``p``, without validation.
+
+        One run of the tape prefix those blocks need.  Index order:
+        ``g[i, j] = g_{i jbar}``, ``dg[a, i, j] = d_{z_a} g_{i jbar}``,
+        ``dgb[b, i, j] = d_{zb_b} g_{i jbar}`` and
+        ``d2g[i, j, k, l] = d_{z_i} d_{zb_j} g_{k lbar}``.
+        """
+        shapes = self._jet_shapes[:blocks]
+        sizes = [math.prod(s) for s in shapes]
+        values = np.array(self.tape.run(self.assignment(p), sum(sizes)))
+        parts = np.split(values, np.cumsum(sizes)[:-1])
+        return [part.reshape(s) for part, s in zip(parts, shapes)]
+
+    # Raw metric (no validation); used by metric_at and the finite-difference
+    # oracle, which run only the g prefix of the tape.
     def metric_matrix(self, p: Sequence[complex]) -> np.ndarray:
-        a = self.assignment(p)
-        m = self.m
-        return np.array([[self._g_fn[i][j](a) for j in range(m)] for i in range(m)])
-
-    def _dg_values(self, a: dict) -> tuple[np.ndarray, np.ndarray]:
-        m = self.m
-        dg = np.array(
-            [[[self._dg_fn[k][i][j](a) for j in range(m)] for i in range(m)] for k in range(m)]
-        )
-        dgb = np.array(
-            [[[self._dgb_fn[k][i][j](a) for j in range(m)] for i in range(m)] for k in range(m)]
-        )
-        return dg, dgb
-
-    def _d2g_values(self, a: dict) -> np.ndarray:
-        m = self.m
-        return np.array(
-            [
-                [[[self._d2g_fn[i][j][k][l](a) for l in range(m)] for k in range(m)] for j in range(m)]
-                for i in range(m)
-            ]
-        )
+        return self.jets(p, 1)[0]
 
 
 def metric_at(manifold: KahlerManifold, p: Sequence[complex]) -> HermitianMetric:
@@ -322,12 +301,44 @@ def christoffel_at(
     p = manifold.require_in_domain(p)
     if metric is None:
         metric = metric_at(manifold, p)
-    a = manifold.assignment(p)
-    dg, _ = manifold._dg_values(a)
+    _, dg = manifold.jets(p, 2)
     # dg[i, j, l] = d_i g_{j lbar};  g^{k lbar} = inverse[l, k]
     gamma = np.einsum("lk,ijl->kij", metric.inverse, dg)
     gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
     return ChristoffelData(gamma=gamma)
+
+
+def _curvature_terms(
+    manifold: KahlerManifold, p: ChartPoint, metric: HermitianMetric
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms whose sum is the curvature tensor."""
+    _, dg, dgb, d2g = manifold.jets(p)
+    # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l]
+    return -d2g, np.einsum("qp,ikq,jpl->ijkl", metric.inverse, dg, dgb)
+
+
+def curvature_term_scale(
+    manifold: KahlerManifold,
+    p: Sequence[complex],
+    metric: HermitianMetric | None = None,
+) -> float:
+    """Size in the metric of the larger of the two terms whose sum is R.
+
+    Each term is written in a g-orthonormal frame and measured by its
+    Frobenius norm, which bounds its holomorphic sectional curvature over
+    unit vectors.  Where the terms cancel, as on a flat chart, the
+    curvature is round-off of order machine epsilon times this size.
+    """
+    p = manifold.require_in_domain(p)
+    if metric is None:
+        metric = metric_at(manifold, p)
+    # c.T g conj(c) = 1 for g = L L^H
+    c = np.linalg.inv(np.linalg.cholesky(metric.matrix)).T
+    cb = c.conj()
+    return max(
+        float(np.linalg.norm(np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, cb, c, cb, optimize=True)))
+        for t in _curvature_terms(manifold, p, metric)
+    )
 
 
 def curvature_at(
@@ -343,11 +354,8 @@ def curvature_at(
     p = manifold.require_in_domain(p)
     if metric is None:
         metric = metric_at(manifold, p)
-    a = manifold.assignment(p)
-    dg, dgb = manifold._dg_values(a)
-    d2g = manifold._d2g_values(a)
-    # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l]
-    r = -d2g + np.einsum("qp,ikq,jpl->ijkl", metric.inverse, dg, dgb)
+    minus_d2g, quadratic = _curvature_terms(manifold, p, metric)
+    r = minus_d2g + quadratic
     scale = max(1.0, float(np.max(np.abs(r))))
     pair = max(
         float(np.max(np.abs(r - r.transpose(2, 1, 0, 3)))),
@@ -412,9 +420,7 @@ def ricci_at(
     ginv = metric.inverse
     s_contract = np.einsum("li,ijkl->kj", ginv, curvature.tensor)
 
-    a = manifold.assignment(p)
-    dg, dgb = manifold._dg_values(a)
-    d2g = manifold._d2g_values(a)
+    _, dg, dgb, d2g = manifold.jets(p)
     t1 = np.einsum("ab,ijba->ij", ginv, d2g)
     t2 = np.einsum("ab,ibc,cd,jda->ij", ginv, dg, ginv, dgb)
     s_logdet = -t1 + t2

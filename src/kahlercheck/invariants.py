@@ -235,6 +235,25 @@ def ricci_offdiagonal_check(
     return worst
 
 
+def hsc_spread(values: Sequence[float], pds: Sequence[PointData]) -> tuple[float, float]:
+    """Mean and relative spread of holomorphic sectional curvatures sampled
+    at the points of ``pds``.
+
+    The spread is ``(max - min) / max(|mean|, floor)``.  The floor is the
+    largest ``geometry.curvature_term_scale`` over the points: the size of
+    the two terms of R that cancel, which sets the round-off in every value.
+    On a flat chart the mean is itself round-off, so dividing by it alone
+    would turn round-off into an O(1) spread.
+    """
+    arr = np.asarray(values, dtype=float)
+    mean = float(arr.mean())
+    width = float(arr.max() - arr.min())
+    if width == 0.0:
+        return mean, 0.0
+    floor = max(geo.curvature_term_scale(pd.manifold, pd.point, pd.metric) for pd in pds)
+    return mean, width / max(abs(mean), floor)
+
+
 def chsc_fit(
     manifold: KahlerManifold,
     points: int,
@@ -244,21 +263,19 @@ def chsc_fit(
     """Estimate the holomorphic sectional curvature constant.
 
     Samples ``points`` chart points and ``samples`` random directions at
-    each; returns ``(mean H, relative spread)`` where the spread is
-    ``(max - min) / max(|mean|, 1e-12)``.  A manifold is of constant
-    holomorphic sectional curvature at sampling fidelity when the spread is
-    below tolerance.
+    each; returns ``(mean H, relative spread)`` as ``hsc_spread`` defines
+    them.  A manifold is of constant holomorphic sectional curvature at
+    sampling fidelity when the spread is below tolerance.
     """
     values = []
+    pds = []
     for _ in range(points):
         pd = point_data(manifold, manifold.sample_point(rng))
+        pds.append(pd)
         for _ in range(samples):
             x = geo.random_unit_tangent(pd.metric, pd.m, rng)
             values.append(holomorphic_sectional_curvature(pd, x))
-    arr = np.array(values)
-    mean = float(arr.mean())
-    spread = float(arr.max() - arr.min()) / max(abs(mean), 1e-12)
-    return mean, spread
+    return hsc_spread(values, pds)
 
 
 # --------------------------------------------------------------------------

@@ -349,12 +349,23 @@ def builtin_immersions() -> list[tuple[Immersion, dict]]:
     ]
 
 
+_IMMERSION_FACTORIES = {
+    "linear-flat3": linear_subspace_in_flat3,
+    "sphere-flat2-r1": sphere_in_flat2,
+    "ellipsoid-flat2": ellipsoid_in_flat2,
+    "cylinder-flat2": cylinder_in_flat2,
+    "cp1-in-cp2": cp1_in_cp2,
+    "real-slice-flat2": real_slice_in_flat2,
+}
+
+
 def builtin_immersion(name: str) -> Immersion:
-    for imm, _ in builtin_immersions():
-        if imm.name == name:
-            return imm
-    known = ", ".join(i.name for i, _ in builtin_immersions())
-    raise ModelError(f"unknown immersion {name!r} (known: {known})")
+    """Build the one fixture named ``name``."""
+    factory = _IMMERSION_FACTORIES.get(name)
+    if factory is None:
+        known = ", ".join(_IMMERSION_FACTORIES)
+        raise ModelError(f"unknown immersion {name!r} (known: {known})")
+    return factory()
 
 
 # --------------------------------------------------------------------------

@@ -107,17 +107,14 @@ class Immersion:
         for c in components:
             ex.validate_variables(c, self.n, (U,))
 
-        fold, diff, comp = ex.constant_fold, ex.wirtinger_derivative, ex.compile_evaluator
-        us = [Var(U, a + 1) for a in range(self.n)]
-        f = [fold(c) for c in components]
-        df = [[fold(diff(f[i], us[a])) for i in range(ambient.m)] for a in range(self.n)]
-        d2f = [
-            [[fold(diff(df[a][i], us[b])) for i in range(ambient.m)] for b in range(self.n)]
-            for a in range(self.n)
-        ]
-        self._f_fn = [comp(c) for c in f]
-        self._df_fn = [[comp(c) for c in row] for row in df]
-        self._d2f_fn = [[[comp(c) for c in row] for row in blk] for blk in d2f]
+        dag = ex.Dag()
+        m, n = ambient.m, self.n
+        us = [Var(U, a + 1) for a in range(n)]
+        f = [dag.fold(c) for c in components]
+        df = [dag.derivative(f[i], us[a]) for a in range(n) for i in range(m)]
+        d2f = [dag.derivative(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
+        # One tape for f, df and d2f in that order; value and jacobian run a prefix.
+        self.tape = dag.tape(f + df + d2f)
 
     def assignment(self, u: Sequence[float]) -> dict[Var, complex]:
         return {Var(U, a + 1): complex(val) for a, val in enumerate(u)}
@@ -132,10 +129,12 @@ class Immersion:
             raise ParameterDomainError(f"parameter point {u} outside the box")
         return u
 
+    def _outputs(self, u: Sequence[float], count: int) -> np.ndarray:
+        return np.array(self.tape.run(self.assignment(u), count))
+
     def value(self, u: Sequence[float]) -> np.ndarray:
         """Chart coordinates f(u); checked against the ambient chart domain."""
-        a = self.assignment(u)
-        f = np.array([fn(a) for fn in self._f_fn])
+        f = self._outputs(u, self.ambient.m)
         if not self.ambient.domain.contains(f):
             raise DomainError(
                 f"immersion leaves the ambient chart domain at u={np.asarray(u)}"
@@ -144,15 +143,13 @@ class Immersion:
 
     def jacobian(self, u: Sequence[float]) -> np.ndarray:
         """Tangent representatives T_a = df/du_a as rows, shape (n, m)."""
-        a = self.assignment(u)
-        return np.array([[fn(a) for fn in row] for row in self._df_fn])
+        m, n = self.ambient.m, self.n
+        return self._outputs(u, m + n * m)[m:].reshape(n, m)
 
     def hessian(self, u: Sequence[float]) -> np.ndarray:
         """Second parameter derivatives, shape (n, n, m)."""
-        a = self.assignment(u)
-        return np.array(
-            [[[fn(a) for fn in row] for row in blk] for blk in self._d2f_fn]
-        )
+        m, n = self.ambient.m, self.n
+        return self._outputs(u, m + n * m + n * n * m)[m + n * m :].reshape(n, n, m)
 
 
 @dataclass(frozen=True, eq=False)

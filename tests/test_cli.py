@@ -162,6 +162,30 @@ def test_run_suite_product_fails_expected_checks():
     assert any("constant holomorphic sectional curvature: no" in l for l in lines)
 
 
+def test_run_suite_builds_the_chart_once(monkeypatch):
+    from kahlercheck import models
+
+    loads = []
+    real_load = models.load_manifold
+    monkeypatch.setattr(models, "load_manifold", lambda src: loads.append(src) or real_load(src))
+    run_suite("builtin:fs:3", seed=7, points=1, samples=5)
+    assert loads == ["builtin:fs:3"]
+
+
+def test_chsc_passes_on_flat_pullback_chart(flat_pullback_path):
+    report = run_check(
+        RunConfig(manifold=flat_pullback_path, check="chsc", points=2, samples=600, seed=7)
+    )
+    assert report.passed and report.max_residual < 1e-14
+
+
+def test_chsc_fails_on_product_with_large_spread():
+    report = run_check(
+        RunConfig(manifold="builtin:product:fs:1:fs:2", check="chsc", points=2, samples=100, seed=7)
+    )
+    assert not report.passed and report.max_residual > 1e-6
+
+
 def test_run_suite_flat2_skips_lemma():
     reports, lines = run_suite("builtin:flat:2", seed=3, points=2, samples=20)
     assert all(r.passed for r in reports)

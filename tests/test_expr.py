@@ -1,4 +1,7 @@
-"""Expression trees: parsing, Wirtinger differentiation, evaluation, folding."""
+"""Expression trees: parsing, Wirtinger differentiation, evaluation, folding,
+interning and the evaluation tape."""
+
+import cmath
 
 import numpy as np
 import pytest
@@ -218,6 +221,174 @@ def test_fold_zero_numerator_guard():
     assert ex.constant_fold(e) == e
     safe = Binary("/", Const(0j), Unary("exp", ex.z(1)))
     assert ex.constant_fold(safe) == Const(0j)
+
+
+# --------------------------------------------------- interning and the tape
+
+
+def _nodes(e):
+    yield e
+    if isinstance(e, Unary):
+        yield from _nodes(e.arg)
+    elif isinstance(e, Binary):
+        yield from _nodes(e.left)
+        yield from _nodes(e.right)
+    elif isinstance(e, Power):
+        yield from _nodes(e.base)
+
+
+def _times_zero(e):
+    return [
+        n
+        for n in _nodes(e)
+        if isinstance(n, Binary) and n.op == "*" and (n.left == Const(0j) or n.right == Const(0j))
+    ]
+
+
+@pytest.mark.parametrize(
+    "text", ["log(1 + z1*zb1) / 2", "3 * log(1 + z1*zb1)", "log(1 + z1*zb1) * 3"]
+)
+def test_constant_operand_rules_build_no_dead_terms(text):
+    e = ex.parse_expression(text, 1, ("z", "zb"))
+    d1 = ex.wirtinger_derivative(e, ex.z(1))
+    d2 = ex.wirtinger_derivative(d1, ex.zb(1))
+    assert _times_zero(d1) == [] and _times_zero(d2) == []
+    want = ex.parse_expression("1 / (1 + z1*zb1)^2", 1, ("z", "zb"))
+    scale = 0.5 if "/" in text else 3.0
+    _eval_equal(d2, ex.mul(ex.const(scale), want), dim=1)
+
+
+def test_intern_returns_identical_object():
+    dag = ex.Dag()
+    e = dag.intern(
+        ex.parse_expression("log(1 + z1*zb1) * (z1*zb1) + log(1 + z1*zb1)", 1, ("z", "zb"))
+    )
+    log_term = e.right
+    assert e.left.left is log_term
+    assert log_term.arg.right is e.left.right
+    again = dag.intern(ex.parse_expression("log(1 + z1*zb1)", 1, ("z", "zb")))
+    assert again is log_term
+    assert dag.intern(e) is e
+    assert dag.derivative(e, ex.z(1)) is dag.derivative(e, ex.z(1))
+    # Equal under ==, but not under log's branch cut: kept apart.
+    assert dag.intern(Const(complex(-1.0, -0.0))) is not dag.intern(Const(complex(-1.0, 0.0)))
+
+
+def test_tape_prefix_runs_only_the_ops_it_needs():
+    tape = ex.Dag().tape([ex.mul(ex.z(1), ex.z(1)), ex.log(ex.z(2))])
+    a = {ex.z(1): 3 + 0j, ex.z(2): 0j}
+    assert tape.run(a, 1) == [9 + 0j]
+    with pytest.raises(EvaluationDomainError, match="log of zero"):
+        tape.run(a)
+    with pytest.raises(ValueError, match="no value assigned to 'z2'"):
+        tape.run({ex.z(1): 1 + 0j})
+
+
+def test_metric_prefix_equals_g_slice_of_full_run(fs3, product, rng):
+    for manifold in (fs3, product):
+        m = manifold.m
+        p = manifold.sample_point(rng)
+        full = manifold.tape.run(manifold.assignment(p))
+        assert np.array_equal(manifold.metric_matrix(p).ravel(), np.array(full[: m * m]))
+        jets = np.concatenate([block.ravel() for block in manifold.jets(p)])
+        assert np.array_equal(jets, np.array(full))
+
+
+def _reference_evaluate(e, a):
+    """Recursive evaluator: the semantics the tape must reproduce."""
+    if isinstance(e, Const):
+        return complex(e.value)
+    if isinstance(e, Var):
+        return complex(a[e])
+    if isinstance(e, Unary):
+        v = _reference_evaluate(e.arg, a)
+        if e.op == "neg":
+            return -v
+        if e.op == "exp":
+            return cmath.exp(v)
+        if v == 0:
+            raise EvaluationDomainError("log of zero", e)
+        return cmath.log(v)
+    if isinstance(e, Binary):
+        l = _reference_evaluate(e.left, a)
+        r = _reference_evaluate(e.right, a)
+        if e.op == "+":
+            return l + r
+        if e.op == "-":
+            return l - r
+        if e.op == "*":
+            return l * r
+        if r == 0:
+            raise EvaluationDomainError("division by zero", e)
+        return l / r
+    b = _reference_evaluate(e.base, a)
+    if b == 0 and e.exponent < 0:
+        raise EvaluationDomainError("zero raised to a negative power", e)
+    return b**e.exponent
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except EvaluationDomainError as err:
+        return "domain", (str(err), err.node)
+    except OverflowError:
+        return "overflow", None
+
+
+def _same_value(x, y):
+    return x == y or (cmath.isnan(x) and cmath.isnan(y))
+
+
+def _shared_exprs():
+    """Trees that reuse subtrees, with unguarded logs, divisions and negative
+    powers, so domain errors occur."""
+    leaves = st.one_of(
+        st.sampled_from([ex.z(1), ex.zb(1), ex.z(2), ex.zb(2)]),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]).map(lambda v: Const(complex(v))),
+    )
+    ops = st.sampled_from("+-*/")
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(ops, children, children).map(lambda t: Binary(*t)),
+            st.tuples(ops, children).map(lambda t: Binary(t[0], t[1], t[1])),
+            st.tuples(ops, ops, children, children).map(
+                lambda t: Binary(t[0], t[2], Binary(t[1], t[3], t[2]))
+            ),
+            st.tuples(st.sampled_from(["neg", "exp", "log"]), children).map(lambda t: Unary(*t)),
+            st.tuples(children, st.integers(min_value=-2, max_value=3)).map(lambda t: Power(*t)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tree=_shared_exprs(),
+    values=st.lists(st.sampled_from([0.0, 1.0, -0.5, 0.3 + 0.7j, 2.0j]), min_size=2, max_size=2),
+)
+def test_tape_matches_reference_evaluator(tree, values):
+    a = {}
+    for i, v in enumerate(values, start=1):
+        a[ex.z(i)] = complex(v)
+        a[ex.zb(i)] = complex(v).conjugate()
+    kind, want = _outcome(_reference_evaluate, tree, a)
+    got_kind, got = _outcome(ex.evaluate, tree, a)
+    assert got_kind == kind
+    if kind == "value":
+        assert _same_value(got, want)
+    elif kind == "domain":
+        assert got == want  # same message, same failing subexpression
+    # Several roots in one tape: every prefix gives the reference values.
+    children = (getattr(tree, name, None) for name in ("left", "right", "arg", "base"))
+    roots = [tree] + [c for c in children if c is not None]
+    outcomes = [_outcome(_reference_evaluate, r, a) for r in roots]
+    tape = ex.Dag().tape(roots)
+    for k in range(1, len(roots) + 1):
+        if all(o[0] == "value" for o in outcomes[:k]):
+            got = tape.run(a, k)
+            assert all(_same_value(x, o[1]) for x, o in zip(got, outcomes[:k]))
 
 
 # ---------------------------------------------------- property-based tests

@@ -243,6 +243,14 @@ def test_chsc_fit_flat(flat3, rng):
     assert c == 0.0 and spread == 0.0
 
 
+def test_chsc_fit_flat_pullback(flat_pullback_path, rng):
+    from kahlercheck import models
+
+    manifold = models.load_manifold(flat_pullback_path)
+    c, spread = inv.chsc_fit(manifold, points=2, samples=100, rng=rng)
+    assert abs(c) < 1e-14 and spread < 1e-14
+
+
 def test_chsc_fit_fs3_positive(fs3, rng):
     c, spread = inv.chsc_fit(fs3, points=3, samples=60, rng=rng)
     assert spread < 1e-9

@@ -115,6 +115,33 @@ def test_builtin_immersion_lookup():
         models.builtin_immersion("nope")
 
 
+def test_builtin_immersion_builds_only_the_named_fixture(monkeypatch):
+    built = []
+    real_build = models.build_model
+    monkeypatch.setattr(models, "build_model", lambda uri: built.append(uri) or real_build(uri))
+    imm = models.load_immersion("builtin:cp1-in-cp2")
+    assert imm.name == "cp1-in-cp2"
+    assert built == ["builtin:fs:2"]
+    for fixture, _ in models.builtin_immersions():
+        assert models.builtin_immersion(fixture.name).name == fixture.name
+
+
+# Jet-tape op counts, measured when each chart's jets became one shared DAG,
+# times about 1.5.  Exceeding one means derivative swell has come back.
+@pytest.mark.parametrize(
+    "uri, measured",
+    [
+        ("builtin:fs:3", 846),
+        ("builtin:chyp:3", 1007),
+        ("builtin:fs:4", 2274),
+        ("builtin:product:fs:1:fs:2", 363),
+        ("builtin:flat:3", 0),
+    ],
+)
+def test_jet_tape_size_is_capped(uri, measured):
+    assert len(models.build_model(uri).tape) <= int(1.5 * measured)
+
+
 def test_sphere_radius_must_be_positive():
     with pytest.raises(ValueError):
         models.sphere_in_flat2(0.0)
