@@ -30,17 +30,8 @@ from . import geometry as geo
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
-from .invariants import CheckReport, WorstCase
+from .invariants import MANIFOLD_CHECKS, CheckReport, WorstCase
 
-MANIFOLD_CHECKS = (
-    "bochner",
-    "lemma",
-    "basis-sum",
-    "einstein",
-    "ricci-offdiag",
-    "chsc",
-    "reconstruct-2-3",
-)
 IMMERSION_CHECKS = ("umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical")
 ALL_CHECKS = MANIFOLD_CHECKS + IMMERSION_CHECKS
 
@@ -92,147 +83,15 @@ def _finish(
     )
 
 
-def _vecs(*vectors: geo.RealTangentVector) -> list[np.ndarray]:
-    return [v.components for v in vectors]
-
-
-def _per_point_quadruple_check(cfg, manifold, rng, residual_fn) -> CheckReport:
-    residuals = []
-    worst_cases = []
-    for _ in range(cfg.points):
-        p = manifold.sample_point(rng)
-        pd = inv.point_data(manifold, p)
-        best = None
-        for _ in range(cfg.samples):
-            vectors = [
-                geo.random_unit_tangent(pd.metric, pd.m, rng) for _ in range(4)
-            ]
-            r = abs(residual_fn(pd, *vectors))
-            residuals.append(r)
-            if best is None or r > best.residual:
-                best = WorstCase(point=p, frame=_vecs(*vectors), residual=r)
-        worst_cases.append(best)
-    return _finish(cfg, manifold.name, residuals, worst_cases)
-
-
-def _run_bochner(cfg, manifold, rng) -> CheckReport:
-    return _per_point_quadruple_check(cfg, manifold, rng, inv.bochner_at)
-
-
-def _run_reconstruct(cfg, manifold, rng) -> CheckReport:
-    def identity_residual(pd, x, y, z, u):
-        r = geo.real_curvature(pd.curvature, x, y, z, u)
-        rhs = inv.reconstruct_curvature_from_ricci(pd, x, y, z, u)
-        b = inv.bochner_at(pd, x, y, z, u)
-        return abs(r - rhs) - abs(b)
-
-    return _per_point_quadruple_check(cfg, manifold, rng, identity_residual)
-
-
-def _run_lemma(cfg, manifold, rng) -> CheckReport:
-    if manifold.m < 3:
+def _run_manifold_check(cfg: RunConfig, manifold: geo.KahlerManifold, rng) -> CheckReport:
+    check = inv.CHECKS[cfg.check]
+    if manifold.m < check.min_dim:
         raise ConfigError(
-            "the 3-frame criterion needs complex dimension >= 3 "
+            f"check {cfg.check!r} needs complex dimension >= {check.min_dim} "
             f"(got m={manifold.m})"
         )
-    residuals = []
-    worst_cases = []
-    for _ in range(cfg.points):
-        p = manifold.sample_point(rng)
-        pd = inv.point_data(manifold, p)
-        best = None
-        for _ in range(cfg.samples):
-            x, y, z = geo.orthonormal_antiholomorphic_frame(
-                manifold, p, 3, rng, pd.metric
-            )
-            r = abs(inv.lemma_residual(pd, x, y, z))
-            residuals.append(r)
-            if best is None or r > best.residual:
-                best = WorstCase(point=p, frame=_vecs(x, y, z), residual=r)
-        worst_cases.append(best)
-    return _finish(cfg, manifold.name, residuals, worst_cases)
-
-
-def _run_basis_sum(cfg, manifold, rng) -> CheckReport:
-    # Residual per point: sample standard deviation of the basis sums.
-    residuals = []
-    worst_cases = []
-    for _ in range(cfg.points):
-        p = manifold.sample_point(rng)
-        pd = inv.point_data(manifold, p)
-        sums = []
-        bases = []
-        for _ in range(cfg.samples):
-            basis = geo.orthonormal_holomorphic_basis(manifold, p, rng, pd.metric)
-            bases.append(basis)
-            sums.append(inv.basis_sum(pd, basis))
-        sums = np.array(sums)
-        spread = float(sums.std())
-        residuals.append(spread)
-        outlier = int(np.argmax(np.abs(sums - sums.mean())))
-        worst_cases.append(
-            WorstCase(point=p, frame=_vecs(*bases[outlier]), residual=spread)
-        )
-    return _finish(cfg, manifold.name, residuals, worst_cases)
-
-
-def _run_einstein(cfg, manifold, rng) -> CheckReport:
-    residuals = []
-    worst_cases = []
-    for _ in range(cfg.points):
-        p = manifold.sample_point(rng)
-        pd = inv.point_data(manifold, p)
-        lam = pd.tau / (2.0 * pd.m)
-        best = None
-        for _ in range(cfg.samples):
-            x = geo.random_unit_tangent(pd.metric, pd.m, rng)
-            y = geo.random_unit_tangent(pd.metric, pd.m, rng)
-            r = abs(pd.ricci(x, y) - lam * pd.metric.inner(x, y))
-            residuals.append(r)
-            if best is None or r > best.residual:
-                best = WorstCase(point=p, frame=_vecs(x, y), residual=r)
-        worst_cases.append(best)
-    return _finish(cfg, manifold.name, residuals, worst_cases)
-
-
-def _run_ricci_offdiag(cfg, manifold, rng) -> CheckReport:
-    if manifold.m < 2:
-        raise ConfigError("the off-diagonal Ricci check needs m >= 2")
-    residuals = []
-    worst_cases = []
-    for _ in range(cfg.points):
-        p = manifold.sample_point(rng)
-        pd = inv.point_data(manifold, p)
-        best = None
-        for _ in range(cfg.samples):
-            y, z = geo.orthonormal_antiholomorphic_frame(
-                manifold, p, 2, rng, pd.metric
-            )
-            r = abs(pd.ricci(y, z))
-            residuals.append(r)
-            if best is None or r > best.residual:
-                best = WorstCase(point=p, frame=_vecs(y, z), residual=r)
-        worst_cases.append(best)
-    return _finish(cfg, manifold.name, residuals, worst_cases)
-
-
-def _run_chsc(cfg, manifold, rng) -> CheckReport:
-    values = []
-    records = []
-    pds = []
-    for _ in range(cfg.points):
-        p = manifold.sample_point(rng)
-        pd = inv.point_data(manifold, p)
-        pds.append(pd)
-        for _ in range(cfg.samples):
-            x = geo.random_unit_tangent(pd.metric, pd.m, rng)
-            values.append(inv.holomorphic_sectional_curvature(pd, x))
-            records.append((p, x))
-    mean, spread = inv.hsc_spread(values, pds)
-    outlier = int(np.argmax(np.abs(np.array(values) - mean)))
-    p, x = records[outlier]
-    worst = [WorstCase(point=p, frame=_vecs(x), residual=spread)]
-    return _finish(cfg, manifold.name, [spread], worst)
+    sampled = inv.sample(cfg.check, manifold, cfg.points, cfg.samples, rng)
+    return _finish(cfg, manifold.name, *inv.reduce_samples(cfg.check, sampled))
 
 
 def _sample_immersion_points(cfg, immersion, rng) -> list[np.ndarray]:
@@ -276,22 +135,11 @@ def _run_codazzi(cfg, immersion, rng, umbilical: bool) -> CheckReport:
     return _immersion_report(cfg, immersion, rows)
 
 
-_MANIFOLD_RUNNERS = {
-    "bochner": _run_bochner,
-    "lemma": _run_lemma,
-    "basis-sum": _run_basis_sum,
-    "einstein": _run_einstein,
-    "ricci-offdiag": _run_ricci_offdiag,
-    "chsc": _run_chsc,
-    "reconstruct-2-3": _run_reconstruct,
-}
-
-
 def _run_loaded(cfg: RunConfig, target: geo.KahlerManifold | sub.Immersion) -> CheckReport:
     """Run ``cfg.check`` on an already built manifold or immersion."""
     rng = np.random.default_rng(cfg.seed)
     if cfg.check in MANIFOLD_CHECKS:
-        return _MANIFOLD_RUNNERS[cfg.check](cfg, target, rng)
+        return _run_manifold_check(cfg, target, rng)
     if cfg.check == "umbilical":
         return _run_umbilical(cfg, target, rng)
     if cfg.check == "parallel-h":
@@ -334,11 +182,10 @@ def run_suite(
     constant holomorphic sectional curvature.
     """
     manifold = models.load_manifold(manifold_source)
-    min_dim = {"lemma": 3, "ricci-offdiag": 2}
     reports = []
     skipped = []
     for name in MANIFOLD_CHECKS:
-        if manifold.m < min_dim.get(name, 1):
+        if manifold.m < inv.CHECKS[name].min_dim:
             skipped.append(name)
             continue
         cfg = RunConfig(
@@ -363,7 +210,7 @@ def run_suite(
     )
     lines = []
     for name in skipped:
-        lines.append(f"skipped {name} (needs complex dimension >= {min_dim[name]})")
+        lines.append(f"skipped {name} (needs complex dimension >= {inv.CHECKS[name].min_dim})")
     lines.append(f"Bochner-flat at sampling fidelity: {'yes' if bochner_flat else 'no'}")
     lines.append(f"Einstein at sampling fidelity: {'yes' if einstein else 'no'}")
     lines.append(

@@ -273,10 +273,20 @@ class KahlerManifold:
         return self.jets(p, 1)[0]
 
 
-def metric_at(manifold: KahlerManifold, p: Sequence[complex]) -> HermitianMetric:
-    """Hermitian positive-definite metric at ``p``, with inverse."""
+def metric_at(
+    manifold: KahlerManifold,
+    p: Sequence[complex],
+    jets: Sequence[np.ndarray] | None = None,
+) -> HermitianMetric:
+    """Hermitian positive-definite metric at ``p``, with inverse.
+
+    ``jets``, when given, is ``manifold.jets(p, k)`` with at least the blocks
+    a function reads: g here, (g, dg) for ``christoffel_at``, all four for
+    curvature and Ricci.  The tensor functions below take it the same way,
+    so one tape run at a point serves them all.
+    """
     p = manifold.require_in_domain(p)
-    g = manifold.metric_matrix(p)
+    g = manifold.metric_matrix(p) if jets is None else jets[0]
     scale = max(1.0, float(np.max(np.abs(g))))
     if float(np.max(np.abs(g - g.conj().T))) > 1e-12 * scale:
         raise MetricError(f"metric not Hermitian at {p}")
@@ -296,12 +306,15 @@ def christoffel_at(
     manifold: KahlerManifold,
     p: Sequence[complex],
     metric: HermitianMetric | None = None,
+    jets: Sequence[np.ndarray] | None = None,
 ) -> ChristoffelData:
     """``Gamma^k_{ij} = g^{k lbar} d_i g_{j lbar}``, symmetric in (i, j)."""
     p = manifold.require_in_domain(p)
     if metric is None:
-        metric = metric_at(manifold, p)
-    _, dg = manifold.jets(p, 2)
+        metric = metric_at(manifold, p, jets)
+    if jets is None:
+        jets = manifold.jets(p, 2)
+    dg = jets[1]
     # dg[i, j, l] = d_i g_{j lbar};  g^{k lbar} = inverse[l, k]
     gamma = np.einsum("lk,ijl->kij", metric.inverse, dg)
     gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
@@ -309,10 +322,10 @@ def christoffel_at(
 
 
 def _curvature_terms(
-    manifold: KahlerManifold, p: ChartPoint, metric: HermitianMetric
+    metric: HermitianMetric, jets: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two terms whose sum is the curvature tensor."""
-    _, dg, dgb, d2g = manifold.jets(p)
+    _, dg, dgb, d2g = jets
     # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l]
     return -d2g, np.einsum("qp,ikq,jpl->ijkl", metric.inverse, dg, dgb)
 
@@ -321,6 +334,7 @@ def curvature_term_scale(
     manifold: KahlerManifold,
     p: Sequence[complex],
     metric: HermitianMetric | None = None,
+    jets: Sequence[np.ndarray] | None = None,
 ) -> float:
     """Size in the metric of the larger of the two terms whose sum is R.
 
@@ -331,13 +345,15 @@ def curvature_term_scale(
     """
     p = manifold.require_in_domain(p)
     if metric is None:
-        metric = metric_at(manifold, p)
+        metric = metric_at(manifold, p, jets)
+    if jets is None:
+        jets = manifold.jets(p)
     # c.T g conj(c) = 1 for g = L L^H
     c = np.linalg.inv(np.linalg.cholesky(metric.matrix)).T
     cb = c.conj()
     return max(
         float(np.linalg.norm(np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, cb, c, cb, optimize=True)))
-        for t in _curvature_terms(manifold, p, metric)
+        for t in _curvature_terms(metric, jets)
     )
 
 
@@ -345,6 +361,7 @@ def curvature_at(
     manifold: KahlerManifold,
     p: Sequence[complex],
     metric: HermitianMetric | None = None,
+    jets: Sequence[np.ndarray] | None = None,
 ) -> ComplexCurvature:
     """Curvature components ``R_{i jbar k lbar}`` at ``p``.
 
@@ -353,8 +370,10 @@ def curvature_at(
     """
     p = manifold.require_in_domain(p)
     if metric is None:
-        metric = metric_at(manifold, p)
-    minus_d2g, quadratic = _curvature_terms(manifold, p, metric)
+        metric = metric_at(manifold, p, jets)
+    if jets is None:
+        jets = manifold.jets(p)
+    minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic
     scale = max(1.0, float(np.max(np.abs(r))))
     pair = max(
@@ -404,6 +423,7 @@ def ricci_at(
     p: Sequence[complex],
     metric: HermitianMetric | None = None,
     curvature: ComplexCurvature | None = None,
+    jets: Sequence[np.ndarray] | None = None,
 ) -> RicciData:
     """Ricci tensor at ``p``, computed two ways and cross-checked.
 
@@ -414,13 +434,15 @@ def ricci_at(
     """
     p = manifold.require_in_domain(p)
     if metric is None:
-        metric = metric_at(manifold, p)
+        metric = metric_at(manifold, p, jets)
+    if jets is None:
+        jets = manifold.jets(p)
     if curvature is None:
-        curvature = curvature_at(manifold, p, metric)
+        curvature = curvature_at(manifold, p, metric, jets)
     ginv = metric.inverse
     s_contract = np.einsum("li,ijkl->kj", ginv, curvature.tensor)
 
-    _, dg, dgb, d2g = manifold.jets(p)
+    _, dg, dgb, d2g = jets
     t1 = np.einsum("ab,ijba->ij", ginv, d2g)
     t2 = np.einsum("ab,ibc,cd,jda->ij", ginv, dg, ginv, dgb)
     s_logdet = -t1 + t2
@@ -510,27 +532,3 @@ def random_unit_tangent(
         n = metric.norm(x)
         if n > 1e-6:
             return RealTangentVector(v / n)
-
-
-def random_real_orthonormal_basis(
-    metric: HermitianMetric, m: int, rng: np.random.Generator
-) -> list[RealTangentVector]:
-    """Random g-orthonormal basis of the real 2m-dimensional tangent space.
-
-    Gram-Schmidt with real coefficients over 2m complex Gaussian seeds.
-    """
-    for _ in range(64):
-        raw = rng.normal(size=(2 * m, m)) + 1j * rng.normal(size=(2 * m, m))
-        basis: list[RealTangentVector] = []
-        for w in raw:
-            x = RealTangentVector(w)
-            for b in basis:
-                x = RealTangentVector(x.components - metric.inner(x, b) * b.components)
-            n = metric.norm(x)
-            if n < _PIVOT:
-                basis = []
-                break
-            basis.append(RealTangentVector(x.components / n))
-        if len(basis) == 2 * m:
-            return basis
-    raise FrameError("failed to draw an independent real basis")

@@ -5,15 +5,19 @@ curvature, the antiholomorphic 3-frame criterion, the basis-sum criterion,
 Einstein and off-diagonal Ricci diagnostics, the curvature reconstruction
 from Ricci data, and the constant holomorphic-sectional-curvature fit.
 
-All functions are pure over a ``PointData`` bundle; callers own the random
-sources and should pre-draw samples when parallelizing.
+The pointwise functions are pure over a ``PointData`` bundle.  ``CHECKS``
+names every sampled manifold check: the least complex dimension it needs,
+the frame one sample draws, the value it takes on that frame and how the
+values reduce to residuals.  ``sample`` draws points and frames for an entry
+from a caller-owned generator, in a fixed order, so a seed fixes every
+residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +45,9 @@ class PointData:
     curvature: ComplexCurvature
     ricci: RicciData
     tau: float
+    # (g, dg, dgb, d2g) as KahlerManifold.jets gives them; None makes each
+    # later use run the tape again.
+    jets: list[np.ndarray] | None = None
 
     @property
     def m(self) -> int:
@@ -48,11 +55,13 @@ class PointData:
 
 
 def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
-    """Evaluate metric, curvature, Ricci and scalar curvature at ``p``."""
+    """Evaluate metric, curvature, Ricci and scalar curvature at ``p``,
+    from one run of the chart's jet tape."""
     p = manifold.require_in_domain(p)
-    metric = geo.metric_at(manifold, p)
-    curvature = geo.curvature_at(manifold, p, metric)
-    ricci = geo.ricci_at(manifold, p, metric, curvature)
+    jets = manifold.jets(p)
+    metric = geo.metric_at(manifold, p, jets)
+    curvature = geo.curvature_at(manifold, p, metric, jets)
+    ricci = geo.ricci_at(manifold, p, metric, curvature, jets)
     tau = geo.scalar_curvature_at(manifold, p, ricci)
     return PointData(
         manifold=manifold,
@@ -61,6 +70,7 @@ def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
         curvature=curvature,
         ricci=ricci,
         tau=tau,
+        jets=jets,
     )
 
 
@@ -205,36 +215,6 @@ def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> floa
     return geo.real_curvature(pd.curvature, x, jx, jx, x) / gxx**2
 
 
-def einstein_residual(
-    pd: PointData, samples: int, rng: np.random.Generator
-) -> float:
-    """max |S(X, Y) - (tau / 2m) g(X, Y)| over random unit vector pairs."""
-    lam = pd.tau / (2.0 * pd.m)
-    worst = 0.0
-    for _ in range(samples):
-        x = geo.random_unit_tangent(pd.metric, pd.m, rng)
-        y = geo.random_unit_tangent(pd.metric, pd.m, rng)
-        worst = max(worst, abs(pd.ricci(x, y) - lam * pd.metric.inner(x, y)))
-    return worst
-
-
-def ricci_offdiagonal_check(
-    pd: PointData, samples: int, rng: np.random.Generator
-) -> float:
-    """max |S(y, z)| over pairs with g(y,z) = g(y,Jz) = 0.
-
-    The pairs are the first two legs of random antiholomorphic 2-frames,
-    which satisfy both orthogonality constraints by construction.
-    """
-    worst = 0.0
-    for _ in range(samples):
-        y, z = geo.orthonormal_antiholomorphic_frame(
-            pd.manifold, pd.point, 2, rng, pd.metric
-        )
-        worst = max(worst, abs(pd.ricci(y, z)))
-    return worst
-
-
 def hsc_spread(values: Sequence[float], pds: Sequence[PointData]) -> tuple[float, float]:
     """Mean and relative spread of holomorphic sectional curvatures sampled
     at the points of ``pds``.
@@ -250,8 +230,140 @@ def hsc_spread(values: Sequence[float], pds: Sequence[PointData]) -> tuple[float
     width = float(arr.max() - arr.min())
     if width == 0.0:
         return mean, 0.0
-    floor = max(geo.curvature_term_scale(pd.manifold, pd.point, pd.metric) for pd in pds)
+    floor = max(
+        geo.curvature_term_scale(pd.manifold, pd.point, pd.metric, pd.jets) for pd in pds
+    )
     return mean, width / max(abs(mean), floor)
+
+
+# --------------------------------------------------------------------------
+# Sampled checks
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One sampled manifold check.
+
+    ``frame(pd, rng)`` draws the vectors of one sample and ``value(pd,
+    frame)`` is the check's signed value on them.  ``reduce`` is "max" (each
+    |value| is a residual), "std" (one residual per point: the standard
+    deviation of its values) or "spread" (one residual: the ``hsc_spread``
+    of all values).  Both functions call the geometry and residual functions
+    by their module names, so a wrapper set on a module attribute sees
+    every call.
+    """
+
+    min_dim: int
+    frame: Callable
+    value: Callable
+    reduce: str
+
+
+def _unit_vectors(k: int) -> Callable:
+    return lambda pd, rng: [geo.random_unit_tangent(pd.metric, pd.m, rng) for _ in range(k)]
+
+
+def _antiholomorphic(k: int) -> Callable:
+    return lambda pd, rng: geo.orthonormal_antiholomorphic_frame(
+        pd.manifold, pd.point, k, rng, pd.metric
+    )
+
+
+def _holomorphic_basis(pd: PointData, rng: np.random.Generator) -> list[RealTangentVector]:
+    return geo.orthonormal_holomorphic_basis(pd.manifold, pd.point, rng, pd.metric)
+
+
+def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> float:
+    x, y = frame
+    return pd.ricci(x, y) - pd.tau / (2.0 * pd.m) * pd.metric.inner(x, y)
+
+
+def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> float:
+    r = geo.real_curvature(pd.curvature, *frame)
+    rhs = reconstruct_curvature_from_ricci(pd, *frame)
+    return abs(r - rhs) - abs(bochner_at(pd, *frame))
+
+
+CHECKS: dict[str, Check] = {
+    "bochner": Check(1, _unit_vectors(4), lambda pd, f: bochner_at(pd, *f), "max"),
+    "lemma": Check(3, _antiholomorphic(3), lambda pd, f: lemma_residual(pd, *f), "max"),
+    "basis-sum": Check(1, _holomorphic_basis, lambda pd, f: basis_sum(pd, f), "std"),
+    "einstein": Check(1, _unit_vectors(2), _einstein, "max"),
+    "ricci-offdiag": Check(2, _antiholomorphic(2), lambda pd, f: pd.ricci(*f), "max"),
+    "chsc": Check(
+        1, _unit_vectors(1), lambda pd, f: holomorphic_sectional_curvature(pd, *f), "spread"
+    ),
+    "reconstruct-2-3": Check(1, _unit_vectors(4), _reconstruct, "max"),
+}
+MANIFOLD_CHECKS = tuple(CHECKS)
+
+# Samples of one check at one point: the point, the frames, the values.
+PointSamples = tuple[PointData, list, list[float]]
+
+
+def draw(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> PointSamples:
+    """``samples`` frames of check ``name`` at ``pd``, and its value on each."""
+    check = CHECKS[name]
+    frames = [check.frame(pd, rng) for _ in range(samples)]
+    return pd, frames, [check.value(pd, f) for f in frames]
+
+
+def sample(
+    name: str, manifold: KahlerManifold, points: int, samples: int, rng: np.random.Generator
+) -> list[PointSamples]:
+    """Draw ``points`` chart points, each followed by its ``samples`` frames."""
+    return [
+        draw(name, point_data(manifold, manifold.sample_point(rng)), samples, rng)
+        for _ in range(points)
+    ]
+
+
+def _spread(sampled: list[PointSamples]) -> tuple[list[float], float, float]:
+    values = [v for _, _, vs in sampled for v in vs]
+    return (values, *hsc_spread(values, [pd for pd, _, _ in sampled]))
+
+
+def reduce_samples(name: str, sampled: list[PointSamples]) -> tuple[list[float], list[WorstCase]]:
+    """Residuals of check ``name`` and its worst cases: at each point the
+    first largest sample ("max") or the one farthest from the point's mean
+    ("std"); for "spread", the one sample farthest from the mean of all."""
+    how = CHECKS[name].reduce
+    if how == "spread":
+        values, mean, spread = _spread(sampled)
+        cases = [(pd.point, f) for pd, frames, _ in sampled for f in frames]
+        point, frame = cases[int(np.argmax(np.abs(np.array(values) - mean)))]
+        return [spread], [WorstCase(point, [v.components for v in frame], spread)]
+    residuals, worst = [], []
+    for pd, frames, values in sampled:
+        if how == "max":
+            r = [abs(v) for v in values]
+            i = max(range(len(r)), key=r.__getitem__)
+        else:
+            arr = np.array(values)
+            r = [float(arr.std())]
+            i = int(np.argmax(np.abs(arr - arr.mean())))
+        residuals += r
+        worst.append(WorstCase(pd.point, [v.components for v in frames[i]], max(r)))
+    return residuals, worst
+
+
+def einstein_residual(
+    pd: PointData, samples: int, rng: np.random.Generator
+) -> float:
+    """max |S(X, Y) - (tau / 2m) g(X, Y)| over random unit vector pairs."""
+    return max([0.0, *map(abs, draw("einstein", pd, samples, rng)[2])])
+
+
+def ricci_offdiagonal_check(
+    pd: PointData, samples: int, rng: np.random.Generator
+) -> float:
+    """max |S(y, z)| over pairs with g(y,z) = g(y,Jz) = 0.
+
+    The pairs are the first two legs of random antiholomorphic 2-frames,
+    which satisfy both orthogonality constraints by construction.
+    """
+    return max([0.0, *map(abs, draw("ricci-offdiag", pd, samples, rng)[2])])
 
 
 def chsc_fit(
@@ -267,15 +379,8 @@ def chsc_fit(
     them.  A manifold is of constant holomorphic sectional curvature at
     sampling fidelity when the spread is below tolerance.
     """
-    values = []
-    pds = []
-    for _ in range(points):
-        pd = point_data(manifold, manifold.sample_point(rng))
-        pds.append(pd)
-        for _ in range(samples):
-            x = geo.random_unit_tangent(pd.metric, pd.m, rng)
-            values.append(holomorphic_sectional_curvature(pd, x))
-    return hsc_spread(values, pds)
+    _, mean, spread = _spread(sample("chsc", manifold, points, samples, rng))
+    return mean, spread
 
 
 # --------------------------------------------------------------------------

@@ -27,17 +27,8 @@ from pathlib import Path
 from . import expr as ex
 from .expr import Expr
 from .geometry import ChartDomain, KahlerManifold, ball, polydisc
+from .invariants import MANIFOLD_CHECKS
 from .submanifold import Immersion, box
-
-MANIFOLD_CHECKS = (
-    "bochner",
-    "lemma",
-    "basis-sum",
-    "einstein",
-    "ricci-offdiag",
-    "chsc",
-    "reconstruct-2-3",
-)
 
 
 class ModelError(ValueError):

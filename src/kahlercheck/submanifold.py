@@ -181,7 +181,8 @@ _RANK_TOL = 1e-8
 def _state(imm: Immersion, u: Sequence[float]) -> _State:
     u = imm.require_in_box(u)
     point = imm.value(u)
-    metric = geo.metric_at(imm.ambient, point)
+    jets = imm.ambient.jets(point, 2)
+    metric = geo.metric_at(imm.ambient, point, jets)
     v = imm.jacobian(u)
     jac_real = np.vstack([v.T.real, v.T.imag])
     smallest = float(np.linalg.svd(jac_real, compute_uv=False)[-1])
@@ -192,7 +193,7 @@ def _state(imm: Immersion, u: Sequence[float]) -> _State:
         )
     ghat = 2.0 * np.real(v @ metric.matrix @ v.conj().T)
     ghat = 0.5 * (ghat + ghat.T)
-    gamma = geo.christoffel_at(imm.ambient, point, metric).gamma
+    gamma = geo.christoffel_at(imm.ambient, point, metric, jets).gamma
     return _State(
         imm=imm,
         u=u,

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from kahlercheck.cli import ConfigError, RunConfig, main, run_check, run_suite
+from kahlercheck import invariants as inv
+from kahlercheck import models
+from kahlercheck.cli import MANIFOLD_CHECKS, ConfigError, RunConfig, main, run_check, run_suite
 
 
 def test_bochner_fs3_passes():
@@ -45,6 +48,32 @@ def test_lemma_requires_three_complex_dimensions():
     cfg = RunConfig(manifold="builtin:fs:2", check="lemma", points=1, samples=5)
     with pytest.raises(ConfigError, match=">= 3"):
         run_check(cfg)
+
+
+def test_ricci_offdiag_requires_two_complex_dimensions():
+    cfg = RunConfig(manifold="builtin:fs:1", check="ricci-offdiag", points=1, samples=5)
+    with pytest.raises(ConfigError, match=r"check 'ricci-offdiag' needs complex dimension >= 2 \(got m=1\)"):
+        run_check(cfg)
+
+
+def _point(manifold, rng):
+    return inv.point_data(manifold, manifold.sample_point(rng))
+
+
+@pytest.mark.parametrize(
+    "check, points, library",
+    [
+        ("einstein", 1, lambda m, k, rng: inv.einstein_residual(_point(m, rng), k, rng)),
+        ("ricci-offdiag", 1, lambda m, k, rng: inv.ricci_offdiagonal_check(_point(m, rng), k, rng)),
+        ("chsc", 2, lambda m, k, rng: inv.chsc_fit(m, 2, k, rng)[1]),
+    ],
+)
+def test_library_helpers_agree_with_the_cli(check, points, library):
+    source = "builtin:product:fs:1:fs:2"
+    value = library(models.load_manifold(source), 30, np.random.default_rng(13))
+    report = run_check(RunConfig(manifold=source, check=check, points=points, samples=30, seed=13))
+    assert value > 0.0
+    assert value == report.max_residual
 
 
 def test_unknown_check_rejected():
@@ -127,8 +156,9 @@ def test_report_json_written(tmp_path):
     assert isinstance(payload["worst_cases"][0]["point"][0], list)
 
 
-def test_run_check_deterministic():
-    cfg = dict(manifold="builtin:fs:2", check="einstein", points=2, samples=20, seed=11)
+@pytest.mark.parametrize("check", MANIFOLD_CHECKS)
+def test_run_check_deterministic(check):
+    cfg = dict(manifold="builtin:product:fs:1:fs:2", check=check, points=2, samples=20, seed=11)
     a = run_check(RunConfig(**cfg)).to_json_dict()
     b = run_check(RunConfig(**cfg)).to_json_dict()
     a.pop("timestamp")
@@ -192,6 +222,15 @@ def test_run_suite_flat2_skips_lemma():
     assert "lemma" not in {r.check for r in reports}
     assert any("skipped" in l for l in lines)
     assert any("c = 0" in l for l in lines)
+
+
+def test_run_suite_fs1_skips_lemma_and_ricci_offdiag():
+    reports, lines = run_suite("builtin:fs:1", seed=3, points=1, samples=5)
+    assert [r.check for r in reports] == [
+        c for c in MANIFOLD_CHECKS if c not in ("lemma", "ricci-offdiag")
+    ]
+    assert "skipped lemma (needs complex dimension >= 3)" in lines
+    assert "skipped ricci-offdiag (needs complex dimension >= 2)" in lines
 
 
 # --------------------------------------------------------------- main(argv)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 
@@ -326,3 +327,41 @@ def test_check_report_json_schema():
     }
     assert d["worst_cases"][0]["point"] == [[1.0, 2.0]]
     assert d["worst_cases"][0]["frame"] == [[[0.5, -0.5]]]
+
+
+# ----------------------------------------------------------- jets per point
+
+
+def _tape_runs(monkeypatch):
+    runs = []
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    return runs
+
+
+def test_point_data_runs_the_jet_tape_once(fs3, rng, monkeypatch):
+    p = fs3.sample_point(rng)
+    runs = _tape_runs(monkeypatch)
+    pd = inv.point_data(fs3, p)
+    assert runs == [fs3.tape]
+    # The chsc floor reads the jets the point already holds.
+    inv.hsc_spread([1.0, 2.0], [pd])
+    assert runs == [fs3.tape]
+
+
+@pytest.mark.parametrize("chart", ["fs3", "chyp3", "product"])
+def test_tensors_are_bit_identical_with_and_without_jets(chart, request, rng):
+    manifold = request.getfixturevalue(chart)
+    p = manifold.sample_point(rng)
+    jets = manifold.jets(p)
+    metric = geo.metric_at(manifold, p)
+    assert np.array_equal(geo.metric_at(manifold, p, jets=jets).matrix, metric.matrix)
+    for given in (None, metric):
+        r = geo.curvature_at(manifold, p, given)
+        assert np.array_equal(geo.curvature_at(manifold, p, given, jets=jets).tensor, r.tensor)
+        s = geo.ricci_at(manifold, p, given)
+        assert np.array_equal(geo.ricci_at(manifold, p, given, jets=jets).matrix, s.matrix)
+        scale = geo.curvature_term_scale(manifold, p, given)
+        assert geo.curvature_term_scale(manifold, p, given, jets=jets) == scale
+    gamma = geo.christoffel_at(manifold, p, metric).gamma
+    assert np.array_equal(geo.christoffel_at(manifold, p, metric, jets=jets).gamma, gamma)

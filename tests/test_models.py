@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kahlercheck import cli
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
@@ -229,3 +230,8 @@ def test_immersion_file_missing_component():
     )
     with pytest.raises(ModelError, match="component2"):
         models.parse_immersion_spec(text)
+
+
+def test_manifold_checks_are_the_keys_of_one_table():
+    assert models.MANIFOLD_CHECKS is cli.MANIFOLD_CHECKS is inv.MANIFOLD_CHECKS
+    assert inv.MANIFOLD_CHECKS == tuple(inv.CHECKS)

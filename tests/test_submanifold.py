@@ -419,3 +419,14 @@ def test_immersion_component_count_checked():
 def test_parameter_point_outside_box(sphere):
     with pytest.raises(sub.ParameterDomainError):
         sub.induced_metric(sphere, [10.0, 0.5])
+
+
+@pytest.mark.parametrize("fixture", ["linear", "cp1"])
+def test_state_runs_the_ambient_tape_once(fixture, request, rng, monkeypatch):
+    imm = request.getfixturevalue(fixture)
+    u = imm.domain.sample(rng)
+    runs = []
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    sub._state(imm, u)
+    assert sum(tape is imm.ambient.tape for tape in runs) == 1
