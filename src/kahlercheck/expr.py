@@ -44,7 +44,7 @@ class ParseError(ExprError):
 
 
 class EvaluationDomainError(ExprError):
-    """log(0), division by zero, or 0 raised to a negative power."""
+    """log(0), division by zero, 0 raised to a negative power, or overflow."""
 
     def __init__(self, message: str, node: "Expr"):
         self.node = node
@@ -137,7 +137,8 @@ def _risky(e: Expr, memo: dict[int, bool]) -> bool:
 
 
 def has_domain_risk(e: Expr) -> bool:
-    """True if evaluating ``e`` can raise a domain error for some assignment."""
+    """True if evaluating ``e`` can hit log(0), division by zero or zero
+    raised to a negative power for some assignment (overflow is not counted)."""
     return _risky(e, {})
 
 
@@ -233,7 +234,10 @@ class _Builder:
     def power(self, base: Expr, exponent: int) -> Expr:
         exponent = int(exponent)
         if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
-            return self._make(Const(base.value**exponent))
+            try:
+                return self._make(Const(base.value**exponent))
+            except OverflowError:
+                raise EvaluationDomainError("overflow", Power(base, exponent)) from None
         if exponent == 1:
             return base
         if exponent == 0 and not self._has_risk(base):
@@ -390,6 +394,8 @@ class Dag(_Builder):
             # quotient rule
             num = self.sub(self.mul(dl, r), self.mul(l, dr))
             return self.div(num, self.power(r, 2))
+        if e.exponent == 0:
+            return self.mul(self._zero, e)  # still raises wherever e does
         db = self._derive(e.base, v)
         scale = self.mul(self._make(Const(complex(e.exponent))), self.power(e.base, e.exponent - 1))
         return self.mul(scale, db)
@@ -491,8 +497,8 @@ class Tape:
 
         Runs only the tape prefix those roots need.  Raises
         ``EvaluationDomainError`` naming the first failing subexpression
-        for log(0), division by zero and zero raised to a negative power,
-        and ``ValueError`` when a variable has no value.
+        for log(0), division by zero, zero raised to a negative power and
+        overflow, and ``ValueError`` when a variable has no value.
         """
         n = len(self._outputs) if outputs is None else outputs
         try:
@@ -505,6 +511,8 @@ class Tape:
         try:
             for fn, i, j in ops:
                 append(fn(vals[i]) if j < 0 else fn(vals[i], vals[j]))
+        except OverflowError:
+            raise EvaluationDomainError("overflow", self._nodes[len(vals) - self._base]) from None
         except (ZeroDivisionError, ValueError):
             node = self._nodes[len(vals) - self._base]
             fault = _domain_fault(node)
@@ -528,9 +536,9 @@ def evaluate(e: Expr, assignment: Assignment) -> complex:
     """Evaluate ``e`` in double-precision complex arithmetic.
 
     ``assignment`` maps every variable occurring in ``e`` to a complex value.
-    Raises ``EvaluationDomainError`` for log(0), division by zero, and zero
-    raised to a negative power (log uses the principal branch), and
-    ``ValueError`` for a variable without a value.
+    Raises ``EvaluationDomainError`` for log(0), division by zero, zero
+    raised to a negative power (log uses the principal branch) and
+    overflow, and ``ValueError`` for a variable without a value.
     """
     return Dag().tape([e]).run(assignment)[0]
 

@@ -377,8 +377,12 @@ def chsc_fit(
     Samples ``points`` chart points and ``samples`` random directions at
     each; returns ``(mean H, relative spread)`` as ``hsc_spread`` defines
     them.  A manifold is of constant holomorphic sectional curvature at
-    sampling fidelity when the spread is below tolerance.
+    sampling fidelity when the spread is below tolerance.  Raises
+    ``ValueError`` unless ``points`` and ``samples`` are both at least 1.
     """
+    for name, count in (("points", points), ("samples", samples)):
+        if count < 1:
+            raise ValueError(f"chsc_fit needs {name} >= 1, got {count}")
     _, mean, spread = _spread(sample("chsc", manifold, points, samples, rng))
     return mean, spread
 

@@ -6,11 +6,15 @@ its components are symbolic expressions in the real parameters ``u_1..u_n``
 (complex constants allowed).  First and second parameter derivatives of the
 immersion are symbolic; derivatives of derived fields along the submanifold
 (second fundamental form, mean curvature) use central finite differences
-with one Richardson step, followed by the appropriate projection.
+with one Richardson step, followed by the appropriate projection.  One
+stencil of 4n states around a parameter point differences all of alpha and
+H at once and serves every index triple and direction of the checks.
 
 Projections onto tangent and normal spaces are orthogonal projections with
 respect to the ambient metric and never require a choice of normal frame,
 so finite-difference stencils see smooth fields.
+
+``CHECKS`` maps each immersion check to its residual at one parameter point.
 """
 
 from __future__ import annotations
@@ -300,14 +304,13 @@ def umbilical_residual(imm: Immersion, u: Sequence[float]) -> float:
     """max_ab || alpha(a,b) - ghat_ab H || in the ambient metric."""
     st = _state(imm, u)
     alpha = _second_fundamental_form(st)
-    h = _mean_curvature(st, alpha)
-    worst = 0.0
-    for a in range(imm.n):
-        for b in range(imm.n):
-            worst = max(
-                worst, _gnorm(st.metric, alpha[a, b] - st.induced[a, b] * h)
-            )
-    return worst
+    return _umbilical_residual(st, alpha, _mean_curvature(st, alpha))
+
+
+def _umbilical_residual(st: _State, alpha: np.ndarray, h: np.ndarray) -> float:
+    n = st.imm.n
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return max([0.0, *(_gnorm(st.metric, alpha[p] - st.induced[p] * h) for p in pairs)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,60 +373,103 @@ def weingarten_split(
     )
 
 
-def _covariant_field_derivative(
-    imm: Immersion,
-    st: _State,
-    direction: int,
-    field: Callable[[np.ndarray], np.ndarray],
-    step: float,
-) -> np.ndarray:
-    """Ambient covariant derivative of a vector field along N.
-
-    Central finite differences of the field components in parameter space
-    (one Richardson step) plus the ambient connection correction at the
-    center point.
-    """
-    e = np.zeros(imm.n)
-    e[direction] = 1.0
-    for sign in (-1.0, 1.0):
-        if not imm.domain.contains(st.u + sign * step * e):
-            raise ParameterDomainError(
-                f"no room for the finite-difference stencil at u={st.u} "
-                f"in direction {direction}"
-            )
-    derivative = richardson_derivative(lambda t: field(st.u + t * e), step)
-    w0 = field(st.u)
-    correction = np.einsum("kij,i,j->k", st.gamma, st.tangents[direction], w0)
-    return derivative + correction
-
-
 _FD_STEP = 1e-5
+_UMBILICAL_TOL = 1e-6
 
 
-def _alpha_field(imm: Immersion, b: int, c: int) -> Callable[[np.ndarray], np.ndarray]:
-    def field(uu: np.ndarray) -> np.ndarray:
-        stt = _state(imm, uu)
-        return _second_fundamental_form(stt)[b, c]
-
-    return field
+def _fields(st: _State, alpha: np.ndarray) -> np.ndarray:
+    """The vectors alpha(T_y, T_z), row y * n + z, then H: shape (n * n + 1, m)."""
+    return np.vstack([alpha.reshape(-1, alpha.shape[-1]), _mean_curvature(st, alpha)])
 
 
-def _mean_curvature_field(imm: Immersion) -> Callable[[np.ndarray], np.ndarray]:
-    def field(uu: np.ndarray) -> np.ndarray:
-        stt = _state(imm, uu)
-        return _mean_curvature(stt, _second_fundamental_form(stt))
+def _stencil(st: _State, alpha: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normal parts of ``D_x alpha(T_y, T_z)``, shape (n, n, n, m), and
+    ``D_x H``, shape (n, m), for every direction x.
 
-    return field
+    One Richardson stencil of four states per direction differences the
+    whole alpha tensor and H together; the ambient connection correction at
+    the centre and the normal projection then apply vector by vector.
+    """
+    imm, n = st.imm, st.imm.n
+
+    def fields_at(uu: np.ndarray) -> np.ndarray:
+        s = _state(imm, uu)
+        return _fields(s, _second_fundamental_form(s))
+
+    centre = _fields(st, alpha)
+    out = np.empty((n,) + centre.shape, dtype=complex)
+    for x in range(n):
+        e = np.eye(n)[x]
+        if not all(imm.domain.contains(st.u + sign * step * e) for sign in (-1.0, 1.0)):
+            raise ParameterDomainError(
+                f"no room for the finite-difference stencil at u={st.u} in direction {x}"
+            )
+        diff = richardson_derivative(lambda t: fields_at(st.u + t * e), step)
+        for k, w in enumerate(centre):
+            correction = np.einsum("kij,i,j->k", st.gamma, st.tangents[x], w)
+            out[x, k] = _normal_part(st, diff[k] + correction)
+    return out[:, :-1].reshape(n, n, n, -1), out[:, -1]
 
 
-def _codazzi_lhs(st: _State, a: int, b: int, c: int) -> np.ndarray:
+def _codazzi_lhs(st: _State, curv: geo.ComplexCurvature, a: int, b: int, c: int) -> np.ndarray:
     """Normal component of R(T_a, T_b) T_c in the ambient manifold."""
-    curv = geo.curvature_at(st.imm.ambient, st.point, st.metric)
     ta = RealTangentVector(st.tangents[a])
     tb = RealTangentVector(st.tangents[b])
     tc = RealTangentVector(st.tangents[c])
     op = geo.curvature_operator(curv, st.metric, ta, tb, tc)
     return _normal_part(st, op)
+
+
+def _codazzi_general(imm: Immersion, u: Sequence[float], step: float) -> Callable:
+    """The Codazzi residual of each index triple at ``u``, from one stencil."""
+    st = _state(imm, u)
+    alpha = _second_fundamental_form(st)
+    d_alpha, _ = _stencil(st, alpha, step)
+    curv = geo.curvature_at(imm.ambient, st.point, st.metric)
+    w = _second_derivative_vectors(st)
+    conn = np.array([[_tangential_coeffs(st, w_ij) for w_ij in w_i] for w_i in w])
+
+    def dbar(x: int, y: int, zz: int) -> np.ndarray:
+        return (
+            d_alpha[x, y, zz]
+            - np.einsum("e,ek->k", conn[x, y], alpha[:, zz])
+            - np.einsum("e,ek->k", conn[x, zz], alpha[y, :])
+        )
+
+    def residual(a: int, b: int, c: int) -> float:
+        rhs = dbar(a, b, c) - dbar(b, a, c)
+        return _gnorm(st.metric, _codazzi_lhs(st, curv, a, b, c) - rhs)
+
+    return residual
+
+
+def _codazzi_umbilical(
+    imm: Immersion, u: Sequence[float], step: float, umbilical_tol: float
+) -> Callable:
+    """The reduced Codazzi residual of each index triple at ``u``, from one stencil."""
+    st = _state(imm, u)
+    alpha = _second_fundamental_form(st)
+    resid = _umbilical_residual(st, alpha, _mean_curvature(st, alpha))
+    if resid >= umbilical_tol:
+        raise NotUmbilicalError(
+            f"immersion is not totally umbilical at u={st.u} "
+            f"(residual {resid:.3e}); reduced Codazzi not computed"
+        )
+    _, d_h = _stencil(st, alpha, step)
+    curv = geo.curvature_at(imm.ambient, st.point, st.metric)
+
+    def residual(a: int, b: int, c: int) -> float:
+        rhs = st.induced[b, c] * d_h[a] - st.induced[a, c] * d_h[b]
+        return _gnorm(st.metric, _codazzi_lhs(st, curv, a, b, c) - rhs)
+
+    return residual
+
+
+def _worst_triple(imm: Immersion, residual: Callable) -> float:
+    """The largest residual over the index triples (a, b, c) with a < b."""
+    n = imm.n
+    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
+    return max([0.0, *(residual(*t) for t in triples)])
 
 
 def codazzi_residual_general(
@@ -437,29 +483,7 @@ def codazzi_residual_general(
     alpha field followed by normal projection; the induced connection is the
     tangential projection of the ambient one.
     """
-    st = _state(imm, u)
-    alpha = _second_fundamental_form(st)
-    w = _second_derivative_vectors(st)
-    n = imm.n
-    conn = np.empty((n, n, n))
-    for i in range(n):
-        for jj in range(n):
-            conn[i, jj] = _tangential_coeffs(st, w[i, jj])
-
-    def dbar(x: int, y: int, zz: int) -> np.ndarray:
-        d_alpha = _normal_part(
-            st,
-            _covariant_field_derivative(imm, st, x, _alpha_field(imm, y, zz), step),
-        )
-        return (
-            d_alpha
-            - np.einsum("e,ek->k", conn[x, y], alpha[:, zz])
-            - np.einsum("e,ek->k", conn[x, zz], alpha[y, :])
-        )
-
-    lhs = _codazzi_lhs(st, a, b, c)
-    rhs = dbar(a, b, c) - dbar(b, a, c)
-    return _gnorm(st.metric, lhs - rhs)
+    return _codazzi_general(imm, u, step)(a, b, c)
 
 
 def codazzi_residual_umbilical(
@@ -469,7 +493,7 @@ def codazzi_residual_umbilical(
     b: int,
     c: int,
     step: float = _FD_STEP,
-    umbilical_tol: float = 1e-6,
+    umbilical_tol: float = _UMBILICAL_TOL,
 ) -> float:
     """Residual of the reduced Codazzi relation for totally umbilical N.
 
@@ -477,21 +501,7 @@ def codazzi_residual_umbilical(
     immersion is not umbilical at ``u`` (the relation is only meaningful
     there).
     """
-    st = _state(imm, u)
-    resid = umbilical_residual(imm, u)
-    if resid >= umbilical_tol:
-        raise NotUmbilicalError(
-            f"immersion is not totally umbilical at u={st.u} "
-            f"(residual {resid:.3e}); reduced Codazzi not computed"
-        )
-    hfield = _mean_curvature_field(imm)
-    dh = [
-        _normal_part(st, _covariant_field_derivative(imm, st, i, hfield, step))
-        for i in (a, b)
-    ]
-    lhs = _codazzi_lhs(st, a, b, c)
-    rhs = st.induced[b, c] * dh[0] - st.induced[a, c] * dh[1]
-    return _gnorm(st.metric, lhs - rhs)
+    return _codazzi_umbilical(imm, u, step, umbilical_tol)(a, b, c)
 
 
 def parallel_h_residual_at(
@@ -499,12 +509,8 @@ def parallel_h_residual_at(
 ) -> float:
     """max over directions of ||D_{T_a} H|| at one parameter point."""
     st = _state(imm, u)
-    hfield = _mean_curvature_field(imm)
-    worst = 0.0
-    for a in range(imm.n):
-        d = _normal_part(st, _covariant_field_derivative(imm, st, a, hfield, step))
-        worst = max(worst, _gnorm(st.metric, d))
-    return worst
+    _, d_h = _stencil(st, _second_fundamental_form(st), step)
+    return max([0.0, *(_gnorm(st.metric, d) for d in d_h)])
 
 
 def parallel_h_check(
@@ -522,3 +528,16 @@ def parallel_h_check(
         parallel_h_residual_at(imm, imm.domain.sample(rng), step)
         for _ in range(points)
     )
+
+
+# The residual of each immersion check at one parameter point.  Entries look
+# their functions up by module name when called, so a wrapper set on a module
+# attribute sees every call.
+CHECKS: dict[str, Callable[[Immersion, np.ndarray], float]] = {
+    "umbilical": lambda imm, u: umbilical_residual(imm, u),
+    "parallel-h": lambda imm, u: parallel_h_residual_at(imm, u),
+    "codazzi-general": lambda imm, u: _worst_triple(imm, _codazzi_general(imm, u, _FD_STEP)),
+    "codazzi-umbilical": lambda imm, u: _worst_triple(
+        imm, _codazzi_umbilical(imm, u, _FD_STEP, _UMBILICAL_TOL)
+    ),
+}

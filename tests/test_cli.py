@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
+from kahlercheck import submanifold as sub
 from kahlercheck.cli import MANIFOLD_CHECKS, ConfigError, RunConfig, main, run_check, run_suite
 
 
@@ -123,6 +125,26 @@ def test_codazzi_check_on_builtin_sphere():
         tol=1e-5,
     )
     assert run_check(cfg).passed
+
+
+@pytest.mark.parametrize(
+    "check", ["umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical"]
+)
+def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
+    # linear-flat3 has n = 4 parameters, so 4n + 1 = 17 states: the centre
+    # and a four-point Richardson stencil per direction, shared by every
+    # index triple.  The ambient curvature is evaluated once per point.
+    states, curvatures = [], []
+    real_state, real_curvature = sub._state, geo.curvature_at
+    monkeypatch.setattr(sub, "_state", lambda *a: states.append(a) or real_state(*a))
+    monkeypatch.setattr(geo, "curvature_at", lambda *a: curvatures.append(a) or real_curvature(*a))
+    points = 2
+    cfg = RunConfig(
+        manifold=None, check=check, immersion="builtin:linear-flat3", points=points, seed=3
+    )
+    assert run_check(cfg).passed
+    assert len(states) <= 17 * points
+    assert len(curvatures) == (points if check.startswith("codazzi") else 0)
 
 
 def test_parallel_h_check_fails_on_ellipsoid():

@@ -5,7 +5,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlercheck import expr as ex
@@ -175,6 +175,33 @@ def test_evaluate_log_of_zero():
         ex.evaluate(ex.log(ex.z(1)), {ex.z(1): 0j})
 
 
+@pytest.mark.parametrize(
+    "run, node",
+    [
+        (lambda: ex.evaluate(ex.power(ex.z(1), -1), {ex.z(1): 2.2e-313 + 0j}), "z1^-1"),
+        (lambda: ex.evaluate(ex.power(ex.z(1), 3), {ex.z(1): 1e200 + 0j}), "z1^3"),
+        (lambda: ex.evaluate(ex.exp(ex.z(1)), {ex.z(1): 1e3 + 0j}), "exp(z1)"),
+        (lambda: ex.constant_fold(Power(Const(2.2250738585e-313 + 0j), -1)), "^-1"),
+    ],
+)
+def test_overflow_is_a_domain_error_naming_the_node(run, node):
+    with pytest.raises(EvaluationDomainError, match="overflow") as err:
+        run()
+    assert node in str(err.value)
+
+
+def test_derivative_of_zeroth_power_builds_no_negative_power():
+    tiny = Power(Const(2.2250738585e-313 + 0j), 0)
+    assert ex.wirtinger_derivative(tiny, ex.z(1)) == Const(0j)
+    # z1^0 is 1 at z1 = 0, and so is defined there; its derivative too.
+    d = ex.wirtinger_derivative(Power(ex.z(1), 0), ex.z(1))
+    assert ex.evaluate(d, {ex.z(1): 0j}) == 0j
+    # A base that can fail keeps failing in the derivative.
+    risky = Power(Unary("log", ex.z(1)), 0)
+    with pytest.raises(EvaluationDomainError, match="log of zero"):
+        ex.evaluate(ex.wirtinger_derivative(risky, ex.z(1)), {ex.z(1): 0j})
+
+
 def test_evaluate_missing_assignment():
     with pytest.raises(ValueError, match="no value assigned"):
         ex.evaluate(ex.z(1), {})
@@ -305,7 +332,7 @@ def _reference_evaluate(e, a):
         if e.op == "neg":
             return -v
         if e.op == "exp":
-            return cmath.exp(v)
+            return _no_overflow(cmath.exp, e, v)
         if v == 0:
             raise EvaluationDomainError("log of zero", e)
         return cmath.log(v)
@@ -324,7 +351,14 @@ def _reference_evaluate(e, a):
     b = _reference_evaluate(e.base, a)
     if b == 0 and e.exponent < 0:
         raise EvaluationDomainError("zero raised to a negative power", e)
-    return b**e.exponent
+    return _no_overflow(pow, e, b, e.exponent)
+
+
+def _no_overflow(fn, node, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise EvaluationDomainError("overflow", node) from None
 
 
 def _outcome(fn, *args):
@@ -453,8 +487,21 @@ def _guarded_mag(e, a):
     return -1.0 if v is None else abs(v)
 
 
+class _FixedDraw:
+    """Stands in for ``st.data()`` in an explicit example: every draw
+    returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @settings(max_examples=100, deadline=None)
 @given(tree=_exprs(), data=st.data())
+# d(x^0) once built x^-1, whose constant fold overflowed.
+@example(tree=Power(Const(2.2250738585e-313 + 0j), 0), data=_FixedDraw(0))
 def test_derivative_matches_wirtinger_finite_differences(tree, data):
     """Symbolic derivative vs central differences through the Wirtinger
     combination, at a random point, for both variable kinds."""

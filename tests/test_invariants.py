@@ -244,6 +244,13 @@ def test_chsc_fit_flat(flat3, rng):
     assert c == 0.0 and spread == 0.0
 
 
+@pytest.mark.parametrize("argument", ["points", "samples"])
+def test_chsc_fit_rejects_zero_counts_by_name(fs2, rng, argument):
+    counts = {"points": 2, "samples": 5, argument: 0}
+    with pytest.raises(ValueError, match=f"{argument} >= 1"):
+        inv.chsc_fit(fs2, rng=rng, **counts)
+
+
 def test_chsc_fit_flat_pullback(flat_pullback_path, rng):
     from kahlercheck import models
 

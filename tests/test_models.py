@@ -7,6 +7,7 @@ from kahlercheck import cli
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
+from kahlercheck import submanifold as sub
 from kahlercheck.models import MANIFOLD_CHECKS, ModelError
 
 
@@ -235,3 +236,8 @@ def test_immersion_file_missing_component():
 def test_manifold_checks_are_the_keys_of_one_table():
     assert models.MANIFOLD_CHECKS is cli.MANIFOLD_CHECKS is inv.MANIFOLD_CHECKS
     assert inv.MANIFOLD_CHECKS == tuple(inv.CHECKS)
+
+
+def test_immersion_checks_are_the_keys_of_one_table():
+    assert cli.IMMERSION_CHECKS == tuple(sub.CHECKS)
+    assert cli.IMMERSION_CHECKS == ("umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical")

@@ -361,6 +361,20 @@ def test_umbilical_reduction_consistency_on_umbilic_fixtures(rng):
                     assert abs(general - reduced) < 1e-5
 
 
+def test_per_point_codazzi_is_the_worst_per_triple_residual(rng):
+    # The CLI's per-point residual and the public per-triple functions
+    # select from one computation, so they agree exactly.
+    for imm, expect in models.builtin_immersions():
+        u = imm.domain.sample(rng)
+        n = imm.n
+        triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
+        general = max(sub.codazzi_residual_general(imm, u, *t) for t in triples)
+        assert sub.CHECKS["codazzi-general"](imm, u) == general, imm.name
+        if expect["umbilic"]:
+            reduced = max(sub.codazzi_residual_umbilical(imm, u, *t) for t in triples)
+            assert sub.CHECKS["codazzi-umbilical"](imm, u) == reduced, imm.name
+
+
 def test_codazzi_stencil_needs_room(sphere):
     u = np.array([0.35, 3.0])  # on the box edge in u1
     with pytest.raises(sub.ParameterDomainError, match="stencil"):
