@@ -17,6 +17,7 @@ roots to one ``Tape``, the single evaluator.  ``evaluate`` and
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -780,8 +781,9 @@ _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 def _format_const(v: complex) -> tuple[str, int]:
     if v.imag == 0:
+        # copysign, so that -0.0 is bracketed like any other negative number
         text = repr(v.real)
-        return text, (_LEVEL_NEG if v.real < 0 else _LEVEL_ATOM)
+        return text, (_LEVEL_NEG if math.copysign(1.0, v.real) < 0 else _LEVEL_ATOM)
     if v.real == 0:
         text = repr(v.imag) + "i"
         return text, (_LEVEL_NEG if v.imag < 0 else _LEVEL_ATOM)

@@ -157,8 +157,9 @@ def builtin_descriptors() -> list[ModelDescriptor]:
         ),
         ModelDescriptor(
             uri="builtin:product:fs:1:fs:2",
-            # The reconstruction check verifies an algebraic identity and
-            # passes on every manifold; all genuine flatness checks fail.
+            # The reconstruction check compares two routes to the Bochner
+            # decomposition of R and passes on every manifold; all genuine
+            # flatness checks fail.
             expectations=table(False),
             bochner_flat=False,
             einstein=False,
@@ -274,89 +275,33 @@ def real_slice_in_flat2() -> Immersion:
     )
 
 
+# One row per fixture: its name, its factory, then its expected value for
+# each key of _EXPECTATION_KEYS.
+_EXPECTATION_KEYS = ("umbilic", "totally_geodesic", "parallel_h", "mean_curvature", "tangent_plane")
+_IMMERSION_FIXTURES = {
+    "linear-flat3": (linear_subspace_in_flat3, True, True, True, 0.0, "holomorphic"),
+    "sphere-flat2-r1": (sphere_in_flat2, True, False, True, 1.0, None),
+    "ellipsoid-flat2": (ellipsoid_in_flat2, False, False, False, None, None),
+    "cylinder-flat2": (cylinder_in_flat2, False, False, True, None, None),
+    "cp1-in-cp2": (cp1_in_cp2, True, True, True, 0.0, "holomorphic"),
+    "real-slice-flat2": (real_slice_in_flat2, True, True, True, 0.0, "antiholomorphic"),
+}
+
+
 def builtin_immersions() -> list[tuple[Immersion, dict]]:
     """Immersion fixtures with their expectation tables."""
     return [
-        (
-            linear_subspace_in_flat3(),
-            {
-                "umbilic": True,
-                "totally_geodesic": True,
-                "parallel_h": True,
-                "mean_curvature": 0.0,
-                "tangent_plane": "holomorphic",
-            },
-        ),
-        (
-            sphere_in_flat2(1.0),
-            {
-                "umbilic": True,
-                "totally_geodesic": False,
-                "parallel_h": True,
-                "mean_curvature": 1.0,
-                "tangent_plane": None,
-            },
-        ),
-        (
-            ellipsoid_in_flat2(),
-            {
-                "umbilic": False,
-                "totally_geodesic": False,
-                "parallel_h": False,
-                "mean_curvature": None,
-                "tangent_plane": None,
-            },
-        ),
-        (
-            cylinder_in_flat2(),
-            {
-                "umbilic": False,
-                "totally_geodesic": False,
-                "parallel_h": True,
-                "mean_curvature": None,
-                "tangent_plane": None,
-            },
-        ),
-        (
-            cp1_in_cp2(),
-            {
-                "umbilic": True,
-                "totally_geodesic": True,
-                "parallel_h": True,
-                "mean_curvature": 0.0,
-                "tangent_plane": "holomorphic",
-            },
-        ),
-        (
-            real_slice_in_flat2(),
-            {
-                "umbilic": True,
-                "totally_geodesic": True,
-                "parallel_h": True,
-                "mean_curvature": 0.0,
-                "tangent_plane": "antiholomorphic",
-            },
-        ),
+        (factory(), dict(zip(_EXPECTATION_KEYS, expect)))
+        for factory, *expect in _IMMERSION_FIXTURES.values()
     ]
-
-
-_IMMERSION_FACTORIES = {
-    "linear-flat3": linear_subspace_in_flat3,
-    "sphere-flat2-r1": sphere_in_flat2,
-    "ellipsoid-flat2": ellipsoid_in_flat2,
-    "cylinder-flat2": cylinder_in_flat2,
-    "cp1-in-cp2": cp1_in_cp2,
-    "real-slice-flat2": real_slice_in_flat2,
-}
 
 
 def builtin_immersion(name: str) -> Immersion:
     """Build the one fixture named ``name``."""
-    factory = _IMMERSION_FACTORIES.get(name)
-    if factory is None:
-        known = ", ".join(_IMMERSION_FACTORIES)
+    if name not in _IMMERSION_FIXTURES:
+        known = ", ".join(_IMMERSION_FIXTURES)
         raise ModelError(f"unknown immersion {name!r} (known: {known})")
-    return factory()
+    return _IMMERSION_FIXTURES[name][0]()
 
 
 # --------------------------------------------------------------------------

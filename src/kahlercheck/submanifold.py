@@ -4,15 +4,19 @@ curvature, Weingarten split, Codazzi residuals and parallelism checks.
 An immersion maps a real n-dimensional parameter box into a manifold chart;
 its components are symbolic expressions in the real parameters ``u_1..u_n``
 (complex constants allowed).  First and second parameter derivatives of the
-immersion are symbolic; derivatives of derived fields along the submanifold
-(second fundamental form, mean curvature) use central finite differences
-with one Richardson step, followed by the appropriate projection.  One
-stencil of 4n states around a parameter point differences all of alpha and
-H at once and serves every index triple and direction of the checks.
+immersion are symbolic, and one run of the immersion's tape gives f, df and
+d2f at a parameter point; derivatives of derived fields along the
+submanifold (second fundamental form, mean curvature) use central finite
+differences with one Richardson step, followed by the appropriate
+projection.  One stencil of 4n states around a parameter point differences
+all of alpha and H at once and serves every index triple and direction of
+the checks.
 
 Projections onto tangent and normal spaces are orthogonal projections with
 respect to the ambient metric and never require a choice of normal frame,
-so finite-difference stencils see smooth fields.
+so finite-difference stencils see smooth fields.  They act on vectors
+stacked along the last axis, and the Codazzi residuals of all index triples
+at a point come back as one (n, n, n) array.
 
 ``CHECKS`` maps each immersion check to its residual at one parameter point.
 """
@@ -119,6 +123,7 @@ class Immersion:
         d2f = [dag.derivative(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
         # One tape for f, df and d2f in that order; value and jacobian run a prefix.
         self.tape = dag.tape(f + df + d2f)
+        self._jet_shapes = ((m,), (n, m), (n, n, m))
 
     def assignment(self, u: Sequence[float]) -> dict[Var, complex]:
         return {Var(U, a + 1): complex(val) for a, val in enumerate(u)}
@@ -133,27 +138,33 @@ class Immersion:
             raise ParameterDomainError(f"parameter point {u} outside the box")
         return u
 
-    def _outputs(self, u: Sequence[float], count: int) -> np.ndarray:
-        return np.array(self.tape.run(self.assignment(u), count))
+    def jets(self, u: Sequence[float], blocks: int = 3) -> list[np.ndarray]:
+        """The first ``blocks`` of ``(f, df, d2f)`` at ``u``, from one tape run.
 
-    def value(self, u: Sequence[float]) -> np.ndarray:
-        """Chart coordinates f(u); checked against the ambient chart domain."""
-        f = self._outputs(u, self.ambient.m)
-        if not self.ambient.domain.contains(f):
+        ``f`` has shape (m,) and is checked against the ambient chart domain;
+        ``df[a] = df/du_a`` has shape (n, m) and ``d2f[a, b]`` shape (n, n, m).
+        """
+        shapes = self._jet_shapes[:blocks]
+        sizes = [math.prod(s) for s in shapes]
+        values = np.array(self.tape.run(self.assignment(u), sum(sizes)))
+        if not self.ambient.domain.contains(values[: self.ambient.m]):
             raise DomainError(
                 f"immersion leaves the ambient chart domain at u={np.asarray(u)}"
             )
-        return f
+        parts = np.split(values, np.cumsum(sizes)[:-1])
+        return [part.reshape(s) for part, s in zip(parts, shapes)]
+
+    def value(self, u: Sequence[float]) -> np.ndarray:
+        """Chart coordinates f(u); checked against the ambient chart domain."""
+        return self.jets(u, 1)[0]
 
     def jacobian(self, u: Sequence[float]) -> np.ndarray:
         """Tangent representatives T_a = df/du_a as rows, shape (n, m)."""
-        m, n = self.ambient.m, self.n
-        return self._outputs(u, m + n * m)[m:].reshape(n, m)
+        return self.jets(u, 2)[1]
 
     def hessian(self, u: Sequence[float]) -> np.ndarray:
         """Second parameter derivatives, shape (n, n, m)."""
-        m, n = self.ambient.m, self.n
-        return self._outputs(u, m + n * m + n * n * m)[m + n * m :].reshape(n, n, m)
+        return self.jets(u)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +185,7 @@ class _State:
     point: np.ndarray
     metric: HermitianMetric
     tangents: np.ndarray  # (n, m) complex rows
+    d2f: np.ndarray  # (n, n, m) second parameter derivatives
     induced: np.ndarray  # (n, n) real
     induced_inv: np.ndarray
     gamma: np.ndarray  # ambient Christoffel, (m, m, m)
@@ -184,10 +196,9 @@ _RANK_TOL = 1e-8
 
 def _state(imm: Immersion, u: Sequence[float]) -> _State:
     u = imm.require_in_box(u)
-    point = imm.value(u)
+    point, v, d2f = imm.jets(u)
     jets = imm.ambient.jets(point, 2)
     metric = geo.metric_at(imm.ambient, point, jets)
-    v = imm.jacobian(u)
     jac_real = np.vstack([v.T.real, v.T.imag])
     smallest = float(np.linalg.svd(jac_real, compute_uv=False)[-1])
     if smallest < _RANK_TOL:
@@ -204,6 +215,7 @@ def _state(imm: Immersion, u: Sequence[float]) -> _State:
         point=point,
         metric=metric,
         tangents=v,
+        d2f=d2f,
         induced=ghat,
         induced_inv=np.linalg.inv(ghat),
         gamma=gamma,
@@ -211,24 +223,26 @@ def _state(imm: Immersion, u: Sequence[float]) -> _State:
 
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
-    """Real coefficients c with tangential part of W equal to sum c_a T_a."""
-    rhs = 2.0 * np.real(st.tangents @ st.metric.matrix @ np.conj(w))
-    return np.linalg.solve(st.induced, rhs)
+    """Real coefficients c[..., a] with tangential part of W equal to
+    sum_a c[..., a] T_a, for vectors W stacked along the last axis."""
+    rhs = 2.0 * np.real(np.conj(w) @ (st.tangents @ st.metric.matrix).T)
+    return rhs @ st.induced_inv.T
 
 
 def _normal_part(st: _State, w: np.ndarray) -> np.ndarray:
     return w - _tangential_coeffs(st, w) @ st.tangents
 
 
-def _gnorm(metric: HermitianMetric, w: np.ndarray) -> float:
-    return math.sqrt(max(2.0 * metric.hermitian_product(w, w).real, 0.0))
+def _gnorm(metric: HermitianMetric, w: np.ndarray) -> np.ndarray:
+    """Ambient norms of the vectors stacked along the last axis of ``w``."""
+    sq = 2.0 * np.real(np.einsum("...i,ij,...j->...", w, metric.matrix, np.conj(w)))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def _second_derivative_vectors(st: _State) -> np.ndarray:
     """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
-    d2 = st.imm.hessian(st.u)
     correction = np.einsum("kij,ai,bj->abk", st.gamma, st.tangents, st.tangents)
-    return d2 + correction
+    return st.d2f + correction
 
 
 def induced_metric(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -280,14 +294,7 @@ def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> np.ndarray:
 
 
 def _second_fundamental_form(st: _State) -> np.ndarray:
-    w = _second_derivative_vectors(st)
-    n = st.imm.n
-    alpha = np.empty_like(w)
-    for a in range(n):
-        for b in range(a, n):
-            alpha[a, b] = _normal_part(st, w[a, b])
-            alpha[b, a] = alpha[a, b]
-    return alpha
+    return _normal_part(st, _second_derivative_vectors(st))
 
 
 def mean_curvature(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -308,9 +315,7 @@ def umbilical_residual(imm: Immersion, u: Sequence[float]) -> float:
 
 
 def _umbilical_residual(st: _State, alpha: np.ndarray, h: np.ndarray) -> float:
-    n = st.imm.n
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    return max([0.0, *(_gnorm(st.metric, alpha[p] - st.induced[p] * h) for p in pairs)])
+    return float(np.max(_gnorm(st.metric, alpha - st.induced[..., None] * h), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,47 +330,44 @@ class WeingartenSplit:
     normal: RealTangentVector
 
 
+_NORMAL_TOL = 1e-8
+
+
 def weingarten_split(
     imm: Immersion,
     u: Sequence[float],
     xi: Sequence[Expr],
     x_coeffs: Sequence[float],
-    normal_tol: float = 1e-8,
 ) -> WeingartenSplit:
     """Split ``nabla_X xi`` into tangential and normal parts.
 
     ``xi`` gives the normal field as expressions over the parameters; ``X``
     is the tangent vector with coefficients ``x_coeffs`` in the coordinate
     tangent basis.  The two parts sum back to the ambient derivative; the
-    shape operator satisfies ``g(A_xi X, Y) = g(alpha(X, Y), xi)``.
+    shape operator satisfies ``g(A_xi X, Y) = g(alpha(X, Y), xi)``.  One
+    tape evaluates xi and its parameter derivatives together.
     """
     st = _state(imm, u)
-    m = imm.ambient.m
+    m, n = imm.ambient.m, imm.n
     if len(xi) != m:
         raise ValueError(f"normal field needs {m} components, got {len(xi)}")
     for c in xi:
-        ex.validate_variables(c, imm.n, (U,))
-    a = imm.assignment(st.u)
-    xi0 = np.array([ex.evaluate(c, a) for c in xi])
+        ex.validate_variables(c, n, (U,))
+    dag = ex.Dag()
+    fields = [dag.intern(c) for c in xi]
+    derivatives = [dag.derivative(c, Var(U, a + 1)) for a in range(n) for c in fields]
+    values = np.array(dag.tape(fields + derivatives).run(imm.assignment(st.u)))
+    xi0, dxi = values[:m], values[m:].reshape(n, m)
     tang_norm = _gnorm(st.metric, xi0 - _normal_part(st, xi0))
-    if tang_norm > normal_tol * max(1.0, _gnorm(st.metric, xi0)):
+    if tang_norm > _NORMAL_TOL * max(1.0, _gnorm(st.metric, xi0)):
         raise NotNormalError(
             f"field is not normal at u={st.u}: tangential norm {tang_norm:.3e}"
         )
     x = np.asarray(x_coeffs, dtype=float)
-    if x.shape != (imm.n,):
-        raise ValueError(f"tangent coefficients must have shape ({imm.n},)")
-    us = [Var(U, i + 1) for i in range(imm.n)]
-    dxi = np.zeros(m, dtype=complex)
-    for i_dir, coeff in enumerate(x):
-        if coeff == 0.0:
-            continue
-        for k in range(m):
-            dxi[k] += coeff * ex.evaluate(
-                ex.wirtinger_derivative(xi[k], us[i_dir]), a
-            )
+    if x.shape != (n,):
+        raise ValueError(f"tangent coefficients must have shape ({n},)")
     vx = x @ st.tangents
-    ambient_derivative = dxi + np.einsum("kij,i,j->k", st.gamma, vx, xi0)
+    ambient_derivative = x @ dxi + np.einsum("kij,i,j->k", st.gamma, vx, xi0)
     normal = _normal_part(st, ambient_derivative)
     tangential = ambient_derivative - normal
     return WeingartenSplit(
@@ -382,13 +384,13 @@ def _fields(st: _State, alpha: np.ndarray) -> np.ndarray:
     return np.vstack([alpha.reshape(-1, alpha.shape[-1]), _mean_curvature(st, alpha)])
 
 
-def _stencil(st: _State, alpha: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(st: _State, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal parts of ``D_x alpha(T_y, T_z)``, shape (n, n, n, m), and
     ``D_x H``, shape (n, m), for every direction x.
 
     One Richardson stencil of four states per direction differences the
     whole alpha tensor and H together; the ambient connection correction at
-    the centre and the normal projection then apply vector by vector.
+    the centre and the normal projection then apply to the stacked vectors.
     """
     imm, n = st.imm, st.imm.n
 
@@ -397,84 +399,68 @@ def _stencil(st: _State, alpha: np.ndarray, step: float) -> tuple[np.ndarray, np
         return _fields(s, _second_fundamental_form(s))
 
     centre = _fields(st, alpha)
-    out = np.empty((n,) + centre.shape, dtype=complex)
+    diffs = []
     for x in range(n):
         e = np.eye(n)[x]
-        if not all(imm.domain.contains(st.u + sign * step * e) for sign in (-1.0, 1.0)):
+        if not all(imm.domain.contains(st.u + sign * _FD_STEP * e) for sign in (-1.0, 1.0)):
             raise ParameterDomainError(
                 f"no room for the finite-difference stencil at u={st.u} in direction {x}"
             )
-        diff = richardson_derivative(lambda t: fields_at(st.u + t * e), step)
-        for k, w in enumerate(centre):
-            correction = np.einsum("kij,i,j->k", st.gamma, st.tangents[x], w)
-            out[x, k] = _normal_part(st, diff[k] + correction)
+        diffs.append(richardson_derivative(lambda t: fields_at(st.u + t * e), _FD_STEP))
+    correction = np.einsum("kij,xi,rj->xrk", st.gamma, st.tangents, centre)
+    out = _normal_part(st, np.array(diffs) + correction)
     return out[:, :-1].reshape(n, n, n, -1), out[:, -1]
 
 
-def _codazzi_lhs(st: _State, curv: geo.ComplexCurvature, a: int, b: int, c: int) -> np.ndarray:
-    """Normal component of R(T_a, T_b) T_c in the ambient manifold."""
-    ta = RealTangentVector(st.tangents[a])
-    tb = RealTangentVector(st.tangents[b])
-    tc = RealTangentVector(st.tangents[c])
-    op = geo.curvature_operator(curv, st.metric, ta, tb, tc)
-    return _normal_part(st, op)
+def _codazzi_lhs(st: _State, curv: geo.ComplexCurvature) -> np.ndarray:
+    """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
+    t = [RealTangentVector(row) for row in st.tangents]
+    op = [[[geo.curvature_operator(curv, st.metric, a, b, c) for c in t] for b in t] for a in t]
+    return _normal_part(st, np.array(op))
 
 
-def _codazzi_general(imm: Immersion, u: Sequence[float], step: float) -> Callable:
-    """The Codazzi residual of each index triple at ``u``, from one stencil."""
+def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
+    """The Codazzi residual of every index triple (a, b, c) at ``u``, shape (n, n, n)."""
     st = _state(imm, u)
     alpha = _second_fundamental_form(st)
-    d_alpha, _ = _stencil(st, alpha, step)
+    d_alpha, _ = _stencil(st, alpha)
     curv = geo.curvature_at(imm.ambient, st.point, st.metric)
-    w = _second_derivative_vectors(st)
-    conn = np.array([[_tangential_coeffs(st, w_ij) for w_ij in w_i] for w_i in w])
-
-    def dbar(x: int, y: int, zz: int) -> np.ndarray:
-        return (
-            d_alpha[x, y, zz]
-            - np.einsum("e,ek->k", conn[x, y], alpha[:, zz])
-            - np.einsum("e,ek->k", conn[x, zz], alpha[y, :])
-        )
-
-    def residual(a: int, b: int, c: int) -> float:
-        rhs = dbar(a, b, c) - dbar(b, a, c)
-        return _gnorm(st.metric, _codazzi_lhs(st, curv, a, b, c) - rhs)
-
-    return residual
+    # conn[x, y, e]: coefficients of nabla_{T_x} T_y in the tangent basis
+    conn = _tangential_coeffs(st, _second_derivative_vectors(st))
+    dbar = (
+        d_alpha
+        - np.einsum("xye,ezk->xyzk", conn, alpha)
+        - np.einsum("xze,yek->xyzk", conn, alpha)
+    )
+    rhs = dbar - dbar.transpose(1, 0, 2, 3)
+    return _gnorm(st.metric, _codazzi_lhs(st, curv) - rhs)
 
 
-def _codazzi_umbilical(
-    imm: Immersion, u: Sequence[float], step: float, umbilical_tol: float
-) -> Callable:
-    """The reduced Codazzi residual of each index triple at ``u``, from one stencil."""
+def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
+    """The reduced Codazzi residual of every index triple at ``u``, shape (n, n, n)."""
     st = _state(imm, u)
     alpha = _second_fundamental_form(st)
     resid = _umbilical_residual(st, alpha, _mean_curvature(st, alpha))
-    if resid >= umbilical_tol:
+    if resid >= _UMBILICAL_TOL:
         raise NotUmbilicalError(
             f"immersion is not totally umbilical at u={st.u} "
             f"(residual {resid:.3e}); reduced Codazzi not computed"
         )
-    _, d_h = _stencil(st, alpha, step)
+    _, d_h = _stencil(st, alpha)
     curv = geo.curvature_at(imm.ambient, st.point, st.metric)
-
-    def residual(a: int, b: int, c: int) -> float:
-        rhs = st.induced[b, c] * d_h[a] - st.induced[a, c] * d_h[b]
-        return _gnorm(st.metric, _codazzi_lhs(st, curv, a, b, c) - rhs)
-
-    return residual
+    # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
+    rhs = np.einsum("bc,ak->abck", st.induced, d_h)
+    rhs = rhs - rhs.transpose(1, 0, 2, 3)
+    return _gnorm(st.metric, _codazzi_lhs(st, curv) - rhs)
 
 
-def _worst_triple(imm: Immersion, residual: Callable) -> float:
+def _worst_triple(residuals: np.ndarray) -> float:
     """The largest residual over the index triples (a, b, c) with a < b."""
-    n = imm.n
-    triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
-    return max([0.0, *(residual(*t) for t in triples)])
+    a, b = np.triu_indices(len(residuals), 1)
+    return float(np.max(residuals[a, b], initial=0.0))
 
 
-def codazzi_residual_general(
-    imm: Immersion, u: Sequence[float], a: int, b: int, c: int, step: float = _FD_STEP
-) -> float:
+def codazzi_residual_general(imm: Immersion, u: Sequence[float], a: int, b: int, c: int) -> float:
     """Residual of the Codazzi equation on coordinate tangent fields.
 
     ``{R(X,Y)Z}^perp = (nabla-bar_X alpha)(Y,Z) - (nabla-bar_Y alpha)(X,Z)``
@@ -483,51 +469,33 @@ def codazzi_residual_general(
     alpha field followed by normal projection; the induced connection is the
     tangential projection of the ambient one.
     """
-    return _codazzi_general(imm, u, step)(a, b, c)
+    return float(_codazzi_general(imm, u)[a, b, c])
 
 
-def codazzi_residual_umbilical(
-    imm: Immersion,
-    u: Sequence[float],
-    a: int,
-    b: int,
-    c: int,
-    step: float = _FD_STEP,
-    umbilical_tol: float = _UMBILICAL_TOL,
-) -> float:
+def codazzi_residual_umbilical(imm: Immersion, u: Sequence[float], a: int, b: int, c: int) -> float:
     """Residual of the reduced Codazzi relation for totally umbilical N.
 
     ``{R(X,Y)Z}^perp = g(Y,Z) D_X H - g(X,Z) D_Y H``.  Raises if the
     immersion is not umbilical at ``u`` (the relation is only meaningful
     there).
     """
-    return _codazzi_umbilical(imm, u, step, umbilical_tol)(a, b, c)
+    return float(_codazzi_umbilical(imm, u)[a, b, c])
 
 
-def parallel_h_residual_at(
-    imm: Immersion, u: Sequence[float], step: float = _FD_STEP
-) -> float:
+def parallel_h_residual_at(imm: Immersion, u: Sequence[float]) -> float:
     """max over directions of ||D_{T_a} H|| at one parameter point."""
     st = _state(imm, u)
-    _, d_h = _stencil(st, _second_fundamental_form(st), step)
-    return max([0.0, *(_gnorm(st.metric, d) for d in d_h)])
+    _, d_h = _stencil(st, _second_fundamental_form(st))
+    return float(np.max(_gnorm(st.metric, d_h), initial=0.0))
 
 
-def parallel_h_check(
-    imm: Immersion,
-    points: int,
-    rng: np.random.Generator,
-    step: float = _FD_STEP,
-) -> float:
+def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> float:
     """max ||D_{T_a} H|| over sampled parameter points and all directions.
 
     Zero (at finite-difference fidelity) exactly when the mean curvature
     vector is parallel in the normal connection.
     """
-    return max(
-        parallel_h_residual_at(imm, imm.domain.sample(rng), step)
-        for _ in range(points)
-    )
+    return max(parallel_h_residual_at(imm, imm.domain.sample(rng)) for _ in range(points))
 
 
 # The residual of each immersion check at one parameter point.  Entries look
@@ -536,8 +504,6 @@ def parallel_h_check(
 CHECKS: dict[str, Callable[[Immersion, np.ndarray], float]] = {
     "umbilical": lambda imm, u: umbilical_residual(imm, u),
     "parallel-h": lambda imm, u: parallel_h_residual_at(imm, u),
-    "codazzi-general": lambda imm, u: _worst_triple(imm, _codazzi_general(imm, u, _FD_STEP)),
-    "codazzi-umbilical": lambda imm, u: _worst_triple(
-        imm, _codazzi_umbilical(imm, u, _FD_STEP, _UMBILICAL_TOL)
-    ),
+    "codazzi-general": lambda imm, u: _worst_triple(_codazzi_general(imm, u)),
+    "codazzi-umbilical": lambda imm, u: _worst_triple(_codazzi_umbilical(imm, u)),
 }

@@ -214,6 +214,22 @@ def test_run_suite_product_fails_expected_checks():
     assert any("constant holomorphic sectional curvature: no" in l for l in lines)
 
 
+@pytest.mark.parametrize("uri", ["builtin:fs:3", "builtin:product:fs:1:fs:2"])
+def test_reconstruct_fails_when_the_metric_block_is_perturbed(uri, monkeypatch):
+    cfg = RunConfig(manifold=uri, check="reconstruct-2-3", points=2, samples=20, seed=7)
+    assert run_check(cfg).passed
+    real_block = inv._metric_block
+    monkeypatch.setattr(inv, "_metric_block", lambda *a: 1.01 * real_block(*a))
+    assert not run_check(cfg).passed
+
+
+def test_reconstruct_passes_on_flat_pullback(flat_pullback_path):
+    cfg = RunConfig(
+        manifold=flat_pullback_path, check="reconstruct-2-3", points=3, samples=50, seed=7
+    )
+    assert run_check(cfg).passed
+
+
 def test_run_suite_builds_the_chart_once(monkeypatch):
     from kahlercheck import models
 

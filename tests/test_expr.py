@@ -534,6 +534,8 @@ def test_derivative_matches_wirtinger_finite_differences(tree, data):
 
 @settings(max_examples=80, deadline=None)
 @given(tree=_exprs())
+@example(tree=Power(Const(complex(-0.0, 0.0)), 0))
+@example(tree=Unary("neg", Const(complex(-0.0, 0.0))))
 def test_parse_unparse_round_trip(tree):
     text = ex.unparse(tree)
     back = ex.parse_expression(text, 2, ("z", "zb"))

@@ -89,6 +89,16 @@ def test_lemma_rejects_bad_frame(fs3, rng):
         inv.lemma_residual(pd, x, x, x)
 
 
+def test_frame_error_names_the_first_bad_pair(fs3, rng):
+    p = fs3.sample_point(rng)
+    pd = inv.point_data(fs3, p)
+    x, y, _ = geo.orthonormal_antiholomorphic_frame(fs3, p, 3, rng, pd.metric)
+    with pytest.raises(inv.FrameConditionError, match=r"pair 1,2: g=1\.000e\+00"):
+        inv.lemma_residual(pd, x, y, y)
+    with pytest.raises(inv.FrameConditionError, match=r"pair 0,1: g=\S+, g\(\.,J\.\)=-1\.000e\+00"):
+        inv.lemma_residual(pd, x, x.j(), y)
+
+
 def test_lemma_bochner_equivalence_at_sampling_fidelity(
     flat3, fs3, chyp3, product, rng
 ):
@@ -213,7 +223,8 @@ def test_ricci_offdiagonal_product(product, rng):
 def test_reconstruction_identity_on_all_builtins(
     flat3, fs3, chyp3, product, rng
 ):
-    # |R - reconstruction| equals |B| identically, on every manifold.
+    # R - reconstruction equals B identically, on every manifold: the
+    # real-vector blocks against the index-level Bochner tensor.
     for manifold in (flat3, fs3, chyp3, product):
         pd = inv.point_data(manifold, manifold.sample_point(rng))
         for _ in range(30):
@@ -221,7 +232,7 @@ def test_reconstruction_identity_on_all_builtins(
             r = geo.real_curvature(pd.curvature, *vecs)
             rhs = inv.reconstruct_curvature_from_ricci(pd, *vecs)
             b = inv.bochner_at(pd, *vecs)
-            assert abs(abs(r - rhs) - abs(b)) < 1e-12
+            assert abs(r - rhs - b) < 1e-12
 
 
 def test_reconstruction_matches_curvature_on_fs3(fs3, rng):

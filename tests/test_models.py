@@ -110,6 +110,18 @@ def test_builtin_immersions_expectations_present():
         )
 
 
+def test_builtin_immersions_keep_their_order():
+    names = [imm.name for imm, _ in models.builtin_immersions()]
+    assert names == [
+        "linear-flat3",
+        "sphere-flat2-r1",
+        "ellipsoid-flat2",
+        "cylinder-flat2",
+        "cp1-in-cp2",
+        "real-slice-flat2",
+    ]
+
+
 def test_builtin_immersion_lookup():
     imm = models.builtin_immersion("sphere-flat2-r1")
     assert imm.ambient.name == "builtin:flat:2"

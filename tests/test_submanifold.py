@@ -444,3 +444,36 @@ def test_state_runs_the_ambient_tape_once(fixture, request, rng, monkeypatch):
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     sub._state(imm, u)
     assert sum(tape is imm.ambient.tape for tape in runs) == 1
+
+
+@pytest.mark.parametrize("fixture", ["linear", "sphere", "cp1"])
+def test_state_and_alpha_run_the_immersion_tape_once(fixture, request, rng, monkeypatch):
+    imm = request.getfixturevalue(fixture)
+    u = imm.domain.sample(rng)
+    runs = []
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    sub._second_fundamental_form(sub._state(imm, u))
+    assert sum(tape is imm.tape for tape in runs) == 1
+
+
+def test_weingarten_split_runs_one_tape_for_the_normal_field(sphere, rng, monkeypatch):
+    xi = [ex.mul(ex.const(-1.0), c) for c in sphere.components]
+    u = sphere.domain.sample(rng)
+    runs = []
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    sub.weingarten_split(sphere, u, xi, [0.3, 0.8])
+    own = [t for t in runs if t is not sphere.tape and t is not sphere.ambient.tape]
+    assert len(own) == 1
+
+
+def test_codazzi_residuals_are_one_array_per_point(sphere, linear, rng):
+    for imm in (sphere, linear):
+        u = imm.domain.sample(rng)
+        general = sub._codazzi_general(imm, u)
+        reduced = sub._codazzi_umbilical(imm, u)
+        n = imm.n
+        assert general.shape == reduced.shape == (n, n, n)
+        assert sub.codazzi_residual_general(imm, u, 0, 1, n - 1) == general[0, 1, n - 1]
+        assert sub.codazzi_residual_umbilical(imm, u, 0, 1, n - 1) == reduced[0, 1, n - 1]
