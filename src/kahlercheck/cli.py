@@ -58,6 +58,11 @@ class RunConfig:
             )
         if self.points < 1 or self.samples < 1:
             raise ConfigError("points and samples must be >= 1")
+        # A standard deviation or a spread of one value is 0 whatever the chart.
+        how = inv.CHECKS[self.check].reduce if self.check in inv.CHECKS else "max"
+        if {"std": self.samples, "spread": self.points * self.samples}.get(how, 2) < 2:
+            what = "samples" if how == "std" else "points x samples"
+            raise ConfigError(f"check {self.check!r} needs {what} >= 2")
         if not self.tol > 0:
             raise ConfigError("tolerance must be positive")
         if not 0 <= self.seed < 2**64:
@@ -93,15 +98,13 @@ def _run_manifold_check(cfg: RunConfig, manifold: geo.KahlerManifold, rng) -> tu
         )
     sampled = inv.sample(cfg.check, manifold, cfg.points, cfg.samples, rng)
     report = _finish(cfg, manifold.name, *inv.reduce_samples(cfg.check, sampled))
-    return report, [v for _, _, values in sampled for v in values]
+    return report, np.concatenate([values for _, _, values in sampled])
 
 
 def _run_immersion_check(cfg: RunConfig, immersion: sub.Immersion, rng) -> CheckReport:
     us = [immersion.domain.sample(rng) for _ in range(cfg.points)]
     residuals = [sub.CHECKS[cfg.check](immersion, u) for u in us]
-    worst = [
-        WorstCase(immersion.value(u), list(immersion.jacobian(u)), r) for u, r in zip(us, residuals)
-    ]
+    worst = [WorstCase(*immersion.jets(u, 2), r) for u, r in zip(us, residuals)]
     return _finish(cfg, f"{immersion.ambient.name}::{immersion.name}", residuals, worst)
 
 

@@ -132,8 +132,9 @@ class HermitianMetric:
     inverse: np.ndarray
 
     def hermitian_product(self, v: np.ndarray, w: np.ndarray) -> complex:
-        """h(v, w) = g_{i jbar} v^i conj(w^j)."""
-        return complex(v @ self.matrix @ np.conj(w))
+        """h(v, w) = g_{i jbar} v^i conj(w^j).  The forms here take vectors
+        stacked along broadcasting leading axes, one value per stacked vector."""
+        return _sesquilinear(self.matrix, v, w)
 
     def inner(self, x: RealTangentVector, y: RealTangentVector) -> float:
         """g(X, Y) = 2 Re h(v, w)."""
@@ -144,7 +145,12 @@ class HermitianMetric:
         return 2.0 * self.hermitian_product(x.components, y.components).imag
 
     def norm(self, x: RealTangentVector) -> float:
-        return math.sqrt(max(self.inner(x, x), 0.0))
+        return np.sqrt(np.maximum(self.inner(x, x), 0.0))
+
+
+def _sesquilinear(matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> complex:
+    """``v^i a_{i jbar} conj(w^j)`` per vector of the stacks ``v`` and ``w``."""
+    return np.einsum("...i,ij,...j->...", v, matrix, np.conj(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +175,8 @@ class RicciData:
     metric: HermitianMetric
 
     def __call__(self, x: RealTangentVector, y: RealTangentVector) -> float:
-        """S(X, Y); symmetric and J-invariant."""
-        return 2.0 * complex(x.components @ self.matrix @ np.conj(y.components)).real
+        """S(X, Y); symmetric and J-invariant.  Stacks as ``HermitianMetric.inner``."""
+        return 2.0 * _sesquilinear(self.matrix, x.components, y.components).real
 
 
 class KahlerManifold:
@@ -393,12 +399,14 @@ def real_curvature(
     z: RealTangentVector,
     u: RealTangentVector,
 ) -> float:
-    """R(X, Y, Z, U) as a real quadrilinear form."""
-    w1 = np.outer(x.components, np.conj(y.components))
-    w1 = w1 - w1.conj().T
-    w2 = np.outer(z.components, np.conj(u.components))
-    w2 = w2 - w2.conj().T
-    return float(np.einsum("ijkl,ij,kl->", curvature.tensor, w1, w2).real)
+    """R(X, Y, Z, U) as a real quadrilinear form, one value per stacked vector."""
+    return np.einsum("ijkl,...ij,...kl->...", curvature.tensor, _wedge(x, y), _wedge(z, u)).real
+
+
+def _wedge(x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
+    """``x^i conj(y^j) - y^i conj(x^j)``, stacked like ``x`` and ``y``."""
+    w = x.components[..., :, None] * np.conj(y.components)[..., None, :]
+    return w - np.conj(np.swapaxes(w, -1, -2))
 
 
 def curvature_operator(
@@ -410,12 +418,11 @@ def curvature_operator(
 ) -> np.ndarray:
     """Complex representative of the vector R(X, Y)Z.
 
-    Defined by ``g(R(X,Y)Z, U) = R(X,Y,Z,U)`` for every U.
+    Defined by ``g(R(X,Y)Z, U) = R(X,Y,Z,U)`` for every U; vectors stack
+    and broadcast as in ``real_curvature``.
     """
-    w1 = np.outer(x.components, np.conj(y.components))
-    w1 = w1 - w1.conj().T
-    a = np.einsum("ijkl,ij,k->l", curvature.tensor, w1, z.components)
-    return np.linalg.solve(metric.matrix.T, a)
+    a = np.einsum("ijkl,...ij,...k->...l", curvature.tensor, _wedge(x, y), z.components)
+    return np.linalg.solve(metric.matrix.T, a[..., None])[..., 0]
 
 
 def ricci_at(
@@ -472,6 +479,54 @@ def scalar_curvature_at(
 _PIVOT = 1e-8
 
 
+def unit_tangents(
+    metric: HermitianMetric, count: int, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``(count, k, m)`` random g-unit tangent vectors (complex Gaussian
+    directions, real parts drawn first); one of norm <= 1e-6 is redrawn alone."""
+    m = metric.matrix.shape[0]
+    v = rng.normal(size=(count, k, m)) + 1j * rng.normal(size=(count, k, m))
+    n = metric.norm(RealTangentVector(v))
+    while (small := n <= 1e-6).any():
+        redraw = (int(small.sum()), m)
+        v[small] = rng.normal(size=redraw) + 1j * rng.normal(size=redraw)
+        n[small] = metric.norm(RealTangentVector(v[small]))
+    return v / n[..., None]
+
+
+def antiholomorphic_frames(
+    metric: HermitianMetric, count: int, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``(count, k, m)`` frames with ``g(x_a, x_b) = delta_ab`` and ``g(x_a, J x_b) = 0``.
+
+    Equivalently ``h(v_a, v_b) = delta_ab / 2``.  Complex Gaussian seeds are
+    whitened by the Cholesky factor of g and go through one batched QR, with
+    the column phases that make each pivot positive: Gram-Schmidt over h.
+    Only frames with a pivot below ``_PIVOT`` are redrawn, 64 draws at most.
+    """
+    m = metric.matrix.shape[0]
+    if k > m:
+        raise FrameError(
+            f"no antiholomorphic {k}-plane exists: k={k} exceeds complex dimension {m}"
+        )
+    # h(v, w) is the standard product of L^T v and L^T w, for g = L L^H.
+    lt = np.linalg.cholesky(metric.matrix).T
+    back = np.linalg.inv(lt) / math.sqrt(2.0)
+    frames = np.empty((count, k, m), dtype=complex)
+    todo = np.arange(count)
+    for _ in range(64):
+        size = (len(todo), k, m)
+        raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+        q, r = np.linalg.qr(lt @ np.swapaxes(raw, -1, -2))
+        pivots = np.diagonal(r, axis1=-2, axis2=-1)
+        ok = np.all(np.abs(pivots) >= _PIVOT, axis=-1)
+        phases = pivots[ok] / np.abs(pivots[ok])
+        frames[todo[ok]] = np.swapaxes(back @ (q[ok] * phases[:, None, :]), -1, -2)
+        if not len(todo := todo[~ok]):
+            return frames
+    raise FrameError("failed to draw an independent frame")
+
+
 def orthonormal_antiholomorphic_frame(
     manifold: KahlerManifold,
     p: Sequence[complex],
@@ -479,37 +534,11 @@ def orthonormal_antiholomorphic_frame(
     rng: np.random.Generator,
     metric: HermitianMetric | None = None,
 ) -> list[RealTangentVector]:
-    """k unit vectors spanning an antiholomorphic k-plane at ``p``.
-
-    The returned vectors satisfy ``g(x_a, x_b) = delta_ab`` and
-    ``g(x_a, J x_b) = 0``; equivalently their complex representatives are
-    orthogonal for the Hermitian form h with ``h(v_a, v_a) = 1/2``.
-    Gram-Schmidt over h with complex Gaussian seeds; restarts on
-    near-dependent draws.
-    """
-    if k > manifold.m:
-        raise FrameError(
-            f"no antiholomorphic {k}-plane exists: k={k} exceeds complex dimension {manifold.m}"
-        )
+    """k unit vectors spanning an antiholomorphic k-plane at ``p``: one
+    ``antiholomorphic_frames`` frame."""
     if metric is None:
         metric = metric_at(manifold, p)
-    h = metric.hermitian_product
-    for _ in range(64):
-        raw = rng.normal(size=(k, manifold.m)) + 1j * rng.normal(size=(k, manifold.m))
-        basis: list[np.ndarray] = []
-        for w in raw:
-            for v in basis:
-                w = w - (h(w, v) / h(v, v)) * v
-            norm = math.sqrt(max(h(w, w).real, 0.0))
-            if norm < _PIVOT:
-                basis = []
-                break
-            basis.append(w)
-        if len(basis) == k:
-            return [
-                RealTangentVector(v / math.sqrt(2.0 * h(v, v).real)) for v in basis
-            ]
-    raise FrameError("failed to draw an independent frame")
+    return [RealTangentVector(v) for v in antiholomorphic_frames(metric, 1, k, rng)[0]]
 
 
 def orthonormal_holomorphic_basis(
@@ -525,10 +554,5 @@ def orthonormal_holomorphic_basis(
 def random_unit_tangent(
     metric: HermitianMetric, m: int, rng: np.random.Generator
 ) -> RealTangentVector:
-    """Random g-unit tangent vector (complex Gaussian direction)."""
-    while True:
-        v = rng.normal(size=m) + 1j * rng.normal(size=m)
-        x = RealTangentVector(v)
-        n = metric.norm(x)
-        if n > 1e-6:
-            return RealTangentVector(v / n)
+    """One ``unit_tangents`` vector; ``m`` is the complex dimension of ``metric``."""
+    return RealTangentVector(unit_tangents(metric, 1, 1, rng)[0, 0])

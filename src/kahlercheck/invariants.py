@@ -5,12 +5,12 @@ curvature, the antiholomorphic 3-frame criterion, the basis-sum criterion,
 Einstein and off-diagonal Ricci diagnostics, the curvature reconstruction
 from Ricci data, and the constant holomorphic-sectional-curvature fit.
 
-The pointwise functions are pure over a ``PointData`` bundle.  ``CHECKS``
-names every sampled manifold check: the least complex dimension it needs,
-the frame one sample draws, the value it takes on that frame and how the
-values reduce to residuals.  ``sample`` draws points and frames for an entry
-from a caller-owned generator, in a fixed order, so a seed fixes every
-residual.
+The pointwise functions are pure over a ``PointData`` bundle and give one
+value per stacked tangent vector.  ``CHECKS`` names every sampled manifold
+check: the least complex dimension it needs, the frames it draws, its value
+on them and how the values reduce to residuals.  ``sample`` draws points
+and the frames at each point as one stack from a caller-owned generator, in
+a fixed order, so a seed fixes every residual.
 """
 
 from __future__ import annotations
@@ -176,15 +176,15 @@ _FRAME_TOL = 1e-8
 
 
 def _check_antiholomorphic_frame(pd: PointData, vectors: Sequence[RealTangentVector]) -> None:
-    v = np.array([x.components for x in vectors])
-    # gram[a, b] = g(v_a, v_b) + i g(v_a, J v_b)
-    gram = 2.0 * v @ pd.metric.matrix @ v.conj().T
-    bad = (np.abs(gram.real - np.eye(len(v))) > _FRAME_TOL) | (np.abs(gram.imag) > _FRAME_TOL)
+    v = np.stack(np.broadcast_arrays(*(x.components for x in vectors)), axis=-2)
+    # gram[..., a, b] = g(v_a, v_b) + i g(v_a, J v_b)
+    gram = 2.0 * v @ pd.metric.matrix @ np.conj(np.swapaxes(v, -1, -2))
+    bad = (np.abs(gram.real - np.eye(len(vectors))) > _FRAME_TOL) | (np.abs(gram.imag) > _FRAME_TOL)
     if bad.any():
-        a, b = np.argwhere(bad)[0]
+        *_, a, b = first = tuple(np.argwhere(bad)[0])
         raise FrameConditionError(
             f"vectors do not form an orthonormal antiholomorphic {len(vectors)}-frame "
-            f"(pair {a},{b}: g={gram[a, b].real:.3e}, g(.,J.)={gram[a, b].imag:.3e})"
+            f"(pair {a},{b}: g={gram[first].real:.3e}, g(.,J.)={gram[first].imag:.3e})"
         )
 
 
@@ -214,17 +214,13 @@ def basis_sum(pd: PointData, basis: Sequence[RealTangentVector]) -> float:
     if len(basis) != pd.m:
         raise FrameConditionError(f"expected {pd.m} basis vectors, got {len(basis)}")
     _check_antiholomorphic_frame(pd, basis)
-    total = 0.0
-    for e in basis:
-        je = e.j()
-        total += geo.real_curvature(pd.curvature, e, je, je, e)
-    return total
+    return sum(geo.real_curvature(pd.curvature, e, e.j(), e.j(), e) for e in basis)
 
 
 def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> float:
     """H(x) = R(x, Jx, Jx, x) / g(x, x)^2; invariant under scaling of x."""
     gxx = pd.metric.inner(x, x)
-    if gxx <= 0.0 or not np.all(np.isfinite(x.components)):
+    if np.any(gxx <= 0.0) or not np.all(np.isfinite(x.components)):
         raise ValueError("holomorphic sectional curvature requires a nonzero vector")
     jx = x.j()
     return geo.real_curvature(pd.curvature, x, jx, jx, x) / gxx**2
@@ -260,68 +256,55 @@ def hsc_spread(values: Sequence[float], pds: Sequence[PointData]) -> tuple[float
 class Check:
     """One sampled manifold check.
 
-    ``frame(pd, rng)`` draws the vectors of one sample and ``value(pd,
-    frame)`` is the check's signed value on them.  ``reduce`` is "max" (each
-    |value| is a residual), "std" (one residual per point: the standard
-    deviation of its values) or "spread" (one residual: the ``hsc_spread``
-    of all values).  Both functions call the geometry and residual functions
-    by their module names, so a wrapper set on a module attribute sees
-    every call.
+    At a point it draws one ``(samples, k, m)`` stack of frames from
+    ``geometry.<sampler>`` (k = None: the complex dimension); ``value(pd,
+    legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
+    ``reduce`` is "max" (each |value| is a residual), "std" (one residual
+    per point: the standard deviation of its values) or "spread" (one
+    residual: the ``hsc_spread`` of all values).  Sampler and values are
+    looked up by module name, so a module-attribute wrapper sees each call.
     """
 
     min_dim: int
-    frame: Callable
+    sampler: str
+    k: int | None
     value: Callable
     reduce: str
 
 
-def _unit_vectors(k: int) -> Callable:
-    return lambda pd, rng: [geo.random_unit_tangent(pd.metric, pd.m, rng) for _ in range(k)]
-
-
-def _antiholomorphic(k: int) -> Callable:
-    return lambda pd, rng: geo.orthonormal_antiholomorphic_frame(
-        pd.manifold, pd.point, k, rng, pd.metric
-    )
-
-
-def _holomorphic_basis(pd: PointData, rng: np.random.Generator) -> list[RealTangentVector]:
-    return geo.orthonormal_holomorphic_basis(pd.manifold, pd.point, rng, pd.metric)
-
-
-def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> float:
+def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
     x, y = frame
     return pd.ricci(x, y) - pd.tau / (2.0 * pd.m) * pd.metric.inner(x, y)
 
 
-def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> float:
+def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
     # R - reconstruction - B: the real-vector blocks against the index-level B.
     r = geo.real_curvature(pd.curvature, *frame)
     return r - reconstruct_curvature_from_ricci(pd, *frame) - bochner_at(pd, *frame)
 
 
+_UNIT, _ANTI = "unit_tangents", "antiholomorphic_frames"
 CHECKS: dict[str, Check] = {
-    "bochner": Check(1, _unit_vectors(4), lambda pd, f: bochner_at(pd, *f), "max"),
-    "lemma": Check(3, _antiholomorphic(3), lambda pd, f: lemma_residual(pd, *f), "max"),
-    "basis-sum": Check(1, _holomorphic_basis, lambda pd, f: basis_sum(pd, f), "std"),
-    "einstein": Check(1, _unit_vectors(2), _einstein, "max"),
-    "ricci-offdiag": Check(2, _antiholomorphic(2), lambda pd, f: pd.ricci(*f), "max"),
-    "chsc": Check(
-        1, _unit_vectors(1), lambda pd, f: holomorphic_sectional_curvature(pd, *f), "spread"
-    ),
-    "reconstruct-2-3": Check(1, _unit_vectors(4), _reconstruct, "max"),
+    "bochner": Check(1, _UNIT, 4, lambda pd, f: bochner_at(pd, *f), "max"),
+    "lemma": Check(3, _ANTI, 3, lambda pd, f: lemma_residual(pd, *f), "max"),
+    "basis-sum": Check(1, _ANTI, None, lambda pd, f: basis_sum(pd, f), "std"),
+    "einstein": Check(1, _UNIT, 2, _einstein, "max"),
+    "ricci-offdiag": Check(2, _ANTI, 2, lambda pd, f: pd.ricci(*f), "max"),
+    "chsc": Check(1, _UNIT, 1, lambda pd, f: holomorphic_sectional_curvature(pd, *f), "spread"),
+    "reconstruct-2-3": Check(1, _UNIT, 4, _reconstruct, "max"),
 }
 MANIFOLD_CHECKS = tuple(CHECKS)
 
-# Samples of one check at one point: the point, the frames, the values.
-PointSamples = tuple[PointData, list, list[float]]
+# One check at one point: the point, its (samples, k, m) frames, their values.
+PointSamples = tuple[PointData, np.ndarray, np.ndarray]
 
 
 def draw(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> PointSamples:
-    """``samples`` frames of check ``name`` at ``pd``, and its value on each."""
+    """``samples`` frames of check ``name`` at ``pd`` as one stack, and its value on each."""
     check = CHECKS[name]
-    frames = [check.frame(pd, rng) for _ in range(samples)]
-    return pd, frames, [check.value(pd, f) for f in frames]
+    frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng)
+    legs = [RealTangentVector(frames[:, a]) for a in range(frames.shape[1])]
+    return pd, frames, check.value(pd, legs)
 
 
 def sample(
@@ -334,8 +317,8 @@ def sample(
     ]
 
 
-def _spread(sampled: list[PointSamples]) -> tuple[list[float], float, float]:
-    values = [v for _, _, vs in sampled for v in vs]
+def _spread(sampled: list[PointSamples]) -> tuple[np.ndarray, float, float]:
+    values = np.concatenate([vs for _, _, vs in sampled])
     return (values, *hsc_spread(values, [pd for pd, _, _ in sampled]))
 
 
@@ -346,20 +329,16 @@ def reduce_samples(name: str, sampled: list[PointSamples]) -> tuple[list[float],
     how = CHECKS[name].reduce
     if how == "spread":
         values, mean, spread = _spread(sampled)
-        cases = [(pd.point, f) for pd, frames, _ in sampled for f in frames]
-        point, frame = cases[int(np.argmax(np.abs(np.array(values) - mean)))]
-        return [spread], [WorstCase(point, [v.components for v in frame], spread)]
+        point, i = divmod(int(np.argmax(np.abs(values - mean))), len(sampled[0][2]))
+        pd, frames, _ = sampled[point]
+        # Copies: a view would keep a point's whole frame stack alive with the report.
+        return [spread], [WorstCase(pd.point, frames[i].copy(), spread)]
     residuals, worst = [], []
     for pd, frames, values in sampled:
-        if how == "max":
-            r = [abs(v) for v in values]
-            i = max(range(len(r)), key=r.__getitem__)
-        else:
-            arr = np.array(values)
-            r = [float(arr.std())]
-            i = int(np.argmax(np.abs(arr - arr.mean())))
+        far = np.abs(values - (values.mean() if how == "std" else 0.0))
+        r = [float(values.std())] if how == "std" else far.tolist()
         residuals += r
-        worst.append(WorstCase(pd.point, [v.components for v in frames[i]], max(r)))
+        worst.append(WorstCase(pd.point, frames[int(np.argmax(far))].copy(), max(r)))
     return residuals, worst
 
 
@@ -367,7 +346,7 @@ def einstein_residual(
     pd: PointData, samples: int, rng: np.random.Generator
 ) -> float:
     """max |S(X, Y) - (tau / 2m) g(X, Y)| over random unit vector pairs."""
-    return max([0.0, *map(abs, draw("einstein", pd, samples, rng)[2])])
+    return float(np.max(np.abs(draw("einstein", pd, samples, rng)[2]), initial=0.0))
 
 
 def ricci_offdiagonal_check(
@@ -378,7 +357,7 @@ def ricci_offdiagonal_check(
     The pairs are the first two legs of random antiholomorphic 2-frames,
     which satisfy both orthogonality constraints by construction.
     """
-    return max([0.0, *map(abs, draw("ricci-offdiag", pd, samples, rng)[2])])
+    return float(np.max(np.abs(draw("ricci-offdiag", pd, samples, rng)[2]), initial=0.0))
 
 
 def chsc_fit(
@@ -414,7 +393,7 @@ def _complex_pairs(vec: Sequence[complex]) -> list[list[float]]:
 @dataclass
 class WorstCase:
     point: np.ndarray  # chart point (complex coordinates)
-    frame: list[np.ndarray]  # the vectors involved in the worst sample
+    frame: Sequence[np.ndarray]  # the vectors involved in the worst sample
     residual: float
 
     def to_json_dict(self) -> dict:

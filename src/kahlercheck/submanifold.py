@@ -233,12 +233,6 @@ def _normal_part(st: _State, w: np.ndarray) -> np.ndarray:
     return w - _tangential_coeffs(st, w) @ st.tangents
 
 
-def _gnorm(metric: HermitianMetric, w: np.ndarray) -> np.ndarray:
-    """Ambient norms of the vectors stacked along the last axis of ``w``."""
-    sq = 2.0 * np.real(np.einsum("...i,ij,...j->...", w, metric.matrix, np.conj(w)))
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
 def _second_derivative_vectors(st: _State) -> np.ndarray:
     """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
     correction = np.einsum("kij,ai,bj->abk", st.gamma, st.tangents, st.tangents)
@@ -268,7 +262,7 @@ def frame_at(imm: Immersion, u: Sequence[float]) -> FrameAtParameter:
     for w in candidates:
         for b in basis:
             w = w - 2.0 * st.metric.hermitian_product(w, b).real * b
-        norm = _gnorm(st.metric, w)
+        norm = st.metric.norm(RealTangentVector(w))
         if norm < _RANK_TOL:
             if len(basis) < imm.n:
                 raise RankError(f"tangent frame degenerate at u={u}")
@@ -315,7 +309,8 @@ def umbilical_residual(imm: Immersion, u: Sequence[float]) -> float:
 
 
 def _umbilical_residual(st: _State, alpha: np.ndarray, h: np.ndarray) -> float:
-    return float(np.max(_gnorm(st.metric, alpha - st.induced[..., None] * h), initial=0.0))
+    residual = RealTangentVector(alpha - st.induced[..., None] * h)
+    return float(np.max(st.metric.norm(residual), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,8 +353,8 @@ def weingarten_split(
     derivatives = [dag.derivative(c, Var(U, a + 1)) for a in range(n) for c in fields]
     values = np.array(dag.tape(fields + derivatives).run(imm.assignment(st.u)))
     xi0, dxi = values[:m], values[m:].reshape(n, m)
-    tang_norm = _gnorm(st.metric, xi0 - _normal_part(st, xi0))
-    if tang_norm > _NORMAL_TOL * max(1.0, _gnorm(st.metric, xi0)):
+    tang_norm = st.metric.norm(RealTangentVector(xi0 - _normal_part(st, xi0)))
+    if tang_norm > _NORMAL_TOL * max(1.0, st.metric.norm(RealTangentVector(xi0))):
         raise NotNormalError(
             f"field is not normal at u={st.u}: tangential norm {tang_norm:.3e}"
         )
@@ -414,9 +409,8 @@ def _stencil(st: _State, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _codazzi_lhs(st: _State, curv: geo.ComplexCurvature) -> np.ndarray:
     """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
-    t = [RealTangentVector(row) for row in st.tangents]
-    op = [[[geo.curvature_operator(curv, st.metric, a, b, c) for c in t] for b in t] for a in t]
-    return _normal_part(st, np.array(op))
+    x, y, z = (RealTangentVector(np.expand_dims(st.tangents, a)) for a in ((1, 2), (0, 2), (0, 1)))
+    return _normal_part(st, geo.curvature_operator(curv, st.metric, x, y, z))
 
 
 def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -433,7 +427,7 @@ def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
         - np.einsum("xze,yek->xyzk", conn, alpha)
     )
     rhs = dbar - dbar.transpose(1, 0, 2, 3)
-    return _gnorm(st.metric, _codazzi_lhs(st, curv) - rhs)
+    return st.metric.norm(RealTangentVector(_codazzi_lhs(st, curv) - rhs))
 
 
 def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -451,7 +445,7 @@ def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
     rhs = np.einsum("bc,ak->abck", st.induced, d_h)
     rhs = rhs - rhs.transpose(1, 0, 2, 3)
-    return _gnorm(st.metric, _codazzi_lhs(st, curv) - rhs)
+    return st.metric.norm(RealTangentVector(_codazzi_lhs(st, curv) - rhs))
 
 
 def _worst_triple(residuals: np.ndarray) -> float:
@@ -486,7 +480,7 @@ def parallel_h_residual_at(imm: Immersion, u: Sequence[float]) -> float:
     """max over directions of ||D_{T_a} H|| at one parameter point."""
     st = _state(imm, u)
     _, d_h = _stencil(st, _second_fundamental_form(st))
-    return float(np.max(_gnorm(st.metric, d_h), initial=0.0))
+    return float(np.max(st.metric.norm(RealTangentVector(d_h)), initial=0.0))
 
 
 def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> float:

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from kahlercheck import cli
+from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
@@ -350,3 +352,51 @@ def test_main_suite_json_deterministic(tmp_path):
     for r in a + b:
         r.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# ------------------------------------------------ checks that cannot pass vacuously
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["basis-sum", "--samples", "1"], "samples >= 2"),
+        (["chsc", "--points", "1", "--samples", "1"], "points x samples >= 2"),
+    ],
+)
+def test_one_value_std_or_spread_is_a_config_error(argv, needs, capsys):
+    # On the product chart both pass with residual 0 when one value is reduced.
+    rc = main(["check", *argv, "--manifold", "builtin:product:fs:1:fs:2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert argv[0] in err and needs in err
+
+
+def test_minimum_samples_follow_the_reduction():
+    RunConfig(manifold="builtin:fs:2", check="chsc", points=2, samples=1)
+    RunConfig(manifold="builtin:fs:2", check="bochner", points=1, samples=1)
+    with pytest.raises(ConfigError, match="'basis-sum' needs samples >= 2"):
+        RunConfig(manifold="builtin:fs:2", check="basis-sum", points=3, samples=1)
+    with pytest.raises(ConfigError, match="'basis-sum' needs samples >= 2"):
+        run_suite("builtin:fs:2", points=3, samples=1)
+
+
+def test_basis_sum_with_two_samples_fails_on_product():
+    report = run_check(
+        RunConfig(manifold="builtin:product:fs:1:fs:2", check="basis-sum", points=1, samples=2)
+    )
+    assert not report.passed
+
+
+def test_immersion_worst_cases_run_the_tape_once_each(monkeypatch):
+    imm = models.load_immersion("builtin:sphere-flat2-r1")
+    runs = []
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    cfg = RunConfig(manifold=None, check="umbilical", immersion=imm.name, points=3, seed=5)
+    report = cli._run_loaded(cfg, imm)
+    # One state per point, then one (f, df) run per reported point.
+    assert sum(tape is imm.tape for tape in runs) == 6
+    assert len(report.worst_cases) == 3
+    for case in report.worst_cases:
+        assert case.point.shape == (imm.ambient.m,) and len(case.frame) == imm.n

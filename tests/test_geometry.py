@@ -360,3 +360,130 @@ def test_real_tangent_vector_complex_structure(fs3, rng):
     y = geo.random_unit_tangent(gm, 3, rng)
     assert np.allclose(x.j().j().components, -x.components)
     assert abs(gm.inner(x.j(), y.j()) - gm.inner(x, y)) < 1e-12
+
+
+# ------------------------------------------------------ stacked primitives
+
+
+def _gram_schmidt_frame(gm, m, k, rng):
+    """Reference: one frame by Gram-Schmidt over h, one vector at a time."""
+    h = gm.hermitian_product
+    for _ in range(64):
+        raw = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+        basis = []
+        for w in raw:
+            for v in basis:
+                w = w - (h(w, v) / h(v, v)) * v
+            if np.sqrt(max(h(w, w).real, 0.0)) < geo._PIVOT:
+                break
+            basis.append(w)
+        if len(basis) == k:
+            return np.array([v / np.sqrt(2.0 * h(v, v).real) for v in basis])
+    raise AssertionError("reference Gram-Schmidt found no frame")
+
+
+@pytest.mark.parametrize("chart", ["fs3", "chyp3", "product"])
+def test_one_frame_samplers_keep_the_gram_schmidt_draws(chart, request):
+    manifold = request.getfixturevalue(chart)
+    rng = np.random.default_rng(11)
+    p = manifold.sample_point(rng)
+    gm = geo.metric_at(manifold, p)
+    for k in (1, 2, 3):
+        seed = int(rng.integers(2**32))
+        got = geo.orthonormal_antiholomorphic_frame(manifold, p, k, np.random.default_rng(seed), gm)
+        want = _gram_schmidt_frame(gm, manifold.m, k, np.random.default_rng(seed))
+        assert np.max(np.abs(np.array([v.components for v in got]) - want)) < 1e-13
+    ref = np.random.default_rng(5)
+    v = ref.normal(size=manifold.m) + 1j * ref.normal(size=manifold.m)
+    want = v / gm.norm(geo.RealTangentVector(v))
+    got = geo.random_unit_tangent(gm, manifold.m, np.random.default_rng(5)).components
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_forms_give_one_value_per_stacked_vector(product, rng):
+    p = product.sample_point(rng)
+    ric = geo.ricci_at(product, p)
+    gm, rc = ric.metric, geo.curvature_at(product, p)
+    stack = geo.unit_tangents(gm, 5, 4, rng)
+    x, y, z, u = (geo.RealTangentVector(stack[:, a]) for a in range(4))
+    rows = [[geo.RealTangentVector(v) for v in row] for row in stack]
+    for form, want in (
+        (gm.inner(x, y), [gm.inner(a, b) for a, b, _, _ in rows]),
+        (gm.inner_j(x, y), [gm.inner_j(a, b) for a, b, _, _ in rows]),
+        (gm.norm(x), [gm.norm(a) for a, _, _, _ in rows]),
+        (ric(x, y), [ric(a, b) for a, b, _, _ in rows]),
+        (geo.real_curvature(rc, x, y, z, u), [geo.real_curvature(rc, *r) for r in rows]),
+    ):
+        assert form.shape == (5,)
+        assert np.allclose(form, want, rtol=1e-14, atol=1e-14)
+    op = geo.curvature_operator(rc, gm, x, y, z)
+    assert op.shape == (5, 3)
+    for row, (a, b, c, _) in zip(op, rows):
+        assert np.allclose(row, geo.curvature_operator(rc, gm, a, b, c), rtol=1e-14, atol=1e-14)
+    # Single vectors give scalars; a single vector broadcasts against a stack.
+    assert np.ndim(gm.inner(rows[0][0], rows[0][1])) == 0
+    assert gm.hermitian_product(stack[0, 0], stack[:, 1]).shape == (5,)
+
+
+def _gram(gm, frames):
+    """2 V g V^H per frame: g(v_a, v_b) + i g(v_a, J v_b)."""
+    return 2.0 * frames @ gm.matrix @ np.conj(np.swapaxes(frames, -1, -2))
+
+
+class _Draws:
+    """Generator stand-in: ``normal`` hands out ``override(call, values)``
+    for values drawn from a real generator, and records each size."""
+
+    def __init__(self, seed, override=lambda call, values: values):
+        self.real = np.random.default_rng(seed)
+        self.override = override
+        self.sizes = []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        return self.override(len(self.sizes), self.real.normal(size=size))
+
+
+def test_only_the_dependent_frame_is_redrawn(fs3):
+    gm = geo.metric_at(fs3, fs3.sample_point(np.random.default_rng(3)))
+
+    def dependent(call, values):
+        if call <= 2:  # real and imaginary parts of the first draw
+            values[1, 2] = values[1, 0]
+        return values
+
+    stub = _Draws(8, dependent)
+    frames = geo.antiholomorphic_frames(gm, 4, 3, stub)
+    assert stub.sizes == [(4, 3, 3), (4, 3, 3), (1, 3, 3), (1, 3, 3)]
+    plain = geo.antiholomorphic_frames(gm, 4, 3, _Draws(8))
+    keep = [0, 2, 3]
+    assert np.array_equal(frames[keep], plain[keep])
+    assert not np.allclose(frames[1], plain[1])
+    assert np.allclose(_gram(gm, frames), np.eye(3), rtol=0, atol=1e-12)
+
+
+def test_dependent_seeds_every_time_raise_frame_error(fs3):
+    gm = geo.metric_at(fs3, np.zeros(3))
+    stub = _Draws(1, lambda call, values: np.ones_like(values))
+    with pytest.raises(geo.FrameError, match="independent"):
+        geo.antiholomorphic_frames(gm, 2, 2, stub)
+    assert len(stub.sizes) == 2 * 64
+
+
+def test_zero_unit_draw_is_redrawn(fs3):
+    gm = geo.metric_at(fs3, np.zeros(3))
+    stub = _Draws(2, lambda call, values: np.zeros_like(values) if call <= 2 else values)
+    x = geo.random_unit_tangent(gm, 3, stub)
+    assert stub.sizes == [(1, 1, 3), (1, 1, 3), (1, 3), (1, 3)]
+    assert np.all(np.isfinite(x.components)) and abs(gm.norm(x) - 1.0) < 1e-14
+
+    def one_zero(call, values):
+        if call <= 2:
+            values[2, 1] = 0.0
+        return values
+
+    stub = _Draws(2, one_zero)
+    stack = geo.unit_tangents(gm, 3, 2, stub)
+    assert stub.sizes[2:] == [(1, 3), (1, 3)]
+    assert np.all(np.isfinite(stack))
+    assert np.allclose(gm.norm(geo.RealTangentVector(stack)), 1.0, rtol=0, atol=1e-14)

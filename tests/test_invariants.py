@@ -6,6 +6,7 @@ import pytest
 from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
+from kahlercheck import models
 
 
 def _unit_vecs(pd, rng, count):
@@ -383,3 +384,44 @@ def test_tensors_are_bit_identical_with_and_without_jets(chart, request, rng):
         assert geo.curvature_term_scale(manifold, p, given, jets=jets) == scale
     gamma = geo.christoffel_at(manifold, p, metric).gamma
     assert np.array_equal(geo.christoffel_at(manifold, p, metric, jets=jets).gamma, gamma)
+
+
+# ------------------------------------------------------------ stacked checks
+
+
+@pytest.mark.parametrize("chart", ["fs3", "product", "flat_pullback_path"])
+def test_stacked_values_match_one_frame_calls(chart, request, rng):
+    manifold = request.getfixturevalue(chart)
+    if chart == "flat_pullback_path":
+        manifold = models.load_manifold(manifold)
+    for name, check in inv.CHECKS.items():
+        if manifold.m < check.min_dim:
+            continue
+        pd = inv.point_data(manifold, manifold.sample_point(rng))
+        _, frames, values = inv.draw(name, pd, 7, rng)
+        assert frames.shape == (7, check.k or manifold.m, manifold.m), name
+        singles = [check.value(pd, [geo.RealTangentVector(v) for v in f]) for f in frames]
+        assert all(np.ndim(s) == 0 for s in singles), name
+        scale = max(1.0, float(np.max(np.abs(singles))))
+        assert values.shape == (7,) and np.max(np.abs(values - singles)) <= 1e-14 * scale, name
+
+
+@pytest.mark.parametrize("name", ["bochner", "basis-sum", "chsc"])
+def test_worst_case_frames_are_copies(name, fs3, rng):
+    sampled = inv.sample(name, fs3, 2, 20, rng)
+    _, worst = inv.reduce_samples(name, sampled)
+    for case in worst:
+        assert not any(np.shares_memory(case.frame, frames) for _, frames, _ in sampled)
+        assert any(
+            np.array_equal(case.frame, row) for _, frames, _ in sampled for row in frames
+        )
+
+
+def test_stacked_frame_error_names_the_first_bad_pair(fs3, rng):
+    pd = inv.point_data(fs3, fs3.sample_point(rng))
+    frames = geo.antiholomorphic_frames(pd.metric, 4, 3, rng)
+    frames[2, 2] = frames[2, 1]
+    frames[3, 1] = frames[3, 0]
+    legs = [geo.RealTangentVector(frames[:, a]) for a in range(3)]
+    with pytest.raises(inv.FrameConditionError, match=r"pair 1,2: g=1\.000e\+00"):
+        inv.lemma_residual(pd, *legs)
