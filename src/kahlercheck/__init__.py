@@ -27,6 +27,7 @@ from .geometry import (
     HermitianMetric,
     KahlerManifold,
     MetricError,
+    PointData,
     RealTangentVector,
     RicciData,
     ball,
@@ -35,6 +36,7 @@ from .geometry import (
     metric_at,
     orthonormal_antiholomorphic_frame,
     orthonormal_holomorphic_basis,
+    point_data,
     polydisc,
     real_curvature,
     ricci_at,
@@ -44,14 +46,12 @@ from .geometry import (
 from .invariants import (
     CheckReport,
     FrameConditionError,
-    PointData,
     basis_sum,
     bochner_at,
     chsc_fit,
     einstein_residual,
     holomorphic_sectional_curvature,
     lemma_residual,
-    point_data,
     reconstruct_curvature_from_ricci,
     ricci_offdiagonal_check,
 )

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -68,8 +70,8 @@ class ChartDomain:
     def __post_init__(self):
         if self.kind not in ("ball", "polydisc"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("domain radii must be positive")
+        if not all(0 < r < math.inf for r in self.radii):
+            raise ValueError("domain radii must be positive and finite")
 
     def contains(self, p: Sequence[complex], margin: float = 0.0) -> bool:
         p = np.asarray(p, dtype=complex)
@@ -115,9 +117,6 @@ class RealTangentVector:
 
     def j(self) -> "RealTangentVector":
         return RealTangentVector(1j * self.components)
-
-    def scaled(self, factor: float) -> "RealTangentVector":
-        return RealTangentVector(factor * self.components)
 
 
 def tangent(components: Sequence[complex]) -> RealTangentVector:
@@ -179,6 +178,19 @@ class RicciData:
         return 2.0 * _sesquilinear(self.matrix, x.components, y.components).real
 
 
+def jet_layout(shapes: Sequence[tuple[int, ...]]) -> list[tuple[slice, tuple[int, ...]]]:
+    """The slice and shape of each block of a tape whose roots are the flat,
+    row-major blocks ``shapes`` in order."""
+    ends = accumulate(math.prod(s) for s in shapes)
+    return [(slice(end - math.prod(s), end), s) for end, s in zip(ends, shapes)]
+
+
+def run_jets(tape: ex.Tape, assignment: dict, layout: Sequence[tuple]) -> list[np.ndarray]:
+    """The blocks of a ``jet_layout`` from one run of the tape prefix they need."""
+    values = np.array(tape.run(assignment, layout[-1][0].stop))
+    return [values[block].reshape(shape) for block, shape in layout]
+
+
 class KahlerManifold:
     """Chart of a Kähler manifold defined by a symbolic potential.
 
@@ -223,7 +235,7 @@ class KahlerManifold:
         # d2g[i][j][k][l] = d_{z_i} d_{zb_j} g_{k lbar}
         d2g = [d(dg[(i * m + k) * m + l], zbs[j]) for i in r for j in r for k in r for l in r]
         self.tape = dag.tape(g + dg + dgb + d2g)
-        self._jet_shapes = ((m, m), (m, m, m), (m, m, m), (m, m, m, m))
+        self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m)))
 
     def _check_reality(self):
         rng = np.random.default_rng(1811)
@@ -267,11 +279,7 @@ class KahlerManifold:
         ``dgb[b, i, j] = d_{zb_b} g_{i jbar}`` and
         ``d2g[i, j, k, l] = d_{z_i} d_{zb_j} g_{k lbar}``.
         """
-        shapes = self._jet_shapes[:blocks]
-        sizes = [math.prod(s) for s in shapes]
-        values = np.array(self.tape.run(self.assignment(p), sum(sizes)))
-        parts = np.split(values, np.cumsum(sizes)[:-1])
-        return [part.reshape(s) for part, s in zip(parts, shapes)]
+        return run_jets(self.tape, self.assignment(p), self._jets[:blocks])
 
     # Raw metric (no validation); used by metric_at and the finite-difference
     # oracle, which run only the g prefix of the tape.
@@ -279,20 +287,12 @@ class KahlerManifold:
         return self.jets(p, 1)[0]
 
 
-def metric_at(
-    manifold: KahlerManifold,
-    p: Sequence[complex],
-    jets: Sequence[np.ndarray] | None = None,
-) -> HermitianMetric:
-    """Hermitian positive-definite metric at ``p``, with inverse.
+# Pointwise tensors: one formula function each, over the jets at a point;
+# ``p`` only names the point in error messages.
 
-    ``jets``, when given, is ``manifold.jets(p, k)`` with at least the blocks
-    a function reads: g here, (g, dg) for ``christoffel_at``, all four for
-    curvature and Ricci.  The tensor functions below take it the same way,
-    so one tape run at a point serves them all.
-    """
-    p = manifold.require_in_domain(p)
-    g = manifold.metric_matrix(p) if jets is None else jets[0]
+
+def hermitian_metric(p: ChartPoint, g: np.ndarray) -> HermitianMetric:
+    """The metric matrix ``g`` at ``p`` checked Hermitian positive definite, with inverse."""
     scale = max(1.0, float(np.max(np.abs(g))))
     if float(np.max(np.abs(g - g.conj().T))) > 1e-12 * scale:
         raise MetricError(f"metric not Hermitian at {p}")
@@ -303,24 +303,13 @@ def metric_at(
             f"metric not positive definite at {p}: smallest eigenvalue {smallest:.6e}"
         )
     inverse = np.linalg.inv(g)
-    if float(np.max(np.abs(g @ inverse - np.eye(manifold.m)))) > 1e-10:
+    if float(np.max(np.abs(g @ inverse - np.eye(len(g))))) > 1e-10:
         raise MetricError(f"metric inversion failed at {p}")
     return HermitianMetric(matrix=g, inverse=inverse)
 
 
-def christoffel_at(
-    manifold: KahlerManifold,
-    p: Sequence[complex],
-    metric: HermitianMetric | None = None,
-    jets: Sequence[np.ndarray] | None = None,
-) -> ChristoffelData:
+def christoffel_symbols(metric: HermitianMetric, dg: np.ndarray) -> ChristoffelData:
     """``Gamma^k_{ij} = g^{k lbar} d_i g_{j lbar}``, symmetric in (i, j)."""
-    p = manifold.require_in_domain(p)
-    if metric is None:
-        metric = metric_at(manifold, p, jets)
-    if jets is None:
-        jets = manifold.jets(p, 2)
-    dg = jets[1]
     # dg[i, j, l] = d_i g_{j lbar};  g^{k lbar} = inverse[l, k]
     gamma = np.einsum("lk,ijl->kij", metric.inverse, dg)
     gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
@@ -336,49 +325,14 @@ def _curvature_terms(
     return -d2g, np.einsum("qp,ikq,jpl->ijkl", metric.inverse, dg, dgb)
 
 
-def curvature_term_scale(
-    manifold: KahlerManifold,
-    p: Sequence[complex],
-    metric: HermitianMetric | None = None,
-    jets: Sequence[np.ndarray] | None = None,
-) -> float:
-    """Size in the metric of the larger of the two terms whose sum is R.
-
-    Each term is written in a g-orthonormal frame and measured by its
-    Frobenius norm, which bounds its holomorphic sectional curvature over
-    unit vectors.  Where the terms cancel, as on a flat chart, the
-    curvature is round-off of order machine epsilon times this size.
-    """
-    p = manifold.require_in_domain(p)
-    if metric is None:
-        metric = metric_at(manifold, p, jets)
-    if jets is None:
-        jets = manifold.jets(p)
-    # c.T g conj(c) = 1 for g = L L^H
-    c = np.linalg.inv(np.linalg.cholesky(metric.matrix)).T
-    cb = c.conj()
-    return max(
-        float(np.linalg.norm(np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, cb, c, cb, optimize=True)))
-        for t in _curvature_terms(metric, jets)
-    )
-
-
-def curvature_at(
-    manifold: KahlerManifold,
-    p: Sequence[complex],
-    metric: HermitianMetric | None = None,
-    jets: Sequence[np.ndarray] | None = None,
+def curvature_tensor(
+    p: ChartPoint, metric: HermitianMetric, jets: Sequence[np.ndarray]
 ) -> ComplexCurvature:
-    """Curvature components ``R_{i jbar k lbar}`` at ``p``.
+    """Curvature components ``R_{i jbar k lbar}`` from the four jet blocks at ``p``.
 
     Validates the Kähler symmetries (pair symmetry and conjugation symmetry)
     of the result before returning it.
     """
-    p = manifold.require_in_domain(p)
-    if metric is None:
-        metric = metric_at(manifold, p, jets)
-    if jets is None:
-        jets = manifold.jets(p)
     minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic
     scale = max(1.0, float(np.max(np.abs(r))))
@@ -390,6 +344,130 @@ def curvature_at(
     if max(pair, conj) > 1e-10 * scale:
         raise GeometryError(f"curvature symmetries violated at {p}")
     return ComplexCurvature(tensor=r)
+
+
+def ricci_tensor(
+    p: ChartPoint, metric: HermitianMetric, curvature: ComplexCurvature, jets: Sequence[np.ndarray]
+) -> RicciData:
+    """Ricci tensor at ``p``, computed two ways and cross-checked.
+
+    Route (a) contracts the curvature tensor with the inverse metric; route
+    (b) uses the log-determinant identity through Jacobi's formula,
+    ``S_{i jbar} = -tr(g^{-1} d_i d_jbar g) + tr(g^{-1} d_i g g^{-1} d_jbar g)``.
+    The two must agree to 1e-8.
+    """
+    ginv = metric.inverse
+    s_contract = np.einsum("li,ijkl->kj", ginv, curvature.tensor)
+
+    _, dg, dgb, d2g = jets
+    t1 = np.einsum("ab,ijba->ij", ginv, d2g)
+    t2 = np.einsum("ab,ibc,cd,jda->ij", ginv, dg, ginv, dgb)
+    s_logdet = -t1 + t2
+
+    scale = max(1.0, float(np.max(np.abs(s_contract))))
+    if float(np.max(np.abs(s_contract - s_logdet))) > 1e-8 * scale:
+        raise GeometryError(f"Ricci computation routes disagree at {p}")
+    s = 0.5 * (s_contract + s_contract.conj().T)
+    return RicciData(matrix=s, metric=metric)
+
+
+@dataclass(frozen=True, eq=False)
+class PointData:
+    """All pointwise tensors of one manifold at one chart point."""
+
+    manifold: KahlerManifold
+    point: np.ndarray
+    metric: HermitianMetric
+    curvature: ComplexCurvature
+    ricci: RicciData
+    tau: float
+    jets: list[np.ndarray]  # (g, dg, dgb, d2g) as KahlerManifold.jets gives them
+
+    @property
+    def m(self) -> int:
+        return self.manifold.m
+
+    @cached_property
+    def bochner(self) -> ComplexCurvature:
+        """Index-level Bochner tensor ``B_{i jbar k lbar}``, from R, S, tau and g.
+
+        ``B = R - (g.S + S.g) / (m + 2) + tau g.g / (2 (m + 1) (m + 2))`` with
+        ``(a.b)_{i jbar k lbar} = a_{i jbar} b_{k lbar} + a_{i lbar} b_{k jbar}``
+        (Bryant, "Bochner-Kähler metrics", J. AMS 14, 2001, section 1).
+        """
+        g, s, m = self.metric.matrix, self.ricci.matrix, self.m
+
+        def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return np.einsum("ij,kl->ijkl", a, b) + np.einsum("il,kj->ijkl", a, b)
+
+        tensor = (
+            self.curvature.tensor
+            - (dot(g, s) + dot(s, g)) / (m + 2)
+            + self.tau * dot(g, g) / (2.0 * (m + 1) * (m + 2))
+        )
+        return ComplexCurvature(tensor=tensor)
+
+    @cached_property
+    def term_scale(self) -> float:
+        """Size in the metric of the larger of the two terms whose sum is R.
+
+        Each term is written in a g-orthonormal frame and measured by its
+        Frobenius norm, which bounds its holomorphic sectional curvature over
+        unit vectors.  Where the terms cancel, as on a flat chart, the
+        curvature is round-off of order machine epsilon times this size.
+        """
+        # c.T g conj(c) = 1 for g = L L^H
+        c = np.linalg.inv(np.linalg.cholesky(self.metric.matrix)).T
+        cb = c.conj()
+        return max(
+            float(np.linalg.norm(np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, cb, c, cb, optimize=True)))
+            for t in _curvature_terms(self.metric, self.jets)
+        )
+
+
+def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
+    """Evaluate metric, curvature, Ricci and scalar curvature at ``p``,
+    from one run of the chart's jet tape."""
+    p = manifold.require_in_domain(p)
+    jets = manifold.jets(p)
+    metric = hermitian_metric(p, jets[0])
+    curvature = curvature_tensor(p, metric, jets)
+    ricci = ricci_tensor(p, metric, curvature, jets)
+    tau = 2.0 * float(np.trace(ricci.matrix @ metric.inverse).real)  # 2 g^{i jbar} S_{i jbar}
+    return PointData(manifold, p, metric, curvature, ricci, tau, jets)
+
+
+# One tensor at one point of a chart.  The metric and Christoffel symbols
+# run only the tape prefix they read; the rest read ``point_data``.
+
+
+def metric_at(manifold: KahlerManifold, p: Sequence[complex]) -> HermitianMetric:
+    """Hermitian positive-definite metric at ``p``, with inverse."""
+    p = manifold.require_in_domain(p)
+    return hermitian_metric(p, manifold.metric_matrix(p))
+
+
+def christoffel_at(manifold: KahlerManifold, p: Sequence[complex]) -> ChristoffelData:
+    """Holomorphic Christoffel symbols at ``p`` (``christoffel_symbols``)."""
+    p = manifold.require_in_domain(p)
+    g, dg = manifold.jets(p, 2)
+    return christoffel_symbols(hermitian_metric(p, g), dg)
+
+
+def curvature_at(manifold: KahlerManifold, p: Sequence[complex]) -> ComplexCurvature:
+    return point_data(manifold, p).curvature
+
+
+def ricci_at(manifold: KahlerManifold, p: Sequence[complex]) -> RicciData:
+    return point_data(manifold, p).ricci
+
+
+def scalar_curvature_at(manifold: KahlerManifold, p: Sequence[complex]) -> float:
+    return point_data(manifold, p).tau
+
+
+def curvature_term_scale(manifold: KahlerManifold, p: Sequence[complex]) -> float:
+    return point_data(manifold, p).term_scale
 
 
 def real_curvature(
@@ -423,57 +501,6 @@ def curvature_operator(
     """
     a = np.einsum("ijkl,...ij,...k->...l", curvature.tensor, _wedge(x, y), z.components)
     return np.linalg.solve(metric.matrix.T, a[..., None])[..., 0]
-
-
-def ricci_at(
-    manifold: KahlerManifold,
-    p: Sequence[complex],
-    metric: HermitianMetric | None = None,
-    curvature: ComplexCurvature | None = None,
-    jets: Sequence[np.ndarray] | None = None,
-) -> RicciData:
-    """Ricci tensor at ``p``, computed two ways and cross-checked.
-
-    Route (a) contracts the curvature tensor with the inverse metric; route
-    (b) uses the log-determinant identity through Jacobi's formula,
-    ``S_{i jbar} = -tr(g^{-1} d_i d_jbar g) + tr(g^{-1} d_i g g^{-1} d_jbar g)``.
-    The two must agree to 1e-8.
-    """
-    p = manifold.require_in_domain(p)
-    if metric is None:
-        metric = metric_at(manifold, p, jets)
-    if jets is None:
-        jets = manifold.jets(p)
-    if curvature is None:
-        curvature = curvature_at(manifold, p, metric, jets)
-    ginv = metric.inverse
-    s_contract = np.einsum("li,ijkl->kj", ginv, curvature.tensor)
-
-    _, dg, dgb, d2g = jets
-    t1 = np.einsum("ab,ijba->ij", ginv, d2g)
-    t2 = np.einsum("ab,ibc,cd,jda->ij", ginv, dg, ginv, dgb)
-    s_logdet = -t1 + t2
-
-    scale = max(1.0, float(np.max(np.abs(s_contract))))
-    if float(np.max(np.abs(s_contract - s_logdet))) > 1e-8 * scale:
-        raise GeometryError(f"Ricci computation routes disagree at {p}")
-    s = 0.5 * (s_contract + s_contract.conj().T)
-    return RicciData(matrix=s, metric=metric)
-
-
-def scalar_curvature_at(
-    manifold: KahlerManifold,
-    p: Sequence[complex],
-    ricci: RicciData | None = None,
-) -> float:
-    """Scalar curvature: trace of S over any g-orthonormal real basis.
-
-    Equals ``2 g^{i jbar} S_{i jbar}``; the factor 2 accounts for the real
-    dimension being twice the complex one.
-    """
-    if ricci is None:
-        ricci = ricci_at(manifold, p)
-    return 2.0 * float(np.trace(ricci.matrix @ ricci.metric.inverse).real)
 
 
 _PIVOT = 1e-8

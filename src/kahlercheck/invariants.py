@@ -17,82 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry as geo
-from .geometry import (
-    ComplexCurvature,
-    HermitianMetric,
-    KahlerManifold,
-    RealTangentVector,
-    RicciData,
-)
+# Re-exported; ``sample`` looks point_data up in this module, so a wrapper
+# set on ``invariants.point_data`` sees every call.
+from .geometry import KahlerManifold, PointData, RealTangentVector, point_data
 
 
 class FrameConditionError(Exception):
     """Input vectors do not satisfy the required frame conditions."""
-
-
-@dataclass(frozen=True, eq=False)
-class PointData:
-    """All pointwise tensors of one manifold at one chart point."""
-
-    manifold: KahlerManifold
-    point: np.ndarray
-    metric: HermitianMetric
-    curvature: ComplexCurvature
-    ricci: RicciData
-    tau: float
-    # (g, dg, dgb, d2g) as KahlerManifold.jets gives them; None makes each
-    # later use run the tape again.
-    jets: list[np.ndarray] | None = None
-
-    @property
-    def m(self) -> int:
-        return self.manifold.m
-
-    @cached_property
-    def bochner(self) -> ComplexCurvature:
-        """Index-level Bochner tensor ``B_{i jbar k lbar}``, from R, S, tau and g.
-
-        ``B = R - (g.S + S.g) / (m + 2) + tau g.g / (2 (m + 1) (m + 2))`` with
-        ``(a.b)_{i jbar k lbar} = a_{i jbar} b_{k lbar} + a_{i lbar} b_{k jbar}``
-        (Bryant, "Bochner-Kähler metrics", J. AMS 14, 2001, section 1).
-        """
-        g, s, m = self.metric.matrix, self.ricci.matrix, self.m
-
-        def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.einsum("ij,kl->ijkl", a, b) + np.einsum("il,kj->ijkl", a, b)
-
-        tensor = (
-            self.curvature.tensor
-            - (dot(g, s) + dot(s, g)) / (m + 2)
-            + self.tau * dot(g, g) / (2.0 * (m + 1) * (m + 2))
-        )
-        return ComplexCurvature(tensor=tensor)
-
-
-def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
-    """Evaluate metric, curvature, Ricci and scalar curvature at ``p``,
-    from one run of the chart's jet tape."""
-    p = manifold.require_in_domain(p)
-    jets = manifold.jets(p)
-    metric = geo.metric_at(manifold, p, jets)
-    curvature = geo.curvature_at(manifold, p, metric, jets)
-    ricci = geo.ricci_at(manifold, p, metric, curvature, jets)
-    tau = geo.scalar_curvature_at(manifold, p, ricci)
-    return PointData(
-        manifold=manifold,
-        point=p,
-        metric=metric,
-        curvature=curvature,
-        ricci=ricci,
-        tau=tau,
-        jets=jets,
-    )
 
 
 def _ricci_block(
@@ -231,20 +167,17 @@ def hsc_spread(values: Sequence[float], pds: Sequence[PointData]) -> tuple[float
     at the points of ``pds``.
 
     The spread is ``(max - min) / max(|mean|, floor)``.  The floor is the
-    largest ``geometry.curvature_term_scale`` over the points: the size of
-    the two terms of R that cancel, which sets the round-off in every value.
-    On a flat chart the mean is itself round-off, so dividing by it alone
-    would turn round-off into an O(1) spread.
+    largest ``PointData.term_scale`` over the points: the size of the two
+    terms of R that cancel, which sets the round-off in every value.  On a
+    flat chart the mean is itself round-off, so dividing by it alone would
+    turn round-off into an O(1) spread.
     """
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     width = float(arr.max() - arr.min())
     if width == 0.0:
         return mean, 0.0
-    floor = max(
-        geo.curvature_term_scale(pd.manifold, pd.point, pd.metric, pd.jets) for pd in pds
-    )
-    return mean, width / max(abs(mean), floor)
+    return mean, width / max(abs(mean), max(pd.term_scale for pd in pds))
 
 
 # --------------------------------------------------------------------------

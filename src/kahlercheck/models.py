@@ -23,12 +23,13 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import expr as ex
 from .expr import Expr
-from .geometry import ChartDomain, KahlerManifold, ball, polydisc
+from .geometry import ChartDomain, KahlerManifold, ball
 from .invariants import MANIFOLD_CHECKS
-from .submanifold import Immersion, box
+from .submanifold import Immersion, ParameterBox, box
 
 
 class ModelError(ValueError):
@@ -119,8 +120,6 @@ class ModelDescriptor:
 
     uri: str
     expectations: dict[str, bool]
-    bochner_flat: bool
-    einstein: bool
     hsc_sign: int  # -1, 0, +1; meaningful when constant-HSC
 
     def __post_init__(self):
@@ -137,22 +136,16 @@ def builtin_descriptors() -> list[ModelDescriptor]:
         ModelDescriptor(
             uri="builtin:flat:3",
             expectations=table(True),
-            bochner_flat=True,
-            einstein=True,
             hsc_sign=0,
         ),
         ModelDescriptor(
             uri="builtin:fs:3",
             expectations=table(True),
-            bochner_flat=True,
-            einstein=True,
             hsc_sign=+1,
         ),
         ModelDescriptor(
             uri="builtin:chyp:3",
             expectations=table(True),
-            bochner_flat=True,
-            einstein=True,
             hsc_sign=-1,
         ),
         ModelDescriptor(
@@ -161,8 +154,6 @@ def builtin_descriptors() -> list[ModelDescriptor]:
             # decomposition of R and passes on every manifold; all genuine
             # flatness checks fail.
             expectations=table(False),
-            bochner_flat=False,
-            einstein=False,
             hsc_sign=+1,
         ),
     ]
@@ -309,43 +300,57 @@ def builtin_immersion(name: str) -> Immersion:
 # --------------------------------------------------------------------------
 
 
-def _parse_kv(text: str, path: str) -> dict[str, str]:
+def _parse_kv(text: str, path: str) -> tuple[dict[str, str], dict[str, str]]:
+    """The entries of a spec file, and the ``path:line`` of each key."""
     entries: dict[str, str] = {}
+    where: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ModelError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
-        entries[key.strip()] = value
-    return entries
+        entries[key] = value
+        where[key] = f"{path}:{lineno}"
+    return entries, where
 
 
-def _parse_domain(value: str, m: int, path: str) -> ChartDomain:
-    parts = value.split()
-    if parts and parts[0] == "ball" and len(parts) == 2:
-        return ball(float(parts[1]))
-    if parts and parts[0] == "polydisc" and len(parts) == m + 1:
-        return polydisc(*(float(p) for p in parts[1:]))
-    raise ModelError(
-        f"{path}: domain must be 'ball <radius>' or 'polydisc <r1> ... <r{m}>'"
-    )
+def _require_keys(
+    where: dict[str, str], path: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> None:
+    known = (*required, *optional)
+    for key in where:
+        if key not in known:
+            raise ModelError(f"{where[key]}: unknown key {key!r} (known: {', '.join(known)})")
+    for key in required:
+        if key not in where:
+            raise ModelError(f"{path}: missing '{key}'")
+
+
+def _read(entries: dict[str, str], where: dict[str, str], key: str, parse: Callable, *args):
+    """``parse(entries[key], *args)``; a ValueError from it names the key's line."""
+    try:
+        return parse(entries[key], *args)
+    except ValueError as err:
+        raise ModelError(f"{where[key]}: {key}: {err}") from None
+
+
+def _parse_domain(value: str, m: int) -> ChartDomain:
+    kind, *radii = value.split() or [""]
+    if (kind, len(radii)) not in (("ball", 1), ("polydisc", m)):
+        raise ValueError(f"must be 'ball <radius>' or 'polydisc <r1> ... <r{m}>'")
+    return ChartDomain(kind, tuple(float(r) for r in radii))
 
 
 def parse_manifold_spec(text: str, path: str = "<text>") -> KahlerManifold:
-    entries = _parse_kv(text, path)
-    for key in ("dimension", "potential"):
-        if key not in entries:
-            raise ModelError(f"{path}: missing '{key}'")
-    m = _require_dim(entries["dimension"])
+    entries, where = _parse_kv(text, path)
+    _require_keys(where, path, ("dimension", "potential"), ("domain",))
+    m = _read(entries, where, "dimension", _require_dim)
     potential = ex.parse_expression(entries["potential"], m, ("z", "zb"))
-    domain = (
-        _parse_domain(entries["domain"], m, path) if "domain" in entries else ball(1.0)
-    )
+    domain = _read(entries, where, "domain", _parse_domain, m) if "domain" in entries else ball(1.0)
     return KahlerManifold(m, potential, domain, name=path)
 
 
@@ -357,29 +362,29 @@ def load_manifold(source: str) -> KahlerManifold:
     return parse_manifold_spec(path.read_text(), str(path))
 
 
+def _parse_box(value: str, n: int) -> ParameterBox:
+    kind, *bounds = value.split() or [""]
+    if kind != "box" or len(bounds) != 2 * n:
+        raise ValueError(f"must be 'box lo1 hi1 ... lo{n} hi{n}'")
+    return box(*(float(b) for b in bounds))
+
+
 def parse_immersion_spec(text: str, path: str = "<text>") -> Immersion:
-    entries = _parse_kv(text, path)
-    for key in ("ambient", "parameters", "domain"):
-        if key not in entries:
-            raise ModelError(f"{path}: missing '{key}'")
+    entries, where = _parse_kv(text, path)
+    if "ambient" not in entries:
+        raise ModelError(f"{path}: missing 'ambient'")
     ambient_src = entries["ambient"]
     if not ambient_src.startswith("builtin:") and path != "<text>":
         candidate = Path(path).parent / ambient_src
         if candidate.exists():
             ambient_src = str(candidate)
     ambient = load_manifold(ambient_src)
-    n = _require_dim(entries["parameters"])
-    components = []
-    for k in range(1, ambient.m + 1):
-        key = f"component{k}"
-        if key not in entries:
-            raise ModelError(f"{path}: missing '{key}'")
-        components.append(ex.parse_expression(entries[key], n, ("u",)))
-    parts = entries["domain"].split()
-    if len(parts) != 2 * n + 1 or parts[0] != "box":
-        raise ModelError(f"{path}: domain must be 'box lo1 hi1 ... lo{n} hi{n}'")
-    bounds = [float(p) for p in parts[1:]]
-    return Immersion(ambient, n, components, box(*bounds), name=path)
+    components = [f"component{k}" for k in range(1, ambient.m + 1)]
+    _require_keys(where, path, ("ambient", "parameters", "domain", *components))
+    n = _read(entries, where, "parameters", _require_dim)
+    expressions = [ex.parse_expression(entries[key], n, ("u",)) for key in components]
+    domain = _read(entries, where, "domain", _parse_box, n)
+    return Immersion(ambient, n, expressions, domain, name=path)
 
 
 def load_immersion(source: str) -> Immersion:

@@ -58,10 +58,10 @@ class ParameterBox:
     hi: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi) or any(
-            l >= h for l, h in zip(self.lo, self.hi)
+        if len(self.lo) != len(self.hi) or not all(
+            -math.inf < l < h < math.inf for l, h in zip(self.lo, self.hi)
         ):
-            raise ValueError("parameter box bounds must satisfy lo < hi componentwise")
+            raise ValueError("parameter box bounds must be finite with lo < hi componentwise")
 
     @property
     def n(self) -> int:
@@ -123,7 +123,7 @@ class Immersion:
         d2f = [dag.derivative(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
         # One tape for f, df and d2f in that order; value and jacobian run a prefix.
         self.tape = dag.tape(f + df + d2f)
-        self._jet_shapes = ((m,), (n, m), (n, n, m))
+        self._jets = geo.jet_layout(((m,), (n, m), (n, n, m)))
 
     def assignment(self, u: Sequence[float]) -> dict[Var, complex]:
         return {Var(U, a + 1): complex(val) for a, val in enumerate(u)}
@@ -144,15 +144,12 @@ class Immersion:
         ``f`` has shape (m,) and is checked against the ambient chart domain;
         ``df[a] = df/du_a`` has shape (n, m) and ``d2f[a, b]`` shape (n, n, m).
         """
-        shapes = self._jet_shapes[:blocks]
-        sizes = [math.prod(s) for s in shapes]
-        values = np.array(self.tape.run(self.assignment(u), sum(sizes)))
-        if not self.ambient.domain.contains(values[: self.ambient.m]):
+        jets = geo.run_jets(self.tape, self.assignment(u), self._jets[:blocks])
+        if not self.ambient.domain.contains(jets[0]):
             raise DomainError(
                 f"immersion leaves the ambient chart domain at u={np.asarray(u)}"
             )
-        parts = np.split(values, np.cumsum(sizes)[:-1])
-        return [part.reshape(s) for part, s in zip(parts, shapes)]
+        return jets
 
     def value(self, u: Sequence[float]) -> np.ndarray:
         """Chart coordinates f(u); checked against the ambient chart domain."""
@@ -189,6 +186,7 @@ class _State:
     induced: np.ndarray  # (n, n) real
     induced_inv: np.ndarray
     gamma: np.ndarray  # ambient Christoffel, (m, m, m)
+    jets: list[np.ndarray]  # ambient (g, dg, dgb, d2g) at the point
 
 
 _RANK_TOL = 1e-8
@@ -197,8 +195,8 @@ _RANK_TOL = 1e-8
 def _state(imm: Immersion, u: Sequence[float]) -> _State:
     u = imm.require_in_box(u)
     point, v, d2f = imm.jets(u)
-    jets = imm.ambient.jets(point, 2)
-    metric = geo.metric_at(imm.ambient, point, jets)
+    jets = imm.ambient.jets(point)
+    metric = geo.hermitian_metric(point, jets[0])
     jac_real = np.vstack([v.T.real, v.T.imag])
     smallest = float(np.linalg.svd(jac_real, compute_uv=False)[-1])
     if smallest < _RANK_TOL:
@@ -208,7 +206,6 @@ def _state(imm: Immersion, u: Sequence[float]) -> _State:
         )
     ghat = 2.0 * np.real(v @ metric.matrix @ v.conj().T)
     ghat = 0.5 * (ghat + ghat.T)
-    gamma = geo.christoffel_at(imm.ambient, point, metric, jets).gamma
     return _State(
         imm=imm,
         u=u,
@@ -218,7 +215,8 @@ def _state(imm: Immersion, u: Sequence[float]) -> _State:
         d2f=d2f,
         induced=ghat,
         induced_inv=np.linalg.inv(ghat),
-        gamma=gamma,
+        gamma=geo.christoffel_symbols(metric, jets[1]).gamma,
+        jets=jets,
     )
 
 
@@ -407,8 +405,9 @@ def _stencil(st: _State, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:, :-1].reshape(n, n, n, -1), out[:, -1]
 
 
-def _codazzi_lhs(st: _State, curv: geo.ComplexCurvature) -> np.ndarray:
+def _codazzi_lhs(st: _State) -> np.ndarray:
     """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
+    curv = geo.curvature_tensor(st.point, st.metric, st.jets)
     x, y, z = (RealTangentVector(np.expand_dims(st.tangents, a)) for a in ((1, 2), (0, 2), (0, 1)))
     return _normal_part(st, geo.curvature_operator(curv, st.metric, x, y, z))
 
@@ -418,7 +417,6 @@ def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     st = _state(imm, u)
     alpha = _second_fundamental_form(st)
     d_alpha, _ = _stencil(st, alpha)
-    curv = geo.curvature_at(imm.ambient, st.point, st.metric)
     # conn[x, y, e]: coefficients of nabla_{T_x} T_y in the tangent basis
     conn = _tangential_coeffs(st, _second_derivative_vectors(st))
     dbar = (
@@ -427,7 +425,7 @@ def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
         - np.einsum("xze,yek->xyzk", conn, alpha)
     )
     rhs = dbar - dbar.transpose(1, 0, 2, 3)
-    return st.metric.norm(RealTangentVector(_codazzi_lhs(st, curv) - rhs))
+    return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
 
 def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -441,11 +439,10 @@ def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
             f"(residual {resid:.3e}); reduced Codazzi not computed"
         )
     _, d_h = _stencil(st, alpha)
-    curv = geo.curvature_at(imm.ambient, st.point, st.metric)
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
     rhs = np.einsum("bc,ak->abck", st.induced, d_h)
     rhs = rhs - rhs.transpose(1, 0, 2, 3)
-    return st.metric.norm(RealTangentVector(_codazzi_lhs(st, curv) - rhs))
+    return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
 
 def _worst_triple(residuals: np.ndarray) -> float:
@@ -487,8 +484,11 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     """max ||D_{T_a} H|| over sampled parameter points and all directions.
 
     Zero (at finite-difference fidelity) exactly when the mean curvature
-    vector is parallel in the normal connection.
+    vector is parallel in the normal connection.  Raises ``ValueError``
+    unless ``points`` is at least 1.
     """
+    if points < 1:
+        raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
     return max(parallel_h_residual_at(imm, imm.domain.sample(rng)) for _ in range(points))
 
 

@@ -31,7 +31,7 @@ def test_criterion_1_oracle_equivalence(flat2, fs2, fs3, chyp2):
         for _ in range(5):
             p = manifold.sample_point(rng)
             gm = geo.metric_at(manifold, p)
-            rc = geo.curvature_at(manifold, p, gm)
+            rc = geo.curvature_at(manifold, p)
             riem = riemann_tensor_fd(manifold, real_point(manifold, p))
             for _ in range(50):
                 vecs = [
@@ -253,7 +253,7 @@ def test_criterion_9_orthogonal_curvature_scenario():
     u = linear.domain.sample(rng)
     point = linear.value(u)
     gm = geo.metric_at(linear.ambient, point)
-    rc = geo.curvature_at(linear.ambient, point, gm)
+    rc = geo.curvature_at(linear.ambient, point)
     # x, y, Jx, Jy span the tangent plane; z is normal.
     x = geo.tangent([1, 0, 0])
     y = geo.tangent([0, 1, 0])

@@ -135,18 +135,20 @@ def test_codazzi_check_on_builtin_sphere():
 def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     # linear-flat3 has n = 4 parameters, so 4n + 1 = 17 states: the centre
     # and a four-point Richardson stencil per direction, shared by every
-    # index triple.  The ambient curvature is evaluated once per point.
-    states, curvatures = [], []
-    real_state, real_curvature = sub._state, geo.curvature_at
+    # index triple.  The ambient curvature is evaluated once per point, from
+    # the jets of the centre state, so the ambient tape runs once per state.
+    imm = models.load_immersion("builtin:linear-flat3")
+    states, curvatures, runs = [], [], []
+    real_state, real_curvature, real_run = sub._state, geo.curvature_tensor, ex.Tape.run
     monkeypatch.setattr(sub, "_state", lambda *a: states.append(a) or real_state(*a))
-    monkeypatch.setattr(geo, "curvature_at", lambda *a: curvatures.append(a) or real_curvature(*a))
+    monkeypatch.setattr(geo, "curvature_tensor", lambda *a: curvatures.append(a) or real_curvature(*a))
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     points = 2
-    cfg = RunConfig(
-        manifold=None, check=check, immersion="builtin:linear-flat3", points=points, seed=3
-    )
-    assert run_check(cfg).passed
+    cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=points, seed=3)
+    assert cli._run_loaded(cfg, imm).passed
     assert len(states) <= 17 * points
     assert len(curvatures) == (points if check.startswith("codazzi") else 0)
+    assert sum(tape is imm.ambient.tape for tape in runs) == len(states)
 
 
 def test_parallel_h_check_fails_on_ellipsoid():

@@ -95,7 +95,7 @@ def test_christoffel_against_finite_differences():
     m = _fs1()
     p = np.array([0.5 + 0j])
     gm = geo.metric_at(m, p)
-    c = geo.christoffel_at(m, p, gm)
+    c = geo.christoffel_at(m, p)
 
     def g_entry(value):
         return m.metric_matrix(np.array([value]))[0, 0]
@@ -139,7 +139,7 @@ def test_curvature_tensor_symmetries(fs3, chyp2, rng):
 def test_real_curvature_identities(fs3, rng):
     p = fs3.sample_point(rng)
     gm = geo.metric_at(fs3, p)
-    rc = geo.curvature_at(fs3, p, gm)
+    rc = geo.curvature_at(fs3, p)
     for _ in range(10):
         x, y, z, u = (geo.random_unit_tangent(gm, 3, rng) for _ in range(4))
         r = geo.real_curvature
@@ -163,7 +163,7 @@ def test_real_curvature_flat_zero(flat2, rng):
 def test_curvature_operator_consistent_with_quadrilinear(fs2, rng):
     p = fs2.sample_point(rng)
     gm = geo.metric_at(fs2, p)
-    rc = geo.curvature_at(fs2, p, gm)
+    rc = geo.curvature_at(fs2, p)
     for _ in range(5):
         x, y, z, u = (geo.random_unit_tangent(gm, 2, rng) for _ in range(4))
         op = geo.curvature_operator(rc, gm, x, y, z)
@@ -174,7 +174,7 @@ def test_curvature_operator_consistent_with_quadrilinear(fs2, rng):
 def test_fs2_against_oracle_single_quadruple(fs2, rng):
     p = fs2.sample_point(rng)
     gm = geo.metric_at(fs2, p)
-    rc = geo.curvature_at(fs2, p, gm)
+    rc = geo.curvature_at(fs2, p)
     riem = riemann_tensor_fd(fs2, real_point(fs2, p))
     e1 = geo.tangent([1.0, 0.0])
     quads = [
@@ -297,7 +297,7 @@ def _random_real_orthonormal_basis(metric, m, rng):
 def test_scalar_curvature_basis_independent(fs2, rng):
     p = fs2.sample_point(rng)
     ric = geo.ricci_at(fs2, p)
-    tau = geo.scalar_curvature_at(fs2, p, ric)
+    tau = geo.scalar_curvature_at(fs2, p)
     for _ in range(5):
         basis = _random_real_orthonormal_basis(ric.metric, 2, rng)
         trace = sum(ric(e, e) for e in basis)

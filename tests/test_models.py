@@ -199,6 +199,14 @@ def test_manifold_file_polydisc(tmp_path):
         ("dimension = 1\ndomain = ball 1", "missing 'potential'"),
         ("dimension = 1\npotential = \"z1*zb1\"\ndomain = cube 1", "domain"),
         ("dimension = 1\npotential = \"z1*zb1\"\nbad line\n", "key = value"),
+        (
+            "dimension = 1\npotential = \"z1*zb1\"\ndomian = ball 0.3",
+            r"<test>:3: unknown key 'domian' \(known: dimension, potential, domain\)",
+        ),
+        ("dimension = 1\npotential = \"z1*zb1\"\ndomain = ball abc", "<test>:3: domain: could not convert"),
+        ("dimension = 1\npotential = \"z1*zb1\"\ndomain = ball -1", "<test>:3: domain: .* positive"),
+        ("dimension = 2\npotential = \"z1*zb1\"\ndomain = polydisc 1 nan", "<test>:3: domain: .* finite"),
+        ("dimension = x\npotential = \"z1*zb1\"", "<test>:1: dimension: invalid dimension"),
     ],
 )
 def test_manifold_file_errors(text, match):
@@ -243,6 +251,21 @@ def test_immersion_file_missing_component():
     )
     with pytest.raises(ModelError, match="component2"):
         models.parse_immersion_spec(text)
+
+
+@pytest.mark.parametrize(
+    "lineno,line,match",
+    [
+        (4, 'componnet2 = "0"', r"<test>:4: unknown key 'componnet2' \(known: .*component1, component2\)"),
+        (5, "domain = box a 1", "<test>:5: domain: could not convert"),
+        (5, "domain = box 1 -1", "<test>:5: domain: .*lo < hi"),
+    ],
+)
+def test_immersion_file_errors(lineno, line, match):
+    lines = ["ambient = builtin:flat:2", "parameters = 1", 'component1 = "u1"', 'component2 = "0"', "domain = box -1 1"]
+    lines[lineno - 1] = line
+    with pytest.raises(ModelError, match=match):
+        models.parse_immersion_spec("\n".join(lines), "<test>")
 
 
 def test_manifold_checks_are_the_keys_of_one_table():

@@ -397,6 +397,11 @@ def test_parallel_h_fails_on_ellipsoid(ellipsoid, rng):
     assert sub.parallel_h_check(ellipsoid, 3, rng) > 1e-3
 
 
+def test_parallel_h_check_rejects_zero_points_by_name(sphere, rng):
+    with pytest.raises(ValueError, match="points >= 1, got 0"):
+        sub.parallel_h_check(sphere, 0, rng)
+
+
 def test_parallel_h_cylinder(cylinder, rng):
     # Circle times line has constant |H| and parallel mean curvature.
     assert sub.parallel_h_check(cylinder, 2, rng) < 1e-5
