@@ -60,6 +60,9 @@ class FrameError(GeometryError):
     """Requested frame does not exist or could not be orthonormalized."""
 
 
+_SAMPLE_MARGIN = 0.1  # share of the radius that sampled points keep clear of the boundary
+
+
 @dataclass(frozen=True)
 class ChartDomain:
     """Ball of given radius or polydisc, centered at the origin."""
@@ -73,25 +76,23 @@ class ChartDomain:
         if not all(0 < r < math.inf for r in self.radii):
             raise ValueError("domain radii must be positive and finite")
 
-    def contains(self, p: Sequence[complex], margin: float = 0.0) -> bool:
+    def contains(self, p: Sequence[complex]) -> bool:
         p = np.asarray(p, dtype=complex)
         if self.kind == "ball":
-            return float(np.linalg.norm(p)) <= self.radii[0] * (1.0 - margin) + 1e-12
-        return bool(
-            np.all(np.abs(p) <= np.array(self.radii) * (1.0 - margin) + 1e-12)
-        )
+            return float(np.linalg.norm(p)) <= self.radii[0] + 1e-12
+        return bool(np.all(np.abs(p) <= np.array(self.radii) + 1e-12))
 
-    def sample_point(self, rng: np.random.Generator, dimension: int, margin: float = 0.1) -> ChartPoint:
-        """Uniform draw from the domain shrunk by ``margin`` of its radius."""
+    def sample_point(self, rng: np.random.Generator, dimension: int) -> ChartPoint:
+        """Uniform draw from the domain shrunk by ``_SAMPLE_MARGIN`` of its radius."""
         if self.kind == "ball":
             direction = rng.normal(size=2 * dimension)
             direction /= np.linalg.norm(direction)
-            radius = self.radii[0] * (1.0 - margin) * rng.random() ** (1.0 / (2 * dimension))
+            radius = self.radii[0] * (1.0 - _SAMPLE_MARGIN) * rng.random() ** (1.0 / (2 * dimension))
             x = direction * radius
             return x[:dimension] + 1j * x[dimension:]
         coords = []
         for r in self.radii:
-            rho = r * (1.0 - margin) * math.sqrt(rng.random())
+            rho = r * (1.0 - _SAMPLE_MARGIN) * math.sqrt(rng.random())
             theta = 2 * math.pi * rng.random()
             coords.append(rho * complex(math.cos(theta), math.sin(theta)))
         return np.array(coords, dtype=complex)
@@ -198,8 +199,9 @@ class KahlerManifold:
     reality on sampled points) and differentiates it once into a shared
     DAG: ``g``, its first derivatives in both kinds, and the mixed second
     derivatives needed for curvature.  ``tape`` evaluates them all, in that
-    order, so a prefix of it yields the metric alone.  Instances are
-    immutable afterwards and safe to evaluate concurrently.
+    order, so a prefix of it yields the metric alone.  ``immersion_tape`` adds
+    ``ddg`` for the immersion checks and is built from the same DAG on first
+    use; nothing else about an instance changes after construction.
     """
 
     def __init__(
@@ -234,8 +236,15 @@ class KahlerManifold:
         dgb = [d(g[i * m + j], zbs[b]) for b in r for i in r for j in r]
         # d2g[i][j][k][l] = d_{z_i} d_{zb_j} g_{k lbar}
         d2g = [d(dg[(i * m + k) * m + l], zbs[j]) for i in r for j in r for k in r for l in r]
-        self.tape = dag.tape(g + dg + dgb + d2g)
-        self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m)))
+        self._dag, self._roots, self._dg = dag, g + dg + dgb + d2g, dg
+        self.tape = dag.tape(self._roots)
+        self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)))
+
+    @cached_property
+    def immersion_tape(self) -> ex.Tape:
+        """``tape`` followed by ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``."""
+        zs = [Var(Z, a + 1) for a in range(self.m)]
+        return self._dag.tape(self._roots + [self._dag.derivative(d, z) for z in zs for d in self._dg])
 
     def _check_reality(self):
         rng = np.random.default_rng(1811)
@@ -268,18 +277,20 @@ class KahlerManifold:
             raise DomainError(f"point {p} outside chart domain {self.domain}")
         return p
 
-    def sample_point(self, rng: np.random.Generator, margin: float = 0.1) -> ChartPoint:
-        return self.domain.sample_point(rng, self.m, margin)
+    def sample_point(self, rng: np.random.Generator) -> ChartPoint:
+        return self.domain.sample_point(rng, self.m)
 
     def jets(self, p: Sequence[complex], blocks: int = 4) -> list[np.ndarray]:
-        """The first ``blocks`` of ``(g, dg, dgb, d2g)`` at ``p``, without validation.
+        """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` at ``p``, without validation.
 
-        One run of the tape prefix those blocks need.  Index order:
-        ``g[i, j] = g_{i jbar}``, ``dg[a, i, j] = d_{z_a} g_{i jbar}``,
-        ``dgb[b, i, j] = d_{zb_b} g_{i jbar}`` and
-        ``d2g[i, j, k, l] = d_{z_i} d_{zb_j} g_{k lbar}``.
+        One run of the tape prefix those blocks need; the fifth block runs
+        ``immersion_tape``.  Index order: ``g[i, j] = g_{i jbar}``,
+        ``dg[a, i, j] = d_{z_a} g_{i jbar}``, ``dgb[b, i, j] = d_{zb_b} g_{i jbar}``,
+        ``d2g[i, j, k, l] = d_{z_i} d_{zb_j} g_{k lbar}`` and
+        ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``.
         """
-        return run_jets(self.tape, self.assignment(p), self._jets[:blocks])
+        tape = self.immersion_tape if blocks > 4 else self.tape
+        return run_jets(tape, self.assignment(p), self._jets[:blocks])
 
     # Raw metric (no validation); used by metric_at and the finite-difference
     # oracle, which run only the g prefix of the tape.

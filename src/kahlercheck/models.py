@@ -331,10 +331,10 @@ def _require_keys(
 
 
 def _read(entries: dict[str, str], where: dict[str, str], key: str, parse: Callable, *args):
-    """``parse(entries[key], *args)``; a ValueError from it names the key's line."""
+    """``parse(entries[key], *args)``; a ValueError or ExprError from it names the key's line."""
     try:
         return parse(entries[key], *args)
-    except ValueError as err:
+    except (ValueError, ex.ExprError) as err:
         raise ModelError(f"{where[key]}: {key}: {err}") from None
 
 
@@ -349,7 +349,7 @@ def parse_manifold_spec(text: str, path: str = "<text>") -> KahlerManifold:
     entries, where = _parse_kv(text, path)
     _require_keys(where, path, ("dimension", "potential"), ("domain",))
     m = _read(entries, where, "dimension", _require_dim)
-    potential = ex.parse_expression(entries["potential"], m, ("z", "zb"))
+    potential = _read(entries, where, "potential", ex.parse_expression, m, ("z", "zb"))
     domain = _read(entries, where, "domain", _parse_domain, m) if "domain" in entries else ball(1.0)
     return KahlerManifold(m, potential, domain, name=path)
 
@@ -382,7 +382,7 @@ def parse_immersion_spec(text: str, path: str = "<text>") -> Immersion:
     components = [f"component{k}" for k in range(1, ambient.m + 1)]
     _require_keys(where, path, ("ambient", "parameters", "domain", *components))
     n = _read(entries, where, "parameters", _require_dim)
-    expressions = [ex.parse_expression(entries[key], n, ("u",)) for key in components]
+    expressions = [_read(entries, where, key, ex.parse_expression, n, ("u",)) for key in components]
     domain = _read(entries, where, "domain", _parse_box, n)
     return Immersion(ambient, n, expressions, domain, name=path)
 

@@ -4,19 +4,16 @@ curvature, Weingarten split, Codazzi residuals and parallelism checks.
 An immersion maps a real n-dimensional parameter box into a manifold chart;
 its components are symbolic expressions in the real parameters ``u_1..u_n``
 (complex constants allowed).  First and second parameter derivatives of the
-immersion are symbolic, and one run of the immersion's tape gives f, df and
-d2f at a parameter point; derivatives of derived fields along the
-submanifold (second fundamental form, mean curvature) use central finite
-differences with one Richardson step, followed by the appropriate
-projection.  One stencil of 4n states around a parameter point differences
-all of alpha and H at once and serves every index triple and direction of
-the checks.
+immersion are symbolic up to third order, and one run of the immersion's
+tape gives f, df, d2f and d3f at a parameter point.  The derivatives of
+derived fields along the submanifold (second fundamental form, mean
+curvature) are closed forms in these jets and in the ambient metric jets up
+to ``ddg``, so they are exact to round-off and need no room around the point.
 
 Projections onto tangent and normal spaces are orthogonal projections with
-respect to the ambient metric and never require a choice of normal frame,
-so finite-difference stencils see smooth fields.  They act on vectors
-stacked along the last axis, and the Codazzi residuals of all index triples
-at a point come back as one (n, n, n) array.
+respect to the ambient metric and never require a choice of normal frame.
+They act on vectors stacked along the last axis, and the Codazzi residuals
+of all index triples at a point come back as one (n, n, n) array.
 
 ``CHECKS`` maps each immersion check to its residual at one parameter point.
 """
@@ -33,7 +30,6 @@ from . import expr as ex
 from . import geometry as geo
 from .expr import Expr, Var, U
 from .geometry import DomainError, HermitianMetric, KahlerManifold, RealTangentVector
-from .oracle import richardson_derivative
 
 
 class RankError(Exception):
@@ -49,7 +45,10 @@ class NotUmbilicalError(Exception):
 
 
 class ParameterDomainError(Exception):
-    """Parameter point outside the box, or no room for the stencil."""
+    """Parameter point of the wrong shape or outside the box."""
+
+
+_SAMPLE_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -67,17 +66,15 @@ class ParameterBox:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains(self, u: Sequence[float], margin: float = 0.0) -> bool:
+    def contains(self, u: Sequence[float]) -> bool:
         u = np.asarray(u, dtype=float)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        pad = margin * (hi - lo)
-        return bool(np.all(u >= lo + pad - 1e-12) and np.all(u <= hi - pad + 1e-12))
+        return bool(np.all(u >= np.asarray(self.lo) - 1e-12) and np.all(u <= np.asarray(self.hi) + 1e-12))
 
-    def sample(self, rng: np.random.Generator, margin: float = 0.05) -> np.ndarray:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Uniform draw from the box shrunk by ``_SAMPLE_MARGIN`` of each side."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        pad = margin * (hi - lo)
+        pad = _SAMPLE_MARGIN * (hi - lo)
         return lo + pad + (hi - lo - 2 * pad) * rng.random(self.n)
 
 
@@ -121,9 +118,10 @@ class Immersion:
         f = [dag.fold(c) for c in components]
         df = [dag.derivative(f[i], us[a]) for a in range(n) for i in range(m)]
         d2f = [dag.derivative(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
-        # One tape for f, df and d2f in that order; value and jacobian run a prefix.
-        self.tape = dag.tape(f + df + d2f)
-        self._jets = geo.jet_layout(((m,), (n, m), (n, n, m)))
+        d3f = [dag.derivative(d, us[x]) for x in range(n) for d in d2f]
+        # One tape for f, df, d2f and d3f in that order; value and jacobian run a prefix.
+        self.tape = dag.tape(f + df + d2f + d3f)
+        self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))
 
     def assignment(self, u: Sequence[float]) -> dict[Var, complex]:
         return {Var(U, a + 1): complex(val) for a, val in enumerate(u)}
@@ -138,11 +136,12 @@ class Immersion:
             raise ParameterDomainError(f"parameter point {u} outside the box")
         return u
 
-    def jets(self, u: Sequence[float], blocks: int = 3) -> list[np.ndarray]:
-        """The first ``blocks`` of ``(f, df, d2f)`` at ``u``, from one tape run.
+    def jets(self, u: Sequence[float], blocks: int = 4) -> list[np.ndarray]:
+        """The first ``blocks`` of ``(f, df, d2f, d3f)`` at ``u``, from one tape run.
 
         ``f`` has shape (m,) and is checked against the ambient chart domain;
-        ``df[a] = df/du_a`` has shape (n, m) and ``d2f[a, b]`` shape (n, n, m).
+        ``df[a] = df/du_a`` has shape (n, m), ``d2f[a, b]`` shape (n, n, m)
+        and ``d3f[x, a, b] = d/du_x d2f[a, b]`` shape (n, n, n, m).
         """
         jets = geo.run_jets(self.tape, self.assignment(u), self._jets[:blocks])
         if not self.ambient.domain.contains(jets[0]):
@@ -158,10 +157,6 @@ class Immersion:
     def jacobian(self, u: Sequence[float]) -> np.ndarray:
         """Tangent representatives T_a = df/du_a as rows, shape (n, m)."""
         return self.jets(u, 2)[1]
-
-    def hessian(self, u: Sequence[float]) -> np.ndarray:
-        """Second parameter derivatives, shape (n, n, m)."""
-        return self.jets(u)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +178,11 @@ class _State:
     metric: HermitianMetric
     tangents: np.ndarray  # (n, m) complex rows
     d2f: np.ndarray  # (n, n, m) second parameter derivatives
+    d3f: np.ndarray  # (n, n, n, m) third parameter derivatives
     induced: np.ndarray  # (n, n) real
     induced_inv: np.ndarray
     gamma: np.ndarray  # ambient Christoffel, (m, m, m)
-    jets: list[np.ndarray]  # ambient (g, dg, dgb, d2g) at the point
+    jets: list[np.ndarray]  # ambient (g, dg, dgb, d2g, ddg) at the point
 
 
 _RANK_TOL = 1e-8
@@ -194,8 +190,8 @@ _RANK_TOL = 1e-8
 
 def _state(imm: Immersion, u: Sequence[float]) -> _State:
     u = imm.require_in_box(u)
-    point, v, d2f = imm.jets(u)
-    jets = imm.ambient.jets(point)
+    point, v, d2f, d3f = imm.jets(u)
+    jets = imm.ambient.jets(point, 5)
     metric = geo.hermitian_metric(point, jets[0])
     jac_real = np.vstack([v.T.real, v.T.imag])
     smallest = float(np.linalg.svd(jac_real, compute_uv=False)[-1])
@@ -213,6 +209,7 @@ def _state(imm: Immersion, u: Sequence[float]) -> _State:
         metric=metric,
         tangents=v,
         d2f=d2f,
+        d3f=d3f,
         induced=ghat,
         induced_inv=np.linalg.inv(ghat),
         gamma=geo.christoffel_symbols(metric, jets[1]).gamma,
@@ -368,46 +365,45 @@ def weingarten_split(
     )
 
 
-_FD_STEP = 1e-5
 _UMBILICAL_TOL = 1e-6
 
 
-def _fields(st: _State, alpha: np.ndarray) -> np.ndarray:
-    """The vectors alpha(T_y, T_z), row y * n + z, then H: shape (n * n + 1, m)."""
-    return np.vstack([alpha.reshape(-1, alpha.shape[-1]), _mean_curvature(st, alpha)])
-
-
-def _stencil(st: _State, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _derivatives(st: _State, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normal parts of ``D_x alpha(T_y, T_z)``, shape (n, n, n, m), and
-    ``D_x H``, shape (n, m), for every direction x.
+    ``D_x H``, shape (n, m), for every direction x, in closed form.
 
-    One Richardson stencil of four states per direction differences the
-    whole alpha tensor and H together; the ambient connection correction at
-    the centre and the normal projection then apply to the stacked vectors.
+    With ``w_yz = nabla_{T_y} T_z`` and ``conn`` its tangential coefficients,
+    ``P D_x alpha_yz = P[d_x w_yz + Gamma(T_x, alpha_yz) - conn_yza d2f_xa]``
+    for the normal projection P, since ``P T_a = 0`` and ``P (d_x P) P = 0``;
+    ``d_x w_yz`` differentiates d2f and the ambient Christoffel symbols
+    along ``T_x``.  Metric compatibility gives ``d_x ghat``, and so D_x H.
     """
-    imm, n = st.imm, st.imm.n
-
-    def fields_at(uu: np.ndarray) -> np.ndarray:
-        s = _state(imm, uu)
-        return _fields(s, _second_fundamental_form(s))
-
-    centre = _fields(st, alpha)
-    diffs = []
-    for x in range(n):
-        e = np.eye(n)[x]
-        if not all(imm.domain.contains(st.u + sign * _FD_STEP * e) for sign in (-1.0, 1.0)):
-            raise ParameterDomainError(
-                f"no room for the finite-difference stencil at u={st.u} in direction {x}"
-            )
-        diffs.append(richardson_derivative(lambda t: fields_at(st.u + t * e), _FD_STEP))
-    correction = np.einsum("kij,xi,rj->xrk", st.gamma, st.tangents, centre)
-    out = _normal_part(st, np.array(diffs) + correction)
-    return out[:, :-1].reshape(n, n, n, -1), out[:, -1]
+    _, dg, dgb, d2g, ddg = st.jets
+    ginv, gamma, t, d2f = st.metric.inverse, st.gamma, st.tangents, st.d2f
+    # d Gamma = g^-1 (d dg - (d g) Gamma) for d = d_{z_a} (s = 0) and d_{zb_a} (s = 1);
+    # along T_x, Gamma_x = d_{z_a} Gamma T_x^a + d_{zb_a} Gamma conj(T_x^a)
+    d2, d1 = np.stack([ddg, d2g.transpose(1, 0, 2, 3)]), np.stack([dg, dgb])
+    d_gamma = np.einsum("qk,saijq->sakij", ginv, d2 - np.einsum("sapq,pij->saijq", d1, gamma))
+    gamma_x = np.einsum("sxa,sakij->xkij", np.stack([t, t.conj()]), d_gamma)
+    conn = _tangential_coeffs(st, _second_derivative_vectors(st))
+    d_alpha = _normal_part(
+        st,
+        st.d3f
+        + np.einsum("xkij,yi,zj->xyzk", gamma_x, t, t)
+        + np.einsum("kij,xyi,zj->xyzk", gamma, d2f, t)
+        + np.einsum("kij,yi,xzj->xyzk", gamma, t, d2f)
+        + np.einsum("kij,xi,yzj->xyzk", gamma, t, alpha)
+        - np.einsum("yza,xak->xyzk", conn, d2f),
+    )
+    d_ghat = np.einsum("xya,az->xyz", conn, st.induced)
+    d_ghat_inv = -st.induced_inv @ (d_ghat + d_ghat.transpose(0, 2, 1)) @ st.induced_inv
+    d_h = np.einsum("xyz,yzk->xk", d_ghat_inv, alpha) + np.einsum("yz,xyzk->xk", st.induced_inv, d_alpha)
+    return d_alpha, d_h / st.imm.n
 
 
 def _codazzi_lhs(st: _State) -> np.ndarray:
     """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
-    curv = geo.curvature_tensor(st.point, st.metric, st.jets)
+    curv = geo.curvature_tensor(st.point, st.metric, st.jets[:4])
     x, y, z = (RealTangentVector(np.expand_dims(st.tangents, a)) for a in ((1, 2), (0, 2), (0, 1)))
     return _normal_part(st, geo.curvature_operator(curv, st.metric, x, y, z))
 
@@ -416,14 +412,11 @@ def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     """The Codazzi residual of every index triple (a, b, c) at ``u``, shape (n, n, n)."""
     st = _state(imm, u)
     alpha = _second_fundamental_form(st)
-    d_alpha, _ = _stencil(st, alpha)
-    # conn[x, y, e]: coefficients of nabla_{T_x} T_y in the tangent basis
+    d_alpha, _ = _derivatives(st, alpha)
+    # conn[x, z, e]: coefficients of nabla_{T_x} T_z in the tangent basis.  The
+    # term alpha(nabla_{T_x} T_y, T_z) is symmetric in (x, y) and cancels below.
     conn = _tangential_coeffs(st, _second_derivative_vectors(st))
-    dbar = (
-        d_alpha
-        - np.einsum("xye,ezk->xyzk", conn, alpha)
-        - np.einsum("xze,yek->xyzk", conn, alpha)
-    )
+    dbar = d_alpha - np.einsum("xze,yek->xyzk", conn, alpha)
     rhs = dbar - dbar.transpose(1, 0, 2, 3)
     return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
@@ -438,7 +431,7 @@ def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
             f"immersion is not totally umbilical at u={st.u} "
             f"(residual {resid:.3e}); reduced Codazzi not computed"
         )
-    _, d_h = _stencil(st, alpha)
+    _, d_h = _derivatives(st, alpha)
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
     rhs = np.einsum("bc,ak->abck", st.induced, d_h)
     rhs = rhs - rhs.transpose(1, 0, 2, 3)
@@ -456,9 +449,9 @@ def codazzi_residual_general(imm: Immersion, u: Sequence[float], a: int, b: int,
 
     ``{R(X,Y)Z}^perp = (nabla-bar_X alpha)(Y,Z) - (nabla-bar_Y alpha)(X,Z)``
     with ``(nabla-bar_X alpha)(Y,Z) = D_X alpha(Y,Z) - alpha(nabla_X Y, Z)
-    - alpha(Y, nabla_X Z)``.  D-derivatives use finite differences of the
-    alpha field followed by normal projection; the induced connection is the
-    tangential projection of the ambient one.
+    - alpha(Y, nabla_X Z)``.  D-derivatives are the exact ones of
+    ``_derivatives``; the induced connection is the tangential projection of
+    the ambient one.
     """
     return float(_codazzi_general(imm, u)[a, b, c])
 
@@ -476,16 +469,16 @@ def codazzi_residual_umbilical(imm: Immersion, u: Sequence[float], a: int, b: in
 def parallel_h_residual_at(imm: Immersion, u: Sequence[float]) -> float:
     """max over directions of ||D_{T_a} H|| at one parameter point."""
     st = _state(imm, u)
-    _, d_h = _stencil(st, _second_fundamental_form(st))
+    _, d_h = _derivatives(st, _second_fundamental_form(st))
     return float(np.max(st.metric.norm(RealTangentVector(d_h)), initial=0.0))
 
 
 def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> float:
     """max ||D_{T_a} H|| over sampled parameter points and all directions.
 
-    Zero (at finite-difference fidelity) exactly when the mean curvature
-    vector is parallel in the normal connection.  Raises ``ValueError``
-    unless ``points`` is at least 1.
+    Zero (to round-off) exactly when the mean curvature vector is parallel
+    in the normal connection.  Raises ``ValueError`` unless ``points`` is
+    at least 1.
     """
     if points < 1:
         raise ValueError(f"parallel_h_check needs points >= 1, got {points}")

@@ -133,10 +133,10 @@ def test_codazzi_check_on_builtin_sphere():
     "check", ["umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical"]
 )
 def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
-    # linear-flat3 has n = 4 parameters, so 4n + 1 = 17 states: the centre
-    # and a four-point Richardson stencil per direction, shared by every
-    # index triple.  The ambient curvature is evaluated once per point, from
-    # the jets of the centre state, so the ambient tape runs once per state.
+    # One state per parameter point: the derivatives of alpha and H along
+    # every direction are closed forms in the jets of that state, shared by
+    # every index triple.  The ambient curvature is evaluated once per point,
+    # from the same jets, so the ambient immersion tape runs once per state.
     imm = models.load_immersion("builtin:linear-flat3")
     states, curvatures, runs = [], [], []
     real_state, real_curvature, real_run = sub._state, geo.curvature_tensor, ex.Tape.run
@@ -146,9 +146,10 @@ def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     points = 2
     cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=points, seed=3)
     assert cli._run_loaded(cfg, imm).passed
-    assert len(states) <= 17 * points
+    assert len(states) == points
     assert len(curvatures) == (points if check.startswith("codazzi") else 0)
-    assert sum(tape is imm.ambient.tape for tape in runs) == len(states)
+    assert sum(tape is imm.ambient.immersion_tape for tape in runs) == len(states)
+    assert not any(tape is imm.ambient.tape for tape in runs)
 
 
 def test_parallel_h_check_fails_on_ellipsoid():

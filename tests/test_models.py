@@ -207,6 +207,8 @@ def test_manifold_file_polydisc(tmp_path):
         ("dimension = 1\npotential = \"z1*zb1\"\ndomain = ball -1", "<test>:3: domain: .* positive"),
         ("dimension = 2\npotential = \"z1*zb1\"\ndomain = polydisc 1 nan", "<test>:3: domain: .* finite"),
         ("dimension = x\npotential = \"z1*zb1\"", "<test>:1: dimension: invalid dimension"),
+        ("dimension = 1\npotential = \"z1*\"", "<test>:2: potential: unexpected end of input"),
+        ("dimension = 1\npotential = \"z2*zb1\"", "<test>:2: potential: variable index out of range"),
     ],
 )
 def test_manifold_file_errors(text, match):
@@ -259,6 +261,7 @@ def test_immersion_file_missing_component():
         (4, 'componnet2 = "0"', r"<test>:4: unknown key 'componnet2' \(known: .*component1, component2\)"),
         (5, "domain = box a 1", "<test>:5: domain: could not convert"),
         (5, "domain = box 1 -1", "<test>:5: domain: .*lo < hi"),
+        (4, 'component2 = "u2"', "<test>:4: component2: variable index out of range"),
     ],
 )
 def test_immersion_file_errors(lineno, line, match):
