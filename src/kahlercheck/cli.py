@@ -102,10 +102,10 @@ def _run_manifold_check(cfg: RunConfig, manifold: geo.KahlerManifold, rng) -> tu
 
 
 def _run_immersion_check(cfg: RunConfig, immersion: sub.Immersion, rng) -> CheckReport:
-    us = [immersion.domain.sample(rng) for _ in range(cfg.points)]
-    residuals = [sub.CHECKS[cfg.check](immersion, u) for u in us]
-    worst = [WorstCase(*immersion.jets(u, 2), r) for u, r in zip(us, residuals)]
-    return _finish(cfg, f"{immersion.ambient.name}::{immersion.name}", residuals, worst)
+    states = (sub.state(immersion, immersion.domain.sample(rng)) for _ in range(cfg.points))
+    # Copies: a view would keep the point's whole jet array alive with the report.
+    worst = [WorstCase(s.point.copy(), s.tangents.copy(), sub.CHECKS[cfg.check](s)) for s in states]
+    return _finish(cfg, f"{immersion.ambient.name}::{immersion.name}", [w.residual for w in worst], worst)
 
 
 def _run_loaded(cfg: RunConfig, target: geo.KahlerManifold | sub.Immersion) -> CheckReport:

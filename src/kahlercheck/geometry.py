@@ -210,7 +210,6 @@ class KahlerManifold:
         potential: Expr,
         domain: ChartDomain | None = None,
         name: str = "manifold",
-        check_reality: bool = True,
     ):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
@@ -219,8 +218,7 @@ class KahlerManifold:
         self.domain = domain if domain is not None else ball(1.0)
         self.name = name
         ex.validate_variables(potential, self.m, (Z, ZB))
-        if check_reality:
-            self._check_reality()
+        self._check_reality()
 
         m = self.m
         dag = ex.Dag()
@@ -303,18 +301,21 @@ class KahlerManifold:
 
 
 def hermitian_metric(p: ChartPoint, g: np.ndarray) -> HermitianMetric:
-    """The metric matrix ``g`` at ``p`` checked Hermitian positive definite, with inverse."""
+    """The metric matrix ``g`` at ``p`` checked finite and Hermitian positive
+    definite, with inverse; here and below, a NaN fails every test."""
+    if not np.isfinite(g).all():
+        raise MetricError(f"metric not finite at {p}")
     scale = max(1.0, float(np.max(np.abs(g))))
-    if float(np.max(np.abs(g - g.conj().T))) > 1e-12 * scale:
+    if not float(np.max(np.abs(g - g.conj().T))) <= 1e-12 * scale:
         raise MetricError(f"metric not Hermitian at {p}")
     g = 0.5 * (g + g.conj().T)
     smallest = float(np.linalg.eigvalsh(g)[0])
-    if smallest <= 0.0:
+    if not smallest > 0.0:
         raise MetricError(
             f"metric not positive definite at {p}: smallest eigenvalue {smallest:.6e}"
         )
     inverse = np.linalg.inv(g)
-    if float(np.max(np.abs(g @ inverse - np.eye(len(g))))) > 1e-10:
+    if not float(np.max(np.abs(g @ inverse - np.eye(len(g))))) <= 1e-10:
         raise MetricError(f"metric inversion failed at {p}")
     return HermitianMetric(matrix=g, inverse=inverse)
 
@@ -352,7 +353,7 @@ def curvature_tensor(
         float(np.max(np.abs(r - r.transpose(0, 3, 2, 1)))),
     )
     conj = float(np.max(np.abs(r - r.transpose(1, 0, 3, 2).conj())))
-    if max(pair, conj) > 1e-10 * scale:
+    if not max(pair, conj) <= 1e-10 * scale:
         raise GeometryError(f"curvature symmetries violated at {p}")
     return ComplexCurvature(tensor=r)
 
@@ -376,7 +377,7 @@ def ricci_tensor(
     s_logdet = -t1 + t2
 
     scale = max(1.0, float(np.max(np.abs(s_contract))))
-    if float(np.max(np.abs(s_contract - s_logdet))) > 1e-8 * scale:
+    if not float(np.max(np.abs(s_contract - s_logdet))) <= 1e-8 * scale:
         raise GeometryError(f"Ricci computation routes disagree at {p}")
     s = 0.5 * (s_contract + s_contract.conj().T)
     return RicciData(matrix=s, metric=metric)
@@ -475,10 +476,6 @@ def ricci_at(manifold: KahlerManifold, p: Sequence[complex]) -> RicciData:
 
 def scalar_curvature_at(manifold: KahlerManifold, p: Sequence[complex]) -> float:
     return point_data(manifold, p).tau
-
-
-def curvature_term_scale(manifold: KahlerManifold, p: Sequence[complex]) -> float:
-    return point_data(manifold, p).term_scale
 
 
 def real_curvature(

@@ -71,8 +71,8 @@ def _require_scale(text: str) -> float:
         s = float(text)
     except ValueError:
         raise ModelError(f"invalid scale {text!r}") from None
-    if s <= 0:
-        raise ModelError(f"scale must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ModelError(f"scale must be positive and finite, got {s}")
     return s
 
 
@@ -313,6 +313,8 @@ def _parse_kv(text: str, path: str) -> tuple[dict[str, str], dict[str, str]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
+        if key in where:
+            raise ModelError(f"{path}:{lineno}: key {key!r} given again (first at {where[key]})")
         entries[key] = value
         where[key] = f"{path}:{lineno}"
     return entries, where

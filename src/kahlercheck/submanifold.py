@@ -15,13 +15,17 @@ respect to the ambient metric and never require a choice of normal frame.
 They act on vectors stacked along the last axis, and the Codazzi residuals
 of all index triples at a point come back as one (n, n, n) array.
 
-``CHECKS`` maps each immersion check to its residual at one parameter point.
+``state`` evaluates one parameter point into a ``_State``, whose derived
+fields (connection, second fundamental form, mean curvature and their
+derivatives) are computed once, on first use.  ``CHECKS`` maps each
+immersion check to its residual on a state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,7 +174,7 @@ class FrameAtParameter:
 
 @dataclass(frozen=True, eq=False)
 class _State:
-    """Per-point evaluation bundle shared by the submanifold operations."""
+    """One parameter point of an immersion: its jets, and the fields derived from them once."""
 
     imm: Immersion
     u: np.ndarray
@@ -184,11 +188,67 @@ class _State:
     gamma: np.ndarray  # ambient Christoffel, (m, m, m)
     jets: list[np.ndarray]  # ambient (g, dg, dgb, d2g, ddg) at the point
 
+    @cached_property
+    def nabla(self) -> np.ndarray:
+        """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
+        return self.d2f + np.einsum("kij,ai,bj->abk", self.gamma, self.tangents, self.tangents)
+
+    @cached_property
+    def conn(self) -> np.ndarray:
+        """Induced connection: ``conn[a, b, e]`` is the coefficient of ``T_e``
+        in the tangential part of ``nabla_{T_a} T_b``, shape (n, n, n)."""
+        return _tangential_coeffs(self, self.nabla)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """Second fundamental form ``alpha(T_a, T_b)``, the normal part of
+        ``nabla``; symmetric in (a, b), shape (n, n, m)."""
+        return self.nabla - self.conn @ self.tangents
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Mean curvature ``H = (1/n) ghat^{ab} alpha(a, b)``, shape (m,)."""
+        return np.einsum("ab,abk->k", self.induced_inv, self.alpha) / self.imm.n
+
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Normal parts of ``D_x alpha(T_y, T_z)``, shape (n, n, n, m), and
+        ``D_x H``, shape (n, m), for every direction x, in closed form.
+
+        With ``w_yz = nabla_{T_y} T_z`` and ``conn`` its tangential coefficients,
+        ``P D_x alpha_yz = P[d_x w_yz + Gamma(T_x, alpha_yz) - conn_yza d2f_xa]``
+        for the normal projection P, since ``P T_a = 0`` and ``P (d_x P) P = 0``;
+        ``d_x w_yz`` differentiates d2f and the ambient Christoffel symbols
+        along ``T_x``.  Metric compatibility gives ``d_x ghat``, and so D_x H.
+        """
+        _, dg, dgb, d2g, ddg = self.jets
+        gamma, t, d2f, alpha, conn = self.gamma, self.tangents, self.d2f, self.alpha, self.conn
+        ginv, ghat_inv = self.metric.inverse, self.induced_inv
+        # d Gamma = g^-1 (d dg - (d g) Gamma) for d = d_{z_a} (s = 0) and d_{zb_a} (s = 1);
+        # along T_x, Gamma_x = d_{z_a} Gamma T_x^a + d_{zb_a} Gamma conj(T_x^a)
+        d2, d1 = np.stack([ddg, d2g.transpose(1, 0, 2, 3)]), np.stack([dg, dgb])
+        d_gamma = np.einsum("qk,saijq->sakij", ginv, d2 - np.einsum("sapq,pij->saijq", d1, gamma))
+        gamma_x = np.einsum("sxa,sakij->xkij", np.stack([t, t.conj()]), d_gamma)
+        d_alpha = _normal_part(
+            self,
+            self.d3f
+            + np.einsum("xkij,yi,zj->xyzk", gamma_x, t, t)
+            + np.einsum("kij,xyi,zj->xyzk", gamma, d2f, t)
+            + np.einsum("kij,yi,xzj->xyzk", gamma, t, d2f)
+            + np.einsum("kij,xi,yzj->xyzk", gamma, t, alpha)
+            - np.einsum("yza,xak->xyzk", conn, d2f),
+        )
+        d_ghat = np.einsum("xya,az->xyz", conn, self.induced)
+        d_ghat_inv = -ghat_inv @ (d_ghat + d_ghat.transpose(0, 2, 1)) @ ghat_inv
+        d_h = np.einsum("xyz,yzk->xk", d_ghat_inv, alpha) + np.einsum("yz,xyzk->xk", ghat_inv, d_alpha)
+        return d_alpha, d_h / self.imm.n
+
 
 _RANK_TOL = 1e-8
 
 
-def _state(imm: Immersion, u: Sequence[float]) -> _State:
+def state(imm: Immersion, u: Sequence[float]) -> _State:
+    """The state of ``imm`` at ``u``: one run of its tape and one of ``immersion_tape``."""
     u = imm.require_in_box(u)
     point, v, d2f, d3f = imm.jets(u)
     jets = imm.ambient.jets(point, 5)
@@ -228,15 +288,9 @@ def _normal_part(st: _State, w: np.ndarray) -> np.ndarray:
     return w - _tangential_coeffs(st, w) @ st.tangents
 
 
-def _second_derivative_vectors(st: _State) -> np.ndarray:
-    """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
-    correction = np.einsum("kij,ai,bj->abk", st.gamma, st.tangents, st.tangents)
-    return st.d2f + correction
-
-
 def induced_metric(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     """Pullback metric ``ghat_ab = g(T_a, T_b)``, symmetric positive definite."""
-    return _state(imm, u).induced
+    return state(imm, u).induced
 
 
 def frame_at(imm: Immersion, u: Sequence[float]) -> FrameAtParameter:
@@ -245,7 +299,7 @@ def frame_at(imm: Immersion, u: Sequence[float]) -> FrameAtParameter:
     The normal basis comes from Gram-Schmidt over a deterministic completion
     of the tangent frame by standard chart directions.
     """
-    st = _state(imm, u)
+    st = state(imm, u)
     m = imm.ambient.m
     candidates = [row for row in st.tangents]
     for i in range(m):
@@ -278,33 +332,21 @@ def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     Normal projection of the ambient covariant derivative of the coordinate
     tangent fields; symmetric in (a, b), values g-orthogonal to all tangents.
     """
-    st = _state(imm, u)
-    return _second_fundamental_form(st)
-
-
-def _second_fundamental_form(st: _State) -> np.ndarray:
-    return _normal_part(st, _second_derivative_vectors(st))
+    return state(imm, u).alpha
 
 
 def mean_curvature(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     """H = (1/n) ghat^{ab} alpha(a, b), a normal vector representative."""
-    st = _state(imm, u)
-    return _mean_curvature(st, _second_fundamental_form(st))
-
-
-def _mean_curvature(st: _State, alpha: np.ndarray) -> np.ndarray:
-    return np.einsum("ab,abk->k", st.induced_inv, alpha) / st.imm.n
+    return state(imm, u).h
 
 
 def umbilical_residual(imm: Immersion, u: Sequence[float]) -> float:
     """max_ab || alpha(a,b) - ghat_ab H || in the ambient metric."""
-    st = _state(imm, u)
-    alpha = _second_fundamental_form(st)
-    return _umbilical_residual(st, alpha, _mean_curvature(st, alpha))
+    return _umbilical_residual(state(imm, u))
 
 
-def _umbilical_residual(st: _State, alpha: np.ndarray, h: np.ndarray) -> float:
-    residual = RealTangentVector(alpha - st.induced[..., None] * h)
+def _umbilical_residual(st: _State) -> float:
+    residual = RealTangentVector(st.alpha - st.induced[..., None] * st.h)
     return float(np.max(st.metric.norm(residual), initial=0.0))
 
 
@@ -337,7 +379,7 @@ def weingarten_split(
     shape operator satisfies ``g(A_xi X, Y) = g(alpha(X, Y), xi)``.  One
     tape evaluates xi and its parameter derivatives together.
     """
-    st = _state(imm, u)
+    st = state(imm, u)
     m, n = imm.ambient.m, imm.n
     if len(xi) != m:
         raise ValueError(f"normal field needs {m} components, got {len(xi)}")
@@ -368,39 +410,6 @@ def weingarten_split(
 _UMBILICAL_TOL = 1e-6
 
 
-def _derivatives(st: _State, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal parts of ``D_x alpha(T_y, T_z)``, shape (n, n, n, m), and
-    ``D_x H``, shape (n, m), for every direction x, in closed form.
-
-    With ``w_yz = nabla_{T_y} T_z`` and ``conn`` its tangential coefficients,
-    ``P D_x alpha_yz = P[d_x w_yz + Gamma(T_x, alpha_yz) - conn_yza d2f_xa]``
-    for the normal projection P, since ``P T_a = 0`` and ``P (d_x P) P = 0``;
-    ``d_x w_yz`` differentiates d2f and the ambient Christoffel symbols
-    along ``T_x``.  Metric compatibility gives ``d_x ghat``, and so D_x H.
-    """
-    _, dg, dgb, d2g, ddg = st.jets
-    ginv, gamma, t, d2f = st.metric.inverse, st.gamma, st.tangents, st.d2f
-    # d Gamma = g^-1 (d dg - (d g) Gamma) for d = d_{z_a} (s = 0) and d_{zb_a} (s = 1);
-    # along T_x, Gamma_x = d_{z_a} Gamma T_x^a + d_{zb_a} Gamma conj(T_x^a)
-    d2, d1 = np.stack([ddg, d2g.transpose(1, 0, 2, 3)]), np.stack([dg, dgb])
-    d_gamma = np.einsum("qk,saijq->sakij", ginv, d2 - np.einsum("sapq,pij->saijq", d1, gamma))
-    gamma_x = np.einsum("sxa,sakij->xkij", np.stack([t, t.conj()]), d_gamma)
-    conn = _tangential_coeffs(st, _second_derivative_vectors(st))
-    d_alpha = _normal_part(
-        st,
-        st.d3f
-        + np.einsum("xkij,yi,zj->xyzk", gamma_x, t, t)
-        + np.einsum("kij,xyi,zj->xyzk", gamma, d2f, t)
-        + np.einsum("kij,yi,xzj->xyzk", gamma, t, d2f)
-        + np.einsum("kij,xi,yzj->xyzk", gamma, t, alpha)
-        - np.einsum("yza,xak->xyzk", conn, d2f),
-    )
-    d_ghat = np.einsum("xya,az->xyz", conn, st.induced)
-    d_ghat_inv = -st.induced_inv @ (d_ghat + d_ghat.transpose(0, 2, 1)) @ st.induced_inv
-    d_h = np.einsum("xyz,yzk->xk", d_ghat_inv, alpha) + np.einsum("yz,xyzk->xk", st.induced_inv, d_alpha)
-    return d_alpha, d_h / st.imm.n
-
-
 def _codazzi_lhs(st: _State) -> np.ndarray:
     """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
     curv = geo.curvature_tensor(st.point, st.metric, st.jets[:4])
@@ -408,32 +417,24 @@ def _codazzi_lhs(st: _State) -> np.ndarray:
     return _normal_part(st, geo.curvature_operator(curv, st.metric, x, y, z))
 
 
-def _codazzi_general(imm: Immersion, u: Sequence[float]) -> np.ndarray:
-    """The Codazzi residual of every index triple (a, b, c) at ``u``, shape (n, n, n)."""
-    st = _state(imm, u)
-    alpha = _second_fundamental_form(st)
-    d_alpha, _ = _derivatives(st, alpha)
-    # conn[x, z, e]: coefficients of nabla_{T_x} T_z in the tangent basis.  The
-    # term alpha(nabla_{T_x} T_y, T_z) is symmetric in (x, y) and cancels below.
-    conn = _tangential_coeffs(st, _second_derivative_vectors(st))
-    dbar = d_alpha - np.einsum("xze,yek->xyzk", conn, alpha)
+def _codazzi_general(st: _State) -> np.ndarray:
+    """The Codazzi residual of every index triple (a, b, c) at ``st``, shape (n, n, n)."""
+    # The term alpha(nabla_{T_x} T_y, T_z) is symmetric in (x, y) and cancels below.
+    dbar = st.derivatives[0] - np.einsum("xze,yek->xyzk", st.conn, st.alpha)
     rhs = dbar - dbar.transpose(1, 0, 2, 3)
     return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
 
-def _codazzi_umbilical(imm: Immersion, u: Sequence[float]) -> np.ndarray:
-    """The reduced Codazzi residual of every index triple at ``u``, shape (n, n, n)."""
-    st = _state(imm, u)
-    alpha = _second_fundamental_form(st)
-    resid = _umbilical_residual(st, alpha, _mean_curvature(st, alpha))
+def _codazzi_umbilical(st: _State) -> np.ndarray:
+    """The reduced Codazzi residual of every index triple at ``st``, shape (n, n, n)."""
+    resid = _umbilical_residual(st)
     if resid >= _UMBILICAL_TOL:
         raise NotUmbilicalError(
             f"immersion is not totally umbilical at u={st.u} "
             f"(residual {resid:.3e}); reduced Codazzi not computed"
         )
-    _, d_h = _derivatives(st, alpha)
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
-    rhs = np.einsum("bc,ak->abck", st.induced, d_h)
+    rhs = np.einsum("bc,ak->abck", st.induced, st.derivatives[1])
     rhs = rhs - rhs.transpose(1, 0, 2, 3)
     return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
@@ -450,10 +451,10 @@ def codazzi_residual_general(imm: Immersion, u: Sequence[float], a: int, b: int,
     ``{R(X,Y)Z}^perp = (nabla-bar_X alpha)(Y,Z) - (nabla-bar_Y alpha)(X,Z)``
     with ``(nabla-bar_X alpha)(Y,Z) = D_X alpha(Y,Z) - alpha(nabla_X Y, Z)
     - alpha(Y, nabla_X Z)``.  D-derivatives are the exact ones of
-    ``_derivatives``; the induced connection is the tangential projection of
-    the ambient one.
+    ``_State.derivatives``; the induced connection is the tangential
+    projection of the ambient one.
     """
-    return float(_codazzi_general(imm, u)[a, b, c])
+    return float(_codazzi_general(state(imm, u))[a, b, c])
 
 
 def codazzi_residual_umbilical(imm: Immersion, u: Sequence[float], a: int, b: int, c: int) -> float:
@@ -463,14 +464,16 @@ def codazzi_residual_umbilical(imm: Immersion, u: Sequence[float], a: int, b: in
     immersion is not umbilical at ``u`` (the relation is only meaningful
     there).
     """
-    return float(_codazzi_umbilical(imm, u)[a, b, c])
+    return float(_codazzi_umbilical(state(imm, u))[a, b, c])
 
 
 def parallel_h_residual_at(imm: Immersion, u: Sequence[float]) -> float:
     """max over directions of ||D_{T_a} H|| at one parameter point."""
-    st = _state(imm, u)
-    _, d_h = _derivatives(st, _second_fundamental_form(st))
-    return float(np.max(st.metric.norm(RealTangentVector(d_h)), initial=0.0))
+    return _parallel_h_residual(state(imm, u))
+
+
+def _parallel_h_residual(st: _State) -> float:
+    return float(np.max(st.metric.norm(RealTangentVector(st.derivatives[1])), initial=0.0))
 
 
 def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> float:
@@ -485,12 +488,10 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     return max(parallel_h_residual_at(imm, imm.domain.sample(rng)) for _ in range(points))
 
 
-# The residual of each immersion check at one parameter point.  Entries look
-# their functions up by module name when called, so a wrapper set on a module
-# attribute sees every call.
-CHECKS: dict[str, Callable[[Immersion, np.ndarray], float]] = {
-    "umbilical": lambda imm, u: umbilical_residual(imm, u),
-    "parallel-h": lambda imm, u: parallel_h_residual_at(imm, u),
-    "codazzi-general": lambda imm, u: _worst_triple(_codazzi_general(imm, u)),
-    "codazzi-umbilical": lambda imm, u: _worst_triple(_codazzi_umbilical(imm, u)),
+# The residual of each immersion check on the state of one parameter point.
+CHECKS: dict[str, Callable[[_State], float]] = {
+    "umbilical": _umbilical_residual,
+    "parallel-h": _parallel_h_residual,
+    "codazzi-general": lambda st: _worst_triple(_codazzi_general(st)),
+    "codazzi-umbilical": lambda st: _worst_triple(_codazzi_umbilical(st)),
 }

@@ -139,8 +139,8 @@ def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     # from the same jets, so the ambient immersion tape runs once per state.
     imm = models.load_immersion("builtin:linear-flat3")
     states, curvatures, runs = [], [], []
-    real_state, real_curvature, real_run = sub._state, geo.curvature_tensor, ex.Tape.run
-    monkeypatch.setattr(sub, "_state", lambda *a: states.append(a) or real_state(*a))
+    real_state, real_curvature, real_run = sub.state, geo.curvature_tensor, ex.Tape.run
+    monkeypatch.setattr(sub, "state", lambda *a: states.append(a) or real_state(*a))
     monkeypatch.setattr(geo, "curvature_tensor", lambda *a: curvatures.append(a) or real_curvature(*a))
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     points = 2
@@ -321,6 +321,17 @@ def test_main_error_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["check", "einstein"], ["suite"]])
+def test_non_finite_metric_is_an_error_naming_the_point(command, tmp_path, capsys):
+    # 1e300*1e300 folds to inf, so g is inf everywhere; no verdict is given on it.
+    path = tmp_path / "overflow.manifold"
+    path.write_text('dimension = 1\npotential = "1e300*1e300*z1*zb1"\n')
+    assert main([*command, "--manifold", str(path), "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "metric not finite at [" in captured.err
+    assert "[fail]" not in captured.out
+
+
 def test_main_parse_command(capsys):
     rc = main(["parse", "--expr", "z1*zb1 + z2*zb2", "--dim", "2"])
     assert rc == 0
@@ -398,8 +409,16 @@ def test_immersion_worst_cases_run_the_tape_once_each(monkeypatch):
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     cfg = RunConfig(manifold=None, check="umbilical", immersion=imm.name, points=3, seed=5)
     report = cli._run_loaded(cfg, imm)
-    # One state per point, then one (f, df) run per reported point.
-    assert sum(tape is imm.tape for tape in runs) == 6
+    # One state per point serves the check and the report.
+    assert sum(tape is imm.tape for tape in runs) == 3
     assert len(report.worst_cases) == 3
     for case in report.worst_cases:
         assert case.point.shape == (imm.ambient.m,) and len(case.frame) == imm.n
+
+
+def test_immersion_worst_cases_own_their_arrays():
+    # A view would keep the whole (f, df, d2f, d3f) array of the point alive
+    # for as long as the report is kept.
+    cfg = RunConfig(manifold=None, check="codazzi-general", immersion="builtin:cp1-in-cp2", points=2, seed=5)
+    for case in run_check(cfg).worst_cases:
+        assert case.point.flags.owndata and case.frame.flags.owndata

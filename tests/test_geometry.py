@@ -61,7 +61,7 @@ def test_metric_invariants(fs3, rng):
 
 def test_metric_error_for_non_plurisubharmonic_potential():
     bad = ex.neg(ex.mul(ex.z(1), ex.zb(1)))
-    m = geo.KahlerManifold(1, bad, geo.ball(1.0), check_reality=False)
+    m = geo.KahlerManifold(1, bad, geo.ball(1.0))
     with pytest.raises(geo.MetricError, match="smallest eigenvalue"):
         geo.metric_at(m, [0.2])
 

@@ -49,6 +49,8 @@ def test_product_factor_scales_differ(product):
         "builtin:fs",
         "builtin:fs:0",
         "builtin:fs:2:-1",
+        "builtin:fs:3:nan",
+        "builtin:chyp:3:inf",
         "builtin:product:fs:1:chyp:2",
         "flat:2",
     ],
@@ -209,6 +211,10 @@ def test_manifold_file_polydisc(tmp_path):
         ("dimension = x\npotential = \"z1*zb1\"", "<test>:1: dimension: invalid dimension"),
         ("dimension = 1\npotential = \"z1*\"", "<test>:2: potential: unexpected end of input"),
         ("dimension = 1\npotential = \"z2*zb1\"", "<test>:2: potential: variable index out of range"),
+        (
+            "dimension = 1\npotential = \"z1*zb1\"\npotential = \"2*z1*zb1\"",
+            r"<test>:3: key 'potential' given again \(first at <test>:2\)",
+        ),
     ],
 )
 def test_manifold_file_errors(text, match):
@@ -262,6 +268,7 @@ def test_immersion_file_missing_component():
         (5, "domain = box a 1", "<test>:5: domain: could not convert"),
         (5, "domain = box 1 -1", "<test>:5: domain: .*lo < hi"),
         (4, 'component2 = "u2"', "<test>:4: component2: variable index out of range"),
+        (5, 'component1 = "2*u1"', r"<test>:5: key 'component1' given again \(first at <test>:3\)"),
     ],
 )
 def test_immersion_file_errors(lineno, line, match):

@@ -1,5 +1,6 @@
 """Second fundamental form, mean curvature, Weingarten split, Codazzi."""
 
+import functools
 import math
 import os
 import subprocess
@@ -374,10 +375,10 @@ def test_per_point_codazzi_is_the_worst_per_triple_residual(rng):
         n = imm.n
         triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
         general = max(sub.codazzi_residual_general(imm, u, *t) for t in triples)
-        assert sub.CHECKS["codazzi-general"](imm, u) == general, imm.name
+        assert sub.CHECKS["codazzi-general"](sub.state(imm, u)) == general, imm.name
         if expect["umbilic"]:
             reduced = max(sub.codazzi_residual_umbilical(imm, u, *t) for t in triples)
-            assert sub.CHECKS["codazzi-umbilical"](imm, u) == reduced, imm.name
+            assert sub.CHECKS["codazzi-umbilical"](sub.state(imm, u)) == reduced, imm.name
 
 
 def test_codazzi_exact_at_box_edge(sphere):
@@ -419,13 +420,12 @@ def generic(request):
 
 def _richardson_derivatives(imm, u, h=1e-5):
     """Normal parts of D_x alpha and D_x H from a Richardson difference of
-    states around ``u``: the independent route for ``sub._derivatives``."""
-    st, n = sub._state(imm, u), imm.n
+    states around ``u``: the independent route for ``_State.derivatives``."""
+    st, n = sub.state(imm, u), imm.n
 
     def fields(v):
-        s = sub._state(imm, v)
-        alpha = sub._second_fundamental_form(s)
-        return np.vstack([alpha.reshape(-1, alpha.shape[-1]), sub._mean_curvature(s, alpha)])
+        s = sub.state(imm, v)
+        return np.vstack([s.alpha.reshape(-1, s.alpha.shape[-1]), s.h])
 
     diffs = [richardson_derivative(lambda t: fields(u + t * np.eye(n)[x]), h) for x in range(n)]
     correction = np.einsum("kij,xi,rj->xrk", st.gamma, st.tangents, fields(u))
@@ -436,8 +436,7 @@ def _richardson_derivatives(imm, u, h=1e-5):
 def test_exact_derivatives_match_richardson_on_generic_charts(generic, rng):
     for _ in range(2):
         u = generic.domain.sample(rng)
-        st = sub._state(generic, u)
-        exact = sub._derivatives(st, sub._second_fundamental_form(st))
+        exact = sub.state(generic, u).derivatives
         for got, want in zip(exact, _richardson_derivatives(generic, u)):
             assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(got)), generic.name
 
@@ -445,17 +444,17 @@ def test_exact_derivatives_match_richardson_on_generic_charts(generic, rng):
 def test_codazzi_at_round_off_where_normal_curvature_is_large(generic, rng):
     for _ in range(2):
         u = generic.domain.sample(rng)
-        st = sub._state(generic, u)
+        st = sub.state(generic, u)
         normal_curvature = st.metric.norm(geo.RealTangentVector(sub._codazzi_lhs(st)))
         assert sub._worst_triple(normal_curvature) >= 1e-2, generic.name
-        assert sub.CHECKS["codazzi-general"](generic, u) <= 1e-12, generic.name
+        assert sub.CHECKS["codazzi-general"](st) <= 1e-12, generic.name
 
 
 def test_codazzi_fails_with_the_curvature_sign_flipped(generic, rng, monkeypatch):
     real_operator = geo.curvature_operator
     monkeypatch.setattr(geo, "curvature_operator", lambda *a: -real_operator(*a))
     u = generic.domain.sample(rng)
-    assert sub.CHECKS["codazzi-general"](generic, u) >= 1e-3, generic.name
+    assert sub.CHECKS["codazzi-general"](sub.state(generic, u)) >= 1e-3, generic.name
 
 
 def test_runtime_import_graph_leaves_out_the_oracle():
@@ -532,7 +531,7 @@ def test_state_runs_the_ambient_tape_once(fixture, request, rng, monkeypatch):
     runs = []
     real_run = ex.Tape.run
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
-    sub._state(imm, u)
+    sub.state(imm, u)
     ambient = [tape for tape in runs if tape in (imm.ambient.tape, imm.ambient.immersion_tape)]
     assert ambient == [imm.ambient.immersion_tape]
 
@@ -544,8 +543,24 @@ def test_state_and_alpha_run_the_immersion_tape_once(fixture, request, rng, monk
     runs = []
     real_run = ex.Tape.run
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
-    sub._second_fundamental_form(sub._state(imm, u))
+    sub.state(imm, u).alpha
     assert sum(tape is imm.tape for tape in runs) == 1
+
+
+@pytest.mark.parametrize("check", sorted(sub.CHECKS))
+def test_each_state_builds_nabla_once(check, sphere, rng, monkeypatch):
+    # Every field of a state is derived once, whichever checks read it.
+    nablas, projections = [], []
+    real_nabla, real_coeffs = sub._State.nabla.func, sub._tangential_coeffs
+    nabla = functools.cached_property(lambda st: nablas.append(st) or real_nabla(st))
+    nabla.__set_name__(sub._State, "nabla")
+    monkeypatch.setattr(sub._State, "nabla", nabla)
+    monkeypatch.setattr(sub, "_tangential_coeffs", lambda *a: projections.append(a) or real_coeffs(*a))
+    st = sub.state(sphere, sphere.domain.sample(rng))
+    sub.CHECKS[check](st)
+    assert len(projections) <= 3
+    st.alpha, st.h, st.derivatives
+    assert len(nablas) == 1
 
 
 def test_weingarten_split_runs_one_tape_for_the_normal_field(sphere, rng, monkeypatch):
@@ -564,8 +579,9 @@ def test_weingarten_split_runs_one_tape_for_the_normal_field(sphere, rng, monkey
 def test_codazzi_residuals_are_one_array_per_point(sphere, linear, rng):
     for imm in (sphere, linear):
         u = imm.domain.sample(rng)
-        general = sub._codazzi_general(imm, u)
-        reduced = sub._codazzi_umbilical(imm, u)
+        st = sub.state(imm, u)
+        general = sub._codazzi_general(st)
+        reduced = sub._codazzi_umbilical(st)
         n = imm.n
         assert general.shape == reduced.shape == (n, n, n)
         assert sub.codazzi_residual_general(imm, u, 0, 1, n - 1) == general[0, 1, n - 1]
