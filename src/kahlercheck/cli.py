@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import expr as ex
-from . import geometry as geo
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
@@ -38,6 +38,15 @@ ALL_CHECKS = MANIFOLD_CHECKS + IMMERSION_CHECKS
 
 class ConfigError(ValueError):
     pass
+
+
+class PointError(Exception):
+    """A check failed at one of its sample points: the ``index``-th, counted
+    from 0, of the run with ``seed``.  The original error is the cause."""
+
+    def __init__(self, cfg: RunConfig, index: int, err: Exception):
+        super().__init__(f"{cfg.check}: point {index} of {cfg.points}, seed {cfg.seed}: {err}")
+        self.check, self.index, self.seed = cfg.check, index, cfg.seed
 
 
 @dataclass
@@ -63,20 +72,47 @@ class RunConfig:
         if {"std": self.samples, "spread": self.points * self.samples}.get(how, 2) < 2:
             what = "samples" if how == "std" else "points x samples"
             raise ConfigError(f"check {self.check!r} needs {what} >= 2")
-        if not self.tol > 0:
-            raise ConfigError("tolerance must be positive")
+        # An infinite tolerance would pass every check whatever its residuals.
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("tolerance must be positive and finite")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-def _finish(
-    cfg: RunConfig,
-    name: str,
-    residuals: list[float],
-    worst: list[WorstCase],
-) -> CheckReport:
+def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
+    """Run ``cfg.check`` on an already built manifold or immersion.
+
+    Returns the report and the values it was reduced from: every sample of
+    a manifold check, one residual per point of an immersion check.  An
+    error at a point is raised as a ``PointError`` naming the point.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    on_manifold = cfg.check in MANIFOLD_CHECKS
+    if on_manifold and target.m < inv.CHECKS[cfg.check].min_dim:
+        raise ConfigError(
+            f"check {cfg.check!r} needs complex dimension >= {inv.CHECKS[cfg.check].min_dim} "
+            f"(got m={target.m})"
+        )
+    found = []
+    for index in range(cfg.points):
+        try:
+            if on_manifold:
+                pd = inv.point_data(target, target.sample_point(rng))
+                found.append(inv.draw(cfg.check, pd, cfg.samples, rng))
+            else:
+                s = sub.state(target, target.domain.sample(rng))
+                # Copies: a view would keep the point's whole jet array alive with the report.
+                found.append(WorstCase(s.point.copy(), s.tangents.copy(), sub.CHECKS[cfg.check](s)))
+        except Exception as err:  # any failure at a point: re-raised with where it happened
+            raise PointError(cfg, index, err) from err
+    if on_manifold:
+        residuals, worst = inv.reduce_samples(cfg.check, found)
+        values = np.concatenate([vs for _, _, vs in found])
+    else:
+        worst = found
+        residuals = values = [w.residual for w in found]
     return CheckReport(
-        manifold=name,
+        manifold=target.name if on_manifold else f"{target.ambient.name}::{target.name}",
         check=cfg.check,
         seed=cfg.seed,
         points=cfg.points,
@@ -85,60 +121,35 @@ def _finish(
         max_residual=float(np.max(residuals)),
         mean_residual=float(np.mean(residuals)),
         worst_cases=worst,
-    )
+    ), values
 
 
-def _run_manifold_check(cfg: RunConfig, manifold: geo.KahlerManifold, rng) -> tuple:
-    """The report of a manifold check and the values of all its samples."""
-    check = inv.CHECKS[cfg.check]
-    if manifold.m < check.min_dim:
-        raise ConfigError(
-            f"check {cfg.check!r} needs complex dimension >= {check.min_dim} "
-            f"(got m={manifold.m})"
-        )
-    sampled = inv.sample(cfg.check, manifold, cfg.points, cfg.samples, rng)
-    report = _finish(cfg, manifold.name, *inv.reduce_samples(cfg.check, sampled))
-    return report, np.concatenate([values for _, _, values in sampled])
-
-
-def _run_immersion_check(cfg: RunConfig, immersion: sub.Immersion, rng) -> CheckReport:
-    states = (sub.state(immersion, immersion.domain.sample(rng)) for _ in range(cfg.points))
-    # Copies: a view would keep the point's whole jet array alive with the report.
-    worst = [WorstCase(s.point.copy(), s.tangents.copy(), sub.CHECKS[cfg.check](s)) for s in states]
-    return _finish(cfg, f"{immersion.ambient.name}::{immersion.name}", [w.residual for w in worst], worst)
-
-
-def _run_loaded(cfg: RunConfig, target: geo.KahlerManifold | sub.Immersion) -> CheckReport:
-    """Run ``cfg.check`` on an already built manifold or immersion."""
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.check in MANIFOLD_CHECKS:
-        return _run_manifold_check(cfg, target, rng)[0]
-    return _run_immersion_check(cfg, target, rng)
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_check(cfg: RunConfig) -> CheckReport:
     """Run one named check deterministically from its configuration."""
     if cfg.check in MANIFOLD_CHECKS:
-        if cfg.manifold is None:
-            raise ConfigError(f"check {cfg.check!r} needs --manifold")
-        report = _run_loaded(cfg, models.load_manifold(cfg.manifold))
+        flag, source, load = "--manifold", cfg.manifold, models.load_manifold
     else:
-        if cfg.immersion is None:
-            raise ConfigError(f"check {cfg.check!r} needs --immersion")
-        report = _run_loaded(cfg, models.load_immersion(cfg.immersion))
+        flag, source, load = "--immersion", cfg.immersion, models.load_immersion
+    if source is None:
+        raise ConfigError(f"check {cfg.check!r} needs {flag}")
+    report, _ = _run_loaded(cfg, load(source))
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(cfg.output, report.to_json_dict())
     return report
 
 
 def run_suite(
     manifold_source: str,
-    tol: float = 1e-8,
-    seed: int = 0,
-    points: int = 5,
-    samples: int = 200,
+    tol: float = RunConfig.tol,
+    seed: int = RunConfig.seed,
+    points: int = RunConfig.points,
+    samples: int = RunConfig.samples,
 ) -> tuple[list[CheckReport], list[str]]:
     """Run every manifold-level check and summarize the verification pipeline.
 
@@ -146,43 +157,31 @@ def run_suite(
     the manifold is (at sampling fidelity) Bochner-flat, Einstein, and of
     constant holomorphic sectional curvature.
     """
+    settings = dict(points=points, samples=samples, tol=tol, seed=seed)
+    configs = [RunConfig(manifold_source, name, **settings) for name in MANIFOLD_CHECKS]
     manifold = models.load_manifold(manifold_source)
-    reports = []
-    skipped = []
-    for name in MANIFOLD_CHECKS:
-        if manifold.m < inv.CHECKS[name].min_dim:
-            skipped.append(name)
-            continue
-        cfg = RunConfig(
-            manifold=manifold_source,
-            check=name,
-            points=points,
-            samples=samples,
-            tol=tol,
-            seed=seed,
-        )
-        report, values = _run_manifold_check(cfg, manifold, np.random.default_rng(seed))
-        reports.append(report)
-        if name == "chsc":
-            c_value = float(np.mean(values))
-    by_name = {r.check: r for r in reports}
+    skipped = [name for name in MANIFOLD_CHECKS if manifold.m < inv.CHECKS[name].min_dim]
+    runs = {cfg.check: _run_loaded(cfg, manifold) for cfg in configs if cfg.check not in skipped}
 
-    def ok(name: str) -> bool:
-        return name in skipped or (name in by_name and by_name[name].passed)
+    def yes(*names: str) -> str:
+        return "yes" if all(runs[name][0].passed for name in names if name in runs) else "no"
 
-    bochner_flat = ok("bochner") and ok("basis-sum") and ok("lemma")
-    einstein = ok("einstein") and ok("ricci-offdiag")
-    constant = ok("chsc")
-    lines = []
-    for name in skipped:
-        lines.append(f"skipped {name} (needs complex dimension >= {inv.CHECKS[name].min_dim})")
-    lines.append(f"Bochner-flat at sampling fidelity: {'yes' if bochner_flat else 'no'}")
-    lines.append(f"Einstein at sampling fidelity: {'yes' if einstein else 'no'}")
-    lines.append(
-        "constant holomorphic sectional curvature: "
-        + (f"yes (c = {c_value:.6g})" if constant else "no")
-    )
-    return reports, lines
+    lines = [f"skipped {name} (needs complex dimension >= {inv.CHECKS[name].min_dim})" for name in skipped]
+    lines.append(f"Bochner-flat at sampling fidelity: {yes('bochner', 'basis-sum', 'lemma')}")
+    lines.append(f"Einstein at sampling fidelity: {yes('einstein', 'ricci-offdiag')}")
+    chsc, values = runs["chsc"]
+    constant = f"yes (c = {float(np.mean(values)):.6g})" if chsc.passed else "no"
+    lines.append(f"constant holomorphic sectional curvature: {constant}")
+    return [report for report, _ in runs.values()], lines
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The run settings of ``check`` and ``suite``, with RunConfig's defaults."""
+    helps = {"samples": "frames per point (immersion checks ignore it; their report records it)"}
+    for name in ("points", "samples", "tol", "seed"):
+        default = getattr(RunConfig, name)
+        parser.add_argument(f"--{name}", type=type(default), default=default, help=helps.get(name))
+    parser.add_argument("--json", dest="output", help="write the report as JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,22 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser("check", help="run one named check")
-    check.add_argument("name", choices=ALL_CHECKS)
+    check.add_argument("check", choices=ALL_CHECKS)
     check.add_argument("--manifold", help="builtin URI or manifold spec file")
     check.add_argument("--immersion", help="immersion spec file or builtin:<name>")
-    check.add_argument("--points", type=int, default=5)
-    check.add_argument("--samples", type=int, default=200)
-    check.add_argument("--tol", type=float, default=1e-8)
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--json", dest="output", help="write the report as JSON")
+    _add_run_flags(check)
 
     suite = commands.add_parser("suite", help="run all manifold checks")
     suite.add_argument("--manifold", required=True)
-    suite.add_argument("--points", type=int, default=5)
-    suite.add_argument("--samples", type=int, default=200)
-    suite.add_argument("--tol", type=float, default=1e-8)
-    suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--json", dest="output")
+    _add_run_flags(suite)
 
     parse = commands.add_parser("parse", help="parse an expression (debugging aid)")
     parse.add_argument("--expr", required=True)
@@ -229,40 +220,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"variables: {', '.join(names) if names else '(none)'}")
             return 0
         if args.command == "check":
-            cfg = RunConfig(
-                manifold=args.manifold,
-                check=args.name,
-                immersion=args.immersion,
-                points=args.points,
-                samples=args.samples,
-                tol=args.tol,
-                seed=args.seed,
-                output=args.output,
-            )
-            report = run_check(cfg)
+            report = run_check(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
             print(report.summary_line())
             if not report.passed and report.worst_cases:
                 worst = max(report.worst_cases, key=lambda w: w.residual)
                 print(f"  worst residual {worst.residual:.3e} at point "
                       f"{np.array2string(np.asarray(worst.point), precision=4)}")
             return 0 if report.passed else 1
-        # suite
-        reports, lines = run_suite(
-            args.manifold,
-            tol=args.tol,
-            seed=args.seed,
-            points=args.points,
-            samples=args.samples,
-        )
-        for report in reports:
-            print(report.summary_line())
-        for line in lines:
+        reports, lines = run_suite(args.manifold, args.tol, args.seed, args.points, args.samples)
+        for line in [r.summary_line() for r in reports] + lines:
             print(line)
         if args.output:
-            payload = [r.to_json_dict() for r in reports]
-            with open(args.output, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(args.output, [r.to_json_dict() for r in reports])
         return 0 if all(r.passed for r in reports) else 1
     except BrokenPipeError:
         raise
@@ -271,9 +240,5 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

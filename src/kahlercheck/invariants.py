@@ -162,24 +162,6 @@ def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> floa
     return geo.real_curvature(pd.curvature, x, jx, jx, x) / gxx**2
 
 
-def hsc_spread(values: Sequence[float], pds: Sequence[PointData]) -> tuple[float, float]:
-    """Mean and relative spread of holomorphic sectional curvatures sampled
-    at the points of ``pds``.
-
-    The spread is ``(max - min) / max(|mean|, floor)``.  The floor is the
-    largest ``PointData.term_scale`` over the points: the size of the two
-    terms of R that cancel, which sets the round-off in every value.  On a
-    flat chart the mean is itself round-off, so dividing by it alone would
-    turn round-off into an O(1) spread.
-    """
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    width = float(arr.max() - arr.min())
-    if width == 0.0:
-        return mean, 0.0
-    return mean, width / max(abs(mean), max(pd.term_scale for pd in pds))
-
-
 # --------------------------------------------------------------------------
 # Sampled checks
 # --------------------------------------------------------------------------
@@ -194,7 +176,7 @@ class Check:
     legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
     ``reduce`` is "max" (each |value| is a residual), "std" (one residual
     per point: the standard deviation of its values) or "spread" (one
-    residual: the ``hsc_spread`` of all values).  Sampler and values are
+    residual: the ``_spread`` of all values).  Sampler and values are
     looked up by module name, so a module-attribute wrapper sees each call.
     """
 
@@ -251,8 +233,20 @@ def sample(
 
 
 def _spread(sampled: list[PointSamples]) -> tuple[np.ndarray, float, float]:
+    """All values sampled, their mean and their relative spread.
+
+    The spread is ``(max - min) / max(|mean|, floor)``.  The floor is the
+    largest ``PointData.term_scale`` over the points: the size of the two
+    terms of R that cancel, which sets the round-off in every value.  On a
+    flat chart the mean is itself round-off, so dividing by it alone would
+    turn round-off into an O(1) spread.
+    """
     values = np.concatenate([vs for _, _, vs in sampled])
-    return (values, *hsc_spread(values, [pd for pd, _, _ in sampled]))
+    mean = float(values.mean())
+    width = float(values.max() - values.min())
+    if width == 0.0:
+        return values, mean, 0.0
+    return values, mean, width / max(abs(mean), max(pd.term_scale for pd, _, _ in sampled))
 
 
 def reduce_samples(name: str, sampled: list[PointSamples]) -> tuple[list[float], list[WorstCase]]:
@@ -302,7 +296,7 @@ def chsc_fit(
     """Estimate the holomorphic sectional curvature constant.
 
     Samples ``points`` chart points and ``samples`` random directions at
-    each; returns ``(mean H, relative spread)`` as ``hsc_spread`` defines
+    each; returns ``(mean H, relative spread)`` as ``_spread`` defines
     them.  A manifold is of constant holomorphic sectional curvature at
     sampling fidelity when the spread is below tolerance.  Raises
     ``ValueError`` unless ``points`` and ``samples`` are both at least 1.

@@ -88,8 +88,9 @@ def test_unknown_check_rejected():
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(manifold="x", check="bochner", points=0)
-    with pytest.raises(ConfigError):
-        RunConfig(manifold="x", check="bochner", tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            RunConfig(manifold="x", check="bochner", tol=tol)
     with pytest.raises(ConfigError):
         RunConfig(manifold="x", check="bochner", seed=-1)
     with pytest.raises(ConfigError):
@@ -145,7 +146,7 @@ def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     points = 2
     cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=points, seed=3)
-    assert cli._run_loaded(cfg, imm).passed
+    assert cli._run_loaded(cfg, imm)[0].passed
     assert len(states) == points
     assert len(curvatures) == (points if check.startswith("codazzi") else 0)
     assert sum(tape is imm.ambient.immersion_tape for tape in runs) == len(states)
@@ -332,6 +333,53 @@ def test_non_finite_metric_is_an_error_naming_the_point(command, tmp_path, capsy
     assert "[fail]" not in captured.out
 
 
+# The metric of this potential is indefinite for |z1| > 1/sqrt(2).
+INDEFINITE_SPEC = 'dimension = 1\npotential = "z1*zb1 - 0.5*(z1*zb1)^2"\ndomain = ball 1.0\n'
+
+
+@pytest.mark.parametrize(
+    "argv, prefix, cause",
+    [
+        (["check", "einstein"], "einstein: point 0 of 5, seed 3: ", "metric not positive definite at ["),
+        (["check", "chsc"], "chsc: point 0 of 5, seed 3: ", "metric not positive definite at ["),
+        (["suite"], "bochner: point 0 of 5, seed 3: ", "metric not positive definite at ["),
+        (
+            ["check", "codazzi-umbilical", "--immersion", "builtin:ellipsoid-flat2"],
+            "codazzi-umbilical: point 0 of 5, seed 3: ",
+            "immersion is not totally umbilical at u=[",
+        ),
+    ],
+    ids=["check-einstein", "check-chsc", "suite", "check-codazzi-umbilical"],
+)
+def test_a_failing_point_is_named_by_check_index_and_seed(argv, prefix, cause, tmp_path, capsys):
+    path = tmp_path / "indefinite.manifold"
+    path.write_text(INDEFINITE_SPEC)
+    if "--immersion" not in argv:
+        argv = [*argv, "--manifold", str(path)]
+    assert main([*argv, "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {prefix}{cause}")
+    assert captured.out == ""
+
+
+def test_point_error_carries_the_point_and_chains_the_original(tmp_path):
+    path = tmp_path / "indefinite.manifold"
+    path.write_text(INDEFINITE_SPEC)
+    cfg = RunConfig(manifold=str(path), check="einstein", points=5, samples=10, seed=6)
+    with pytest.raises(cli.PointError) as info:
+        run_check(cfg)
+    err = info.value
+    assert (err.check, err.index, err.seed) == ("einstein", 2, 6)
+    assert isinstance(err.__cause__, geo.MetricError)
+    assert str(err) == f"einstein: point 2 of 5, seed 6: {err.__cause__}"
+    # Points 0 and 1 are good: a run of those two alone raises nothing.
+    run_check(RunConfig(manifold=str(path), check="einstein", points=2, samples=10, seed=6))
+    # Outside the runner the library keeps its own error types.
+    manifold = models.load_manifold(str(path))
+    with pytest.raises(geo.MetricError):
+        inv.point_data(manifold, np.array([0.8 + 0.0j]))
+
+
 def test_main_parse_command(capsys):
     rc = main(["parse", "--expr", "z1*zb1 + z2*zb2", "--dim", "2"])
     assert rc == 0
@@ -408,10 +456,11 @@ def test_immersion_worst_cases_run_the_tape_once_each(monkeypatch):
     real_run = ex.Tape.run
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     cfg = RunConfig(manifold=None, check="umbilical", immersion=imm.name, points=3, seed=5)
-    report = cli._run_loaded(cfg, imm)
+    report, residuals = cli._run_loaded(cfg, imm)
     # One state per point serves the check and the report.
     assert sum(tape is imm.tape for tape in runs) == 3
     assert len(report.worst_cases) == 3
+    assert residuals == [case.residual for case in report.worst_cases]
     for case in report.worst_cases:
         assert case.point.shape == (imm.ambient.m,) and len(case.frame) == imm.n
 

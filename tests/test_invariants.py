@@ -364,7 +364,7 @@ def test_point_data_runs_the_jet_tape_once(fs3, rng, monkeypatch):
     pd = inv.point_data(fs3, p)
     assert runs == [fs3.tape]
     # The chsc floor reads the jets the point already holds.
-    inv.hsc_spread([1.0, 2.0], [pd])
+    inv._spread([(pd, None, np.array([1.0, 2.0]))])
     assert runs == [fs3.tape]
 
 
