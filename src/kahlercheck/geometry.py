@@ -148,9 +148,15 @@ class HermitianMetric:
         return np.sqrt(np.maximum(self.inner(x, x), 0.0))
 
 
+def _rows(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``v @ matrix`` as one 2-D product over all the leading axes of ``v``."""
+    v = np.asarray(v)
+    return (v.reshape(-1, v.shape[-1]) @ matrix).reshape(*v.shape[:-1], matrix.shape[-1])
+
+
 def _sesquilinear(matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> complex:
     """``v^i a_{i jbar} conj(w^j)`` per vector of the stacks ``v`` and ``w``."""
-    return np.einsum("...i,ij,...j->...", v, matrix, np.conj(w))
+    return np.einsum("...i,...i->...", _rows(v, matrix), np.conj(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,11 +436,14 @@ class PointData:
         """
         # c.T g conj(c) = 1 for g = L L^H
         c = np.linalg.inv(np.linalg.cholesky(self.metric.matrix)).T
-        cb = c.conj()
-        return max(
-            float(np.linalg.norm(np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, cb, c, cb, optimize=True)))
-            for t in _curvature_terms(self.metric, self.jets)
-        )
+
+        def frame_norm(t: np.ndarray) -> float:
+            # t[i, (j, k, l)] -> t[(j, k, l), a] -> t[j, (k, l, a)] ... -> t[(a, b, c), d]
+            for f in (c, c.conj(), c, c.conj()):
+                t = t.reshape(self.m, -1).T @ f
+            return float(np.linalg.norm(t))
+
+        return max(frame_norm(t) for t in _curvature_terms(self.metric, self.jets))
 
 
 def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
@@ -486,13 +495,23 @@ def real_curvature(
     u: RealTangentVector,
 ) -> float:
     """R(X, Y, Z, U) as a real quadrilinear form, one value per stacked vector."""
-    return np.einsum("ijkl,...ij,...kl->...", curvature.tensor, _wedge(x, y), _wedge(z, u)).real
+    w = _wedge(z, u)
+    rows = _curvature_rows(curvature, x, y)
+    return np.einsum("...i,...i->...", rows, w.reshape(*w.shape[:-2], rows.shape[-1])).real
 
 
 def _wedge(x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
     """``x^i conj(y^j) - y^i conj(x^j)``, stacked like ``x`` and ``y``."""
     w = x.components[..., :, None] * np.conj(y.components)[..., None, :]
     return w - np.conj(np.swapaxes(w, -1, -2))
+
+
+def _curvature_rows(curvature: ComplexCurvature, x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
+    """``sum_ij w^{ij} R_{i jbar k lbar}`` for ``w = _wedge(x, y)``, flat over
+    (k, l): one product with R as an ``(m^2, m^2)`` matrix."""
+    m2 = curvature.tensor.shape[0] ** 2
+    w = _wedge(x, y)
+    return _rows(w.reshape(*w.shape[:-2], m2), curvature.tensor.reshape(m2, m2))
 
 
 def curvature_operator(
@@ -507,7 +526,8 @@ def curvature_operator(
     Defined by ``g(R(X,Y)Z, U) = R(X,Y,Z,U)`` for every U; vectors stack
     and broadcast as in ``real_curvature``.
     """
-    a = np.einsum("ijkl,...ij,...k->...l", curvature.tensor, _wedge(x, y), z.components)
+    rows = _curvature_rows(curvature, x, y)
+    a = np.einsum("...kl,...k->...l", rows.reshape(*rows.shape[:-1], *metric.matrix.shape), z.components)
     return np.linalg.solve(metric.matrix.T, a[..., None])[..., 0]
 
 
@@ -535,31 +555,49 @@ def antiholomorphic_frames(
     """``(count, k, m)`` frames with ``g(x_a, x_b) = delta_ab`` and ``g(x_a, J x_b) = 0``.
 
     Equivalently ``h(v_a, v_b) = delta_ab / 2``.  Complex Gaussian seeds are
-    whitened by the Cholesky factor of g and go through one batched QR, with
-    the column phases that make each pivot positive: Gram-Schmidt over h.
-    Only frames with a pivot below ``_PIVOT`` are redrawn, 64 draws at most.
+    whitened by the Cholesky factor of g and go through Gram-Schmidt over h,
+    all frames of a draw at once.  Only frames with a pivot below ``_PIVOT``
+    are redrawn, 64 draws at most.
     """
     m = metric.matrix.shape[0]
     if k > m:
         raise FrameError(
             f"no antiholomorphic {k}-plane exists: k={k} exceeds complex dimension {m}"
         )
-    # h(v, w) is the standard product of L^T v and L^T w, for g = L L^H.
-    lt = np.linalg.cholesky(metric.matrix).T
-    back = np.linalg.inv(lt) / math.sqrt(2.0)
+    # h(v, w) is the standard product of v L and w L, for g = L L^H.
+    lower = np.linalg.cholesky(metric.matrix)
+    back = np.linalg.inv(lower) / math.sqrt(2.0)
     frames = np.empty((count, k, m), dtype=complex)
     todo = np.arange(count)
     for _ in range(64):
         size = (len(todo), k, m)
         raw = rng.normal(size=size) + 1j * rng.normal(size=size)
-        q, r = np.linalg.qr(lt @ np.swapaxes(raw, -1, -2))
-        pivots = np.diagonal(r, axis1=-2, axis2=-1)
-        ok = np.all(np.abs(pivots) >= _PIVOT, axis=-1)
-        phases = pivots[ok] / np.abs(pivots[ok])
-        frames[todo[ok]] = np.swapaxes(back @ (q[ok] * phases[:, None, :]), -1, -2)
+        q, ok = _gram_schmidt(_rows(raw, lower))
+        frames[todo[ok]] = _rows(q, back)[ok]
         if not len(todo := todo[~ok]):
             return frames
     raise FrameError("failed to draw an independent frame")
+
+
+def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of each ``w[n]`` made orthonormal in order, in the standard
+    product, and whether every pivot of ``w[n]`` reaches ``_PIVOT``.
+
+    Classical Gram-Schmidt with one repeat of the projection, which keeps
+    the rows orthogonal to round-off.  A pivot below ``_PIVOT`` (NaN too)
+    marks its stack as failed; rows are divided by ``_PIVOT`` at least, so
+    a zero pivot leaves a zero row, not NaN.
+    """
+    q = np.empty_like(w)
+    ok = np.ones(len(w), dtype=bool)
+    for a in range(w.shape[1]):
+        v, done = w[:, a], q[:, :a]
+        for _ in range(2 if a else 0):  # the first row has nothing to project out
+            v = v - np.einsum("nb,nbi->ni", np.einsum("nbi,ni->nb", done.conj(), v), done)
+        pivot = np.linalg.norm(v, axis=-1)
+        ok &= pivot >= _PIVOT
+        q[:, a] = v / np.maximum(pivot, _PIVOT)[:, None]
+    return q, ok
 
 
 def orthonormal_antiholomorphic_frame(

@@ -31,46 +31,46 @@ class FrameConditionError(Exception):
     """Input vectors do not satisfy the required frame conditions."""
 
 
-def _ricci_block(
-    pd: PointData,
-    x: RealTangentVector,
-    y: RealTangentVector,
-    z: RealTangentVector,
-    u: RealTangentVector,
-) -> float:
+def _stack(legs: Sequence[RealTangentVector]) -> np.ndarray:
+    """The legs' components broadcast and stacked as one ``(..., k, m)`` array."""
+    return np.stack(np.broadcast_arrays(*(x.components for x in legs)), axis=-2)
+
+
+def _gram(matrix: np.ndarray, legs: Sequence[RealTangentVector]) -> np.ndarray:
+    """``(..., k, k)`` values ``2 a(v_a, v_b)`` of the Hermitian form ``a`` on
+    the legs: for the metric ``g(x_a, x_b) + i g(x_a, J x_b)``, for the Ricci
+    matrix ``S(x_a, x_b) + i S(x_a, J x_b)``."""
+    v = _stack(legs)
+    return 2.0 * np.einsum("...ai,...bi->...ab", geo._rows(v, matrix), np.conj(v))
+
+
+# The Bochner blocks read the metric Gram ``g`` and the Ricci Gram ``s`` of
+# the legs 0..3 = x, y, z, u.  ``Re(g_ab conj(s_cd)) = g(a, b) S(c, d) +
+# g(a, Jb) S(c, Jd)`` gives two terms of the combination at once.
+
+
+def _ricci_block(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """The ten metric-Ricci cross terms of the Bochner combination."""
-    g, s = pd.metric.inner, pd.ricci
-    jx, jy, jz, ju = x.j(), y.j(), z.j(), u.j()
+
+    def pair(a: int, b: int, c: int, d: int) -> np.ndarray:
+        return (g[..., a, b] * np.conj(s[..., c, d])).real
+
     return (
-        g(x, u) * s(y, z)
-        - g(x, z) * s(y, u)
-        + g(y, z) * s(x, u)
-        - g(y, u) * s(x, z)
-        + g(x, ju) * s(y, jz)
-        - g(x, jz) * s(y, ju)
-        + g(y, jz) * s(x, ju)
-        - g(y, ju) * s(x, jz)
-        - 2.0 * g(x, jy) * s(z, ju)
-        - 2.0 * g(z, ju) * s(x, jy)
+        pair(0, 3, 1, 2)
+        - pair(0, 2, 1, 3)
+        + pair(1, 2, 0, 3)
+        - pair(1, 3, 0, 2)
+        - 2.0 * g[..., 0, 1].imag * s[..., 2, 3].imag  # g(x, Jy) S(z, Ju)
+        - 2.0 * g[..., 2, 3].imag * s[..., 0, 1].imag  # g(z, Ju) S(x, Jy)
     )
 
 
-def _metric_block(
-    pd: PointData,
-    x: RealTangentVector,
-    y: RealTangentVector,
-    z: RealTangentVector,
-    u: RealTangentVector,
-) -> float:
+def _metric_block(g: np.ndarray) -> np.ndarray:
     """The five pure metric terms of the Bochner combination."""
-    g = pd.metric.inner
-    jy, jz, ju = y.j(), z.j(), u.j()
     return (
-        g(x, u) * g(y, z)
-        - g(x, z) * g(y, u)
-        + g(x, ju) * g(y, jz)
-        - g(x, jz) * g(y, ju)
-        - 2.0 * g(x, jy) * g(z, ju)
+        (g[..., 0, 3] * np.conj(g[..., 1, 2])).real
+        - (g[..., 0, 2] * np.conj(g[..., 1, 3])).real
+        - 2.0 * g[..., 0, 1].imag * g[..., 2, 3].imag  # g(x, Jy) g(z, Ju)
     )
 
 
@@ -99,22 +99,20 @@ def reconstruct_curvature_from_ricci(
     """Curvature value rebuilt from metric, Ricci and scalar curvature alone.
 
     This is the paper's real-vector route, through ``_ricci_block`` and
-    ``_metric_block``.  For Bochner-flat manifolds it reproduces
-    R(X, Y, Z, U); in general ``R - reconstruction`` equals B identically.
+    ``_metric_block`` on one metric and one Ricci Gram of the four legs.
+    For Bochner-flat manifolds it reproduces R(X, Y, Z, U); in general
+    ``R - reconstruction`` equals B identically.
     """
-    m = pd.m
-    return _ricci_block(pd, x, y, z, u) / (2.0 * (m + 2)) - pd.tau * _metric_block(
-        pd, x, y, z, u
-    ) / (4.0 * (m + 1) * (m + 2))
+    legs, m = (x, y, z, u), pd.m
+    g, s = _gram(pd.metric.matrix, legs), _gram(pd.ricci.matrix, legs)
+    return _ricci_block(g, s) / (2.0 * (m + 2)) - pd.tau * _metric_block(g) / (4.0 * (m + 1) * (m + 2))
 
 
 _FRAME_TOL = 1e-8
 
 
 def _check_antiholomorphic_frame(pd: PointData, vectors: Sequence[RealTangentVector]) -> None:
-    v = np.stack(np.broadcast_arrays(*(x.components for x in vectors)), axis=-2)
-    # gram[..., a, b] = g(v_a, v_b) + i g(v_a, J v_b)
-    gram = 2.0 * v @ pd.metric.matrix @ np.conj(np.swapaxes(v, -1, -2))
+    gram = _gram(pd.metric.matrix, vectors)
     bad = (np.abs(gram.real - np.eye(len(vectors))) > _FRAME_TOL) | (np.abs(gram.imag) > _FRAME_TOL)
     if bad.any():
         *_, a, b = first = tuple(np.argwhere(bad)[0])
@@ -150,7 +148,8 @@ def basis_sum(pd: PointData, basis: Sequence[RealTangentVector]) -> float:
     if len(basis) != pd.m:
         raise FrameConditionError(f"expected {pd.m} basis vectors, got {len(basis)}")
     _check_antiholomorphic_frame(pd, basis)
-    return sum(geo.real_curvature(pd.curvature, e, e.j(), e.j(), e) for e in basis)
+    e = RealTangentVector(_stack(basis))
+    return geo.real_curvature(pd.curvature, e, e.j(), e.j(), e).sum(axis=-1)
 
 
 def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> float:

@@ -1,6 +1,10 @@
 """The check/suite/parse commands, reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,3 +475,14 @@ def test_immersion_worst_cases_own_their_arrays():
     cfg = RunConfig(manifold=None, check="codazzi-general", immersion="builtin:cp1-in-cp2", points=2, seed=5)
     for case in run_check(cfg).worst_cases:
         assert case.point.flags.owndata and case.frame.flags.owndata
+
+
+def test_module_form_runs_quietly():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "kahlercheck", "parse", "--expr", "z1", "--dim", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "variables: z1" in done.stdout

@@ -1,5 +1,7 @@
 """Metric, connection, curvature, Ricci, scalar curvature, frames."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -468,6 +470,20 @@ def test_dependent_seeds_every_time_raise_frame_error(fs3):
     with pytest.raises(geo.FrameError, match="independent"):
         geo.antiholomorphic_frames(gm, 2, 2, stub)
     assert len(stub.sizes) == 2 * 64
+
+
+def test_zero_pivots_warn_nothing_and_leave_no_nan(fs3):
+    gm = geo.metric_at(fs3, np.zeros(3))
+    ones = _Draws(1, lambda call, values: np.ones_like(values))
+    zeros_first = _Draws(1, lambda call, values: np.zeros_like(values) if call <= 2 else values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(geo.FrameError, match="independent"):
+            geo.antiholomorphic_frames(gm, 2, 2, ones)
+        frames = geo.antiholomorphic_frames(gm, 2, 2, zeros_first)
+    assert zeros_first.sizes == [(2, 2, 3)] * 4
+    assert np.all(np.isfinite(frames))
+    assert np.allclose(_gram(gm, frames), np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_zero_unit_draw_is_redrawn(fs3):

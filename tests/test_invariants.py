@@ -407,3 +407,81 @@ def test_stacked_frame_error_names_the_first_bad_pair(fs3, rng):
     legs = [geo.RealTangentVector(frames[:, a]) for a in range(3)]
     with pytest.raises(inv.FrameConditionError, match=r"pair 1,2: g=1\.000e\+00"):
         inv.lemma_residual(pd, *legs)
+
+
+# ------------------------------------------------ kernels against index sums
+
+
+def _h(a, v, w):
+    """Index-level ``v^i a_{i jbar} conj(w^j)``, broadcasting like the kernels."""
+    return np.einsum("...i,ij,...j->...", v, a, np.conj(w))
+
+
+def _real_curvature_sum(r, x, y, z, u):
+    """Index-level R(X, Y, Z, U): the four products of the mixed components."""
+    return (
+        np.einsum("ijkl,...i,...j,...k,...l->...", r, x, np.conj(y), z, np.conj(u))
+        - np.einsum("ijkl,...i,...j,...k,...l->...", r, x, np.conj(y), u, np.conj(z))
+        - np.einsum("ijkl,...i,...j,...k,...l->...", r, y, np.conj(x), z, np.conj(u))
+        + np.einsum("ijkl,...i,...j,...k,...l->...", r, y, np.conj(x), u, np.conj(z))
+    ).real
+
+
+def _blocks_by_terms(pd, x, y, z, u):
+    """The Bochner blocks term by term, as the paper writes them."""
+
+    def g(a, b):
+        return 2.0 * _h(pd.metric.matrix, a, b).real
+
+    def s(a, b):
+        return 2.0 * _h(pd.ricci.matrix, a, b).real
+
+    jy, jz, ju = 1j * y, 1j * z, 1j * u
+    ricci = (
+        g(x, u) * s(y, z) - g(x, z) * s(y, u) + g(y, z) * s(x, u) - g(y, u) * s(x, z)
+        + g(x, ju) * s(y, jz) - g(x, jz) * s(y, ju) + g(y, jz) * s(x, ju) - g(y, ju) * s(x, jz)
+        - 2.0 * g(x, jy) * s(z, ju) - 2.0 * g(z, ju) * s(x, jy)
+    )
+    metric = (
+        g(x, u) * g(y, z) - g(x, z) * g(y, u) + g(x, ju) * g(y, jz) - g(x, jz) * g(y, ju)
+        - 2.0 * g(x, jy) * g(z, ju)
+    )
+    return ricci, metric
+
+
+def _close(got, want):
+    """Equal shapes (0-d for single vectors) and values to rtol 1e-13."""
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_kernels_match_index_level_sums(product, rng):
+    pd = inv.point_data(product, product.sample_point(rng))
+    m = pd.m
+    stack = geo.unit_tangents(pd.metric, 6, 4, rng)
+    single = geo.unit_tangents(pd.metric, 1, 4, rng)[0]
+    # Legs of a stack; the legs of one frame, whose values are 0-d; one
+    # vector broadcast against a stack.
+    legs_of_stack = [stack[:, a] for a in range(4)]
+    for vs in (legs_of_stack, list(single), [single[0]] + legs_of_stack[1:]):
+        x, y, z, u = (geo.RealTangentVector(v) for v in vs)
+        want_h = _h(pd.metric.matrix, vs[0], vs[1])
+        _close(pd.metric.hermitian_product(vs[0], vs[1]), want_h)
+        _close(pd.metric.inner(x, y), 2.0 * want_h.real)
+        _close(pd.metric.inner_j(x, y), 2.0 * want_h.imag)
+        _close(pd.ricci(x, y), 2.0 * _h(pd.ricci.matrix, vs[0], vs[1]).real)
+        _close(geo.real_curvature(pd.curvature, x, y, z, u), _real_curvature_sum(pd.curvature.tensor, *vs))
+
+        legs = (x, y, z, u)
+        ricci, metric = _blocks_by_terms(pd, *vs)
+        g, s = inv._gram(pd.metric.matrix, legs), inv._gram(pd.ricci.matrix, legs)
+        _close(inv._ricci_block(g, s), ricci)
+        _close(inv._metric_block(g), metric)
+        want = ricci / (2.0 * (m + 2)) - pd.tau * metric / (4.0 * (m + 1) * (m + 2))
+        _close(inv.reconstruct_curvature_from_ricci(pd, *legs), want)
+    # term_scale: the larger Frobenius norm of the two terms of R in a g-unit frame.
+    c = np.linalg.inv(np.linalg.cholesky(pd.metric.matrix)).T
+    terms = geo._curvature_terms(pd.metric, pd.jets)
+    in_frame = [np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, c.conj(), c, c.conj()) for t in terms]
+    _close(pd.term_scale, max(np.linalg.norm(t) for t in in_frame))
