@@ -30,10 +30,12 @@ from . import expr as ex
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
-from .invariants import MANIFOLD_CHECKS, CheckReport, WorstCase
+from .invariants import MANIFOLD_CHECKS, CheckReport
 
 IMMERSION_CHECKS = tuple(sub.CHECKS)
 ALL_CHECKS = MANIFOLD_CHECKS + IMMERSION_CHECKS
+# How the values of each check reduce to residuals (see ``invariants.reduce_samples``).
+_REDUCE = {name: sub.REDUCE for name in IMMERSION_CHECKS} | {n: c.reduce for n, c in inv.CHECKS.items()}
 
 
 class ConfigError(ValueError):
@@ -68,7 +70,7 @@ class RunConfig:
         if self.points < 1 or self.samples < 1:
             raise ConfigError("points and samples must be >= 1")
         # A standard deviation or a spread of one value is 0 whatever the chart.
-        how = inv.CHECKS[self.check].reduce if self.check in inv.CHECKS else "max"
+        how = _REDUCE[self.check]
         if {"std": self.samples, "spread": self.points * self.samples}.get(how, 2) < 2:
             what = "samples" if how == "std" else "points x samples"
             raise ConfigError(f"check {self.check!r} needs {what} >= 2")
@@ -82,35 +84,26 @@ class RunConfig:
 def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
     """Run ``cfg.check`` on an already built manifold or immersion.
 
-    Returns the report and the values it was reduced from: every sample of
-    a manifold check, one residual per point of an immersion check.  An
-    error at a point is raised as a ``PointError`` naming the point.
+    Returns the report and one array of the values it was reduced from:
+    every sample of a manifold check, one per point of an immersion check.
+    An error at a point is raised as a ``PointError`` naming the point.
     """
     rng = np.random.default_rng(cfg.seed)
     on_manifold = cfg.check in MANIFOLD_CHECKS
-    if on_manifold and target.m < inv.CHECKS[cfg.check].min_dim:
-        raise ConfigError(
-            f"check {cfg.check!r} needs complex dimension >= {inv.CHECKS[cfg.check].min_dim} "
-            f"(got m={target.m})"
-        )
+    if on_manifold and target.m < (need := inv.CHECKS[cfg.check].min_dim):
+        raise ConfigError(f"check {cfg.check!r} needs complex dimension >= {need} (got m={target.m})")
     found = []
     for index in range(cfg.points):
         try:
             if on_manifold:
                 pd = inv.point_data(target, target.sample_point(rng))
                 found.append(inv.draw(cfg.check, pd, cfg.samples, rng))
-            else:
+            else:  # one frame, the tangents, and one value: the point's residual
                 s = sub.state(target, target.domain.sample(rng))
-                # Copies: a view would keep the point's whole jet array alive with the report.
-                found.append(WorstCase(s.point.copy(), s.tangents.copy(), sub.CHECKS[cfg.check](s)))
+                found.append((s, s.tangents[None], np.array([sub.CHECKS[cfg.check](s)])))
         except Exception as err:  # any failure at a point: re-raised with where it happened
             raise PointError(cfg, index, err) from err
-    if on_manifold:
-        residuals, worst = inv.reduce_samples(cfg.check, found)
-        values = np.concatenate([vs for _, _, vs in found])
-    else:
-        worst = found
-        residuals = values = [w.residual for w in found]
+    residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], found)
     return CheckReport(
         manifold=target.name if on_manifold else f"{target.ambient.name}::{target.name}",
         check=cfg.check,
@@ -121,7 +114,7 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
         max_residual=float(np.max(residuals)),
         mean_residual=float(np.mean(residuals)),
         worst_cases=worst,
-    ), values
+    ), np.concatenate([values for _, _, values in found])
 
 
 def _write_json(path: str, payload) -> None:

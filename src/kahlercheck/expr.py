@@ -121,18 +121,32 @@ def _is_const(e: Expr, value: complex | None = None) -> bool:
     return value is None or e.value == value
 
 
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    return (e.base,) if isinstance(e, Power) else ()
+
+
+def _domain_fault(node: Expr) -> str | None:
+    """The domain error ``node`` itself can raise, or None; overflow is not counted."""
+    if isinstance(node, Unary) and node.op == "log":
+        return "log of zero"
+    if isinstance(node, Binary) and node.op == "/":
+        return "division by zero"
+    if isinstance(node, Power) and node.exponent < 0:
+        return "zero raised to a negative power"
+    return None
+
+
 def _risky(e: Expr, memo: dict[int, bool]) -> bool:
     # ``memo`` is keyed on node identity; its caller keeps the nodes alive.
     hit = memo.get(id(e))
     if hit is None:
-        if isinstance(e, (Const, Var)):
-            hit = False
-        elif isinstance(e, Unary):
-            hit = e.op == "log" or _risky(e.arg, memo)
-        elif isinstance(e, Binary):
-            hit = e.op == "/" or _risky(e.left, memo) or _risky(e.right, memo)
-        else:
-            hit = e.exponent < 0 or _risky(e.base, memo)
+        hit = _domain_fault(e) is not None
+        for child in _children(e):
+            hit = hit or _risky(child, memo)
         memo[id(e)] = hit
     return hit
 
@@ -441,16 +455,6 @@ _UNARY_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp}
 _BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _domain_fault(node: Expr) -> str | None:
-    if isinstance(node, Unary) and node.op == "log":
-        return "log of zero"
-    if isinstance(node, Binary) and node.op == "/":
-        return "division by zero"
-    if isinstance(node, Power):
-        return "zero raised to a negative power"
-    return None
-
-
 class Tape:
     """Straight-line program that evaluates several expressions together.
 
@@ -561,24 +565,16 @@ def variables(e: Expr) -> frozenset[Var]:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node)
-        elif isinstance(node, Unary):
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Power):
-            stack.append(node.base)
+        stack.extend(_children(node))
     return frozenset(out)
 
 
 def node_count(e: Expr) -> int:
-    if isinstance(e, (Const, Var)):
-        return 1
-    if isinstance(e, Unary):
-        return 1 + node_count(e.arg)
-    if isinstance(e, Binary):
-        return 1 + node_count(e.left) + node_count(e.right)
-    return 1 + node_count(e.base)
+    count, stack = 0, [e]
+    while stack:
+        count += 1
+        stack.extend(_children(stack.pop()))
+    return count
 
 
 def validate_variables(e: Expr, dimension: int, allowed_kinds: Iterable[str]) -> None:

@@ -538,11 +538,15 @@ def unit_tangents(
     metric: HermitianMetric, count: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``(count, k, m)`` random g-unit tangent vectors (complex Gaussian
-    directions, real parts drawn first); one of norm <= 1e-6 is redrawn alone."""
-    m = metric.matrix.shape[0]
+    directions, real parts drawn first).  One whose g-norm is at most
+    ``1e-6 sqrt(max |g|)`` times its length is redrawn alone, 64 draws at most."""
+    m, floor = metric.matrix.shape[0], 1e-6 * math.sqrt(np.abs(metric.matrix).max())
     v = rng.normal(size=(count, k, m)) + 1j * rng.normal(size=(count, k, m))
     n = metric.norm(RealTangentVector(v))
-    while (small := n <= 1e-6).any():
+    draws = 1
+    while (small := n <= floor * np.linalg.norm(v, axis=-1)).any():
+        if (draws := draws + 1) > 64:
+            raise FrameError("failed to draw a nonzero tangent vector")
         redraw = (int(small.sum()), m)
         v[small] = rng.normal(size=redraw) + 1j * rng.normal(size=redraw)
         n[small] = metric.norm(RealTangentVector(v[small]))
@@ -556,8 +560,8 @@ def antiholomorphic_frames(
 
     Equivalently ``h(v_a, v_b) = delta_ab / 2``.  Complex Gaussian seeds are
     whitened by the Cholesky factor of g and go through Gram-Schmidt over h,
-    all frames of a draw at once.  Only frames with a pivot below ``_PIVOT``
-    are redrawn, 64 draws at most.
+    all frames of a draw at once.  Only frames with a pivot at most ``_PIVOT``
+    times the length of its row are redrawn, 64 draws at most.
     """
     m = metric.matrix.shape[0]
     if k > m:
@@ -581,22 +585,22 @@ def antiholomorphic_frames(
 
 def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of each ``w[n]`` made orthonormal in order, in the standard
-    product, and whether every pivot of ``w[n]`` reaches ``_PIVOT``.
+    product, and whether every pivot exceeds ``_PIVOT`` times its row's length.
 
     Classical Gram-Schmidt with one repeat of the projection, which keeps
-    the rows orthogonal to round-off.  A pivot below ``_PIVOT`` (NaN too)
-    marks its stack as failed; rows are divided by ``_PIVOT`` at least, so
-    a zero pivot leaves a zero row, not NaN.
+    the rows orthogonal to round-off.  A smaller pivot (NaN too) fails its
+    stack and leaves its row undivided: a zero pivot gives a zero row, not NaN.
     """
     q = np.empty_like(w)
     ok = np.ones(len(w), dtype=bool)
+    floor = _PIVOT * np.linalg.norm(w, axis=-1)
     for a in range(w.shape[1]):
         v, done = w[:, a], q[:, :a]
         for _ in range(2 if a else 0):  # the first row has nothing to project out
             v = v - np.einsum("nb,nbi->ni", np.einsum("nbi,ni->nb", done.conj(), v), done)
         pivot = np.linalg.norm(v, axis=-1)
-        ok &= pivot >= _PIVOT
-        q[:, a] = v / np.maximum(pivot, _PIVOT)[:, None]
+        ok &= (good := pivot > floor[:, a])
+        q[:, a] = v / np.where(good, pivot, 1.0)[:, None]
     return q, ok
 
 

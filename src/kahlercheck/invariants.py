@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -209,8 +209,9 @@ CHECKS: dict[str, Check] = {
 }
 MANIFOLD_CHECKS = tuple(CHECKS)
 
-# One check at one point: the point, its (samples, k, m) frames, their values.
-PointSamples = tuple[PointData, np.ndarray, np.ndarray]
+# One check at one point: a record with the ``point`` (a PointData, or the state
+# of an immersion check), its (samples, k, m) frames and their values.
+PointSamples = tuple[Any, np.ndarray, np.ndarray]
 
 
 def draw(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> PointSamples:
@@ -248,24 +249,24 @@ def _spread(sampled: list[PointSamples]) -> tuple[np.ndarray, float, float]:
     return values, mean, width / max(abs(mean), max(pd.term_scale for pd, _, _ in sampled))
 
 
-def reduce_samples(name: str, sampled: list[PointSamples]) -> tuple[list[float], list[WorstCase]]:
-    """Residuals of check ``name`` and its worst cases: at each point the
-    first largest sample ("max") or the one farthest from the point's mean
-    ("std"); for "spread", the one sample farthest from the mean of all."""
-    how = CHECKS[name].reduce
+def reduce_samples(how: str, sampled: list[PointSamples]) -> tuple[np.ndarray, list[WorstCase]]:
+    """Residuals and worst cases under the reduction ``how`` (see ``Check``):
+    at each point the first largest sample ("max") or the one farthest from
+    the point's mean ("std"); for "spread", the one sample farthest from the
+    mean of all.  Points and frames are copies, never views of jets or stacks."""
     if how == "spread":
         values, mean, spread = _spread(sampled)
         point, i = divmod(int(np.argmax(np.abs(values - mean))), len(sampled[0][2]))
         pd, frames, _ = sampled[point]
-        # Copies: a view would keep a point's whole frame stack alive with the report.
-        return [spread], [WorstCase(pd.point, frames[i].copy(), spread)]
-    residuals, worst = [], []
-    for pd, frames, values in sampled:
-        far = np.abs(values - (values.mean() if how == "std" else 0.0))
-        r = [float(values.std())] if how == "std" else far.tolist()
-        residuals += r
-        worst.append(WorstCase(pd.point, frames[int(np.argmax(far))].copy(), max(r)))
-    return residuals, worst
+        return np.array([spread]), [WorstCase(pd.point.copy(), frames[i].copy(), spread)]
+    if how not in ("max", "std"):
+        raise ValueError(f"unknown reduction {how!r}")
+    values = np.stack([vs for _, _, vs in sampled])  # (points, samples)
+    far = np.abs(values - (values.mean(axis=1, keepdims=True) if how == "std" else 0.0))
+    per_point = values.std(axis=1) if how == "std" else far.max(axis=1)
+    picks = zip(sampled, far.argmax(axis=1), per_point)
+    worst = [WorstCase(pd.point.copy(), frames[i].copy(), float(r)) for (pd, frames, _), i, r in picks]
+    return per_point if how == "std" else far.ravel(), worst
 
 
 def einstein_residual(

@@ -488,7 +488,9 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     return max(parallel_h_residual_at(imm, imm.domain.sample(rng)) for _ in range(points))
 
 
-# The residual of each immersion check on the state of one parameter point.
+# The residual of each immersion check on the state of one parameter point;
+# every one reduces them as REDUCE (see ``invariants.reduce_samples``).
+REDUCE = "max"
 CHECKS: dict[str, Callable[[_State], float]] = {
     "umbilical": _umbilical_residual,
     "parallel-h": _parallel_h_residual,

@@ -464,9 +464,35 @@ def test_immersion_worst_cases_run_the_tape_once_each(monkeypatch):
     # One state per point serves the check and the report.
     assert sum(tape is imm.tape for tape in runs) == 3
     assert len(report.worst_cases) == 3
-    assert residuals == [case.residual for case in report.worst_cases]
+    assert np.array_equal(residuals, [case.residual for case in report.worst_cases])
     for case in report.worst_cases:
         assert case.point.shape == (imm.ambient.m,) and len(case.frame) == imm.n
+
+
+# The reduced Codazzi relation raises off umbilical points, so not on the ellipsoid.
+_IMMERSION_RUNS = [
+    (fixture, check)
+    for fixture in ("sphere-flat2-r1", "ellipsoid-flat2")
+    for check in cli.IMMERSION_CHECKS
+    if (fixture, check) != ("ellipsoid-flat2", "codazzi-umbilical")
+]
+
+
+@pytest.mark.parametrize("fixture, check", _IMMERSION_RUNS)
+def test_immersion_report_is_a_max_reduction_of_the_state_residuals(fixture, check):
+    # The per-point loop and reduction of the manifold checks, fed one value
+    # per parameter point, give the report an immersion check stands for.
+    imm = models.load_immersion(f"builtin:{fixture}")
+    cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=4, seed=9)
+    report, values = cli._run_loaded(cfg, imm)
+    rng = np.random.default_rng(9)
+    states = [sub.state(imm, imm.domain.sample(rng)) for _ in range(4)]
+    want = np.array([sub.CHECKS[check](st) for st in states])
+    assert np.array_equal(values, want)
+    assert report.max_residual == float(np.max(want)) and report.mean_residual == float(np.mean(want))
+    for case, st, residual in zip(report.worst_cases, states, want):
+        assert case.residual == residual
+        assert np.array_equal(case.point, st.point) and np.array_equal(case.frame, st.tangents)
 
 
 def test_immersion_worst_cases_own_their_arrays():

@@ -503,3 +503,39 @@ def test_zero_unit_draw_is_redrawn(fs3):
     assert stub.sizes[2:] == [(1, 3), (1, 3)]
     assert np.all(np.isfinite(stack))
     assert np.allclose(gm.norm(geo.RealTangentVector(stack)), 1.0, rtol=0, atol=1e-14)
+
+
+class _Bounded(_Draws):
+    """``_Draws`` that raises after ``limit`` calls, so a sampler that would
+    redraw without end fails at once."""
+
+    def __init__(self, seed, override=lambda call, values: values, limit=300):
+        super().__init__(seed, override)
+        self.limit = limit
+
+    def normal(self, size):
+        if len(self.sizes) >= self.limit:
+            raise AssertionError(f"sampler still drawing after {self.limit} calls")
+        return super().normal(size)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e20])
+def test_samplers_do_not_depend_on_the_metric_scale(fs3, scale):
+    # Both redraw tests are relative to the draw, so a metric scaled by any
+    # factor takes the same draws, and the frames scale by 1/sqrt(factor).
+    gm = geo.metric_at(fs3, fs3.sample_point(np.random.default_rng(4)))
+    scaled = geo.HermitianMetric(scale * gm.matrix, gm.inverse / scale)
+    for sampler, k in ((geo.unit_tangents, 2), (geo.antiholomorphic_frames, 3)):
+        stub = _Bounded(6)
+        frames = sampler(scaled, 5, k, stub)
+        assert stub.sizes == [(5, k, 3)] * 2, sampler.__name__
+        want = sampler(gm, 5, k, _Draws(6)) / np.sqrt(scale)
+        assert np.max(np.abs(frames - want)) <= 1e-12 * np.max(np.abs(want)), sampler.__name__
+
+
+def test_zero_unit_draws_every_time_raise_frame_error(fs3):
+    gm = geo.metric_at(fs3, np.zeros(3))
+    stub = _Bounded(1, lambda call, values: np.zeros_like(values))
+    with pytest.raises(geo.FrameError, match="nonzero tangent"):
+        geo.unit_tangents(gm, 3, 2, stub)
+    assert len(stub.sizes) == 2 * 64

@@ -391,12 +391,34 @@ def test_stacked_values_match_one_frame_calls(chart, request, rng):
 @pytest.mark.parametrize("name", ["bochner", "basis-sum", "chsc"])
 def test_worst_case_frames_are_copies(name, fs3, rng):
     sampled = inv.sample(name, fs3, 2, 20, rng)
-    _, worst = inv.reduce_samples(name, sampled)
+    _, worst = inv.reduce_samples(inv.CHECKS[name].reduce, sampled)
     for case in worst:
         assert not any(np.shares_memory(case.frame, frames) for _, frames, _ in sampled)
         assert any(
             np.array_equal(case.frame, row) for _, frames, _ in sampled for row in frames
         )
+
+
+@pytest.mark.parametrize("name", ["bochner", "basis-sum"])
+def test_reduction_matches_a_loop_over_points(name, product, rng):
+    # Reference: each point reduced on its own, as one 1-D array.
+    sampled = inv.sample(name, product, 3, 25, rng)
+    how = inv.CHECKS[name].reduce
+    residuals, worst = inv.reduce_samples(how, sampled)
+    want = []
+    for (pd, frames, values), case in zip(sampled, worst):
+        far = np.abs(values - (values.mean() if how == "std" else 0.0))
+        r = [float(values.std())] if how == "std" else far.tolist()
+        want += r
+        assert case.residual == max(r) and np.array_equal(case.frame, frames[int(np.argmax(far))])
+        assert np.array_equal(case.point, pd.point)
+    assert residuals.tolist() == want
+
+
+def test_unknown_reduction_raises(fs3, rng):
+    sampled = inv.sample("bochner", fs3, 1, 3, rng)
+    with pytest.raises(ValueError, match="unknown reduction 'mean'"):
+        inv.reduce_samples("mean", sampled)
 
 
 def test_stacked_frame_error_names_the_first_bad_pair(fs3, rng):
