@@ -204,10 +204,13 @@ class KahlerManifold:
     The constructor validates the potential (variable kinds/indices and
     reality on sampled points) and differentiates it once into a shared
     DAG: ``g``, its first derivatives in both kinds, and the mixed second
-    derivatives needed for curvature.  ``tape`` evaluates them all, in that
-    order, so a prefix of it yields the metric alone.  ``immersion_tape`` adds
-    ``ddg`` for the immersion checks and is built from the same DAG on first
-    use; nothing else about an instance changes after construction.
+    derivatives needed for curvature.  Each distinct mixed partial is built
+    once, from its sorted indices, and every other index order of a block is
+    that same node, so the blocks are exactly symmetric under their index
+    swaps.  ``tape`` evaluates them all, in that order, so a prefix of it
+    yields the metric alone.  ``immersion_tape`` adds ``ddg`` for the
+    immersion checks and is built from the same DAG on first use; nothing
+    else about an instance changes after construction.
     """
 
     def __init__(
@@ -234,21 +237,32 @@ class KahlerManifold:
         K = dag.fold(potential)
         r = range(m)
         # Flat, row-major blocks; the derivatives of folded nodes come out
-        # folded, so only the potential needs an explicit fold.
+        # folded, so only the potential needs an explicit fold.  Mixed
+        # partials commute, so each distinct one is built from its sorted
+        # indices and every other index order shares that node.
         g = [d(d(K, zs[i]), zbs[j]) for i in r for j in r]
-        dg = [d(g[i * m + j], zs[a]) for a in r for i in r for j in r]
-        dgb = [d(g[i * m + j], zbs[b]) for b in r for i in r for j in r]
+        dg = [d(g[min(a, i) * m + j], zs[max(a, i)]) for a in r for i in r for j in r]
+        dgb = [d(g[i * m + min(b, j)], zbs[max(b, j)]) for b in r for i in r for j in r]
         # d2g[i][j][k][l] = d_{z_i} d_{zb_j} g_{k lbar}
-        d2g = [d(dg[(i * m + k) * m + l], zbs[j]) for i in r for j in r for k in r for l in r]
+        d2g = [d(dg[(i * m + k) * m + min(j, l)], zbs[max(j, l)])
+               for i in r for j in r for k in r for l in r]
         self._dag, self._roots, self._dg = dag, g + dg + dgb + d2g, dg
         self.tape = dag.tape(self._roots)
         self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)))
 
     @cached_property
     def immersion_tape(self) -> ex.Tape:
-        """``tape`` followed by ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``."""
-        zs = [Var(Z, a + 1) for a in range(self.m)]
-        return self._dag.tape(self._roots + [self._dag.derivative(d, z) for z in zs for d in self._dg])
+        """``tape`` followed by ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``,
+        each entry built once from the sorted triple (a, i, j)."""
+        m, r = self.m, range(self.m)
+        zs = [Var(Z, a + 1) for a in r]
+
+        def entry(a, i, j, l):
+            x, y, w = sorted((a, i, j))
+            return self._dag.derivative(self._dg[(x * m + y) * m + l], zs[w])
+
+        ddg = [entry(a, i, j, l) for a in r for i in r for j in r for l in r]
+        return self._dag.tape(self._roots + ddg)
 
     def _check_reality(self):
         rng = np.random.default_rng(1811)
@@ -349,7 +363,9 @@ def curvature_tensor(
     """Curvature components ``R_{i jbar k lbar}`` from the four jet blocks at ``p``.
 
     Validates the Kähler symmetries (pair symmetry and conjugation symmetry)
-    of the result before returning it.
+    of the result before returning it.  On a chart's own jets the pair
+    symmetry holds by construction; the check stays for jets a caller
+    supplies.
     """
     minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic

@@ -90,7 +90,12 @@ def box(*bounds: float) -> ParameterBox:
 
 
 class Immersion:
-    """Parametric map from a real parameter box into a manifold chart."""
+    """Parametric map from a real parameter box into a manifold chart.
+
+    One tape gives ``f`` and its first three derivatives; each distinct
+    partial is built once, from its sorted parameter indices, so ``d2f`` and
+    ``d3f`` are exactly symmetric in them.
+    """
 
     def __init__(
         self,
@@ -121,8 +126,15 @@ class Immersion:
         us = [Var(U, a + 1) for a in range(n)]
         f = [dag.fold(c) for c in components]
         df = [dag.derivative(f[i], us[a]) for a in range(n) for i in range(m)]
-        d2f = [dag.derivative(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
-        d3f = [dag.derivative(d, us[x]) for x in range(n) for d in d2f]
+        r = range(n)
+        # Partials commute: each distinct one is built from its sorted indices.
+        d2f = [dag.derivative(df[min(a, b) * m + i], us[max(a, b)]) for a in r for b in r for i in range(m)]
+
+        def third(x, a, b, i):
+            s, t, w = sorted((x, a, b))
+            return dag.derivative(d2f[(s * n + t) * m + i], us[w])
+
+        d3f = [third(x, a, b, i) for x in r for a in r for b in r for i in range(m)]
         # One tape for f, df, d2f and d3f in that order; value and jacobian run a prefix.
         self.tape = dag.tape(f + df + d2f + d3f)
         self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))

@@ -138,6 +138,32 @@ def test_curvature_tensor_symmetries(fs3, chyp2, rng):
         assert np.max(np.abs(t - t.transpose(1, 0, 3, 2).conj())) < 1e-10
 
 
+# On tape jets the pair symmetries hold by construction (each mixed partial
+# is one shared node), but callers may pass jets of their own, so
+# ``curvature_tensor`` still validates them.
+@pytest.mark.parametrize(
+    "where, delta",
+    [
+        # d2g[0, 0, 1, 0] and its conjugate twin d2g[0, 0, 0, 1] moved together:
+        # conjugation symmetry holds, (i, k) symmetry with d2g[1, 0, 0, 0] breaks
+        (((0, 0, 1, 0), (0, 0, 0, 1)), (1e-6 + 2e-6j, 1e-6 - 2e-6j)),
+        # an imaginary part on the diagonal component, which must be real
+        (((0, 0, 0, 0),), (1e-6j,)),
+    ],
+    ids=["pair", "conjugation"],
+)
+def test_curvature_tensor_rejects_asymmetric_jets(fs3, where, delta):
+    p = fs3.sample_point(np.random.default_rng(3))
+    jets = fs3.jets(p)
+    metric = geo.hermitian_metric(p, jets[0])
+    geo.curvature_tensor(p, metric, jets)
+    d2g = jets[3].copy()
+    for index, step in zip(where, delta):
+        d2g[index] += step
+    with pytest.raises(geo.GeometryError, match="curvature symmetries violated"):
+        geo.curvature_tensor(p, metric, [*jets[:3], d2g])
+
+
 def test_real_curvature_identities(fs3, rng):
     p = fs3.sample_point(rng)
     gm = geo.metric_at(fs3, p)
@@ -368,15 +394,17 @@ def test_real_tangent_vector_complex_structure(fs3, rng):
 
 
 def _gram_schmidt_frame(gm, m, k, rng):
-    """Reference: one frame by Gram-Schmidt over h, one vector at a time."""
+    """Reference: one frame by Gram-Schmidt over h, one vector at a time.  A
+    pivot at most ``_PIVOT`` times the h-length of its seed row fails the draw."""
     h = gm.hermitian_product
     for _ in range(64):
         raw = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
         basis = []
         for w in raw:
+            floor = geo._PIVOT * np.sqrt(h(w, w).real)
             for v in basis:
                 w = w - (h(w, v) / h(v, v)) * v
-            if np.sqrt(max(h(w, w).real, 0.0)) < geo._PIVOT:
+            if not np.sqrt(max(h(w, w).real, 0.0)) > floor:
                 break
             basis.append(w)
         if len(basis) == k:

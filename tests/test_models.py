@@ -142,20 +142,30 @@ def test_builtin_immersion_builds_only_the_named_fixture(monkeypatch):
         assert models.builtin_immersion(fixture.name).name == fixture.name
 
 
-# Jet-tape op counts, measured when each chart's jets became one shared DAG,
-# times about 1.5.  Exceeding one means derivative swell has come back.
+# Jet-tape op counts, measured once each distinct mixed partial was built
+# only once (from sorted indices), times about 1.5.  Exceeding one means
+# derivative swell, or a jet block differentiated in every index order, has
+# come back.
 @pytest.mark.parametrize(
     "uri, measured",
     [
-        ("builtin:fs:3", 846),
-        ("builtin:chyp:3", 1007),
-        ("builtin:fs:4", 2274),
-        ("builtin:product:fs:1:fs:2", 363),
+        ("builtin:fs:3", 460),
+        ("builtin:chyp:3", 558),
+        ("builtin:fs:4", 1070),
+        ("builtin:product:fs:1:fs:2", 259),
         ("builtin:flat:3", 0),
     ],
 )
 def test_jet_tape_size_is_capped(uri, measured):
     assert len(models.build_model(uri).tape) <= int(1.5 * measured)
+
+
+@pytest.mark.parametrize(
+    "uri, measured",
+    [("builtin:fs:2", 226), ("builtin:fs:3", 686), ("builtin:fs:4", 1635)],
+)
+def test_immersion_tape_size_is_capped(uri, measured):
+    assert len(models.build_model(uri).immersion_tape) <= int(1.5 * measured)
 
 
 def test_sphere_radius_must_be_positive():
