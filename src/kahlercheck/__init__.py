@@ -1,7 +1,7 @@
 """Curvature data of Kähler charts from symbolic potentials, with numerical
 verification of the pointwise identities tying curvature, Ricci and scalar
 curvature to the Bochner tensor, and of the submanifold relations (second
-fundamental form, Weingarten split, Codazzi)."""
+fundamental form, umbilicity, parallel mean curvature, Codazzi)."""
 
 from .expr import (
     Binary,
@@ -31,7 +31,6 @@ from .geometry import (
     RealTangentVector,
     RicciData,
     ball,
-    christoffel_at,
     curvature_at,
     metric_at,
     orthonormal_antiholomorphic_frame,
@@ -39,8 +38,6 @@ from .geometry import (
     point_data,
     polydisc,
     real_curvature,
-    ricci_at,
-    scalar_curvature_at,
     tangent,
 )
 from .invariants import (
@@ -64,23 +61,16 @@ from .models import (
     load_manifold,
 )
 from .submanifold import (
-    FrameAtParameter,
     Immersion,
-    NotNormalError,
-    NotUmbilicalError,
     ParameterBox,
     ParameterDomainError,
     RankError,
     codazzi_residual_general,
     codazzi_residual_umbilical,
-    frame_at,
-    induced_metric,
     mean_curvature,
     parallel_h_check,
-    parallel_h_residual_at,
     second_fundamental_form,
     umbilical_residual,
-    weingarten_split,
 )
 from .cli import RunConfig, run_check, run_suite
 

@@ -474,8 +474,8 @@ def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
     return PointData(manifold, p, metric, curvature, ricci, tau, jets)
 
 
-# One tensor at one point of a chart.  The metric and Christoffel symbols
-# run only the tape prefix they read; the rest read ``point_data``.
+# One tensor at one point of a chart.  The metric runs only the tape prefix
+# it reads; the curvature reads ``point_data``, whose fields hold the rest.
 
 
 def metric_at(manifold: KahlerManifold, p: Sequence[complex]) -> HermitianMetric:
@@ -484,23 +484,8 @@ def metric_at(manifold: KahlerManifold, p: Sequence[complex]) -> HermitianMetric
     return hermitian_metric(p, manifold.metric_matrix(p))
 
 
-def christoffel_at(manifold: KahlerManifold, p: Sequence[complex]) -> ChristoffelData:
-    """Holomorphic Christoffel symbols at ``p`` (``christoffel_symbols``)."""
-    p = manifold.require_in_domain(p)
-    g, dg = manifold.jets(p, 2)
-    return christoffel_symbols(hermitian_metric(p, g), dg)
-
-
 def curvature_at(manifold: KahlerManifold, p: Sequence[complex]) -> ComplexCurvature:
     return point_data(manifold, p).curvature
-
-
-def ricci_at(manifold: KahlerManifold, p: Sequence[complex]) -> RicciData:
-    return point_data(manifold, p).ricci
-
-
-def scalar_curvature_at(manifold: KahlerManifold, p: Sequence[complex]) -> float:
-    return point_data(manifold, p).tau
 
 
 def real_curvature(

@@ -1,5 +1,5 @@
 """Immersed submanifolds: induced metric, second fundamental form, mean
-curvature, Weingarten split, Codazzi residuals and parallelism checks.
+curvature, umbilicity, Codazzi residuals and parallelism checks.
 
 An immersion maps a real n-dimensional parameter box into a manifold chart;
 its components are symbolic expressions in the real parameters ``u_1..u_n``
@@ -38,14 +38,6 @@ from .geometry import DomainError, HermitianMetric, KahlerManifold, RealTangentV
 
 class RankError(Exception):
     """Immersion differential is rank deficient at the requested point."""
-
-
-class NotNormalError(Exception):
-    """A supplied field is not normal to the submanifold."""
-
-
-class NotUmbilicalError(Exception):
-    """Operation requires a totally umbilical immersion."""
 
 
 class ParameterDomainError(Exception):
@@ -135,7 +127,7 @@ class Immersion:
             return dag.derivative(d2f[(s * n + t) * m + i], us[w])
 
         d3f = [third(x, a, b, i) for x in r for a in r for b in r for i in range(m)]
-        # One tape for f, df, d2f and d3f in that order; value and jacobian run a prefix.
+        # One tape for f, df, d2f and d3f in that order; ``jets`` runs a prefix of it.
         self.tape = dag.tape(f + df + d2f + d3f)
         self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))
 
@@ -169,19 +161,6 @@ class Immersion:
     def value(self, u: Sequence[float]) -> np.ndarray:
         """Chart coordinates f(u); checked against the ambient chart domain."""
         return self.jets(u, 1)[0]
-
-    def jacobian(self, u: Sequence[float]) -> np.ndarray:
-        """Tangent representatives T_a = df/du_a as rows, shape (n, m)."""
-        return self.jets(u, 2)[1]
-
-
-@dataclass(frozen=True, eq=False)
-class FrameAtParameter:
-    """Tangent basis and a g-orthonormal normal basis at one parameter point."""
-
-    u: np.ndarray
-    tangents: list[RealTangentVector]
-    normals: list[RealTangentVector]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,44 +279,6 @@ def _normal_part(st: _State, w: np.ndarray) -> np.ndarray:
     return w - _tangential_coeffs(st, w) @ st.tangents
 
 
-def induced_metric(imm: Immersion, u: Sequence[float]) -> np.ndarray:
-    """Pullback metric ``ghat_ab = g(T_a, T_b)``, symmetric positive definite."""
-    return state(imm, u).induced
-
-
-def frame_at(imm: Immersion, u: Sequence[float]) -> FrameAtParameter:
-    """Tangent basis plus a g-orthonormal basis of the normal space.
-
-    The normal basis comes from Gram-Schmidt over a deterministic completion
-    of the tangent frame by standard chart directions.
-    """
-    st = state(imm, u)
-    m = imm.ambient.m
-    candidates = [row for row in st.tangents]
-    for i in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[i] = 1.0
-        candidates.append(e.copy())
-        candidates.append(1j * e)
-    basis: list[np.ndarray] = []
-    for w in candidates:
-        for b in basis:
-            w = w - 2.0 * st.metric.hermitian_product(w, b).real * b
-        norm = st.metric.norm(RealTangentVector(w))
-        if norm < _RANK_TOL:
-            if len(basis) < imm.n:
-                raise RankError(f"tangent frame degenerate at u={u}")
-            continue
-        basis.append(w / norm)
-        if len(basis) == 2 * m:
-            break
-    if len(basis) != 2 * m:
-        raise RankError(f"could not complete a normal frame at u={u}")
-    tangents = [RealTangentVector(row.copy()) for row in st.tangents]
-    normals = [RealTangentVector(b) for b in basis[imm.n :]]
-    return FrameAtParameter(u=st.u, tangents=tangents, normals=normals)
-
-
 def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> np.ndarray:
     """alpha(T_a, T_b) as complex representatives, shape (n, n, m).
 
@@ -362,66 +303,6 @@ def _umbilical_residual(st: _State) -> float:
     return float(np.max(st.metric.norm(residual), initial=0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class WeingartenSplit:
-    """Orthogonal split of the ambient derivative of a normal field.
-
-    ``tangential`` is the shape-operator part (equal to -A_xi X) and
-    ``normal`` is the normal-connection part D_X xi.
-    """
-
-    tangential: RealTangentVector
-    normal: RealTangentVector
-
-
-_NORMAL_TOL = 1e-8
-
-
-def weingarten_split(
-    imm: Immersion,
-    u: Sequence[float],
-    xi: Sequence[Expr],
-    x_coeffs: Sequence[float],
-) -> WeingartenSplit:
-    """Split ``nabla_X xi`` into tangential and normal parts.
-
-    ``xi`` gives the normal field as expressions over the parameters; ``X``
-    is the tangent vector with coefficients ``x_coeffs`` in the coordinate
-    tangent basis.  The two parts sum back to the ambient derivative; the
-    shape operator satisfies ``g(A_xi X, Y) = g(alpha(X, Y), xi)``.  One
-    tape evaluates xi and its parameter derivatives together.
-    """
-    st = state(imm, u)
-    m, n = imm.ambient.m, imm.n
-    if len(xi) != m:
-        raise ValueError(f"normal field needs {m} components, got {len(xi)}")
-    for c in xi:
-        ex.validate_variables(c, n, (U,))
-    dag = ex.Dag()
-    fields = [dag.intern(c) for c in xi]
-    derivatives = [dag.derivative(c, Var(U, a + 1)) for a in range(n) for c in fields]
-    values = np.array(dag.tape(fields + derivatives).run(imm.assignment(st.u)))
-    xi0, dxi = values[:m], values[m:].reshape(n, m)
-    tang_norm = st.metric.norm(RealTangentVector(xi0 - _normal_part(st, xi0)))
-    if tang_norm > _NORMAL_TOL * max(1.0, st.metric.norm(RealTangentVector(xi0))):
-        raise NotNormalError(
-            f"field is not normal at u={st.u}: tangential norm {tang_norm:.3e}"
-        )
-    x = np.asarray(x_coeffs, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"tangent coefficients must have shape ({n},)")
-    vx = x @ st.tangents
-    ambient_derivative = x @ dxi + np.einsum("kij,i,j->k", st.gamma, vx, xi0)
-    normal = _normal_part(st, ambient_derivative)
-    tangential = ambient_derivative - normal
-    return WeingartenSplit(
-        tangential=RealTangentVector(tangential), normal=RealTangentVector(normal)
-    )
-
-
-_UMBILICAL_TOL = 1e-6
-
-
 def _codazzi_lhs(st: _State) -> np.ndarray:
     """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
     curv = geo.curvature_tensor(st.point, st.metric, st.jets[:4])
@@ -438,17 +319,14 @@ def _codazzi_general(st: _State) -> np.ndarray:
 
 
 def _codazzi_umbilical(st: _State) -> np.ndarray:
-    """The reduced Codazzi residual of every index triple at ``st``, shape (n, n, n)."""
-    resid = _umbilical_residual(st)
-    if resid >= _UMBILICAL_TOL:
-        raise NotUmbilicalError(
-            f"immersion is not totally umbilical at u={st.u} "
-            f"(residual {resid:.3e}); reduced Codazzi not computed"
-        )
+    """The reduced Codazzi residual of every index triple at ``st``, shape (n, n, n),
+    raised to the umbilical residual where that is larger: the reduced relation
+    follows from Codazzi only on a totally umbilical immersion."""
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
     rhs = np.einsum("bc,ak->abck", st.induced, st.derivatives[1])
     rhs = rhs - rhs.transpose(1, 0, 2, 3)
-    return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
+    reduced = st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
+    return np.maximum(reduced, _umbilical_residual(st))
 
 
 def _worst_triple(residuals: np.ndarray) -> float:
@@ -472,16 +350,11 @@ def codazzi_residual_general(imm: Immersion, u: Sequence[float], a: int, b: int,
 def codazzi_residual_umbilical(imm: Immersion, u: Sequence[float], a: int, b: int, c: int) -> float:
     """Residual of the reduced Codazzi relation for totally umbilical N.
 
-    ``{R(X,Y)Z}^perp = g(Y,Z) D_X H - g(X,Z) D_Y H``.  Raises if the
-    immersion is not umbilical at ``u`` (the relation is only meaningful
-    there).
+    ``{R(X,Y)Z}^perp = g(Y,Z) D_X H - g(X,Z) D_Y H``, or the umbilical
+    residual at ``u`` where that is larger, since the relation holds only
+    where the immersion is umbilical.
     """
     return float(_codazzi_umbilical(state(imm, u))[a, b, c])
-
-
-def parallel_h_residual_at(imm: Immersion, u: Sequence[float]) -> float:
-    """max over directions of ||D_{T_a} H|| at one parameter point."""
-    return _parallel_h_residual(state(imm, u))
 
 
 def _parallel_h_residual(st: _State) -> float:
@@ -497,7 +370,7 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     """
     if points < 1:
         raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
-    return max(parallel_h_residual_at(imm, imm.domain.sample(rng)) for _ in range(points))
+    return max(_parallel_h_residual(state(imm, imm.domain.sample(rng))) for _ in range(points))
 
 
 # The residual of each immersion check on the state of one parameter point;

@@ -339,6 +339,11 @@ def test_non_finite_metric_is_an_error_naming_the_point(command, tmp_path, capsy
 
 # The metric of this potential is indefinite for |z1| > 1/sqrt(2).
 INDEFINITE_SPEC = 'dimension = 1\npotential = "z1*zb1 - 0.5*(z1*zb1)^2"\ndomain = ball 1.0\n'
+# Both components are u1, so the differential has rank 1 everywhere.
+RANK_DEFICIENT_SPEC = (
+    'ambient = builtin:flat:2\nparameters = 2\ncomponent1 = "u1"\ncomponent2 = "u1"\n'
+    "domain = box -1 1 -1 1\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -348,17 +353,21 @@ INDEFINITE_SPEC = 'dimension = 1\npotential = "z1*zb1 - 0.5*(z1*zb1)^2"\ndomain 
         (["check", "chsc"], "chsc: point 0 of 5, seed 3: ", "metric not positive definite at ["),
         (["suite"], "bochner: point 0 of 5, seed 3: ", "metric not positive definite at ["),
         (
-            ["check", "codazzi-umbilical", "--immersion", "builtin:ellipsoid-flat2"],
+            ["check", "codazzi-umbilical", "--immersion"],
             "codazzi-umbilical: point 0 of 5, seed 3: ",
-            "immersion is not totally umbilical at u=[",
+            "immersion differential rank deficient at u=[",
         ),
     ],
     ids=["check-einstein", "check-chsc", "suite", "check-codazzi-umbilical"],
 )
 def test_a_failing_point_is_named_by_check_index_and_seed(argv, prefix, cause, tmp_path, capsys):
-    path = tmp_path / "indefinite.manifold"
-    path.write_text(INDEFINITE_SPEC)
-    if "--immersion" not in argv:
+    if "--immersion" in argv:
+        path = tmp_path / "rank.immersion"
+        path.write_text(RANK_DEFICIENT_SPEC)
+        argv = [*argv, str(path)]
+    else:
+        path = tmp_path / "indefinite.manifold"
+        path.write_text(INDEFINITE_SPEC)
         argv = [*argv, "--manifold", str(path)]
     assert main([*argv, "--seed", "3"]) == 2
     captured = capsys.readouterr()
@@ -474,7 +483,6 @@ _IMMERSION_RUNS = [
     (fixture, check)
     for fixture in ("sphere-flat2-r1", "ellipsoid-flat2")
     for check in cli.IMMERSION_CHECKS
-    if (fixture, check) != ("ellipsoid-flat2", "codazzi-umbilical")
 ]
 
 
@@ -512,3 +520,11 @@ def test_module_form_runs_quietly():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert "variables: z1" in done.stdout
+
+
+def test_benchmark_selfcheck_passes():
+    # The benchmark's known answers call library functions by name; a removed
+    # or renamed one shows here, not only as a refused benchmark run.
+    script = Path(cli.__file__).resolve().parents[2] / "perfbench" / "selfcheck.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

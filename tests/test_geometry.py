@@ -20,6 +20,13 @@ def _fs1():
     return models.build_model("builtin:fs:1")
 
 
+def _christoffel(manifold, p):
+    """Christoffel symbols from the metric and dg blocks of the chart's jets."""
+    p = manifold.require_in_domain(p)
+    g, dg = manifold.jets(p, 2)
+    return geo.christoffel_symbols(geo.hermitian_metric(p, g), dg)
+
+
 # ------------------------------------------------------------------ metric
 
 
@@ -82,12 +89,12 @@ def test_non_real_potential_rejected():
 
 
 def test_flat_christoffel_zero(flat2, rng):
-    c = geo.christoffel_at(flat2, flat2.sample_point(rng))
+    c = _christoffel(flat2, flat2.sample_point(rng))
     assert np.max(np.abs(c.gamma)) == 0.0
 
 
 def test_fs1_christoffel_at_origin_zero():
-    c = geo.christoffel_at(_fs1(), [0.0])
+    c = _christoffel(_fs1(), [0.0])
     assert np.max(np.abs(c.gamma)) < 1e-14
 
 
@@ -97,7 +104,7 @@ def test_christoffel_against_finite_differences():
     m = _fs1()
     p = np.array([0.5 + 0j])
     gm = geo.metric_at(m, p)
-    c = geo.christoffel_at(m, p)
+    c = _christoffel(m, p)
 
     def g_entry(value):
         return m.metric_matrix(np.array([value]))[0, 0]
@@ -108,7 +115,7 @@ def test_christoffel_against_finite_differences():
 
 
 def test_christoffel_symmetry(fs3, rng):
-    c = geo.christoffel_at(fs3, fs3.sample_point(rng))
+    c = _christoffel(fs3, fs3.sample_point(rng))
     assert np.max(np.abs(c.gamma - c.gamma.transpose(0, 2, 1))) < 1e-12
 
 
@@ -219,7 +226,7 @@ def test_fs2_against_oracle_single_quadruple(fs2, rng):
 
 
 def test_flat_ricci_zero(flat2, rng):
-    ric = geo.ricci_at(flat2, flat2.sample_point(rng))
+    ric = geo.point_data(flat2, flat2.sample_point(rng)).ricci
     assert np.max(np.abs(ric.matrix)) == 0.0
 
 
@@ -227,7 +234,7 @@ def test_fs1_einstein_ratio_constant():
     m = _fs1()
     ratios = []
     for p in ([0.0], [0.5]):
-        ric = geo.ricci_at(m, p)
+        ric = geo.point_data(m, p).ricci
         gm = geo.metric_at(m, p)
         ratios.append((ric.matrix[0, 0] / gm.matrix[0, 0]).real)
     assert abs(ratios[0] - ratios[1]) < 1e-9
@@ -235,7 +242,7 @@ def test_fs1_einstein_ratio_constant():
 
 def test_ricci_evaluator_j_invariance(fs3, rng):
     p = fs3.sample_point(rng)
-    ric = geo.ricci_at(fs3, p)
+    ric = geo.point_data(fs3, p).ricci
     gm = ric.metric
     for _ in range(5):
         x = geo.random_unit_tangent(gm, 3, rng)
@@ -249,7 +256,7 @@ def test_ricci_equals_log_det_hessian(fs2, chyp2, rng):
     # the scalar chart function log det g.
     for manifold in (fs2, chyp2):
         p = manifold.sample_point(rng)
-        ric = geo.ricci_at(manifold, p)
+        ric = geo.point_data(manifold, p).ricci
         for i in range(2):
             for j in range(2):
 
@@ -274,7 +281,7 @@ def test_ricci_equals_log_det_hessian(fs2, chyp2, rng):
 
 
 def test_product_ricci_blocks_differ(product, rng):
-    ric = geo.ricci_at(product, product.sample_point(rng))
+    ric = geo.point_data(product, product.sample_point(rng)).ricci
     gm = ric.metric
     block1 = (ric.matrix[0, 0] / gm.matrix[0, 0]).real
     block2 = (ric.matrix[1, 1] / gm.matrix[1, 1]).real
@@ -285,19 +292,19 @@ def test_product_ricci_blocks_differ(product, rng):
 
 
 def test_flat_scalar_zero(flat2, rng):
-    assert geo.scalar_curvature_at(flat2, flat2.sample_point(rng)) == 0.0
+    assert geo.point_data(flat2, flat2.sample_point(rng)).tau == 0.0
 
 
 def test_fs2_scalar_constant(fs2, rng):
     values = [
-        geo.scalar_curvature_at(fs2, fs2.sample_point(rng)) for _ in range(10)
+        geo.point_data(fs2, fs2.sample_point(rng)).tau for _ in range(10)
     ]
     assert np.ptp(values) < 1e-9
     assert values[0] > 0
 
 
 def test_chyp2_scalar_negative(chyp2, rng):
-    assert geo.scalar_curvature_at(chyp2, chyp2.sample_point(rng)) < 0
+    assert geo.point_data(chyp2, chyp2.sample_point(rng)).tau < 0
 
 
 def _random_real_orthonormal_basis(metric, m, rng):
@@ -324,8 +331,8 @@ def _random_real_orthonormal_basis(metric, m, rng):
 
 def test_scalar_curvature_basis_independent(fs2, rng):
     p = fs2.sample_point(rng)
-    ric = geo.ricci_at(fs2, p)
-    tau = geo.scalar_curvature_at(fs2, p)
+    pd = geo.point_data(fs2, p)
+    ric, tau = pd.ricci, pd.tau
     for _ in range(5):
         basis = _random_real_orthonormal_basis(ric.metric, 2, rng)
         trace = sum(ric(e, e) for e in basis)
@@ -432,7 +439,7 @@ def test_one_frame_samplers_keep_the_gram_schmidt_draws(chart, request):
 
 def test_forms_give_one_value_per_stacked_vector(product, rng):
     p = product.sample_point(rng)
-    ric = geo.ricci_at(product, p)
+    ric = geo.point_data(product, p).ricci
     gm, rc = ric.metric, geo.curvature_at(product, p)
     stack = geo.unit_tangents(gm, 5, 4, rng)
     x, y, z, u = (geo.RealTangentVector(stack[:, a]) for a in range(4))
