@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import expr as ex
+from . import geometry as geo
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
@@ -87,6 +88,8 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
     Returns the report and one array of the values it was reduced from:
     every sample of a manifold check, one per point of an immersion check.
     An error at a point is raised as a ``PointError`` naming the point.
+    An immersion check evaluates its points one by one and then their
+    derived fields and residuals once, on the stack of all of them.
     """
     rng = np.random.default_rng(cfg.seed)
     on_manifold = cfg.check in MANIFOLD_CHECKS
@@ -98,11 +101,17 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
             if on_manifold:
                 pd = inv.point_data(target, target.sample_point(rng))
                 found.append(inv.draw(cfg.check, pd, cfg.samples, rng))
-            else:  # one frame, the tangents, and one value: the point's residual
-                s = sub.state(target, target.domain.sample(rng))
-                found.append((s, s.tangents[None], np.array([sub.CHECKS[cfg.check](s)])))
+            else:
+                found.append(sub.state(target, target.domain.sample(rng)))
         except Exception as err:  # any failure at a point: re-raised with where it happened
             raise PointError(cfg, index, err) from err
+    if not on_manifold:
+        try:
+            values = sub.CHECKS[cfg.check](sub.stack(found))
+        except geo.GeometryError as err:  # the ambient curvature names its first failing point
+            raise PointError(cfg, err.index[0], err) from err
+        # one frame, the tangents, and one value: the point's residual
+        found = [(s, s.tangents[None], values[i : i + 1]) for i, s in enumerate(found)]
     residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], found)
     return CheckReport(
         manifold=target.name if on_manifold else f"{target.ambient.name}::{target.name}",

@@ -45,7 +45,15 @@ ChartPoint = np.ndarray  # (m,) complex array inside the chart domain
 
 
 class GeometryError(Exception):
-    """Base class for chart-level numerical failures."""
+    """Base class for chart-level numerical failures.
+
+    Where a test ran on a stack of points at once, ``index`` holds the
+    leading-axis indices of the first point that failed (() for one point).
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class MetricError(GeometryError):
@@ -149,9 +157,22 @@ class HermitianMetric:
 
 
 def _rows(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``v @ matrix`` as one 2-D product over all the leading axes of ``v``."""
+    """``v @ matrix`` as one 2-D product over all the leading axes of ``v``.
+
+    A stack of matrices, one per point, takes vectors whose leading axes
+    begin with the same point axes, and gives one product per point.
+    """
     v = np.asarray(v)
-    return (v.reshape(-1, v.shape[-1]) @ matrix).reshape(*v.shape[:-1], matrix.shape[-1])
+    points = matrix.shape[:-2]
+    rows = v.reshape(*points, -1, v.shape[-1]) @ matrix
+    return rows.reshape(*v.shape[:-1], matrix.shape[-1])
+
+
+def _per_point(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``matrix``, one per point of a stack, with unit axes after its point
+    axes, so that in a matmul or a solve it broadcasts against ``v``: a
+    stack of matrices whose leading axes begin with the same point axes."""
+    return np.expand_dims(matrix, tuple(range(matrix.ndim - 2, v.ndim - 2)))
 
 
 def _sesquilinear(matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> complex:
@@ -343,8 +364,8 @@ def hermitian_metric(p: ChartPoint, g: np.ndarray) -> HermitianMetric:
 def christoffel_symbols(metric: HermitianMetric, dg: np.ndarray) -> ChristoffelData:
     """``Gamma^k_{ij} = g^{k lbar} d_i g_{j lbar}``, symmetric in (i, j)."""
     # dg[i, j, l] = d_i g_{j lbar};  g^{k lbar} = inverse[l, k]
-    gamma = np.einsum("lk,ijl->kij", metric.inverse, dg)
-    gamma = 0.5 * (gamma + gamma.transpose(0, 2, 1))
+    gamma = np.einsum("...lk,...ijl->...kij", metric.inverse, dg)
+    gamma = 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
     return ChristoffelData(gamma=gamma)
 
 
@@ -354,7 +375,7 @@ def _curvature_terms(
     """The two terms whose sum is the curvature tensor."""
     _, dg, dgb, d2g = jets
     # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l]
-    return -d2g, np.einsum("qp,ikq,jpl->ijkl", metric.inverse, dg, dgb)
+    return -d2g, np.einsum("...qp,...ikq,...jpl->...ijkl", metric.inverse, dg, dgb)
 
 
 def curvature_tensor(
@@ -365,18 +386,23 @@ def curvature_tensor(
     Validates the Kähler symmetries (pair symmetry and conjugation symmetry)
     of the result before returning it.  On a chart's own jets the pair
     symmetry holds by construction; the check stays for jets a caller
-    supplies.
+    supplies.  Points, metrics and jets may stack along leading axes; each
+    point is validated alone, and the error names the first that fails.
     """
     minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic
-    scale = max(1.0, float(np.max(np.abs(r))))
-    pair = max(
-        float(np.max(np.abs(r - r.transpose(2, 1, 0, 3)))),
-        float(np.max(np.abs(r - r.transpose(0, 3, 2, 1)))),
-    )
-    conj = float(np.max(np.abs(r - r.transpose(1, 0, 3, 2).conj())))
-    if not max(pair, conj) <= 1e-10 * scale:
-        raise GeometryError(f"curvature symmetries violated at {p}")
+    axes = (-4, -3, -2, -1)
+
+    def largest(t: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(t), axis=axes)
+
+    scale = np.maximum(1.0, largest(r))
+    pair = np.maximum(largest(r - np.swapaxes(r, -4, -2)), largest(r - np.swapaxes(r, -3, -1)))
+    conj = largest(r - np.swapaxes(np.swapaxes(r, -4, -3), -2, -1).conj())
+    bad = ~(np.maximum(pair, conj) <= 1e-10 * scale)
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        raise GeometryError(f"curvature symmetries violated at {p[index]}", tuple(map(int, index)))
     return ComplexCurvature(tensor=r)
 
 
@@ -510,9 +536,10 @@ def _wedge(x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
 def _curvature_rows(curvature: ComplexCurvature, x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
     """``sum_ij w^{ij} R_{i jbar k lbar}`` for ``w = _wedge(x, y)``, flat over
     (k, l): one product with R as an ``(m^2, m^2)`` matrix."""
-    m2 = curvature.tensor.shape[0] ** 2
+    t = curvature.tensor
+    m2 = t.shape[-1] ** 2
     w = _wedge(x, y)
-    return _rows(w.reshape(*w.shape[:-2], m2), curvature.tensor.reshape(m2, m2))
+    return _rows(w.reshape(*w.shape[:-2], m2), t.reshape(*t.shape[:-4], m2, m2))
 
 
 def curvature_operator(
@@ -527,9 +554,10 @@ def curvature_operator(
     Defined by ``g(R(X,Y)Z, U) = R(X,Y,Z,U)`` for every U; vectors stack
     and broadcast as in ``real_curvature``.
     """
+    g = metric.matrix
     rows = _curvature_rows(curvature, x, y)
-    a = np.einsum("...kl,...k->...l", rows.reshape(*rows.shape[:-1], *metric.matrix.shape), z.components)
-    return np.linalg.solve(metric.matrix.T, a[..., None])[..., 0]
+    a = np.einsum("...kl,...k->...l", rows.reshape(*rows.shape[:-1], *g.shape[-2:]), z.components)[..., None]
+    return np.linalg.solve(_per_point(np.swapaxes(g, -1, -2), a), a)[..., 0]
 
 
 _PIVOT = 1e-8

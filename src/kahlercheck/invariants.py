@@ -317,7 +317,7 @@ def _complex_pairs(vec: Sequence[complex]) -> list[list[float]]:
     return [[float(np.real(c)), float(np.imag(c))] for c in np.asarray(vec, dtype=complex)]
 
 
-@dataclass
+@dataclass(slots=True)
 class WorstCase:
     point: np.ndarray  # chart point (complex coordinates)
     frame: Sequence[np.ndarray]  # the vectors involved in the worst sample
@@ -331,7 +331,7 @@ class WorstCase:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Outcome of one verification run.
 

@@ -15,10 +15,14 @@ respect to the ambient metric and never require a choice of normal frame.
 They act on vectors stacked along the last axis, and the Codazzi residuals
 of all index triples at a point come back as one (n, n, n) array.
 
-``state`` evaluates one parameter point into a ``_State``, whose derived
-fields (connection, second fundamental form, mean curvature and their
-derivatives) are computed once, on first use.  ``CHECKS`` maps each
-immersion check to its residual on a state.
+``state`` evaluates one parameter point into a ``_State``: the tape runs
+and every test that can fail at a point.  ``stack`` joins the states of a
+run's points into one state with a leading point axis.  The derived fields
+(connection, second fundamental form, mean curvature and their derivatives)
+are computed once, on first use, by formulas that broadcast over leading
+axes, so a stack derives each field once for all its points, and per point
+exactly as a state of that point alone would.  ``CHECKS`` maps each
+immersion check to its residuals, one per point of a state.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,7 +170,14 @@ class Immersion:
 
 @dataclass(frozen=True, eq=False)
 class _State:
-    """One parameter point of an immersion: its jets, and the fields derived from them once."""
+    """Parameter points of an immersion: their jets, and the fields derived
+    from them once.
+
+    ``state`` gives one point, with no leading axis; ``stack`` gives the
+    points of a run, every array with a leading point axis.  The fields
+    below are written for one point and broadcast over that axis, so both
+    run the same code.
+    """
 
     imm: Immersion
     u: np.ndarray
@@ -174,15 +186,29 @@ class _State:
     tangents: np.ndarray  # (n, m) complex rows
     d2f: np.ndarray  # (n, n, m) second parameter derivatives
     d3f: np.ndarray  # (n, n, n, m) third parameter derivatives
-    induced: np.ndarray  # (n, n) real
-    induced_inv: np.ndarray
-    gamma: np.ndarray  # ambient Christoffel, (m, m, m)
     jets: list[np.ndarray]  # ambient (g, dg, dgb, d2g, ddg) at the point
+
+    @cached_property
+    def induced(self) -> np.ndarray:
+        """Induced metric ``ghat_ab = g(T_a, T_b)``, shape (n, n), real."""
+        v = self.tangents
+        ghat = 2.0 * np.real(v @ self.metric.matrix @ np.swapaxes(v.conj(), -1, -2))
+        return 0.5 * (ghat + np.swapaxes(ghat, -1, -2))
+
+    @cached_property
+    def induced_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.induced)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Ambient Christoffel symbols, shape (m, m, m)."""
+        return geo.christoffel_symbols(self.metric, self.jets[1]).gamma
 
     @cached_property
     def nabla(self) -> np.ndarray:
         """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
-        return self.d2f + np.einsum("kij,ai,bj->abk", self.gamma, self.tangents, self.tangents)
+        t = self.tangents
+        return self.d2f + np.einsum("...kij,...ai,...bj->...abk", self.gamma, t, t)
 
     @cached_property
     def conn(self) -> np.ndarray:
@@ -194,12 +220,12 @@ class _State:
     def alpha(self) -> np.ndarray:
         """Second fundamental form ``alpha(T_a, T_b)``, the normal part of
         ``nabla``; symmetric in (a, b), shape (n, n, m)."""
-        return self.nabla - self.conn @ self.tangents
+        return self.nabla - self.conn @ geo._per_point(self.tangents, self.conn)
 
     @cached_property
     def h(self) -> np.ndarray:
         """Mean curvature ``H = (1/n) ghat^{ab} alpha(a, b)``, shape (m,)."""
-        return np.einsum("ab,abk->k", self.induced_inv, self.alpha) / self.imm.n
+        return np.einsum("...ab,...abk->...k", self.induced_inv, self.alpha) / self.imm.n
 
     @cached_property
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -217,21 +243,27 @@ class _State:
         ginv, ghat_inv = self.metric.inverse, self.induced_inv
         # d Gamma = g^-1 (d dg - (d g) Gamma) for d = d_{z_a} (s = 0) and d_{zb_a} (s = 1);
         # along T_x, Gamma_x = d_{z_a} Gamma T_x^a + d_{zb_a} Gamma conj(T_x^a)
-        d2, d1 = np.stack([ddg, d2g.transpose(1, 0, 2, 3)]), np.stack([dg, dgb])
-        d_gamma = np.einsum("qk,saijq->sakij", ginv, d2 - np.einsum("sapq,pij->saijq", d1, gamma))
-        gamma_x = np.einsum("sxa,sakij->xkij", np.stack([t, t.conj()]), d_gamma)
+        d2 = np.stack([ddg, np.swapaxes(d2g, -4, -3)], axis=-5)
+        d1 = np.stack([dg, dgb], axis=-4)
+        d_gamma = np.einsum(
+            "...qk,...saijq->...sakij", ginv, d2 - np.einsum("...sapq,...pij->...saijq", d1, gamma)
+        )
+        gamma_x = np.einsum("...sxa,...sakij->...xkij", np.stack([t, t.conj()], axis=-3), d_gamma)
         d_alpha = _normal_part(
             self,
             self.d3f
-            + np.einsum("xkij,yi,zj->xyzk", gamma_x, t, t)
-            + np.einsum("kij,xyi,zj->xyzk", gamma, d2f, t)
-            + np.einsum("kij,yi,xzj->xyzk", gamma, t, d2f)
-            + np.einsum("kij,xi,yzj->xyzk", gamma, t, alpha)
-            - np.einsum("yza,xak->xyzk", conn, d2f),
+            + np.einsum("...xkij,...yi,...zj->...xyzk", gamma_x, t, t)
+            + np.einsum("...kij,...xyi,...zj->...xyzk", gamma, d2f, t)
+            + np.einsum("...kij,...yi,...xzj->...xyzk", gamma, t, d2f)
+            + np.einsum("...kij,...xi,...yzj->...xyzk", gamma, t, alpha)
+            - np.einsum("...yza,...xak->...xyzk", conn, d2f),
         )
-        d_ghat = np.einsum("xya,az->xyz", conn, self.induced)
-        d_ghat_inv = -ghat_inv @ (d_ghat + d_ghat.transpose(0, 2, 1)) @ ghat_inv
-        d_h = np.einsum("xyz,yzk->xk", d_ghat_inv, alpha) + np.einsum("yz,xyzk->xk", ghat_inv, d_alpha)
+        d_ghat = np.einsum("...xya,...az->...xyz", conn, self.induced)
+        d_ghat = d_ghat + np.swapaxes(d_ghat, -1, -2)
+        inv = geo._per_point(ghat_inv, d_ghat)
+        d_ghat_inv = -inv @ d_ghat @ inv
+        d_h = np.einsum("...xyz,...yzk->...xk", d_ghat_inv, alpha)
+        d_h = d_h + np.einsum("...yz,...xyzk->...xk", ghat_inv, d_alpha)
         return d_alpha, d_h / self.imm.n
 
 
@@ -239,7 +271,12 @@ _RANK_TOL = 1e-8
 
 
 def state(imm: Immersion, u: Sequence[float]) -> _State:
-    """The state of ``imm`` at ``u``: one run of its tape and one of ``immersion_tape``."""
+    """The state of ``imm`` at ``u``: one run of its tape and one of ``immersion_tape``.
+
+    Everything here can fail at a point, so the caller names the point; the
+    fields derived from the state cannot, apart from the ambient curvature's
+    symmetry test (see ``stack``).
+    """
     u = imm.require_in_box(u)
     point, v, d2f, d3f = imm.jets(u)
     jets = imm.ambient.jets(point, 5)
@@ -251,32 +288,42 @@ def state(imm: Immersion, u: Sequence[float]) -> _State:
             f"immersion differential rank deficient at u={u}: "
             f"smallest singular value {smallest:.3e}"
         )
-    ghat = 2.0 * np.real(v @ metric.matrix @ v.conj().T)
-    ghat = 0.5 * (ghat + ghat.T)
+    return _State(imm=imm, u=u, point=point, metric=metric, tangents=v, d2f=d2f, d3f=d3f, jets=jets)
+
+
+def stack(states: Sequence[_State]) -> _State:
+    """The states of points of one immersion as one state with a leading
+    point axis: each derived field is computed once for all of them, and a
+    check gives one residual per point.  A ``GeometryError`` from the
+    ambient curvature carries the ``index`` of the first failing point."""
+
+    def stacked(field: str) -> np.ndarray:
+        get = attrgetter(field)
+        return np.stack([get(st) for st in states])
+
     return _State(
-        imm=imm,
-        u=u,
-        point=point,
-        metric=metric,
-        tangents=v,
-        d2f=d2f,
-        d3f=d3f,
-        induced=ghat,
-        induced_inv=np.linalg.inv(ghat),
-        gamma=geo.christoffel_symbols(metric, jets[1]).gamma,
-        jets=jets,
+        imm=states[0].imm,
+        u=stacked("u"),
+        point=stacked("point"),
+        metric=HermitianMetric(stacked("metric.matrix"), stacked("metric.inverse")),
+        tangents=stacked("tangents"),
+        d2f=stacked("d2f"),
+        d3f=stacked("d3f"),
+        jets=[np.stack(block) for block in zip(*(st.jets for st in states))],
     )
 
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
     """Real coefficients c[..., a] with tangential part of W equal to
     sum_a c[..., a] T_a, for vectors W stacked along the last axis."""
-    rhs = 2.0 * np.real(np.conj(w) @ (st.tangents @ st.metric.matrix).T)
-    return rhs @ st.induced_inv.T
+    tg = np.swapaxes(st.tangents @ st.metric.matrix, -1, -2)
+    rhs = 2.0 * np.real(np.conj(w) @ geo._per_point(tg, w))
+    return rhs @ geo._per_point(np.swapaxes(st.induced_inv, -1, -2), rhs)
 
 
 def _normal_part(st: _State, w: np.ndarray) -> np.ndarray:
-    return w - _tangential_coeffs(st, w) @ st.tangents
+    coeffs = _tangential_coeffs(st, w)
+    return w - coeffs @ geo._per_point(st.tangents, coeffs)
 
 
 def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -295,26 +342,30 @@ def mean_curvature(imm: Immersion, u: Sequence[float]) -> np.ndarray:
 
 def umbilical_residual(imm: Immersion, u: Sequence[float]) -> float:
     """max_ab || alpha(a,b) - ghat_ab H || in the ambient metric."""
-    return _umbilical_residual(state(imm, u))
+    return float(_umbilical_residual(state(imm, u)))
 
 
-def _umbilical_residual(st: _State) -> float:
-    residual = RealTangentVector(st.alpha - st.induced[..., None] * st.h)
-    return float(np.max(st.metric.norm(residual), initial=0.0))
+# The residuals below take a state of one point or of a stack of points,
+# and give their values per point.
+
+
+def _umbilical_residual(st: _State) -> np.ndarray:
+    residual = RealTangentVector(st.alpha - st.induced[..., None] * st.h[..., None, None, :])
+    return np.max(st.metric.norm(residual), axis=(-2, -1), initial=0.0)
 
 
 def _codazzi_lhs(st: _State) -> np.ndarray:
     """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
     curv = geo.curvature_tensor(st.point, st.metric, st.jets[:4])
-    x, y, z = (RealTangentVector(np.expand_dims(st.tangents, a)) for a in ((1, 2), (0, 2), (0, 1)))
+    x, y, z = (RealTangentVector(np.expand_dims(st.tangents, a)) for a in ((-3, -2), (-4, -2), (-4, -3)))
     return _normal_part(st, geo.curvature_operator(curv, st.metric, x, y, z))
 
 
 def _codazzi_general(st: _State) -> np.ndarray:
     """The Codazzi residual of every index triple (a, b, c) at ``st``, shape (n, n, n)."""
     # The term alpha(nabla_{T_x} T_y, T_z) is symmetric in (x, y) and cancels below.
-    dbar = st.derivatives[0] - np.einsum("xze,yek->xyzk", st.conn, st.alpha)
-    rhs = dbar - dbar.transpose(1, 0, 2, 3)
+    dbar = st.derivatives[0] - np.einsum("...xze,...yek->...xyzk", st.conn, st.alpha)
+    rhs = dbar - np.swapaxes(dbar, -4, -3)
     return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
 
@@ -323,16 +374,16 @@ def _codazzi_umbilical(st: _State) -> np.ndarray:
     raised to the umbilical residual where that is larger: the reduced relation
     follows from Codazzi only on a totally umbilical immersion."""
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
-    rhs = np.einsum("bc,ak->abck", st.induced, st.derivatives[1])
-    rhs = rhs - rhs.transpose(1, 0, 2, 3)
+    rhs = np.einsum("...bc,...ak->...abck", st.induced, st.derivatives[1])
+    rhs = rhs - np.swapaxes(rhs, -4, -3)
     reduced = st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
-    return np.maximum(reduced, _umbilical_residual(st))
+    return np.maximum(reduced, _umbilical_residual(st)[..., None, None, None])
 
 
-def _worst_triple(residuals: np.ndarray) -> float:
+def _worst_triple(residuals: np.ndarray) -> np.ndarray:
     """The largest residual over the index triples (a, b, c) with a < b."""
-    a, b = np.triu_indices(len(residuals), 1)
-    return float(np.max(residuals[a, b], initial=0.0))
+    a, b = np.triu_indices(residuals.shape[-1], 1)
+    return np.max(residuals[..., a, b, :], axis=(-2, -1), initial=0.0)
 
 
 def codazzi_residual_general(imm: Immersion, u: Sequence[float], a: int, b: int, c: int) -> float:
@@ -357,8 +408,8 @@ def codazzi_residual_umbilical(imm: Immersion, u: Sequence[float], a: int, b: in
     return float(_codazzi_umbilical(state(imm, u))[a, b, c])
 
 
-def _parallel_h_residual(st: _State) -> float:
-    return float(np.max(st.metric.norm(RealTangentVector(st.derivatives[1])), initial=0.0))
+def _parallel_h_residual(st: _State) -> np.ndarray:
+    return np.max(st.metric.norm(RealTangentVector(st.derivatives[1])), axis=-1, initial=0.0)
 
 
 def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> float:
@@ -370,13 +421,14 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     """
     if points < 1:
         raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
-    return max(_parallel_h_residual(state(imm, imm.domain.sample(rng))) for _ in range(points))
+    us = [imm.domain.sample(rng) for _ in range(points)]
+    return float(np.max(_parallel_h_residual(stack([state(imm, u) for u in us]))))
 
 
-# The residual of each immersion check on the state of one parameter point;
+# The residual of each immersion check per point of a state (see ``stack``);
 # every one reduces them as REDUCE (see ``invariants.reduce_samples``).
 REDUCE = "max"
-CHECKS: dict[str, Callable[[_State], float]] = {
+CHECKS: dict[str, Callable[[_State], np.ndarray]] = {
     "umbilical": _umbilical_residual,
     "parallel-h": _parallel_h_residual,
     "codazzi-general": lambda st: _worst_triple(_codazzi_general(st)),

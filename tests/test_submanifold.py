@@ -380,12 +380,16 @@ GENERIC_IMMERSIONS = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(GENERIC_IMMERSIONS))
-def generic(request):
-    ambient, n, components, domain = GENERIC_IMMERSIONS[request.param]
+def _generic_immersion(name):
+    ambient, n, components, domain = GENERIC_IMMERSIONS[name]
     lines = [f"ambient = {ambient}", f"parameters = {n}"]
     lines += [f'component{k} = "{c}"' for k, c in enumerate(components, 1)]
-    return models.parse_immersion_spec("\n".join(lines + [f"domain = {domain}"]), request.param)
+    return models.parse_immersion_spec("\n".join(lines + [f"domain = {domain}"]), name)
+
+
+@pytest.fixture(scope="module", params=sorted(GENERIC_IMMERSIONS))
+def generic(request):
+    return _generic_immersion(request.param)
 
 
 def _richardson_derivatives(imm, u, h=1e-5):
@@ -531,6 +535,37 @@ def test_each_state_builds_nabla_once(check, sphere, rng, monkeypatch):
     assert len(projections) <= 3
     st.alpha, st.h, st.derivatives
     assert len(nablas) == 1
+    # A stack of the 8 points of a run derives each field once for all of them.
+    run = sub.stack([sub.state(sphere, sphere.domain.sample(rng)) for _ in range(8)])
+    sub.CHECKS[check](run)
+    run.alpha, run.h, run.derivatives
+    assert nablas == [st, run]
+    assert run.nabla.shape == (8, *st.nabla.shape)
+
+
+BUILTIN_IMMERSIONS = (
+    "linear-flat3", "sphere-flat2-r1", "ellipsoid-flat2", "cylinder-flat2", "cp1-in-cp2", "real-slice-flat2",
+)
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_IMMERSIONS, *sorted(GENERIC_IMMERSIONS)])
+def test_a_stacked_state_equals_the_loop_over_its_points(name, rng):
+    # The per-point loop is the reference: the stacked fields and residuals
+    # equal it bit for bit, point by point.
+    imm = _generic_immersion(name) if name in GENERIC_IMMERSIONS else models.builtin_immersion(name)
+    for points in (1, 3, 8):
+        us = [imm.domain.sample(rng) for _ in range(points)]
+        loop = [sub.state(imm, u) for u in us]
+        run = sub.stack([sub.state(imm, u) for u in us])
+        for check, residual in sub.CHECKS.items():
+            got = residual(run)
+            assert got.shape == (points,)
+            assert np.array_equal(got, [residual(st) for st in loop]), (name, check, points)
+        for i, st in enumerate(loop):
+            for field in ("alpha", "h"):
+                assert np.array_equal(getattr(run, field)[i], getattr(st, field)), (name, field, i)
+            for block, want in zip(run.derivatives, st.derivatives):
+                assert np.array_equal(block[i], want), (name, i)
 
 
 def test_codazzi_residuals_are_one_array_per_point(sphere, linear, rng):
