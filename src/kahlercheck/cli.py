@@ -87,9 +87,12 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
 
     Returns the report and one array of the values it was reduced from:
     every sample of a manifold check, one per point of an immersion check.
-    An error at a point is raised as a ``PointError`` naming the point.
-    An immersion check evaluates its points one by one and then their
-    derived fields and residuals once, on the stack of all of them.
+    Both kinds run in two stages.  Each point is first evaluated alone (its
+    tapes, the tests that can fail there, and a manifold check's frames);
+    an error there is raised as a ``PointError`` naming the point.  The
+    run's points are then joined into one stack, and the curvature and the
+    check's values are computed once for all of them; a ``GeometryError``
+    there names its first failing point in the same way.
     """
     rng = np.random.default_rng(cfg.seed)
     on_manifold = cfg.check in MANIFOLD_CHECKS
@@ -99,20 +102,21 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
     for index in range(cfg.points):
         try:
             if on_manifold:
-                pd = inv.point_data(target, target.sample_point(rng))
-                found.append(inv.draw(cfg.check, pd, cfg.samples, rng))
+                found.append(inv.draw_point(cfg.check, target, cfg.samples, rng))
             else:
                 found.append(sub.state(target, target.domain.sample(rng)))
         except Exception as err:  # any failure at a point: re-raised with where it happened
             raise PointError(cfg, index, err) from err
-    if not on_manifold:
-        try:
-            values = sub.CHECKS[cfg.check](sub.stack(found))
-        except geo.GeometryError as err:  # the ambient curvature names its first failing point
-            raise PointError(cfg, err.index[0], err) from err
-        # one frame, the tangents, and one value: the point's residual
-        found = [(s, s.tangents[None], values[i : i + 1]) for i, s in enumerate(found)]
-    residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], found)
+    try:
+        if on_manifold:
+            sampled = inv.evaluate(cfg.check, target, found)
+        else:
+            run = sub.stack(found)
+            # one frame, the tangents, and one value per point: its residual
+            sampled = (run, run.tangents[:, None], sub.CHECKS[cfg.check](run)[:, None])
+    except geo.GeometryError as err:  # a stacked test names its first failing point
+        raise PointError(cfg, err.index[0], err) from err
+    residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], sampled)
     return CheckReport(
         manifold=target.name if on_manifold else f"{target.ambient.name}::{target.name}",
         check=cfg.check,
@@ -123,7 +127,7 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
         max_residual=float(np.max(residuals)),
         mean_residual=float(np.mean(residuals)),
         worst_cases=worst,
-    ), np.concatenate([values for _, _, values in found])
+    ), sampled[2].ravel()
 
 
 def _write_json(path: str, payload) -> None:

@@ -168,11 +168,14 @@ def _rows(v: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return rows.reshape(*v.shape[:-1], matrix.shape[-1])
 
 
-def _per_point(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``matrix``, one per point of a stack, with unit axes after its point
-    axes, so that in a matmul or a solve it broadcasts against ``v``: a
-    stack of matrices whose leading axes begin with the same point axes."""
-    return np.expand_dims(matrix, tuple(range(matrix.ndim - 2, v.ndim - 2)))
+def _per_point(a: np.ndarray, v: np.ndarray, core: int = 2) -> np.ndarray:
+    """``a``, one per point of a stack, with unit axes after its point axes,
+    so that it broadcasts against ``v``, whose leading axes begin with the
+    same point axes.  Both end in ``core`` axes of their own: 2 for matrices
+    in a matmul or a solve, 0 for one scalar per point (such as tau) against
+    values or tensors."""
+    a = np.asarray(a)
+    return np.expand_dims(a, tuple(range(a.ndim - core, np.ndim(v) - core)))
 
 
 def _sesquilinear(matrix: np.ndarray, v: np.ndarray, w: np.ndarray) -> complex:
@@ -399,11 +402,16 @@ def curvature_tensor(
     scale = np.maximum(1.0, largest(r))
     pair = np.maximum(largest(r - np.swapaxes(r, -4, -2)), largest(r - np.swapaxes(r, -3, -1)))
     conj = largest(r - np.swapaxes(np.swapaxes(r, -4, -3), -2, -1).conj())
-    bad = ~(np.maximum(pair, conj) <= 1e-10 * scale)
+    _raise_at_first(~(np.maximum(pair, conj) <= 1e-10 * scale), p, "curvature symmetries violated")
+    return ComplexCurvature(tensor=r)
+
+
+def _raise_at_first(bad: np.ndarray, p: ChartPoint, what: str) -> None:
+    """Raise ``GeometryError`` for the first point of a stack where ``bad``
+    holds, naming it and carrying its leading-axis ``index``."""
     if bad.any():
         index = np.unravel_index(np.argmax(bad), bad.shape)
-        raise GeometryError(f"curvature symmetries violated at {p[index]}", tuple(map(int, index)))
-    return ComplexCurvature(tensor=r)
+        raise GeometryError(f"{what} at {p[index]}", tuple(map(int, index)))
 
 
 def ricci_tensor(
@@ -414,33 +422,46 @@ def ricci_tensor(
     Route (a) contracts the curvature tensor with the inverse metric; route
     (b) uses the log-determinant identity through Jacobi's formula,
     ``S_{i jbar} = -tr(g^{-1} d_i d_jbar g) + tr(g^{-1} d_i g g^{-1} d_jbar g)``.
-    The two must agree to 1e-8.
+    The two must agree to 1e-8.  Points stack as in ``curvature_tensor``:
+    each is cross-checked alone, and the error names the first that fails.
     """
     ginv = metric.inverse
-    s_contract = np.einsum("li,ijkl->kj", ginv, curvature.tensor)
+    s_contract = np.einsum("...li,...ijkl->...kj", ginv, curvature.tensor)
 
     _, dg, dgb, d2g = jets
-    t1 = np.einsum("ab,ijba->ij", ginv, d2g)
-    t2 = np.einsum("ab,ibc,cd,jda->ij", ginv, dg, ginv, dgb)
+    t1 = np.einsum("...ab,...ijba->...ij", ginv, d2g)
+    # g^{a b} d_i g_{b c} g^{c d} d_jbar g_{d a}, as two products and one trace
+    inverse = ginv[..., None, :, :]
+    t2 = np.einsum("...iac,...jca->...ij", inverse @ dg, inverse @ dgb)
     s_logdet = -t1 + t2
 
-    scale = max(1.0, float(np.max(np.abs(s_contract))))
-    if not float(np.max(np.abs(s_contract - s_logdet))) <= 1e-8 * scale:
-        raise GeometryError(f"Ricci computation routes disagree at {p}")
-    s = 0.5 * (s_contract + s_contract.conj().T)
+    def largest(t: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(t), axis=(-2, -1))
+
+    scale = np.maximum(1.0, largest(s_contract))
+    _raise_at_first(~(largest(s_contract - s_logdet) <= 1e-8 * scale), p, "Ricci computation routes disagree")
+    s = 0.5 * (s_contract + np.swapaxes(s_contract, -1, -2).conj())
     return RicciData(matrix=s, metric=metric)
 
 
 @dataclass(frozen=True, eq=False)
 class PointData:
-    """All pointwise tensors of one manifold at one chart point."""
+    """All pointwise tensors of one manifold at one chart point, or at a
+    stack of points (``stack``).
+
+    A stack puts its point axis first in every array field, and ``tau`` and
+    ``term_scale`` hold one value per point; at one point they are floats.
+    The formulas broadcast over that axis, so each point of a stack gets
+    the values it would get alone, and the check values of ``invariants``
+    give one value per point and frame.
+    """
 
     manifold: KahlerManifold
     point: np.ndarray
     metric: HermitianMetric
     curvature: ComplexCurvature
     ricci: RicciData
-    tau: float
+    tau: float | np.ndarray
     jets: list[np.ndarray]  # (g, dg, dgb, d2g) as KahlerManifold.jets gives them
 
     @property
@@ -458,17 +479,18 @@ class PointData:
         g, s, m = self.metric.matrix, self.ricci.matrix, self.m
 
         def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.einsum("ij,kl->ijkl", a, b) + np.einsum("il,kj->ijkl", a, b)
+            return np.einsum("...ij,...kl->...ijkl", a, b) + np.einsum("...il,...kj->...ijkl", a, b)
 
+        gg = dot(g, g)
         tensor = (
             self.curvature.tensor
             - (dot(g, s) + dot(s, g)) / (m + 2)
-            + self.tau * dot(g, g) / (2.0 * (m + 1) * (m + 2))
+            + _per_point(self.tau, gg, 0) * gg / (2.0 * (m + 1) * (m + 2))
         )
         return ComplexCurvature(tensor=tensor)
 
     @cached_property
-    def term_scale(self) -> float:
+    def term_scale(self) -> float | np.ndarray:
         """Size in the metric of the larger of the two terms whose sum is R.
 
         Each term is written in a g-orthonormal frame and measured by its
@@ -477,27 +499,60 @@ class PointData:
         curvature is round-off of order machine epsilon times this size.
         """
         # c.T g conj(c) = 1 for g = L L^H
-        c = np.linalg.inv(np.linalg.cholesky(self.metric.matrix)).T
+        c = np.swapaxes(np.linalg.inv(np.linalg.cholesky(self.metric.matrix)), -1, -2)
+        points = c.shape[:-2]
 
-        def frame_norm(t: np.ndarray) -> float:
+        def frame_norm(t: np.ndarray) -> np.ndarray:
             # t[i, (j, k, l)] -> t[(j, k, l), a] -> t[j, (k, l, a)] ... -> t[(a, b, c), d]
             for f in (c, c.conj(), c, c.conj()):
-                t = t.reshape(self.m, -1).T @ f
-            return float(np.linalg.norm(t))
+                t = np.swapaxes(t.reshape(*points, self.m, -1), -1, -2) @ f
+            # Each point's |Re t|^2 + |Im t|^2 as one (1, n) @ (n, 1) product:
+            # the sum np.linalg.norm forms for one point, bit for bit.
+            rows = t.reshape(*points, 1, -1)
+            re, im = rows.real, rows.imag
+            squares = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+            return np.sqrt(squares[..., 0, 0])
 
-        return max(frame_norm(t) for t in _curvature_terms(self.metric, self.jets))
+        return np.maximum(*(frame_norm(t) for t in _curvature_terms(self.metric, self.jets)))
+
+
+def point_jets(
+    manifold: KahlerManifold, p: Sequence[complex]
+) -> tuple[ChartPoint, HermitianMetric, list[np.ndarray]]:
+    """The stage of ``point_data`` that runs at each point alone: ``p``
+    checked against the chart domain, one run of the chart's jet tape and
+    the metric validated, each of which can fail at that point."""
+    p = manifold.require_in_domain(p)
+    jets = manifold.jets(p)
+    return p, hermitian_metric(p, jets[0]), jets
+
+
+def _tensors(
+    manifold: KahlerManifold, p: ChartPoint, metric: HermitianMetric, jets: list[np.ndarray]
+) -> PointData:
+    """Curvature, Ricci and scalar curvature from the output of
+    ``point_jets``, at one point or at a stack of points."""
+    curvature = curvature_tensor(p, metric, jets)
+    ricci = ricci_tensor(p, metric, curvature, jets)
+    # 2 g^{i jbar} S_{i jbar}
+    tau = 2.0 * np.trace(ricci.matrix @ metric.inverse, axis1=-2, axis2=-1).real
+    return PointData(manifold, p, metric, curvature, ricci, tau, jets)
 
 
 def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
     """Evaluate metric, curvature, Ricci and scalar curvature at ``p``,
     from one run of the chart's jet tape."""
-    p = manifold.require_in_domain(p)
-    jets = manifold.jets(p)
-    metric = hermitian_metric(p, jets[0])
-    curvature = curvature_tensor(p, metric, jets)
-    ricci = ricci_tensor(p, metric, curvature, jets)
-    tau = 2.0 * float(np.trace(ricci.matrix @ metric.inverse).real)  # 2 g^{i jbar} S_{i jbar}
-    return PointData(manifold, p, metric, curvature, ricci, tau, jets)
+    return _tensors(manifold, *point_jets(manifold, p))
+
+
+def stack(manifold: KahlerManifold, evaluated: Sequence[tuple]) -> PointData:
+    """The ``point_jets`` of points of ``manifold`` as one ``PointData`` with
+    a leading point axis: curvature, Ricci and tau are computed once for all
+    of them.  A ``GeometryError`` from the curvature or Ricci tests carries
+    the ``index`` of the first failing point."""
+    points, metrics, jets = zip(*evaluated)
+    metric = HermitianMetric(np.stack([g.matrix for g in metrics]), np.stack([g.inverse for g in metrics]))
+    return _tensors(manifold, np.stack(points), metric, [np.stack(block) for block in zip(*jets)])
 
 
 # One tensor at one point of a chart.  The metric runs only the tape prefix

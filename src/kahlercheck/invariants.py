@@ -6,11 +6,16 @@ Einstein and off-diagonal Ricci diagnostics, the curvature reconstruction
 from Ricci data, and the constant holomorphic-sectional-curvature fit.
 
 The pointwise functions are pure over a ``PointData`` bundle and give one
-value per stacked tangent vector.  ``CHECKS`` names every sampled manifold
-check: the least complex dimension it needs, the frames it draws, its value
-on them and how the values reduce to residuals.  ``sample`` draws points
-and the frames at each point as one stack from a caller-owned generator, in
-a fixed order, so a seed fixes every residual.
+value per stacked tangent vector; on a ``PointData`` of a stack of points
+(``geometry.stack``) the vectors stack along the same leading point axis.
+``CHECKS`` names every sampled manifold check: the least complex dimension
+it needs, the frames it draws, its value on them and how the values reduce
+to residuals.  A sampled check runs in two stages.  ``draw_point`` runs at
+each point alone: it draws the point, evaluates its jets and metric and
+draws its frames, from a caller-owned generator in a fixed order, so a seed
+fixes every residual.  ``evaluate`` then stacks a run's points and computes
+curvature, Ricci, tau and the check's values once for all of them.
+``sample`` runs both stages.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import geometry as geo
-# Re-exported; ``sample`` looks point_data up in this module, so a wrapper
-# set on ``invariants.point_data`` sees every call.
+# ``point_data`` is re-exported as the one-point entry of the library.
 from .geometry import KahlerManifold, PointData, RealTangentVector, point_data
 
 
@@ -105,7 +109,9 @@ def reconstruct_curvature_from_ricci(
     """
     legs, m = (x, y, z, u), pd.m
     g, s = _gram(pd.metric.matrix, legs), _gram(pd.ricci.matrix, legs)
-    return _ricci_block(g, s) / (2.0 * (m + 2)) - pd.tau * _metric_block(g) / (4.0 * (m + 1) * (m + 2))
+    metric_block = _metric_block(g)
+    tau = geo._per_point(pd.tau, metric_block, 0)
+    return _ricci_block(g, s) / (2.0 * (m + 2)) - tau * metric_block / (4.0 * (m + 1) * (m + 2))
 
 
 _FRAME_TOL = 1e-8
@@ -170,9 +176,10 @@ def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> floa
 class Check:
     """One sampled manifold check.
 
-    At a point it draws one ``(samples, k, m)`` stack of frames from
+    At each point it draws one ``(samples, k, m)`` stack of frames from
     ``geometry.<sampler>`` (k = None: the complex dimension); ``value(pd,
-    legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
+    legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a
+    (with a leading point axis on a stacked ``pd``).
     ``reduce`` is "max" (each |value| is a residual), "std" (one residual
     per point: the standard deviation of its values) or "spread" (one
     residual: the ``_spread`` of all values).  Sampler and values are
@@ -188,7 +195,8 @@ class Check:
 
 def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
     x, y = frame
-    return pd.ricci(x, y) - pd.tau / (2.0 * pd.m) * pd.metric.inner(x, y)
+    inner = pd.metric.inner(x, y)
+    return pd.ricci(x, y) - geo._per_point(pd.tau, inner, 0) / (2.0 * pd.m) * inner
 
 
 def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
@@ -209,30 +217,58 @@ CHECKS: dict[str, Check] = {
 }
 MANIFOLD_CHECKS = tuple(CHECKS)
 
-# One check at one point: a record with the ``point`` (a PointData, or the state
-# of an immersion check), its (samples, k, m) frames and their values.
+# One check on its points: a record with the ``point`` data (a PointData, or
+# the state of an immersion check), its frames and their values.  ``draw``
+# gives one point's (samples, k, m) frames and (samples,) values; a run's
+# record has a leading point axis on all three.
 PointSamples = tuple[Any, np.ndarray, np.ndarray]
+
+
+def _frames(
+    check: Check, metric: geo.HermitianMetric, samples: int, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    return getattr(geo, check.sampler)(metric, samples, check.k or m, rng)
+
+
+def _values(check: Check, pd: PointData, frames: np.ndarray) -> np.ndarray:
+    return check.value(pd, [RealTangentVector(frames[..., a, :]) for a in range(frames.shape[-2])])
 
 
 def draw(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> PointSamples:
     """``samples`` frames of check ``name`` at ``pd`` as one stack, and its value on each."""
     check = CHECKS[name]
-    frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng)
-    legs = [RealTangentVector(frames[:, a]) for a in range(frames.shape[1])]
-    return pd, frames, check.value(pd, legs)
+    frames = _frames(check, pd.metric, samples, pd.m, rng)
+    return pd, frames, _values(check, pd, frames)
+
+
+def draw_point(
+    name: str, manifold: KahlerManifold, samples: int, rng: np.random.Generator
+) -> tuple[tuple, np.ndarray]:
+    """The stage of check ``name`` that runs at each point alone: a chart
+    point, its ``geometry.point_jets``, and ``samples`` frames drawn from
+    its metric, in the order ``draw`` on ``point_data`` would draw them."""
+    evaluated = geo.point_jets(manifold, manifold.sample_point(rng))
+    return evaluated, _frames(CHECKS[name], evaluated[1], samples, manifold.m, rng)
+
+
+def evaluate(name: str, manifold: KahlerManifold, drawn: Sequence[tuple]) -> PointSamples:
+    """The ``draw_point`` results of a run as one record with a leading point
+    axis: a ``geometry.stack`` PointData, the frames, and the value of check
+    ``name`` on each frame, all computed once for the run."""
+    evaluated, frames = zip(*drawn)
+    pd, frames = geo.stack(manifold, evaluated), np.stack(frames)
+    return pd, frames, _values(CHECKS[name], pd, frames)
 
 
 def sample(
     name: str, manifold: KahlerManifold, points: int, samples: int, rng: np.random.Generator
-) -> list[PointSamples]:
-    """Draw ``points`` chart points, each followed by its ``samples`` frames."""
-    return [
-        draw(name, point_data(manifold, manifold.sample_point(rng)), samples, rng)
-        for _ in range(points)
-    ]
+) -> PointSamples:
+    """Draw ``points`` chart points, each followed by its ``samples`` frames,
+    and evaluate them as one stack."""
+    return evaluate(name, manifold, [draw_point(name, manifold, samples, rng) for _ in range(points)])
 
 
-def _spread(sampled: list[PointSamples]) -> tuple[np.ndarray, float, float]:
+def _spread(sampled: PointSamples) -> tuple[np.ndarray, float, float]:
     """All values sampled, their mean and their relative spread.
 
     The spread is ``(max - min) / max(|mean|, floor)``.  The floor is the
@@ -241,31 +277,32 @@ def _spread(sampled: list[PointSamples]) -> tuple[np.ndarray, float, float]:
     flat chart the mean is itself round-off, so dividing by it alone would
     turn round-off into an O(1) spread.
     """
-    values = np.concatenate([vs for _, _, vs in sampled])
+    pd, _, values = sampled
+    values = values.ravel()
     mean = float(values.mean())
     width = float(values.max() - values.min())
     if width == 0.0:
         return values, mean, 0.0
-    return values, mean, width / max(abs(mean), max(pd.term_scale for pd, _, _ in sampled))
+    return values, mean, width / max(abs(mean), float(np.max(pd.term_scale)))
 
 
-def reduce_samples(how: str, sampled: list[PointSamples]) -> tuple[np.ndarray, list[WorstCase]]:
-    """Residuals and worst cases under the reduction ``how`` (see ``Check``):
-    at each point the first largest sample ("max") or the one farthest from
-    the point's mean ("std"); for "spread", the one sample farthest from the
-    mean of all.  Points and frames are copies, never views of jets or stacks."""
+def reduce_samples(how: str, sampled: PointSamples) -> tuple[np.ndarray, list[WorstCase]]:
+    """Residuals and worst cases of a run's record under the reduction
+    ``how`` (see ``Check``): at each point the first largest sample ("max")
+    or the one farthest from the point's mean ("std"); for "spread", the one
+    sample farthest from the mean of all.  Points and frames are copies,
+    never views of jets or stacks."""
+    run, frames, values = sampled  # values: (points, samples)
     if how == "spread":
-        values, mean, spread = _spread(sampled)
-        point, i = divmod(int(np.argmax(np.abs(values - mean))), len(sampled[0][2]))
-        pd, frames, _ = sampled[point]
-        return np.array([spread]), [WorstCase(pd.point.copy(), frames[i].copy(), spread)]
+        flat, mean, spread = _spread(sampled)
+        point, i = divmod(int(np.argmax(np.abs(flat - mean))), values.shape[1])
+        return np.array([spread]), [WorstCase(run.point[point].copy(), frames[point, i].copy(), spread)]
     if how not in ("max", "std"):
         raise ValueError(f"unknown reduction {how!r}")
-    values = np.stack([vs for _, _, vs in sampled])  # (points, samples)
     far = np.abs(values - (values.mean(axis=1, keepdims=True) if how == "std" else 0.0))
     per_point = values.std(axis=1) if how == "std" else far.max(axis=1)
-    picks = zip(sampled, far.argmax(axis=1), per_point)
-    worst = [WorstCase(pd.point.copy(), frames[i].copy(), float(r)) for (pd, frames, _), i, r in picks]
+    picks = zip(run.point, frames, far.argmax(axis=1), per_point)
+    worst = [WorstCase(point.copy(), f[i].copy(), float(r)) for point, f, i, r in picks]
     return per_point if how == "std" else far.ravel(), worst
 
 

@@ -362,6 +362,13 @@ ESCAPING_SPEC = (
             "metric not positive definite at [",
         ),
         (
+            # Points 0 to 3 are good: the run stops at point 4, before the stacked stage.
+            ["check", "einstein", "--seed", "0", "--manifold"],
+            INDEFINITE_SPEC,
+            "einstein: point 4 of 5, seed 0: ",
+            "metric not positive definite at [0.67773239+0.22247977j]: smallest eigenvalue -1.763687e-02\n",
+        ),
+        (
             ["check", "chsc", "--seed", "3", "--manifold"],
             INDEFINITE_SPEC,
             "chsc: point 0 of 5, seed 3: ",
@@ -387,7 +394,14 @@ ESCAPING_SPEC = (
             "immersion leaves the ambient chart domain at u=[-0.6497889   0.71881361]\n",
         ),
     ],
-    ids=["check-einstein", "check-chsc", "suite", "check-codazzi-umbilical", "check-umbilical-late-point"],
+    ids=[
+        "check-einstein",
+        "check-einstein-late-point",
+        "check-chsc",
+        "suite",
+        "check-codazzi-umbilical",
+        "check-umbilical-late-point",
+    ],
 )
 def test_a_failing_point_is_named_by_check_index_and_seed(argv, spec, prefix, cause, tmp_path, capsys):
     # ``argv`` ends with the flag that takes the spec file.
@@ -422,6 +436,54 @@ def test_a_stacked_stage_error_names_its_first_failing_point(first, monkeypatch)
     assert (err.check, err.index, err.seed) == ("codazzi-general", first, 3)
     assert isinstance(err.__cause__, geo.GeometryError)
     assert str(err) == f"codazzi-general: point {first} of 4, seed 3: curvature symmetries violated at {point}"
+
+
+def test_one_curvature_and_one_ricci_call_per_manifold_run(monkeypatch):
+    # The jet tape runs at each point; curvature and Ricci run once, on the
+    # stack of all the run's points.
+    manifold = models.load_manifold("builtin:fs:3")
+    calls, runs = [], []
+    for name in ("curvature_tensor", "ricci_tensor"):
+        real = getattr(geo, name)
+
+        def counted(*a, name=name, real=real):
+            calls.append((name, len(a[0])))
+            return real(*a)
+
+        monkeypatch.setattr(geo, name, counted)
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    for check in MANIFOLD_CHECKS:
+        calls.clear()
+        runs.clear()
+        cfg = RunConfig(manifold=manifold.name, check=check, points=4, samples=3, seed=2)
+        cli._run_loaded(cfg, manifold)
+        assert calls == [("curvature_tensor", 4), ("ricci_tensor", 4)], check
+        assert runs == [manifold.tape] * 4, check
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_ricci_disagreement_in_a_stack_names_its_point(bad, monkeypatch):
+    # Route (b) of the Ricci cross-check alone reads d2g from the jets: a
+    # change there at one point of the stack makes the routes disagree there.
+    manifold = models.load_manifold("builtin:fs:3")
+    real_ricci = geo.ricci_tensor
+
+    def broken_ricci(p, metric, curvature, jets):
+        d2g = jets[3].copy()
+        d2g[bad, 0, 0, 0, 0] += 1e-3
+        return real_ricci(p, metric, curvature, [*jets[:3], d2g])
+
+    monkeypatch.setattr(geo, "ricci_tensor", broken_ricci)
+    cfg = RunConfig(manifold=manifold.name, check="einstein", points=4, samples=3, seed=3)
+    with pytest.raises(cli.PointError) as info:
+        cli._run_loaded(cfg, manifold)
+    err = info.value
+    monkeypatch.setattr(geo, "ricci_tensor", real_ricci)
+    point = inv.sample("einstein", manifold, 4, 3, np.random.default_rng(3))[0].point[bad]
+    assert (err.check, err.index, err.seed) == ("einstein", bad, 3)
+    assert isinstance(err.__cause__, geo.GeometryError) and err.__cause__.index == (bad,)
+    assert str(err) == f"einstein: point {bad} of 4, seed 3: Ricci computation routes disagree at {point}"
 
 
 def test_point_error_carries_the_point_and_chains_the_original(tmp_path):

@@ -364,7 +364,7 @@ def test_point_data_runs_the_jet_tape_once(fs3, rng, monkeypatch):
     pd = inv.point_data(fs3, p)
     assert runs == [fs3.tape]
     # The chsc floor reads the jets the point already holds.
-    inv._spread([(pd, None, np.array([1.0, 2.0]))])
+    inv._spread((pd, None, np.array([1.0, 2.0])))
     assert runs == [fs3.tape]
 
 
@@ -388,15 +388,43 @@ def test_stacked_values_match_one_frame_calls(chart, request, rng):
         assert values.shape == (7,) and np.max(np.abs(values - singles)) <= 1e-14 * scale, name
 
 
+@pytest.mark.parametrize("points", [1, 3, 8])
+@pytest.mark.parametrize("chart", ["fs3", "product", "flat_pullback_path"])
+def test_a_stacked_run_equals_the_loop_over_its_points(chart, points, request):
+    # One stacked PointData per run against point_data and draw at each point,
+    # on the same generator calls: every field and value agrees bit for bit.
+    manifold = request.getfixturevalue(chart)
+    if chart == "flat_pullback_path":
+        manifold = models.load_manifold(manifold)
+    for name, check in inv.CHECKS.items():
+        if manifold.m < check.min_dim:
+            continue
+        run, frames, values = inv.sample(name, manifold, points, 5, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        loop = [
+            inv.draw(name, inv.point_data(manifold, manifold.sample_point(rng)), 5, rng)
+            for _ in range(points)
+        ]
+        assert frames.shape == (points, 5, check.k or manifold.m, manifold.m), name
+        assert values.shape == (points, 5) and run.tau.shape == run.term_scale.shape == (points,), name
+        for i, (pd, f, v) in enumerate(loop):
+            assert isinstance(pd.tau, float) and np.ndim(pd.term_scale) == 0
+            assert np.array_equal(run.point[i], pd.point)
+            assert np.array_equal(frames[i], f) and np.array_equal(values[i], v), name
+            assert run.tau[i] == pd.tau and run.term_scale[i] == pd.term_scale
+            assert np.array_equal(run.ricci.matrix[i], pd.ricci.matrix)
+            assert np.array_equal(run.bochner.tensor[i], pd.bochner.tensor)
+
+
 @pytest.mark.parametrize("name", ["bochner", "basis-sum", "chsc"])
 def test_worst_case_frames_are_copies(name, fs3, rng):
     sampled = inv.sample(name, fs3, 2, 20, rng)
     _, worst = inv.reduce_samples(inv.CHECKS[name].reduce, sampled)
+    run, frames, _ = sampled
     for case in worst:
-        assert not any(np.shares_memory(case.frame, frames) for _, frames, _ in sampled)
-        assert any(
-            np.array_equal(case.frame, row) for _, frames, _ in sampled for row in frames
-        )
+        assert not np.shares_memory(case.frame, frames)
+        assert not np.shares_memory(case.point, run.point)
+        assert any(np.array_equal(case.frame, row) for per_point in frames for row in per_point)
 
 
 @pytest.mark.parametrize("name", ["bochner", "basis-sum"])
@@ -406,12 +434,13 @@ def test_reduction_matches_a_loop_over_points(name, product, rng):
     how = inv.CHECKS[name].reduce
     residuals, worst = inv.reduce_samples(how, sampled)
     want = []
-    for (pd, frames, values), case in zip(sampled, worst):
+    run, stacked_frames, stacked_values = sampled
+    for point, frames, values, case in zip(run.point, stacked_frames, stacked_values, worst):
         far = np.abs(values - (values.mean() if how == "std" else 0.0))
         r = [float(values.std())] if how == "std" else far.tolist()
         want += r
         assert case.residual == max(r) and np.array_equal(case.frame, frames[int(np.argmax(far))])
-        assert np.array_equal(case.point, pd.point)
+        assert np.array_equal(case.point, point)
     assert residuals.tolist() == want
 
 
