@@ -6,12 +6,14 @@ arithmetic operators, integer powers, and ``log``/``exp``.  ``z_k`` and
 ``zb_k`` are formally independent variables; the coupling ``zb_k = conj(z_k)``
 is imposed only when an evaluation assignment is built.  All nodes are
 immutable, so trees can be shared and evaluated concurrently without
-synchronization.
+synchronization.  The constructors ``add``, ``mul``, ... build plain nodes;
+nothing folds outside a table.
 
-A ``Dag`` is the hash-consing table of one build: it interns nodes and
-memoizes derivatives, folds and domain risk on them, and lowers a list of
-roots to one ``Tape``, the single evaluator.  ``evaluate`` and
-``compile_evaluator`` lower one expression through a fresh table.
+A ``Dag`` is the node table of one build.  It stores each distinct node once,
+under an integer id, runs the one set of folding and derivative rules on
+those ids, and lowers a list of roots to one ``Tape``, the single
+evaluator.  ``evaluate``, ``compile_evaluator``, ``wirtinger_derivative`` and
+``constant_fold`` go through a fresh table.
 """
 
 from __future__ import annotations
@@ -111,14 +113,36 @@ def u(index: int) -> Var:
     return var(U, index)
 
 
-_ZERO = Const(0j)
-_ONE = Const(1 + 0j)
+def add(l: Expr, r: Expr) -> Expr:
+    return Binary("+", l, r)
 
 
-def _is_const(e: Expr, value: complex | None = None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
+def sub(l: Expr, r: Expr) -> Expr:
+    return Binary("-", l, r)
+
+
+def mul(l: Expr, r: Expr) -> Expr:
+    return Binary("*", l, r)
+
+
+def div(l: Expr, r: Expr) -> Expr:
+    return Binary("/", l, r)
+
+
+def neg(e: Expr) -> Expr:
+    return Unary("neg", e)
+
+
+def log(e: Expr) -> Expr:
+    return Unary("log", e)
+
+
+def exp(e: Expr) -> Expr:
+    return Unary("exp", e)
+
+
+def power(base: Expr, exponent: int) -> Expr:
+    return Power(base, int(exponent))
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -129,213 +153,342 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return (e.base,) if isinstance(e, Power) else ()
 
 
-def _domain_fault(node: Expr) -> str | None:
-    """The domain error ``node`` itself can raise, or None; overflow is not counted."""
-    if isinstance(node, Unary) and node.op == "log":
+_UNARY_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp}
+_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# The op of a table node: a leaf, a power, or the op of a Unary or Binary node.
+_CONST, _VAR, _POW = "c", "v", "^"
+_CONST_NODE = (_CONST, -1, -1)
+
+
+def _fault(op: str, b) -> str | None:
+    """The domain error a node can raise itself, from its op and, for a
+    power, its exponent ``b``; None if it raises none (overflow is not counted)."""
+    if op == "log":
         return "log of zero"
-    if isinstance(node, Binary) and node.op == "/":
+    if op == "/":
         return "division by zero"
-    if isinstance(node, Power) and node.exponent < 0:
+    if op == _POW and b < 0:
         return "zero raised to a negative power"
     return None
 
 
-def _risky(e: Expr, memo: dict[int, bool]) -> bool:
-    # ``memo`` is keyed on node identity; its caller keeps the nodes alive.
-    hit = memo.get(id(e))
-    if hit is None:
-        hit = _domain_fault(e) is not None
-        for child in _children(e):
-            hit = hit or _risky(child, memo)
-        memo[id(e)] = hit
-    return hit
+class Dag:
+    """The node table of one build, with the folding and derivative rules.
 
+    Each distinct node is stored once, under an integer id given in creation
+    order, so a node's children have smaller ids than the node.  A node is
+    ``(op, a, b)``: a unary node's child ``a`` and ``b = -1``, a binary
+    node's children, a power's base and exponent, or a variable's kind and
+    index.  One dict maps each node to its id; a constant's key is its exact
+    bits, so 0.0 and -0.0 (which differ under log's branch cut) stay apart.
+    Flat per-id lists hold each node, its constant value (None for every
+    other node), whether evaluating it can raise a domain error (overflow is
+    not counted) and whether it is provably nonzero; the last two are worked
+    out once, when the node is made.
 
-def has_domain_risk(e: Expr) -> bool:
-    """True if evaluating ``e`` can hit log(0), division by zero or zero
-    raised to a negative power for some assignment (overflow is not counted)."""
-    return _risky(e, {})
+    The smart constructors fold constant subtrees and 0/1 identities as
+    nodes are made.  A subtree whose evaluation could raise is never folded
+    away, so folding cannot turn a domain error into a success.  Folds are
+    memoized per id, and derivatives per id in one memo per variable.
 
-
-def _provably_nonzero(e: Expr) -> bool:
-    # Conservative syntactic test; used to justify folding 0/x -> 0.
-    if isinstance(e, Const):
-        return e.value != 0
-    if isinstance(e, Unary):
-        if e.op == "exp":
-            return True
-        if e.op == "neg":
-            return _provably_nonzero(e.arg)
-        return False
-    if isinstance(e, Binary) and e.op == "*":
-        return _provably_nonzero(e.left) and _provably_nonzero(e.right)
-    if isinstance(e, Power):
-        return _provably_nonzero(e.base)
-    return False
-
-
-class _Builder:
-    """Smart constructors: constant subtrees and 0/1 identities fold as
-    nodes are built.
-
-    A subtree whose evaluation could raise a domain error is never folded
-    away, so folding cannot turn a domain error into a success.  The plain
-    builder makes ordinary trees; ``Dag`` interns what it makes.
-    """
-
-    def _make(self, node: Expr) -> Expr:
-        return node
-
-    def _has_risk(self, e: Expr) -> bool:
-        return has_domain_risk(e)
-
-    def add(self, l: Expr, r: Expr) -> Expr:
-        if isinstance(l, Const) and isinstance(r, Const):
-            return self._make(Const(l.value + r.value))
-        if _is_const(l, 0):
-            return r
-        if _is_const(r, 0):
-            return l
-        return self._make(Binary("+", l, r))
-
-    def sub(self, l: Expr, r: Expr) -> Expr:
-        if isinstance(l, Const) and isinstance(r, Const):
-            return self._make(Const(l.value - r.value))
-        if _is_const(r, 0):
-            return l
-        if _is_const(l, 0):
-            return self.neg(r)
-        return self._make(Binary("-", l, r))
-
-    def mul(self, l: Expr, r: Expr) -> Expr:
-        if isinstance(l, Const) and isinstance(r, Const):
-            return self._make(Const(l.value * r.value))
-        if _is_const(l, 0) and not self._has_risk(r):
-            return self._make(_ZERO)
-        if _is_const(r, 0) and not self._has_risk(l):
-            return self._make(_ZERO)
-        if _is_const(l, 1):
-            return r
-        if _is_const(r, 1):
-            return l
-        return self._make(Binary("*", l, r))
-
-    def div(self, l: Expr, r: Expr) -> Expr:
-        if isinstance(l, Const) and isinstance(r, Const) and r.value != 0:
-            return self._make(Const(l.value / r.value))
-        if _is_const(r, 1):
-            return l
-        if _is_const(l, 0) and _provably_nonzero(r):
-            return self._make(_ZERO)
-        return self._make(Binary("/", l, r))
-
-    def neg(self, e: Expr) -> Expr:
-        if isinstance(e, Const):
-            return self._make(Const(-e.value))
-        if isinstance(e, Unary) and e.op == "neg":
-            return e.arg
-        return self._make(Unary("neg", e))
-
-    def log(self, e: Expr) -> Expr:
-        if isinstance(e, Const) and e.value != 0:
-            return self._make(Const(cmath.log(e.value)))
-        return self._make(Unary("log", e))
-
-    def exp(self, e: Expr) -> Expr:
-        if isinstance(e, Const):
-            return self._make(Const(cmath.exp(e.value)))
-        return self._make(Unary("exp", e))
-
-    def power(self, base: Expr, exponent: int) -> Expr:
-        exponent = int(exponent)
-        if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
-            try:
-                return self._make(Const(base.value**exponent))
-            except OverflowError:
-                raise EvaluationDomainError("overflow", Power(base, exponent)) from None
-        if exponent == 1:
-            return base
-        if exponent == 0 and not self._has_risk(base):
-            return self._make(_ONE)
-        return self._make(Power(base, exponent))
-
-
-_TREES = _Builder()
-add = _TREES.add
-sub = _TREES.sub
-mul = _TREES.mul
-div = _TREES.div
-neg = _TREES.neg
-log = _TREES.log
-exp = _TREES.exp
-power = _TREES.power
-
-
-def _key(e: Expr) -> tuple:
-    # Children enter the key by identity, so it is only meaningful for nodes
-    # whose children are interned; a constant enters by its exact bits, so
-    # 0.0 and -0.0 (which differ under log's branch cut) stay apart.
-    if isinstance(e, Const):
-        c = complex(e.value)
-        return (Const, c.real.hex(), c.imag.hex())
-    if isinstance(e, Var):
-        return (Var, e.kind, e.index)
-    if isinstance(e, Unary):
-        return (Unary, e.op, id(e.arg))
-    if isinstance(e, Binary):
-        return (Binary, e.op, id(e.left), id(e.right))
-    return (Power, id(e.base), e.exponent)
-
-
-class Dag(_Builder):
-    """Hash-consing table for one build, with memoized calculus.
-
-    Every node the table makes or interns is the one object for its
-    structure, so a derivative tree with repeated subexpressions is a DAG
-    with each subexpression stored once.  Derivatives, folds and domain
-    risk are memoized on node identity.  Keys never use the nodes' own
-    ``__hash__``, which walks the whole subtree on every call.  The table
-    lives as long as the build that owns it; nothing is cached globally.
+    Charts and immersions are built on ids: ``intern_id``, ``fold_id``,
+    ``derive`` and ``lower``.  ``intern``, ``fold``, ``derivative`` and
+    ``tape`` are their ``Expr`` forms; ``expr`` gives the tree of an id, one object per id,
+    built on first use.  A ``Tape`` builds its failing node only when it
+    raises.  The table lives as long as the build that owns it; nothing is
+    cached globally.
     """
 
     def __init__(self):
-        self._nodes: dict[tuple, Expr] = {}
-        # id of an outside node -> (that node, kept alive so its id stays
-        # unique; its interned twin)
-        self._seen: dict[int, tuple[Expr, Expr]] = {}
-        self._risks: dict[int, bool] = {}
-        self._folds: dict[int, Expr] = {}
-        self._derivatives: dict[tuple[int, int], Expr] = {}
-        self._zero = self._make(_ZERO)
-        self._one = self._make(_ONE)
+        self._ids: dict[tuple, int] = {}
+        self._nodes: list[tuple] = []
+        self._values: list[complex | None] = []
+        self._risky: list[bool] = []
+        self._nonzero: list[bool] = []
+        self._exprs: dict[int, Expr] = {}
+        self._expr_ids: dict[int, int] = {}  # id() of a tree from ``expr`` -> its node
+        self._folds: dict[int, int] = {}
+        self._derivatives: dict[int, dict[int, int]] = {}  # variable -> node -> derivative
+        self._zero = self._const(0j)
+        self._one = self._const(1 + 0j)
 
-    def _make(self, node: Expr) -> Expr:
-        return self._nodes.setdefault(_key(node), node)
+    # ------------------------------------------------------------ nodes
 
-    def _has_risk(self, e: Expr) -> bool:
-        return _risky(e, self._risks)
+    def _new(self, key: tuple, node: tuple, value, risky: bool, nonzero: bool) -> int:
+        n = self._ids[key] = len(self._nodes)
+        self._nodes.append(node)
+        self._values.append(value)
+        self._risky.append(risky)
+        self._nonzero.append(nonzero)
+        return n
+
+    def _const(self, value: complex) -> int:
+        key = (value.real.hex(), value.imag.hex())
+        n = self._ids.get(key)
+        if n is None:
+            n = self._new(key, _CONST_NODE, value, False, value != 0)
+        return n
+
+    def _var(self, kind: str, index: int) -> int:
+        key = (_VAR, kind, index)
+        n = self._ids.get(key)
+        if n is None:
+            n = self._new(key, key, None, False, False)
+        return n
+
+    def _node(self, op: str, a: int, b=-1) -> int:
+        key = (op, a, b)
+        n = self._ids.get(key)
+        if n is None:
+            risky, nonzero = self._risky, self._nonzero
+            if op in _BINARY_FNS:
+                risk = risky[a] or risky[b]
+                nz = op == "*" and nonzero[a] and nonzero[b]
+            else:  # unary, or a power of the base ``a``
+                risk = risky[a]
+                nz = op == "exp" or (op != "log" and nonzero[a])
+            n = self._new(key, key, None, risk or _fault(op, b) is not None, nz)
+        return n
+
+    # ------------------------------------------------ smart constructors
+
+    def _add(self, l: int, r: int) -> int:
+        x, y = self._values[l], self._values[r]
+        if x is not None and y is not None:
+            return self._const(x + y)
+        if x == 0:
+            return r
+        if y == 0:
+            return l
+        return self._node("+", l, r)
+
+    def _sub(self, l: int, r: int) -> int:
+        x, y = self._values[l], self._values[r]
+        if x is not None and y is not None:
+            return self._const(x - y)
+        if y == 0:
+            return l
+        if x == 0:
+            return self._neg(r)
+        return self._node("-", l, r)
+
+    def _mul(self, l: int, r: int) -> int:
+        x, y = self._values[l], self._values[r]
+        if x is not None and y is not None:
+            return self._const(x * y)
+        if x == 0 and not self._risky[r]:
+            return self._zero
+        if y == 0 and not self._risky[l]:
+            return self._zero
+        if x == 1:
+            return r
+        if y == 1:
+            return l
+        return self._node("*", l, r)
+
+    def _div(self, l: int, r: int) -> int:
+        x, y = self._values[l], self._values[r]
+        if x is not None and y is not None and y != 0:
+            return self._const(x / y)
+        if y == 1:
+            return l
+        if x == 0 and self._nonzero[r]:
+            return self._zero
+        return self._node("/", l, r)
+
+    def _neg(self, e: int) -> int:
+        x = self._values[e]
+        if x is not None:
+            return self._const(-x)
+        op, a, _ = self._nodes[e]
+        if op == "neg":
+            return a
+        return self._node("neg", e)
+
+    def _log(self, e: int) -> int:
+        x = self._values[e]
+        if x is not None and x != 0:
+            return self._const(cmath.log(x))
+        return self._node("log", e)
+
+    def _exp(self, e: int) -> int:
+        x = self._values[e]
+        if x is not None:
+            return self._const(cmath.exp(x))
+        return self._node("exp", e)
+
+    def _power(self, base: int, exponent: int) -> int:
+        exponent = int(exponent)
+        x = self._values[base]
+        if x is not None and not (x == 0 and exponent < 0):
+            try:
+                return self._const(x**exponent)
+            except OverflowError:
+                raise EvaluationDomainError("overflow", Power(self.expr(base), exponent)) from None
+        if exponent == 1:
+            return base
+        if exponent == 0 and not self._risky[base]:
+            return self._one
+        return self._node(_POW, base, exponent)
+
+    _RULES = {"+": _add, "-": _sub, "*": _mul, "/": _div, "neg": _neg, "log": _log, "exp": _exp}
+
+    # ------------------------------------------------------- id methods
+
+    def intern_id(self, e: Expr) -> int:
+        """The id of ``e``, adding it and its subtrees as needed."""
+        return self._intern(e, {})
+
+    def _intern(self, e: Expr, done: dict[int, int]) -> int:
+        # ``done`` maps id() of the nodes of one outside tree read so far, so
+        # a subtree shared by object is read once; the tree keeps them alive.
+        n = self._expr_ids.get(id(e))
+        if n is None:
+            n = done.get(id(e))
+        if n is not None:
+            return n
+        if isinstance(e, Binary):
+            n = self._node(e.op, self._intern(e.left, done), self._intern(e.right, done))
+        elif isinstance(e, Unary):
+            n = self._node(e.op, self._intern(e.arg, done))
+        elif isinstance(e, Power):
+            n = self._node(_POW, self._intern(e.base, done), e.exponent)
+        elif isinstance(e, Var):
+            n = self._var(e.kind, e.index)
+        else:
+            n = self._const(complex(e.value))
+        done[id(e)] = n
+        return n
+
+    def fold_id(self, n: int) -> int:
+        """The id of ``n`` with constant subtrees and 0/1 identities collapsed."""
+        done = self._folds.get(n)
+        if done is None:
+            op, a, b = self._nodes[n]
+            if op == _CONST or op == _VAR:
+                done = n
+            elif op == _POW:
+                done = self._power(self.fold_id(a), b)
+            elif op in _BINARY_FNS:
+                left = self.fold_id(a)
+                done = self._RULES[op](self, left, self.fold_id(b))
+            else:
+                done = self._RULES[op](self, self.fold_id(a))
+            self._folds[n] = done
+        return done
+
+    def derive(self, n: int, v: int) -> int:
+        """The id of the derivative of ``n`` with respect to the variable ``v``
+        (see ``derivative``)."""
+        memo = self._derivatives.get(v)
+        if memo is None:
+            memo = self._derivatives[v] = {}
+        return self._derive(n, v, memo)
+
+    def _derive(self, e: int, v: int, memo: dict[int, int]) -> int:
+        d = memo.get(e)
+        if d is not None:
+            return d
+        op, a, b = self._nodes[e]
+        if op == _CONST:
+            d = self._zero
+        elif op == _VAR:
+            d = self._one if e == v else self._zero
+        elif op == "neg":
+            d = self._neg(self._derive(a, v, memo))
+        elif op == "log":
+            d = self._div(self._derive(a, v, memo), a)
+        elif op == "exp":
+            d = self._mul(e, self._derive(a, v, memo))
+        elif op == _POW:
+            if b == 0:
+                d = self._mul(self._zero, e)  # still raises wherever e does
+            else:
+                db = self._derive(a, v, memo)
+                scale = self._mul(self._const(complex(b)), self._power(a, b - 1))
+                d = self._mul(scale, db)
+        elif op == "*" and self._values[a] is not None:
+            d = self._mul(a, self._derive(b, v, memo))
+        elif op == "*" and self._values[b] is not None:
+            d = self._mul(self._derive(a, v, memo), b)
+        elif op == "/" and self._values[b] is not None:
+            d = self._div(self._derive(a, v, memo), b)
+        else:
+            dl, dr = self._derive(a, v, memo), self._derive(b, v, memo)
+            if op == "+":
+                d = self._add(dl, dr)
+            elif op == "-":
+                d = self._sub(dl, dr)
+            elif op == "*":
+                d = self._add(self._mul(dl, b), self._mul(a, dr))
+            else:  # quotient rule
+                num = self._sub(self._mul(dl, b), self._mul(a, dr))
+                d = self._div(num, self._power(b, 2))
+        memo[e] = d
+        return d
+
+    def lower(self, roots: Sequence[int]) -> "Tape":
+        """Lower the nodes ``roots`` to one straight-line tape.
+
+        Ops follow a depth-first post-order over the roots in turn, so the
+        ops any prefix of the roots needs form a prefix of the tape, and the
+        first op to fail is the subexpression a left-to-right recursive
+        evaluation would fail at.  The walk keeps its own stack.
+        """
+        nodes = self._nodes
+        seen = bytearray(len(nodes))
+        consts: list[int] = []
+        variables: list[int] = []
+        ops: list[int] = []
+        ends: list[int] = []  # ops needed by each prefix of the roots
+        for root in roots:
+            stack = [root]
+            while stack:
+                n = stack.pop()
+                if n < 0:  # all children done
+                    ops.append(~n)
+                    continue
+                if seen[n]:
+                    continue
+                seen[n] = 1
+                op, a, b = nodes[n]
+                if op == _CONST:
+                    consts.append(n)
+                elif op == _VAR:
+                    variables.append(n)
+                else:
+                    stack.append(~n)
+                    if op in _BINARY_FNS and not seen[b]:
+                        stack.append(b)
+                    if not seen[a]:
+                        stack.append(a)
+            ends.append(len(ops))
+        return Tape(self, consts, variables, ops, roots, ends)
+
+    def expr(self, n: int) -> Expr:
+        """The tree of node ``n``: one object per id, built on first use."""
+        e = self._exprs.get(n)
+        if e is None:
+            op, a, b = self._nodes[n]
+            if op == _CONST:
+                e = Const(self._values[n])
+            elif op == _VAR:
+                e = Var(a, b)
+            elif op == _POW:
+                e = Power(self.expr(a), b)
+            elif op in _BINARY_FNS:
+                e = Binary(op, self.expr(a), self.expr(b))
+            else:
+                e = Unary(op, self.expr(a))
+            self._exprs[n] = e
+            self._expr_ids[id(e)] = n
+        return e
+
+    # ----------------------------------------------------- Expr methods
 
     def intern(self, e: Expr) -> Expr:
-        """The table's node equal to ``e``, adding it and its subtrees as needed."""
-        hit = self._seen.get(id(e))
-        if hit is not None:
-            return hit[1]
-        if self._nodes.get(_key(e)) is e:
-            return e
-        if isinstance(e, Unary):
-            arg = self.intern(e.arg)
-            node = e if arg is e.arg else Unary(e.op, arg)
-        elif isinstance(e, Binary):
-            left, right = self.intern(e.left), self.intern(e.right)
-            node = e if (left is e.left and right is e.right) else Binary(e.op, left, right)
-        elif isinstance(e, Power):
-            base = self.intern(e.base)
-            node = e if base is e.base else Power(base, e.exponent)
-        else:
-            node = e
-        node = self._make(node)
-        self._seen[id(e)] = (e, node)
-        return node
+        """The table's tree equal to ``e``, adding it and its subtrees as needed."""
+        return self.expr(self.intern_id(e))
 
     def fold(self, e: Expr) -> Expr:
         """Collapse constant subtrees and 0/1 identities.
@@ -343,23 +496,7 @@ class Dag(_Builder):
         The result is evaluation-equivalent to ``e``; subtrees whose
         evaluation could raise a domain error are never folded away.
         """
-        return self._fold(self.intern(e))
-
-    def _fold(self, e: Expr) -> Expr:
-        done = self._folds.get(id(e))
-        if done is not None:
-            return done
-        if isinstance(e, (Const, Var)):
-            done = e
-        elif isinstance(e, Unary):
-            done = {"neg": self.neg, "log": self.log, "exp": self.exp}[e.op](self._fold(e.arg))
-        elif isinstance(e, Binary):
-            ops = {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div}
-            done = ops[e.op](self._fold(e.left), self._fold(e.right))
-        else:
-            done = self.power(self._fold(e.base), e.exponent)
-        self._folds[id(e)] = done
-        return done
+        return self.expr(self.fold_id(self.intern_id(e)))
 
     def derivative(self, e: Expr, v: Var) -> Expr:
         """Exact symbolic derivative of ``e`` with respect to the variable ``v``.
@@ -370,89 +507,11 @@ class Dag(_Builder):
         ``d(x / c) = dx / c``), so no dead ``x * 0`` term is built around a
         subtree that could raise.
         """
-        return self._derive(self.intern(e), self.intern(v))
-
-    def _derive(self, e: Expr, v: Expr) -> Expr:
-        key = (id(e), id(v))
-        d = self._derivatives.get(key)
-        if d is None:
-            d = self._derivatives[key] = self._derivative_rule(e, v)
-        return d
-
-    def _derivative_rule(self, e: Expr, v: Expr) -> Expr:
-        if isinstance(e, Const):
-            return self._zero
-        if isinstance(e, Var):
-            return self._one if e is v else self._zero
-        if isinstance(e, Unary):
-            d = self._derive(e.arg, v)
-            if e.op == "neg":
-                return self.neg(d)
-            if e.op == "log":
-                return self.div(d, e.arg)
-            return self.mul(e, d)  # exp
-        if isinstance(e, Binary):
-            l, r = e.left, e.right
-            if e.op == "*" and isinstance(l, Const):
-                return self.mul(l, self._derive(r, v))
-            if e.op == "*" and isinstance(r, Const):
-                return self.mul(self._derive(l, v), r)
-            if e.op == "/" and isinstance(r, Const):
-                return self.div(self._derive(l, v), r)
-            dl, dr = self._derive(l, v), self._derive(r, v)
-            if e.op == "+":
-                return self.add(dl, dr)
-            if e.op == "-":
-                return self.sub(dl, dr)
-            if e.op == "*":
-                return self.add(self.mul(dl, r), self.mul(l, dr))
-            # quotient rule
-            num = self.sub(self.mul(dl, r), self.mul(l, dr))
-            return self.div(num, self.power(r, 2))
-        if e.exponent == 0:
-            return self.mul(self._zero, e)  # still raises wherever e does
-        db = self._derive(e.base, v)
-        scale = self.mul(self._make(Const(complex(e.exponent))), self.power(e.base, e.exponent - 1))
-        return self.mul(scale, db)
+        return self.expr(self.derive(self.intern_id(e), self.intern_id(v)))
 
     def tape(self, roots: Sequence[Expr]) -> "Tape":
-        """Lower ``roots`` to one straight-line tape.
-
-        Ops follow a depth-first post-order over the roots in turn, so the
-        ops any prefix of the roots needs form a prefix of the tape, and the
-        first op to fail is the subexpression a left-to-right recursive
-        evaluation would fail at.
-        """
-        roots = [self.intern(r) for r in roots]
-        order: list[Expr] = []
-        visited: set[int] = set()
-        ends: list[int] = []  # ops needed by each prefix of the roots
-        n_ops = 0
-
-        def visit(e: Expr) -> None:
-            nonlocal n_ops
-            if id(e) in visited:
-                return
-            visited.add(id(e))
-            if isinstance(e, Unary):
-                visit(e.arg)
-            elif isinstance(e, Binary):
-                visit(e.left)
-                visit(e.right)
-            elif isinstance(e, Power):
-                visit(e.base)
-            if not isinstance(e, (Const, Var)):
-                n_ops += 1
-            order.append(e)
-
-        for r in roots:
-            visit(r)
-            ends.append(n_ops)
-        return Tape(order, roots, ends)
-
-
-_UNARY_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp}
-_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+        """Lower the trees ``roots`` to one straight-line tape (see ``lower``)."""
+        return self.lower([self.intern_id(r) for r in roots])
 
 
 class Tape:
@@ -463,34 +522,48 @@ class Tape:
     ``fn(slot[i])`` (``j < 0``) or ``fn(slot[i], slot[j])``.  Values are
     double-precision complex scalars, computed by the same Python operators
     a recursive evaluation would apply, so they agree with it bit for bit.
-    Built by ``Dag.tape``; immutable afterwards.
+    Built by ``Dag.lower`` from the table's node ids, and immutable
+    afterwards; it keeps the table, from which it builds the tree of a
+    failing op for the error only when one fails.
     """
 
-    def __init__(self, order: Sequence[Expr], roots: Sequence[Expr], ends: Sequence[int]):
-        consts = [e for e in order if isinstance(e, Const)]
-        exponents = sorted({e.exponent for e in order if isinstance(e, Power)})
-        variables = [e for e in order if isinstance(e, Var)]
-        nodes = [e for e in order if not isinstance(e, (Const, Var))]
-        slot = {id(e): k for k, e in enumerate(consts)}
-        exponent_slot = {n: len(consts) + k for k, n in enumerate(exponents)}
+    def __init__(
+        self,
+        dag: Dag,
+        consts: Sequence[int],
+        variables: Sequence[int],
+        nodes: Sequence[int],
+        roots: Sequence[int],
+        ends: Sequence[int],
+    ):
+        table, values = dag._nodes, dag._values
+        exponents = sorted({table[n][2] for n in nodes if table[n][0] == _POW})
+        slot = [0] * len(table)
+        for k, n in enumerate(consts):
+            slot[n] = k
         first_var = len(consts) + len(exponents)
-        slot.update((id(e), first_var + k) for k, e in enumerate(variables))
+        for k, n in enumerate(variables, first_var):
+            slot[n] = k
         base = first_var + len(variables)
-        slot.update((id(e), base + k) for k, e in enumerate(nodes))
+        for k, n in enumerate(nodes, base):
+            slot[n] = k
+        exponent_slot = {x: len(consts) + k for k, x in enumerate(exponents)}
         ops = []
-        for e in nodes:
-            if isinstance(e, Unary):
-                ops.append((_UNARY_FNS[e.op], slot[id(e.arg)], -1))
-            elif isinstance(e, Binary):
-                ops.append((_BINARY_FNS[e.op], slot[id(e.left)], slot[id(e.right)]))
+        for n in nodes:
+            op, a, b = table[n]
+            if op == _POW:
+                ops.append((operator.pow, slot[a], exponent_slot[b]))
+            elif op in _UNARY_FNS:
+                ops.append((_UNARY_FNS[op], slot[a], -1))
             else:
-                ops.append((operator.pow, slot[id(e.base)], exponent_slot[e.exponent]))
-        self._leaves: list = [complex(e.value) for e in consts] + exponents
-        self._variables = tuple(variables)
+                ops.append((_BINARY_FNS[op], slot[a], slot[b]))
+        self._leaves: list = [values[n] for n in consts] + exponents
+        self._variables = tuple(dag.expr(n) for n in variables)
         self._ops = ops
-        self._nodes = nodes
+        self._dag = dag
+        self._op_nodes = nodes
         self._base = base
-        self._outputs = [slot[id(r)] for r in roots]
+        self._outputs = [slot[r] for r in roots]
         self._ends = list(ends)
 
     def __len__(self) -> int:
@@ -516,14 +589,13 @@ class Tape:
         try:
             for fn, i, j in ops:
                 append(fn(vals[i]) if j < 0 else fn(vals[i], vals[j]))
-        except OverflowError:
-            raise EvaluationDomainError("overflow", self._nodes[len(vals) - self._base]) from None
-        except (ZeroDivisionError, ValueError):
-            node = self._nodes[len(vals) - self._base]
-            fault = _domain_fault(node)
+        except (OverflowError, ZeroDivisionError, ValueError) as err:
+            node = self._op_nodes[len(vals) - self._base]
+            op, _, b = self._dag._nodes[node]
+            fault = "overflow" if isinstance(err, OverflowError) else _fault(op, b)
             if fault is None:
                 raise
-            raise EvaluationDomainError(fault, node) from None
+            raise EvaluationDomainError(fault, self._dag.expr(node)) from None
         return [vals[k] for k in self._outputs[:n]]
 
 

@@ -226,15 +226,15 @@ class KahlerManifold:
     """Chart of a Kähler manifold defined by a symbolic potential.
 
     The constructor validates the potential (variable kinds/indices and
-    reality on sampled points) and differentiates it once into a shared
-    DAG: ``g``, its first derivatives in both kinds, and the mixed second
-    derivatives needed for curvature.  Each distinct mixed partial is built
-    once, from its sorted indices, and every other index order of a block is
-    that same node, so the blocks are exactly symmetric under their index
-    swaps.  ``tape`` evaluates them all, in that order, so a prefix of it
-    yields the metric alone.  ``immersion_tape`` adds ``ddg`` for the
-    immersion checks and is built from the same DAG on first use; nothing
-    else about an instance changes after construction.
+    reality on sampled points) and differentiates it once, in one node
+    table (``expr.Dag``): ``g``, its first derivatives in both kinds, and the
+    mixed second derivatives needed for curvature.  Each distinct mixed
+    partial is built once, from its sorted indices, and every other index
+    order of a block is that same node, so the blocks are exactly symmetric
+    under their index swaps.  ``tape`` evaluates them all, in that order,
+    so a prefix of it yields the metric alone.  ``immersion_tape`` adds
+    ``ddg`` for the immersion checks and is built from the same table on
+    first use; nothing else about an instance changes after construction.
     """
 
     def __init__(
@@ -251,14 +251,15 @@ class KahlerManifold:
         self.domain = domain if domain is not None else ball(1.0)
         self.name = name
         ex.validate_variables(potential, self.m, (Z, ZB))
-        self._check_reality()
+        dag = ex.Dag()
+        unfolded = dag.intern_id(potential)
+        self._check_reality(dag.lower([unfolded]))
 
         m = self.m
-        dag = ex.Dag()
-        d = dag.derivative
-        zs = [Var(Z, i + 1) for i in range(m)]
-        zbs = [Var(ZB, j + 1) for j in range(m)]
-        K = dag.fold(potential)
+        d = dag.derive
+        zs = [dag.intern_id(Var(Z, i + 1)) for i in range(m)]
+        zbs = [dag.intern_id(Var(ZB, j + 1)) for j in range(m)]
+        K = dag.fold_id(unfolded)
         r = range(m)
         # Flat, row-major blocks; the derivatives of folded nodes come out
         # folded, so only the potential needs an explicit fold.  Mixed
@@ -271,30 +272,31 @@ class KahlerManifold:
         d2g = [d(dg[(i * m + k) * m + min(j, l)], zbs[max(j, l)])
                for i in r for j in r for k in r for l in r]
         self._dag, self._roots, self._dg = dag, g + dg + dgb + d2g, dg
-        self.tape = dag.tape(self._roots)
+        self.tape = dag.lower(self._roots)
         self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)))
 
     @cached_property
     def immersion_tape(self) -> ex.Tape:
         """``tape`` followed by ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``,
         each entry built once from the sorted triple (a, i, j)."""
-        m, r = self.m, range(self.m)
-        zs = [Var(Z, a + 1) for a in r]
+        m, r, dag = self.m, range(self.m), self._dag
+        zs = [dag.intern_id(Var(Z, a + 1)) for a in r]
 
         def entry(a, i, j, l):
             x, y, w = sorted((a, i, j))
-            return self._dag.derivative(self._dg[(x * m + y) * m + l], zs[w])
+            return dag.derive(self._dg[(x * m + y) * m + l], zs[w])
 
         ddg = [entry(a, i, j, l) for a in r for i in r for j in r for l in r]
-        return self._dag.tape(self._roots + ddg)
+        return dag.lower(self._roots + ddg)
 
-    def _check_reality(self):
+    def _check_reality(self, potential: ex.Tape):
+        """Raise unless the unfolded potential, lowered to ``potential``, is
+        real at 8 seeded points of the domain (points where it raises are skipped)."""
         rng = np.random.default_rng(1811)
-        potential = ex.compile_evaluator(self.potential)
         for _ in range(8):
             p = self.domain.sample_point(rng, self.m)
             try:
-                value = potential(self.assignment(p))
+                value = potential.run(self.assignment(p))[0]
             except ex.EvaluationDomainError:
                 continue
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):

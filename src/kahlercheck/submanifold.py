@@ -120,20 +120,20 @@ class Immersion:
 
         dag = ex.Dag()
         m, n = ambient.m, self.n
-        us = [Var(U, a + 1) for a in range(n)]
-        f = [dag.fold(c) for c in components]
-        df = [dag.derivative(f[i], us[a]) for a in range(n) for i in range(m)]
+        us = [dag.intern_id(Var(U, a + 1)) for a in range(n)]
+        f = [dag.fold_id(dag.intern_id(c)) for c in components]
+        df = [dag.derive(f[i], us[a]) for a in range(n) for i in range(m)]
         r = range(n)
         # Partials commute: each distinct one is built from its sorted indices.
-        d2f = [dag.derivative(df[min(a, b) * m + i], us[max(a, b)]) for a in r for b in r for i in range(m)]
+        d2f = [dag.derive(df[min(a, b) * m + i], us[max(a, b)]) for a in r for b in r for i in range(m)]
 
         def third(x, a, b, i):
             s, t, w = sorted((x, a, b))
-            return dag.derivative(d2f[(s * n + t) * m + i], us[w])
+            return dag.derive(d2f[(s * n + t) * m + i], us[w])
 
         d3f = [third(x, a, b, i) for x in r for a in r for b in r for i in range(m)]
         # One tape for f, df, d2f and d3f in that order; ``jets`` runs a prefix of it.
-        self.tape = dag.tape(f + df + d2f + d3f)
+        self.tape = dag.lower(f + df + d2f + d3f)
         self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))
 
     def assignment(self, u: Sequence[float]) -> dict[Var, complex]:

@@ -327,6 +327,15 @@ def test_main_error_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_potential_of_450_terms_builds_and_checks(tmp_path, capsys):
+    # A left-deep sum: each build walk over it nests one call per term.
+    path = tmp_path / "long.manifold"
+    terms = " + ".join(["0.001*z1*zb1"] * 450)
+    path.write_text(f'dimension = 1\npotential = "{terms}"\n')
+    assert main(["check", "einstein", "--manifold", str(path), "--points", "1", "--samples", "2"]) == 0
+    assert "[pass] einstein" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [["check", "einstein"], ["suite"]])
 def test_non_finite_metric_is_an_error_naming_the_point(command, tmp_path, capsys):
     # 1e300*1e300 folds to inf, so g is inf everywhere; no verdict is given on it.

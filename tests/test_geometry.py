@@ -85,6 +85,25 @@ def test_non_real_potential_rejected():
         geo.KahlerManifold(1, ex.mul(ex.z(1), ex.z(1)), geo.ball(1.0))
 
 
+@pytest.mark.parametrize("blocks", [1, 4, 5])
+def test_a_domain_error_of_a_built_chart_names_its_subexpression(blocks):
+    text = "z1*zb1 + z1*zb1*log(z1*zb1)"
+    m = geo.KahlerManifold(1, ex.parse_expression(text, 1, ("z", "zb")), geo.ball(1.0))
+    with pytest.raises(ex.EvaluationDomainError) as err:
+        m.jets([0j], blocks)
+    assert str(err.value) == "log of zero in subexpression 'log(z1 * zb1)'"
+
+
+@pytest.mark.parametrize("blocks", [1, 4, 5])
+def test_an_overflow_of_a_built_chart_names_its_derived_subexpression(blocks):
+    # The failing power is made by differentiation; it is not in the potential.
+    potential = ex.parse_expression("z1*zb1 + (z1*zb1)^200", 1, ("z", "zb"))
+    m = geo.KahlerManifold(1, potential, geo.ball(1.0))
+    with pytest.raises(ex.EvaluationDomainError) as err:
+        m.jets([100.0], blocks)
+    assert str(err.value) == "overflow in subexpression '(z1 * zb1)^198'"
+
+
 # ------------------------------------------------------------- christoffel
 
 

@@ -1,5 +1,7 @@
 """Builtin models, expectation tables, and spec-file parsing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kahlercheck import invariants as inv
 from kahlercheck import models
 from kahlercheck import submanifold as sub
 from kahlercheck.models import MANIFOLD_CHECKS, ModelError
+from test_jets import MIXED_SPEC
 
 
 def test_flat_model_curvature_zero(flat2, rng):
@@ -166,6 +169,70 @@ def test_jet_tape_size_is_capped(uri, measured):
 )
 def test_immersion_tape_size_is_capped(uri, measured):
     assert len(models.build_model(uri).immersion_tape) <= int(1.5 * measured)
+
+
+def _tape_digest(tape):
+    leaves = [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v for v in tape._leaves]
+    record = (
+        [(fn.__name__, i, j) for fn, i, j in tape._ops],
+        leaves,
+        tape._outputs,
+        tape._ends,
+        [(v.kind, v.index) for v in tape._variables],
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+FLAT_PULLBACK_TEXT = """dimension = 2
+potential = "(z1 + 0.3*z1^2 + 0.1*z2^3)*(zb1 + 0.3*zb1^2 + 0.1*zb2^3) + (z2 + 0.2*z1*z2)*(zb2 + 0.2*zb1*zb2)"
+domain = ball 0.5
+"""
+
+
+def _chart(name, tmp_path):
+    if name.startswith("builtin:"):
+        return models.build_model(name)
+    path = tmp_path / f"{name}.manifold"
+    path.write_text({"flat-pullback": FLAT_PULLBACK_TEXT, "mixed": MIXED_SPEC}[name])
+    return models.load_manifold(str(path))
+
+
+# SHA-256 of each tape's op functions, slot pairs, leaves (as exact bits),
+# outputs, prefix ends and variables, taken before charts and immersions
+# were built in an integer-coded table.  Every tape must stay the same, op
+# for op, so that residual bits and the subexpressions errors name stay the
+# same too.
+TAPE_DIGESTS = [
+    ("tape", "builtin:fs:2", "0baa8cc42428ad10e524ffe22e57ebfcda9cd5b2c06d0da5870abf0dc8ceccef"),
+    ("tape", "builtin:fs:3", "905beddeadc16532f0979c428e8b2ee021be7ae36eee71084faf7e4e55a7fdfc"),
+    ("tape", "builtin:fs:4", "7b72095dd129df7d3ee8640e87a7d2a7c5ed5fe687d722fdc151e52dfd2e433f"),
+    ("tape", "builtin:fs:6", "86c4028320c905e99af954db2d9c7ec28467f7a39628cf605b04fb77d8c4d498"),
+    ("tape", "builtin:chyp:3", "cb0d8a18ddfe3eff9256dc25aaa7d81b3d6291e48367fd4e2e4362f4bf2959e8"),
+    ("tape", "builtin:flat:3", "dd059480a76d1329490c0b55e57c7e42bbbf08bc9790bd3f8244b847e9af47df"),
+    ("tape", "builtin:product:fs:1:fs:2", "8ad7e1dcdc3ec19f053f4f98e143ab952dd6d006e5c8052d68c8c507a69b70d8"),
+    ("tape", "builtin:fs:3:1e8", "9f7eebb0f0775344810777baef7a55a0c8f522f8ee9977488924e7da82b24fa6"),
+    ("tape", "flat-pullback", "d6386bc2bac28ee315a0bf353bd578671020a5f214fae667b83091c2f15a1266"),
+    ("tape", "mixed", "8db2fdba1b8be1de0748bda083990d1fca4a36b864d4590cee06a1a4b649a917"),
+    ("immersion_tape", "builtin:fs:2", "d4d4ebbab69ed4372db62b9f4d8319cd896fbe7fad995d3de890919d0597461f"),
+    ("immersion_tape", "builtin:fs:3", "e0c29cf5168bb9c70df21c8dcd071c0899ab3a8bb4d44caa45e41b41f0541ac0"),
+    ("immersion_tape", "builtin:fs:4", "54f761ee429724c559e32229c620ede59fec49cfebdce0e99bcf71f561daca86"),
+    ("immersion_tape", "mixed", "a2302b361be9910f9d413883b1d14f98cc55c04a3d1c24564eb8b6f83e5449e4"),
+    ("fixture", "linear-flat3", "eb2e6ad0bbdfb136e8a1b5cb25620d6f74b6e033414dadb0b2374d308c34ed0c"),
+    ("fixture", "sphere-flat2-r1", "793f45e4c8424d9621a008ca540c7849e6b3a50b662e16de4e6324ee65ce8c4e"),
+    ("fixture", "ellipsoid-flat2", "52e05439e917e5d6e4a6a4f0d3aaeb0d9f239b0fe56e9d4636d156e479e6b4f8"),
+    ("fixture", "cylinder-flat2", "27078a9df4bbf99111be518168495acc49c34ad7a6aefa1a04bc17c72445e4de"),
+    ("fixture", "cp1-in-cp2", "eb23ccb4528f9fd990e41e63bb013e6502d33b7a7a3016da3113cbfaa469d282"),
+    ("fixture", "real-slice-flat2", "3914361d7de98bb49c97d7e3673ef29f2c58748cbbf6dff793b481c536f898fd"),
+]
+
+
+@pytest.mark.parametrize("which, name, digest", TAPE_DIGESTS)
+def test_tapes_keep_their_pinned_fingerprints(which, name, digest, tmp_path):
+    if which == "fixture":
+        tape = models.builtin_immersion(name).tape
+    else:
+        tape = getattr(_chart(name, tmp_path), which)
+    assert _tape_digest(tape) == digest
 
 
 def test_sphere_radius_must_be_positive():
