@@ -222,19 +222,53 @@ def run_jets(tape: ex.Tape, assignment: dict, layout: Sequence[tuple]) -> list[n
     return [values[block].reshape(shape) for block, shape in layout]
 
 
+def _conjugate_fill(m: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The tape output each entry of the flat blocks ``(g, dg, dgb, d2g, ddg)``
+    of ``KahlerManifold.jets`` reads, and whether it is that output's
+    conjugate.  The tape holds g and dg, then one d2g output per pair of
+    sorted index pairs ``pairs[h] <= pairs[a]`` in row-major order, then (on
+    ``immersion_tape``) ``ddg``."""
+    first, count = m * m + m**3, len(pairs)
+    pair = np.empty((m, m), dtype=int)
+    for n, (i, k) in enumerate(pairs):
+        pair[i, k] = pair[k, i] = n
+    # the sorted pairs (i, k) and (j, l) of each d2g[i, j, k, l], and the
+    # row-major position of (lo, hi) among the pairs of pairs with lo <= hi
+    h, a = pair[:, None, :, None], pair[None, :, None, :]
+    lo, hi = np.minimum(h, a), np.maximum(h, a)
+    index = [
+        np.arange(first),
+        m * m + np.arange(m**3).reshape(m, m, m).transpose(0, 2, 1),  # dgb[b, i, j] = conj(dg[b, j, i])
+        first + lo * (2 * count - lo + 1) // 2 + hi - lo,
+        first + count * (count + 1) // 2 + np.arange(m**4),
+    ]
+    conjugate = [np.zeros(first, bool), np.ones(m**3, bool), h > a, np.zeros(m**4, bool)]
+    return np.concatenate([x.ravel() for x in index]), np.concatenate([x.ravel() for x in conjugate])
+
+
 class KahlerManifold:
     """Chart of a Kähler manifold defined by a symbolic potential.
 
     The constructor validates the potential (variable kinds/indices and
     reality on sampled points) and differentiates it once, in one node
-    table (``expr.Dag``): ``g``, its first derivatives in both kinds, and the
-    mixed second derivatives needed for curvature.  Each distinct mixed
-    partial is built once, from its sorted indices, and every other index
-    order of a block is that same node, so the blocks are exactly symmetric
-    under their index swaps.  ``tape`` evaluates them all, in that order,
-    so a prefix of it yields the metric alone.  ``immersion_tape`` adds
-    ``ddg`` for the immersion checks and is built from the same table on
-    first use; nothing else about an instance changes after construction.
+    table (``expr.Dag``): ``g``, its first derivatives ``dg`` in the
+    holomorphic variables, and the mixed second derivatives ``d2g`` needed
+    for curvature.  Each distinct mixed partial is built once, from its
+    sorted indices, and every other index order of a block is that same
+    node, so the blocks are exactly symmetric under their index swaps.
+
+    K is real, so ``dgb[b, i, j] = conj(dg[b, j, i])`` and
+    ``d2g[j, i, l, k] = conj(d2g[i, j, k, l])``.  ``tape`` evaluates, in
+    this order, all of ``g``, all of ``dg``, and of each conjugate pair of
+    ``d2g`` entries the one whose sorted holomorphic pair (i, k) is at most
+    its sorted antiholomorphic pair (j, l); ``jets`` fills ``dgb`` and the
+    other half of ``d2g`` by conjugation.  A prefix of the tape yields the
+    metric alone.  Filled entries are exact conjugates and cannot show a
+    non-real K: its reality rests on ``_check_reality`` and on the
+    Hermiticity test of the whole ``g`` at each point (``hermitian_metric``).
+    ``immersion_tape`` adds ``ddg`` for the immersion checks and is built
+    from the same table on first use; nothing else about an instance
+    changes after construction.
     """
 
     def __init__(
@@ -267,13 +301,16 @@ class KahlerManifold:
         # indices and every other index order shares that node.
         g = [d(d(K, zs[i]), zbs[j]) for i in r for j in r]
         dg = [d(g[min(a, i) * m + j], zs[max(a, i)]) for a in r for i in r for j in r]
-        dgb = [d(g[i * m + min(b, j)], zbs[max(b, j)]) for b in r for i in r for j in r]
-        # d2g[i][j][k][l] = d_{z_i} d_{zb_j} g_{k lbar}
-        d2g = [d(dg[(i * m + k) * m + min(j, l)], zbs[max(j, l)])
-               for i in r for j in r for k in r for l in r]
-        self._dag, self._roots, self._dg = dag, g + dg + dgb + d2g, dg
+        # d2g[i][j][k][l] = d_{z_i} d_{zb_j} g_{k lbar}, one root per sorted
+        # holomorphic pair (i, k) <= sorted antiholomorphic pair (j, l).
+        pairs = [(i, k) for i in r for k in r if i <= k]
+        d2g = [d(dg[(i * m + k) * m + j], zbs[l]) for h, (i, k) in enumerate(pairs) for j, l in pairs[h:]]
+        self._dag, self._roots, self._dg = dag, g + dg + d2g, dg
         self.tape = dag.lower(self._roots)
         self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)))
+        self._index, self._conjugate = _conjugate_fill(m, pairs)
+        # the tape outputs that the first b blocks read, for each b
+        self._outputs = [int(self._index[: block.stop].max()) + 1 for block, _ in self._jets]
 
     @cached_property
     def immersion_tape(self) -> ex.Tape:
@@ -328,13 +365,18 @@ class KahlerManifold:
         """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` at ``p``, without validation.
 
         One run of the tape prefix those blocks need; the fifth block runs
-        ``immersion_tape``.  Index order: ``g[i, j] = g_{i jbar}``,
+        ``immersion_tape``.  ``dgb`` and the half of ``d2g`` the tape leaves
+        out are conjugates of tape outputs, gathered through one index array
+        and one conjugation mask.  Index order: ``g[i, j] = g_{i jbar}``,
         ``dg[a, i, j] = d_{z_a} g_{i jbar}``, ``dgb[b, i, j] = d_{zb_b} g_{i jbar}``,
         ``d2g[i, j, k, l] = d_{z_i} d_{zb_j} g_{k lbar}`` and
         ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``.
         """
         tape = self.immersion_tape if blocks > 4 else self.tape
-        return run_jets(tape, self.assignment(p), self._jets[:blocks])
+        stop = self._jets[blocks - 1][0].stop
+        values = np.array(tape.run(self.assignment(p), self._outputs[blocks - 1]))[self._index[:stop]]
+        np.conjugate(values, out=values, where=self._conjugate[:stop])
+        return [values[block].reshape(shape) for block, shape in self._jets[:blocks]]
 
     # Raw metric (no validation); used by metric_at and the finite-difference
     # oracle, which run only the g prefix of the tape.
@@ -389,10 +431,15 @@ def curvature_tensor(
     """Curvature components ``R_{i jbar k lbar}`` from the four jet blocks at ``p``.
 
     Validates the Kähler symmetries (pair symmetry and conjugation symmetry)
-    of the result before returning it.  On a chart's own jets the pair
-    symmetry holds by construction; the check stays for jets a caller
-    supplies.  Points, metrics and jets may stack along leading axes; each
-    point is validated alone, and the error names the first that fails.
+    of the result before returning it.  On a chart's own jets both hold by
+    construction, since ``dgb`` and half of ``d2g`` are filled by
+    conjugation, except for the realness of the ``d2g`` entries that are
+    their own conjugate partner (holomorphic pair = antiholomorphic pair);
+    the check guards those and jets a caller supplies.  The reality of K
+    itself rests on ``KahlerManifold._check_reality`` and on the
+    Hermiticity test of ``hermitian_metric``.  Points, metrics and jets may
+    stack along leading axes; each point is validated alone, and the error
+    names the first that fails.
     """
     minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic
@@ -424,8 +471,11 @@ def ricci_tensor(
     Route (a) contracts the curvature tensor with the inverse metric; route
     (b) uses the log-determinant identity through Jacobi's formula,
     ``S_{i jbar} = -tr(g^{-1} d_i d_jbar g) + tr(g^{-1} d_i g g^{-1} d_jbar g)``.
-    The two must agree to 1e-8.  Points stack as in ``curvature_tensor``:
-    each is cross-checked alone, and the error names the first that fails.
+    The two must agree to 1e-8.  On a chart's own jets, route (b) reads
+    ``dgb`` filled from ``dg`` by conjugation; the finite-difference oracle
+    (``oracle.riemann_tensor_fd``) reads only the metric.  Points stack as in
+    ``curvature_tensor``: each is cross-checked alone, and the error names
+    the first that fails.
     """
     ginv = metric.inverse
     s_contract = np.einsum("...li,...ijkl->...kj", ginv, curvature.tensor)

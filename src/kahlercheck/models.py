@@ -340,6 +340,16 @@ def _read(entries: dict[str, str], where: dict[str, str], key: str, parse: Calla
         raise ModelError(f"{where[key]}: {key}: {err}") from None
 
 
+def _build(where: dict[str, str], key: str, build: Callable, *args):
+    """``build(*args)``; a RecursionError from it, which the recursive build
+    walks raise on a tree nested deeper than Python's recursion limit, names
+    the line of ``key``."""
+    try:
+        return build(*args)
+    except RecursionError as err:
+        raise ModelError(f"{where[key]}: {key}: build: expression nested too deeply ({err})") from None
+
+
 def _parse_domain(value: str, m: int) -> ChartDomain:
     kind, *radii = value.split() or [""]
     if (kind, len(radii)) not in (("ball", 1), ("polydisc", m)):
@@ -353,7 +363,7 @@ def parse_manifold_spec(text: str, path: str = "<text>") -> KahlerManifold:
     m = _read(entries, where, "dimension", _require_dim)
     potential = _read(entries, where, "potential", ex.parse_expression, m, ("z", "zb"))
     domain = _read(entries, where, "domain", _parse_domain, m) if "domain" in entries else ball(1.0)
-    return KahlerManifold(m, potential, domain, name=path)
+    return _build(where, "potential", KahlerManifold, m, potential, domain, path)
 
 
 def load_manifold(source: str) -> KahlerManifold:
@@ -386,7 +396,8 @@ def parse_immersion_spec(text: str, path: str = "<text>") -> Immersion:
     n = _read(entries, where, "parameters", _require_dim)
     expressions = [_read(entries, where, key, ex.parse_expression, n, ("u",)) for key in components]
     domain = _read(entries, where, "domain", _parse_box, n)
-    return Immersion(ambient, n, expressions, domain, name=path)
+    largest = max(zip(components, expressions), key=lambda c: ex.node_count(c[1]))[0]
+    return _build(where, largest, Immersion, ambient, n, expressions, domain, path)
 
 
 def load_immersion(source: str) -> Immersion:

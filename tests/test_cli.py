@@ -336,6 +336,35 @@ def test_a_potential_of_450_terms_builds_and_checks(tmp_path, capsys):
     assert "[pass] einstein" in capsys.readouterr().out
 
 
+# 1,000 terms nest deeper than the recursive build walks can descend.
+DEEP_POTENTIAL = " + ".join(["0.001*z1*zb1"] * 1000)
+DEEP_COMPONENT = " + ".join(["0.001*u1"] * 1000)
+
+
+@pytest.mark.parametrize(
+    "name, text, command, where",
+    [
+        (
+            "long1000.manifold",
+            f'dimension = 1\npotential = "{DEEP_POTENTIAL}"\n',
+            ["check", "einstein", "--manifold"],
+            "long1000.manifold:2: potential",
+        ),
+        (
+            "long1000.immersion",
+            f'ambient = builtin:flat:1\nparameters = 1\ncomponent1 = "{DEEP_COMPONENT}"\ndomain = box -1 1\n',
+            ["check", "umbilical", "--immersion"],
+            "long1000.immersion:3: component1",
+        ),
+    ],
+)
+def test_a_tree_too_deep_to_build_names_its_line(name, text, command, where, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    assert f"{where}: build: expression nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["check", "einstein"], ["suite"]])
 def test_non_finite_metric_is_an_error_naming_the_point(command, tmp_path, capsys):
     # 1e300*1e300 folds to inf, so g is inf everywhere; no verdict is given on it.

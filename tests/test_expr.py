@@ -315,10 +315,15 @@ def test_metric_prefix_equals_g_slice_of_full_run(fs3, product, rng):
     for manifold in (fs3, product):
         m = manifold.m
         p = manifold.sample_point(rng)
-        full = manifold.tape.run(manifold.assignment(p))
-        assert np.array_equal(manifold.metric_matrix(p).ravel(), np.array(full[: m * m]))
-        jets = np.concatenate([block.ravel() for block in manifold.jets(p)])
-        assert np.array_equal(jets, np.array(full))
+        full = np.array(manifold.tape.run(manifold.assignment(p)))
+        assert np.array_equal(manifold.metric_matrix(p).ravel(), full[: m * m])
+        g, dg, _, d2g = manifold.jets(p)
+        assert np.array_equal(np.concatenate([g.ravel(), dg.ravel()]), full[: m * m + m**3])
+        # The tape holds one d2g entry per sorted holomorphic pair (i, k) <=
+        # sorted antiholomorphic pair (j, l), in that order.
+        pairs = [(i, k) for i in range(m) for k in range(i, m)]
+        stored = [d2g[i, j, k, l] for (i, k) in pairs for (j, l) in pairs if (i, k) <= (j, l)]
+        assert np.array_equal(np.array(stored), full[m * m + m**3 :])
 
 
 def _reference_evaluate(e, a):

@@ -14,6 +14,7 @@ from kahlercheck.oracle import (
     riemann_tensor_fd,
     wirtinger_fd,
 )
+from test_jets import _mixed_chart
 
 
 def _fs1():
@@ -164,8 +165,35 @@ def test_curvature_tensor_symmetries(fs3, chyp2, rng):
         assert np.max(np.abs(t - t.transpose(1, 0, 3, 2).conj())) < 1e-10
 
 
-# On tape jets the pair symmetries hold by construction (each mixed partial
-# is one shared node), but callers may pass jets of their own, so
+@pytest.mark.parametrize("name", ["fs3", "product", "mixed", "flat_pullback"])
+def test_chart_jets_are_exactly_conjugate_symmetric(name, request, tmp_path):
+    if name == "flat_pullback":
+        chart = models.load_manifold(request.getfixturevalue("flat_pullback_path"))
+    elif name == "mixed":
+        chart = _mixed_chart(tmp_path)
+    else:
+        chart = request.getfixturevalue(name)
+    m = chart.m
+    # The tape holds g, dg and one d2g entry per pair of sorted index pairs.
+    pairs = m * (m + 1) // 2
+    assert len(chart.tape.run(chart.assignment(np.zeros(m)))) == m * m + m**3 + pairs * (pairs + 1) // 2
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        _, dg, dgb, d2g = chart.jets(chart.sample_point(rng))
+        assert np.array_equal(dgb, np.swapaxes(dg, 1, 2).conj())
+        # An entry whose sorted holomorphic and antiholomorphic pairs are
+        # equal is its own partner: real, up to the tape's round-off.
+        i, j, k, l = np.indices(d2g.shape)
+        own = (np.minimum(i, k) == np.minimum(j, l)) & (np.maximum(i, k) == np.maximum(j, l))
+        partner = d2g.transpose(1, 0, 3, 2).conj()
+        assert np.array_equal(d2g[~own], partner[~own])
+        assert np.max(np.abs(d2g[own].imag)) <= 1e-14 * np.max(np.abs(d2g), initial=1.0)
+
+
+# On tape jets the pair and conjugation symmetries hold by construction
+# (each mixed partial is one shared node, and the conjugate blocks are
+# filled from it), except the realness of the d2g entries that are their
+# own conjugate partner; callers may pass jets of their own, so
 # ``curvature_tensor`` still validates them.
 @pytest.mark.parametrize(
     "where, delta",

@@ -17,8 +17,8 @@ import re
 from pathlib import Path
 
 import pytest
-from conftest import FLAT_PULLBACK_SPEC
 
+from conftest import FLAT_PULLBACK_SPEC
 from kahlercheck import cli
 
 EXPECTED = Path(__file__).resolve().parent / "verdicts.json"
