@@ -10,6 +10,7 @@ from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
 from kahlercheck import submanifold as sub
+from kahlercheck.expr import Var
 from kahlercheck.models import MANIFOLD_CHECKS, ModelError
 from test_jets import MIXED_SPEC
 
@@ -197,28 +198,53 @@ def _chart(name, tmp_path):
     return models.load_manifold(str(path))
 
 
+def _full_jet_roots(chart, ddg=False):
+    """Node ids of every entry of ``g, dg, dgb, d2g`` (and ``ddg``), each its
+    own root, built from ``chart``'s node table as the chart tapes were built
+    before they left out ``dgb`` and the conjugate half of ``d2g``."""
+    m, dag, r = chart.m, chart._dag, range(chart.m)
+    d = dag.derive
+    zs = [dag.intern_id(Var(geo.Z, i + 1)) for i in r]
+    zbs = [dag.intern_id(Var(geo.ZB, j + 1)) for j in r]
+    g, dg = chart._roots[: m * m], chart._dg
+    dgb = [d(g[i * m + min(b, j)], zbs[max(b, j)]) for b in r for i in r for j in r]
+    d2g = [d(dg[(i * m + k) * m + min(j, l)], zbs[max(j, l)]) for i in r for j in r for k in r for l in r]
+    roots = g + dg + dgb + d2g
+    if ddg:
+        roots += [
+            d(dg[(x * m + y) * m + l], zs[w])
+            for a in r for i in r for j in r for l in r
+            for x, y, w in [sorted((a, i, j))]
+        ]
+    return roots
+
+
+def _full_jet_tape(chart, ddg=False):
+    return chart._dag.lower(_full_jet_roots(chart, ddg))
+
+
 # SHA-256 of each tape's op functions, slot pairs, leaves (as exact bits),
-# outputs, prefix ends and variables.  The fixture tapes were taken before
-# charts and immersions were built in an integer-coded table; the chart
-# ``tape`` and ``immersion_tape`` digests once those tapes stopped holding
-# dgb and the conjugate half of d2g.  Every tape must stay the same, op for
-# op, so that residual bits and the subexpressions errors name stay the
-# same too.
+# outputs, prefix ends and variables, taken before charts and immersions
+# were built in an integer-coded table.  ``tape`` and ``immersion_tape``
+# here are the full jet tapes of ``_full_jet_tape``, every entry of every
+# block its own output; ``fixture`` is an immersion fixture's tape.  Every
+# tape must stay the same, op for op, so that residual bits and the
+# subexpressions errors name stay the same too.
 TAPE_DIGESTS = [
-    ("tape", "builtin:fs:2", "ee67773498181a56b3f76bda90cdfff8fefa4015ddd3a9046342de9cec3106ab"),
-    ("tape", "builtin:fs:3", "f91393141f6de2bfe6ce9e2dd3176aa4b8a65f98ad24f8866e94d112b8449f9e"),
-    ("tape", "builtin:fs:4", "008576efa5469cba7eababeefb2e7c68313df5df90b8315a4f6ab1bc031ad03f"),
-    ("tape", "builtin:fs:6", "f04ce6b29aceb67f60013c46e5575f78ef0b3af834e52aa8b566642f0f5d5fce"),
-    ("tape", "builtin:chyp:3", "8b60ea658ddd89b6c37abb1521419b70f13d74ff0ca73366472f95a428b9d78b"),
-    ("tape", "builtin:flat:3", "283dc8bcbc2ac308254749a8b1cc2cf8eb0af2ca53d126802478b250518990c9"),
-    ("tape", "builtin:product:fs:1:fs:2", "7edc1a110a77c3fb2befe65143c63103725a4b9df51bdc807e08a1212d6f6942"),
-    ("tape", "builtin:fs:3:1e8", "1aaaa56124ba27c44c33d46ca485f0cbd32036ec5aa754b83aac2102afd882ec"),
-    ("tape", "flat-pullback", "8d4e8c7d8bf55159aded5d103d456fd0cc2e695e350790dc680e710f95042108"),
-    ("tape", "mixed", "0ccb22295c1ba9054adcefbc31f201c729dee1daa0541938f70df41d7cdf2da7"),
-    ("immersion_tape", "builtin:fs:2", "7747fea696b96c15c2fffd02bc8228a6da0b160cdcdab5677cdc038c873cd2b7"),
-    ("immersion_tape", "builtin:fs:3", "625956555a25d4ed32d846542ec0342f112768a91d9cee405b6cfd7fdc0785f2"),
-    ("immersion_tape", "builtin:fs:4", "ca73ebe460c9004ca4e216348bce1c4a08a6a3d6c1fa83a669a960910b3a41e9"),
-    ("immersion_tape", "mixed", "942fc6ba705207bd09ea4eac4a13c7772ecd2c34c9f50c59f27d2d026830acda"),
+    ("tape", "builtin:fs:2", "0baa8cc42428ad10e524ffe22e57ebfcda9cd5b2c06d0da5870abf0dc8ceccef"),
+    ("tape", "builtin:fs:3", "905beddeadc16532f0979c428e8b2ee021be7ae36eee71084faf7e4e55a7fdfc"),
+    ("tape", "builtin:fs:4", "7b72095dd129df7d3ee8640e87a7d2a7c5ed5fe687d722fdc151e52dfd2e433f"),
+    ("tape", "builtin:fs:6", "86c4028320c905e99af954db2d9c7ec28467f7a39628cf605b04fb77d8c4d498"),
+    ("tape", "builtin:chyp:3", "cb0d8a18ddfe3eff9256dc25aaa7d81b3d6291e48367fd4e2e4362f4bf2959e8"),
+    ("tape", "builtin:flat:3", "dd059480a76d1329490c0b55e57c7e42bbbf08bc9790bd3f8244b847e9af47df"),
+    ("tape", "builtin:product:fs:1:fs:2", "8ad7e1dcdc3ec19f053f4f98e143ab952dd6d006e5c8052d68c8c507a69b70d8"),
+    ("tape", "builtin:fs:3:1e8", "9f7eebb0f0775344810777baef7a55a0c8f522f8ee9977488924e7da82b24fa6"),
+    ("tape", "flat-pullback", "d6386bc2bac28ee315a0bf353bd578671020a5f214fae667b83091c2f15a1266"),
+    ("tape", "mixed", "8db2fdba1b8be1de0748bda083990d1fca4a36b864d4590cee06a1a4b649a917"),
+    ("immersion_tape", "builtin:fs:2", "d4d4ebbab69ed4372db62b9f4d8319cd896fbe7fad995d3de890919d0597461f"),
+    ("immersion_tape", "builtin:fs:3", "e0c29cf5168bb9c70df21c8dcd071c0899ab3a8bb4d44caa45e41b41f0541ac0"),
+    ("immersion_tape", "builtin:fs:4", "54f761ee429724c559e32229c620ede59fec49cfebdce0e99bcf71f561daca86"),
+    ("immersion_tape", "mixed", "a2302b361be9910f9d413883b1d14f98cc55c04a3d1c24564eb8b6f83e5449e4"),
     ("fixture", "linear-flat3", "eb2e6ad0bbdfb136e8a1b5cb25620d6f74b6e033414dadb0b2374d308c34ed0c"),
     ("fixture", "sphere-flat2-r1", "793f45e4c8424d9621a008ca540c7849e6b3a50b662e16de4e6324ee65ce8c4e"),
     ("fixture", "ellipsoid-flat2", "52e05439e917e5d6e4a6a4f0d3aaeb0d9f239b0fe56e9d4636d156e479e6b4f8"),
@@ -233,8 +259,61 @@ def test_tapes_keep_their_pinned_fingerprints(which, name, digest, tmp_path):
     if which == "fixture":
         tape = models.builtin_immersion(name).tape
     else:
-        tape = getattr(_chart(name, tmp_path), which)
+        tape = _full_jet_tape(_chart(name, tmp_path), ddg=which == "immersion_tape")
     assert _tape_digest(tape) == digest
+
+
+# The chart's own ``tape`` and ``immersion_tape``: ``g``, ``dg`` and one
+# ``d2g`` entry per pair of sorted index pairs, taken once they stopped
+# holding ``dgb`` and the conjugate half of ``d2g``.
+CHART_TAPE_DIGESTS = [
+    ("tape", "builtin:fs:2", "ee67773498181a56b3f76bda90cdfff8fefa4015ddd3a9046342de9cec3106ab"),
+    ("tape", "builtin:fs:3", "f91393141f6de2bfe6ce9e2dd3176aa4b8a65f98ad24f8866e94d112b8449f9e"),
+    ("tape", "builtin:fs:4", "008576efa5469cba7eababeefb2e7c68313df5df90b8315a4f6ab1bc031ad03f"),
+    ("tape", "builtin:fs:6", "f04ce6b29aceb67f60013c46e5575f78ef0b3af834e52aa8b566642f0f5d5fce"),
+    ("tape", "builtin:chyp:3", "8b60ea658ddd89b6c37abb1521419b70f13d74ff0ca73366472f95a428b9d78b"),
+    ("tape", "builtin:flat:3", "283dc8bcbc2ac308254749a8b1cc2cf8eb0af2ca53d126802478b250518990c9"),
+    ("tape", "builtin:product:fs:1:fs:2", "7edc1a110a77c3fb2befe65143c63103725a4b9df51bdc807e08a1212d6f6942"),
+    ("tape", "builtin:fs:3:1e8", "1aaaa56124ba27c44c33d46ca485f0cbd32036ec5aa754b83aac2102afd882ec"),
+    ("tape", "flat-pullback", "8d4e8c7d8bf55159aded5d103d456fd0cc2e695e350790dc680e710f95042108"),
+    ("tape", "mixed", "0ccb22295c1ba9054adcefbc31f201c729dee1daa0541938f70df41d7cdf2da7"),
+    ("immersion_tape", "builtin:fs:2", "7747fea696b96c15c2fffd02bc8228a6da0b160cdcdab5677cdc038c873cd2b7"),
+    ("immersion_tape", "builtin:fs:3", "625956555a25d4ed32d846542ec0342f112768a91d9cee405b6cfd7fdc0785f2"),
+    ("immersion_tape", "builtin:fs:4", "ca73ebe460c9004ca4e216348bce1c4a08a6a3d6c1fa83a669a960910b3a41e9"),
+    ("immersion_tape", "mixed", "942fc6ba705207bd09ea4eac4a13c7772ecd2c34c9f50c59f27d2d026830acda"),
+]
+
+
+@pytest.mark.parametrize("which, name, digest", CHART_TAPE_DIGESTS)
+def test_chart_tapes_keep_their_pinned_fingerprints(which, name, digest, tmp_path):
+    assert _tape_digest(getattr(_chart(name, tmp_path), which)) == digest
+
+
+@pytest.mark.parametrize("name", ["builtin:fs:3", "builtin:product:fs:1:fs:2", "flat-pullback", "mixed"])
+def test_jets_match_the_full_jet_tape(name, tmp_path):
+    # The entries the chart tape holds are the same nodes as in the full
+    # tape, so they agree bit for bit; the entries ``jets`` fills by
+    # conjugation agree with their direct derivatives to round-off.
+    chart = _chart(name, tmp_path)
+    m, full = chart.m, _full_jet_tape(chart, ddg=True)
+    pairs = [(i, k) for i in range(m) for k in range(i, m)]
+    held = np.zeros((m, m, m, m), bool)
+    for h, (i, k) in enumerate(pairs):
+        for j, l in pairs[h:]:
+            held[i, j, k, l] = True
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        p = chart.sample_point(rng)
+        expected = np.array(full.run(chart.assignment(p)))
+        g, dg, dgb, d2g, ddg = chart.jets(p, blocks=5)
+        blocks = np.split(expected, np.cumsum([m**2, m**3, m**3, m**4]))
+        assert np.array_equal(g.ravel(), blocks[0])
+        assert np.array_equal(dg.ravel(), blocks[1])
+        assert np.array_equal(d2g[held], blocks[3].reshape(m, m, m, m)[held])
+        assert np.array_equal(ddg.ravel(), blocks[4])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(dgb.ravel() - blocks[2])) <= 1e-13 * scale
+        assert np.max(np.abs(d2g.ravel() - blocks[3])) <= 1e-13 * scale
 
 
 def test_sphere_radius_must_be_positive():
