@@ -11,9 +11,14 @@ Commands::
 Exit status: 0 when every requested check passes, 1 on a failed verdict,
 2 on configuration or evaluation errors.
 
-All randomness flows from one seeded generator per check, drawn
-sequentially, so a report is a deterministic function of its RunConfig
-(up to the timestamp field).
+A manifold run spawns its generators from ``--seed``
+(``np.random.SeedSequence(seed).spawn(8)``, see ``invariants.streams``):
+the first draws every chart point, and one per check draws that check's
+frames.  A suite evaluates one set of points for all its checks, so
+``check X --seed s`` gives the X report of ``suite --seed s``.  An
+immersion run draws its parameter points from one generator seeded with
+``--seed``.  A report is a deterministic function of its RunConfig (up to
+the timestamp field).
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -82,40 +89,83 @@ class RunConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
+@contextmanager
+def _first_failing_point(cfg: RunConfig):
+    """A ``GeometryError`` of a test run on a stack of points, re-raised as
+    a ``PointError`` naming the first point that failed it."""
+    try:
+        yield
+    except geo.GeometryError as err:
+        raise PointError(cfg, err.index[0], err) from err
+
+
+def _each_point(cfg: RunConfig, evaluate: Callable, earlier: Callable = lambda found: None) -> list:
+    """``evaluate()`` at each point of the run, in order.  Any error there is
+    re-raised as a ``PointError`` naming its point, once ``earlier(found)``
+    has run the stacked tests of the points before it, so that a failure at
+    an earlier point is the one named."""
+    found = []
+    for index in range(cfg.points):
+        try:
+            found.append(evaluate())
+        except Exception as err:  # any failure at a point: re-raised with where it happened
+            with _first_failing_point(cfg):
+                earlier(found)
+            raise PointError(cfg, index, err) from err
+    return found
+
+
+def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.PointData, dict]:
+    """The points of a manifold run as one stacked ``PointData``, and the
+    generator of each check's frames (``inv.streams`` of ``cfg.seed``).
+
+    Each point is drawn and then checked against the domain and its jet
+    tape run alone; the metric test, curvature and Ricci then run once over
+    the stack."""
+    rng, frames = inv.streams(np.random.default_rng(cfg.seed))
+
+    def earlier_metrics(found: list) -> None:
+        if found:
+            points, jets = zip(*found)
+            geo.hermitian_metric(np.stack(points), np.stack([j[0] for j in jets]))
+
+    found = _each_point(cfg, lambda: geo.point_jets(manifold, manifold.sample_point(rng)), earlier_metrics)
+    with _first_failing_point(cfg):
+        return geo.stack(manifold, found), frames
+
+
+def _run_loaded(
+    cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, shared: tuple | None = None
+) -> tuple:
     """Run ``cfg.check`` on an already built manifold or immersion.
 
     Returns the report and one array of the values it was reduced from:
     every sample of a manifold check, one per point of an immersion check.
     Both kinds run in two stages.  Each point is first evaluated alone (its
-    tapes, the tests that can fail there, and a manifold check's frames);
-    an error there is raised as a ``PointError`` naming the point.  The
-    run's points are then joined into one stack, and the curvature and the
-    check's values are computed once for all of them; a ``GeometryError``
-    there names its first failing point in the same way.
+    tapes and the tests that can fail there); an error there is raised as a
+    ``PointError`` naming the point.  The run's points are then joined into
+    one stack, and the remaining tests, the curvature and the check's values
+    (with a manifold check's frames) are computed once for all of them; a
+    ``GeometryError`` there names its first failing point in the same way.
+    A manifold run draws its points and frames from ``inv.streams``; a suite
+    passes the ``_manifold_points`` its checks share as ``shared``.  An
+    immersion run draws its parameter points from one generator seeded with
+    ``cfg.seed``.
     """
-    rng = np.random.default_rng(cfg.seed)
     on_manifold = cfg.check in MANIFOLD_CHECKS
     if on_manifold and target.m < (need := inv.CHECKS[cfg.check].min_dim):
         raise ConfigError(f"check {cfg.check!r} needs complex dimension >= {need} (got m={target.m})")
-    found = []
-    for index in range(cfg.points):
-        try:
-            if on_manifold:
-                found.append(inv.draw_point(cfg.check, target, cfg.samples, rng))
-            else:
-                found.append(sub.state(target, target.domain.sample(rng)))
-        except Exception as err:  # any failure at a point: re-raised with where it happened
-            raise PointError(cfg, index, err) from err
-    try:
-        if on_manifold:
-            sampled = inv.evaluate(cfg.check, target, found)
-        else:
+    if on_manifold:
+        pd, frames = shared or _manifold_points(cfg, target)
+        with _first_failing_point(cfg):
+            sampled = inv.draw(cfg.check, pd, cfg.samples, frames[cfg.check])
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        found = _each_point(cfg, lambda: sub.state(target, target.domain.sample(rng)))
+        with _first_failing_point(cfg):
             run = sub.stack(found)
             # one frame, the tangents, and one value per point: its residual
             sampled = (run, run.tangents[:, None], sub.CHECKS[cfg.check](run)[:, None])
-    except geo.GeometryError as err:  # a stacked test names its first failing point
-        raise PointError(cfg, err.index[0], err) from err
     residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], sampled)
     return CheckReport(
         manifold=target.name if on_manifold else f"{target.ambient.name}::{target.name}",
@@ -167,7 +217,10 @@ def run_suite(
     configs = [RunConfig(manifold_source, name, **settings) for name in MANIFOLD_CHECKS]
     manifold = models.load_manifold(manifold_source)
     skipped = [name for name in MANIFOLD_CHECKS if manifold.m < inv.CHECKS[name].min_dim]
-    runs = {cfg.check: _run_loaded(cfg, manifold) for cfg in configs if cfg.check not in skipped}
+    configs = [cfg for cfg in configs if cfg.check not in skipped]
+    # One point set for every check; an error there is named by the first check.
+    shared = _manifold_points(configs[0], manifold)
+    runs = {cfg.check: _run_loaded(cfg, manifold, shared) for cfg in configs}
 
     def yes(*names: str) -> str:
         return "yes" if all(runs[name][0].passed for name in names if name in runs) else "no"

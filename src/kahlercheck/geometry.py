@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -338,7 +338,7 @@ class KahlerManifold:
                 continue
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ValueError(
-                    f"potential is not real on the chart: K({p}) = {value}"
+                    f"not real on the chart: K({p}) = {value}"
                 )
 
     def assignment(self, p: Sequence[complex]) -> dict[Var, complex]:
@@ -390,21 +390,33 @@ class KahlerManifold:
 
 def hermitian_metric(p: ChartPoint, g: np.ndarray) -> HermitianMetric:
     """The metric matrix ``g`` at ``p`` checked finite and Hermitian positive
-    definite, with inverse; here and below, a NaN fails every test."""
-    if not np.isfinite(g).all():
-        raise MetricError(f"metric not finite at {p}")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if not float(np.max(np.abs(g - g.conj().T))) <= 1e-12 * scale:
-        raise MetricError(f"metric not Hermitian at {p}")
-    g = 0.5 * (g + g.conj().T)
-    smallest = float(np.linalg.eigvalsh(g)[0])
-    if not smallest > 0.0:
-        raise MetricError(
-            f"metric not positive definite at {p}: smallest eigenvalue {smallest:.6e}"
+    definite, with inverse; here and below, a NaN fails every test.
+
+    Points and matrices may stack along leading axes, one matrix per point.
+    Each point is tested alone, and the error names the first point that
+    fails any test, with that point's own message.
+    """
+    try:
+        largest = np.max(np.abs(g), axis=(-2, -1))  # inf or NaN where an entry is
+        _raise_at_first(~np.isfinite(largest), p, "metric not finite", MetricError)
+        gh = np.swapaxes(g, -1, -2).conj()
+        hermitian = np.max(np.abs(g - gh), axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, largest)
+        _raise_at_first(~hermitian, p, "metric not Hermitian", MetricError)
+        g = 0.5 * (g + gh)
+        smallest = np.linalg.eigvalsh(g)[..., 0]
+        _raise_at_first(
+            ~(smallest > 0.0), p, "metric not positive definite", MetricError,
+            lambda index: f": smallest eigenvalue {smallest[index]:.6e}",
         )
-    inverse = np.linalg.inv(g)
-    if not float(np.max(np.abs(g @ inverse - np.eye(len(g))))) <= 1e-10:
-        raise MetricError(f"metric inversion failed at {p}")
+        inverse = np.linalg.inv(g)
+        inverted = np.max(np.abs(g @ inverse - np.eye(g.shape[-1])), axis=(-2, -1)) <= 1e-10
+        _raise_at_first(~inverted, p, "metric inversion failed", MetricError)
+    except MetricError as err:
+        # The tests run one after another over the stack, so a point before
+        # the one named may fail a later test: that point comes first.
+        if err.index and err.index[0]:
+            hermitian_metric(p[: err.index[0]], g[: err.index[0]])
+        raise
     return HermitianMetric(matrix=g, inverse=inverse)
 
 
@@ -455,12 +467,19 @@ def curvature_tensor(
     return ComplexCurvature(tensor=r)
 
 
-def _raise_at_first(bad: np.ndarray, p: ChartPoint, what: str) -> None:
-    """Raise ``GeometryError`` for the first point of a stack where ``bad``
-    holds, naming it and carrying its leading-axis ``index``."""
-    if bad.any():
-        index = np.unravel_index(np.argmax(bad), bad.shape)
-        raise GeometryError(f"{what} at {p[index]}", tuple(map(int, index)))
+def _raise_at_first(
+    bad: np.ndarray,
+    p: ChartPoint,
+    what: str,
+    error: type[GeometryError] = GeometryError,
+    detail: Callable[[tuple], str] = lambda index: "",
+) -> None:
+    """Raise ``error`` for the first point of a stack where ``bad`` holds,
+    naming it, then ``detail`` of its index, and carrying its leading-axis
+    ``index``."""
+    if np.count_nonzero(bad):
+        index = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        raise error(f"{what} at {np.asarray(p)[index]}{detail(index)}", index)
 
 
 def ricci_tensor(
@@ -568,22 +587,18 @@ class PointData:
         return np.maximum(*(frame_norm(t) for t in _curvature_terms(self.metric, self.jets)))
 
 
-def point_jets(
-    manifold: KahlerManifold, p: Sequence[complex]
-) -> tuple[ChartPoint, HermitianMetric, list[np.ndarray]]:
+def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoint, list[np.ndarray]]:
     """The stage of ``point_data`` that runs at each point alone: ``p``
-    checked against the chart domain, one run of the chart's jet tape and
-    the metric validated, each of which can fail at that point."""
+    checked against the chart domain and one run of the chart's jet tape,
+    each of which can fail at that point."""
     p = manifold.require_in_domain(p)
-    jets = manifold.jets(p)
-    return p, hermitian_metric(p, jets[0]), jets
+    return p, manifold.jets(p)
 
 
-def _tensors(
-    manifold: KahlerManifold, p: ChartPoint, metric: HermitianMetric, jets: list[np.ndarray]
-) -> PointData:
-    """Curvature, Ricci and scalar curvature from the output of
-    ``point_jets``, at one point or at a stack of points."""
+def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) -> PointData:
+    """The metric test, curvature, Ricci and scalar curvature from the
+    output of ``point_jets``, at one point or at a stack of points."""
+    metric = hermitian_metric(p, jets[0])
     curvature = curvature_tensor(p, metric, jets)
     ricci = ricci_tensor(p, metric, curvature, jets)
     # 2 g^{i jbar} S_{i jbar}
@@ -599,12 +614,11 @@ def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
 
 def stack(manifold: KahlerManifold, evaluated: Sequence[tuple]) -> PointData:
     """The ``point_jets`` of points of ``manifold`` as one ``PointData`` with
-    a leading point axis: curvature, Ricci and tau are computed once for all
-    of them.  A ``GeometryError`` from the curvature or Ricci tests carries
+    a leading point axis: the metric test, curvature, Ricci and tau run once
+    for all of them.  A ``GeometryError`` from any of their tests carries
     the ``index`` of the first failing point."""
-    points, metrics, jets = zip(*evaluated)
-    metric = HermitianMetric(np.stack([g.matrix for g in metrics]), np.stack([g.inverse for g in metrics]))
-    return _tensors(manifold, np.stack(points), metric, [np.stack(block) for block in zip(*jets)])
+    points, jets = zip(*evaluated)
+    return _tensors(manifold, np.stack(points), [np.stack(block) for block in zip(*jets)])
 
 
 # One tensor at one point of a chart.  The metric runs only the tape prefix
@@ -670,22 +684,36 @@ def curvature_operator(
 _PIVOT = 1e-8
 
 
+def _gaussian(rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
+    """Complex Gaussian seeds of shape ``size``, all real parts drawn first."""
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _frame_error(todo: np.ndarray, what: str) -> FrameError:
+    """A ``FrameError`` carrying the point axes of the first frame still to draw."""
+    return FrameError(what, tuple(map(int, np.argwhere(todo)[0][:-1])))
+
+
 def unit_tangents(
     metric: HermitianMetric, count: int, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """``(count, k, m)`` random g-unit tangent vectors (complex Gaussian
     directions, real parts drawn first).  One whose g-norm is at most
-    ``1e-6 sqrt(max |g|)`` times its length is redrawn alone, 64 draws at most."""
-    m, floor = metric.matrix.shape[0], 1e-6 * math.sqrt(np.abs(metric.matrix).max())
-    v = rng.normal(size=(count, k, m)) + 1j * rng.normal(size=(count, k, m))
+    ``1e-6 sqrt(max |g|)`` times its length is redrawn alone, 64 draws at most.
+
+    A metric with leading point axes gives ``(*points, count, k, m)``: one
+    draw for every point, each vector unit in its own point's metric.
+    """
+    points, m = metric.matrix.shape[:-2], metric.matrix.shape[-1]
+    floor = 1e-6 * np.sqrt(np.max(np.abs(metric.matrix), axis=(-2, -1)))
+    v = _gaussian(rng, (*points, count, k, m))
     n = metric.norm(RealTangentVector(v))
     draws = 1
-    while (small := n <= floor * np.linalg.norm(v, axis=-1)).any():
+    while (small := n <= _per_point(floor, n, 0) * np.linalg.norm(v, axis=-1)).any():
         if (draws := draws + 1) > 64:
-            raise FrameError("failed to draw a nonzero tangent vector")
-        redraw = (int(small.sum()), m)
-        v[small] = rng.normal(size=redraw) + 1j * rng.normal(size=redraw)
-        n[small] = metric.norm(RealTangentVector(v[small]))
+            raise _frame_error(small.any(axis=-1), "failed to draw a nonzero tangent vector")
+        v[small] = _gaussian(rng, (int(small.sum()), m))
+        n[small] = metric.norm(RealTangentVector(v))[small]
     return v / n[..., None]
 
 
@@ -697,9 +725,11 @@ def antiholomorphic_frames(
     Equivalently ``h(v_a, v_b) = delta_ab / 2``.  Complex Gaussian seeds are
     whitened by the Cholesky factor of g and go through Gram-Schmidt over h,
     all frames of a draw at once.  Only frames with a pivot at most ``_PIVOT``
-    times the length of its row are redrawn, 64 draws at most.
+    times the length of its row are redrawn, 64 draws at most.  A metric
+    with leading point axes gives ``(*points, count, k, m)`` as
+    ``unit_tangents`` does.
     """
-    m = metric.matrix.shape[0]
+    points, m = metric.matrix.shape[:-2], metric.matrix.shape[-1]
     if k > m:
         raise FrameError(
             f"no antiholomorphic {k}-plane exists: k={k} exceeds complex dimension {m}"
@@ -707,36 +737,39 @@ def antiholomorphic_frames(
     # h(v, w) is the standard product of v L and w L, for g = L L^H.
     lower = np.linalg.cholesky(metric.matrix)
     back = np.linalg.inv(lower) / math.sqrt(2.0)
-    frames = np.empty((count, k, m), dtype=complex)
-    todo = np.arange(count)
+    seeds, frames = (np.empty((*points, count, k, m), dtype=complex) for _ in range(2))
+    todo = np.ones((*points, count), dtype=bool)
     for _ in range(64):
-        size = (len(todo), k, m)
-        raw = rng.normal(size=size) + 1j * rng.normal(size=size)
-        q, ok = _gram_schmidt(_rows(raw, lower))
-        frames[todo[ok]] = _rows(q, back)[ok]
-        if not len(todo := todo[~ok]):
+        # A redraw whitens and orthonormalizes the whole stack again, and
+        # keeps only the frames it redrew.
+        seeds[todo] = _gaussian(rng, (int(todo.sum()), k, m))
+        q, ok = _gram_schmidt(_rows(seeds, lower))
+        new = todo & ok
+        frames[new] = _rows(q, back)[new]
+        if not (todo := todo & ~ok).any():
             return frames
-    raise FrameError("failed to draw an independent frame")
+    raise _frame_error(todo, "failed to draw an independent frame")
 
 
 def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of each ``w[n]`` made orthonormal in order, in the standard
-    product, and whether every pivot exceeds ``_PIVOT`` times its row's length.
+    """Rows of each ``(k, m)`` matrix of ``w`` made orthonormal in order, in
+    the standard product, and whether every pivot exceeds ``_PIVOT`` times
+    its row's length.
 
     Classical Gram-Schmidt with one repeat of the projection, which keeps
     the rows orthogonal to round-off.  A smaller pivot (NaN too) fails its
-    stack and leaves its row undivided: a zero pivot gives a zero row, not NaN.
+    matrix and leaves its row undivided: a zero pivot gives a zero row, not NaN.
     """
     q = np.empty_like(w)
-    ok = np.ones(len(w), dtype=bool)
+    ok = np.ones(w.shape[:-2], dtype=bool)
     floor = _PIVOT * np.linalg.norm(w, axis=-1)
-    for a in range(w.shape[1]):
-        v, done = w[:, a], q[:, :a]
+    for a in range(w.shape[-2]):
+        v, done = w[..., a, :], q[..., :a, :]
         for _ in range(2 if a else 0):  # the first row has nothing to project out
-            v = v - np.einsum("nb,nbi->ni", np.einsum("nbi,ni->nb", done.conj(), v), done)
+            v = v - np.einsum("...b,...bi->...i", np.einsum("...bi,...i->...b", done.conj(), v), done)
         pivot = np.linalg.norm(v, axis=-1)
-        ok &= (good := pivot > floor[:, a])
-        q[:, a] = v / np.where(good, pivot, 1.0)[:, None]
+        ok &= (good := pivot > floor[..., a])
+        q[..., a, :] = v / np.where(good, pivot, 1.0)[..., None]
     return q, ok
 
 

@@ -10,16 +10,18 @@ value per stacked tangent vector; on a ``PointData`` of a stack of points
 (``geometry.stack``) the vectors stack along the same leading point axis.
 ``CHECKS`` names every sampled manifold check: the least complex dimension
 it needs, the frames it draws, its value on them and how the values reduce
-to residuals.  A sampled check runs in two stages.  ``draw_point`` runs at
-each point alone: it draws the point, evaluates its jets and metric and
-draws its frames, from a caller-owned generator in a fixed order, so a seed
-fixes every residual.  ``evaluate`` then stacks a run's points and computes
-curvature, Ricci, tau and the check's values once for all of them.
-``sample`` runs both stages.
+to residuals.  A sampled run draws from the ``streams`` of one seed.  The
+first draws all the run's chart points; their jets run one point at a time,
+and ``geometry.stack`` then evaluates them as one stack.  Each check then
+draws the frames of every point in one call from its own stream (``draw``),
+and computes its values once for the stack.  So a seed fixes every residual,
+and every check of a suite sees the same points.  ``sample`` runs one check
+this way.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Callable, Sequence
@@ -176,10 +178,10 @@ def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> floa
 class Check:
     """One sampled manifold check.
 
-    At each point it draws one ``(samples, k, m)`` stack of frames from
-    ``geometry.<sampler>`` (k = None: the complex dimension); ``value(pd,
-    legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a
-    (with a leading point axis on a stacked ``pd``).
+    At each point it draws ``samples`` frames of k legs from
+    ``geometry.<sampler>`` (k = None: the complex dimension), one
+    ``(points, samples, k, m)`` draw for a stacked ``pd``; ``value(pd,
+    legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
     ``reduce`` is "max" (each |value| is a residual), "std" (one residual
     per point: the standard deviation of its values) or "spread" (one
     residual: the ``_spread`` of all values).  Sampler and values are
@@ -219,53 +221,40 @@ MANIFOLD_CHECKS = tuple(CHECKS)
 
 # One check on its points: a record with the ``point`` data (a PointData, or
 # the state of an immersion check), its frames and their values.  ``draw``
-# gives one point's (samples, k, m) frames and (samples,) values; a run's
-# record has a leading point axis on all three.
+# gives one point's (samples, k, m) frames and (samples,) values; on a
+# stacked PointData all three have a leading point axis.
 PointSamples = tuple[Any, np.ndarray, np.ndarray]
 
 
-def _frames(
-    check: Check, metric: geo.HermitianMetric, samples: int, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    return getattr(geo, check.sampler)(metric, samples, check.k or m, rng)
-
-
-def _values(check: Check, pd: PointData, frames: np.ndarray) -> np.ndarray:
-    return check.value(pd, [RealTangentVector(frames[..., a, :]) for a in range(frames.shape[-2])])
+def streams(rng: np.random.Generator) -> tuple[np.random.Generator, dict[str, np.random.Generator]]:
+    """The generators of a sampled run, spawned from ``rng``: the first
+    draws every chart point, and one per check, in the order of ``CHECKS``,
+    draws that check's frames.  From ``np.random.default_rng(seed)`` they
+    are the children of ``np.random.SeedSequence(seed).spawn(1 + len(CHECKS))``,
+    which is how ``check`` and ``suite`` draw: every check of a suite sees
+    the same points, and a check's frames do not depend on the other checks."""
+    points, *frames = rng.spawn(1 + len(CHECKS))
+    return points, dict(zip(CHECKS, frames))
 
 
 def draw(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> PointSamples:
-    """``samples`` frames of check ``name`` at ``pd`` as one stack, and its value on each."""
+    """``samples`` frames of check ``name`` at each point of ``pd`` in one
+    draw, and the check's value on each frame."""
     check = CHECKS[name]
-    frames = _frames(check, pd.metric, samples, pd.m, rng)
-    return pd, frames, _values(check, pd, frames)
-
-
-def draw_point(
-    name: str, manifold: KahlerManifold, samples: int, rng: np.random.Generator
-) -> tuple[tuple, np.ndarray]:
-    """The stage of check ``name`` that runs at each point alone: a chart
-    point, its ``geometry.point_jets``, and ``samples`` frames drawn from
-    its metric, in the order ``draw`` on ``point_data`` would draw them."""
-    evaluated = geo.point_jets(manifold, manifold.sample_point(rng))
-    return evaluated, _frames(CHECKS[name], evaluated[1], samples, manifold.m, rng)
-
-
-def evaluate(name: str, manifold: KahlerManifold, drawn: Sequence[tuple]) -> PointSamples:
-    """The ``draw_point`` results of a run as one record with a leading point
-    axis: a ``geometry.stack`` PointData, the frames, and the value of check
-    ``name`` on each frame, all computed once for the run."""
-    evaluated, frames = zip(*drawn)
-    pd, frames = geo.stack(manifold, evaluated), np.stack(frames)
-    return pd, frames, _values(CHECKS[name], pd, frames)
+    frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng)
+    return pd, frames, check.value(pd, [RealTangentVector(frames[..., a, :]) for a in range(frames.shape[-2])])
 
 
 def sample(
     name: str, manifold: KahlerManifold, points: int, samples: int, rng: np.random.Generator
 ) -> PointSamples:
-    """Draw ``points`` chart points, each followed by its ``samples`` frames,
-    and evaluate them as one stack."""
-    return evaluate(name, manifold, [draw_point(name, manifold, samples, rng) for _ in range(points)])
+    """A run of check ``name`` on the ``streams`` of ``rng``: ``points``
+    chart points evaluated as one ``geometry.stack``, then ``draw`` on it.
+    With ``rng = np.random.default_rng(seed)`` this is the run that
+    ``check`` makes at that seed."""
+    points_rng, frames = streams(rng)
+    evaluated = [geo.point_jets(manifold, manifold.sample_point(points_rng)) for _ in range(points)]
+    return draw(name, geo.stack(manifold, evaluated), samples, frames[name])
 
 
 def _spread(sampled: PointSamples) -> tuple[np.ndarray, float, float]:
@@ -286,7 +275,7 @@ def _spread(sampled: PointSamples) -> tuple[np.ndarray, float, float]:
     return values, mean, width / max(abs(mean), float(np.max(pd.term_scale)))
 
 
-def reduce_samples(how: str, sampled: PointSamples) -> tuple[np.ndarray, list[WorstCase]]:
+def reduce_samples(how: str, sampled: PointSamples) -> tuple[np.ndarray, WorstCases]:
     """Residuals and worst cases of a run's record under the reduction
     ``how`` (see ``Check``): at each point the first largest sample ("max")
     or the one farthest from the point's mean ("std"); for "spread", the one
@@ -296,13 +285,12 @@ def reduce_samples(how: str, sampled: PointSamples) -> tuple[np.ndarray, list[Wo
     if how == "spread":
         flat, mean, spread = _spread(sampled)
         point, i = divmod(int(np.argmax(np.abs(flat - mean))), values.shape[1])
-        return np.array([spread]), [WorstCase(run.point[point].copy(), frames[point, i].copy(), spread)]
+        return np.array([spread]), WorstCases(run.point[[point]], frames[[point], [i]], np.array([spread]))
     if how not in ("max", "std"):
         raise ValueError(f"unknown reduction {how!r}")
     far = np.abs(values - (values.mean(axis=1, keepdims=True) if how == "std" else 0.0))
     per_point = values.std(axis=1) if how == "std" else far.max(axis=1)
-    picks = zip(run.point, frames, far.argmax(axis=1), per_point)
-    worst = [WorstCase(point.copy(), f[i].copy(), float(r)) for point, f, i, r in picks]
+    worst = WorstCases(run.point.copy(), frames[np.arange(len(far)), far.argmax(axis=1)], per_point)
     return per_point if how == "std" else far.ravel(), worst
 
 
@@ -368,6 +356,25 @@ class WorstCase:
         }
 
 
+class WorstCases(Sequence[WorstCase]):
+    """A report's worst cases as three arrays, one row per case: the chart
+    points, the frames and the residuals.  Item ``i`` is a ``WorstCase`` of
+    fresh copies of row ``i``.  A kept report thus holds three small arrays
+    however many points its run had, not one object per array of each case."""
+
+    __slots__ = ("points", "frames", "residuals")
+
+    def __init__(self, points: np.ndarray, frames: np.ndarray, residuals: np.ndarray):
+        self.points, self.frames, self.residuals = points, frames, residuals
+
+    def __len__(self) -> int:
+        return len(self.residuals)
+
+    def __getitem__(self, i: int) -> WorstCase:
+        i = operator.index(i)
+        return WorstCase(self.points[i].copy(), self.frames[i].copy(), float(self.residuals[i]))
+
+
 @dataclass(slots=True)
 class CheckReport:
     """Outcome of one verification run.
@@ -383,7 +390,7 @@ class CheckReport:
     tolerance: float
     max_residual: float
     mean_residual: float
-    worst_cases: list[WorstCase] = field(default_factory=list)
+    worst_cases: Sequence[WorstCase] = field(default_factory=list)
     timestamp: str = ""
 
     def __post_init__(self):

@@ -341,13 +341,17 @@ def _read(entries: dict[str, str], where: dict[str, str], key: str, parse: Calla
 
 
 def _build(where: dict[str, str], key: str, build: Callable, *args):
-    """``build(*args)``; a RecursionError from it, which the recursive build
-    walks raise on a tree nested deeper than Python's recursion limit, names
-    the line of ``key``."""
+    """``build(*args)``; an error from it names the line of ``key``: a
+    RecursionError, which the recursive build walks raise on a tree nested
+    deeper than Python's recursion limit, and a ValueError, which a chart
+    raises for a potential that is not real.  The parsers have already
+    checked every other value the builds could reject."""
     try:
         return build(*args)
     except RecursionError as err:
         raise ModelError(f"{where[key]}: {key}: build: expression nested too deeply ({err})") from None
+    except ValueError as err:
+        raise ModelError(f"{where[key]}: {key}: {err}") from None
 
 
 def _parse_domain(value: str, m: int) -> ChartDomain:

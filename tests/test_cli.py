@@ -68,17 +68,28 @@ def _point(manifold, rng):
     return inv.point_data(manifold, manifold.sample_point(rng))
 
 
+def _on_streams(helper, check, manifold, samples, seed):
+    """``helper(pd, samples, rng)`` at the first point of the run at ``seed``,
+    drawing from the frame stream of ``check``, as the CLI does."""
+    points, frames = inv.streams(np.random.default_rng(seed))
+    return helper(_point(manifold, points), samples, frames[check])
+
+
 @pytest.mark.parametrize(
     "check, points, library",
     [
-        ("einstein", 1, lambda m, k, rng: inv.einstein_residual(_point(m, rng), k, rng)),
-        ("ricci-offdiag", 1, lambda m, k, rng: inv.ricci_offdiagonal_check(_point(m, rng), k, rng)),
-        ("chsc", 2, lambda m, k, rng: inv.chsc_fit(m, 2, k, rng)[1]),
+        ("einstein", 1, lambda m, k, seed: _on_streams(inv.einstein_residual, "einstein", m, k, seed)),
+        (
+            "ricci-offdiag",
+            1,
+            lambda m, k, seed: _on_streams(inv.ricci_offdiagonal_check, "ricci-offdiag", m, k, seed),
+        ),
+        ("chsc", 2, lambda m, k, seed: inv.chsc_fit(m, 2, k, np.random.default_rng(seed))[1]),
     ],
 )
 def test_library_helpers_agree_with_the_cli(check, points, library):
     source = "builtin:product:fs:1:fs:2"
-    value = library(models.load_manifold(source), 30, np.random.default_rng(13))
+    value = library(models.load_manifold(source), 30, 13)
     report = run_check(RunConfig(manifold=source, check=check, points=points, samples=30, seed=13))
     assert value > 0.0
     assert value == report.max_residual
@@ -365,6 +376,15 @@ def test_a_tree_too_deep_to_build_names_its_line(name, text, command, where, tmp
     assert f"{where}: build: expression nested too deeply" in capsys.readouterr().err
 
 
+def test_a_non_real_potential_names_its_line(tmp_path, capsys):
+    path = tmp_path / "nonreal.manifold"
+    path.write_text('dimension = 1\n# holomorphic, so not real\npotential = "z1*z1"\n')
+    assert main(["check", "einstein", "--manifold", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}:3: potential: not real on the chart: K([")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [["check", "einstein"], ["suite"]])
 def test_non_finite_metric_is_an_error_naming_the_point(command, tmp_path, capsys):
     # 1e300*1e300 folds to inf, so g is inf everywhere; no verdict is given on it.
@@ -400,11 +420,11 @@ ESCAPING_SPEC = (
             "metric not positive definite at [",
         ),
         (
-            # Points 0 to 3 are good: the run stops at point 4, before the stacked stage.
-            ["check", "einstein", "--seed", "0", "--manifold"],
+            # Points 0 to 3 are good: the stacked metric test names point 4.
+            ["check", "einstein", "--seed", "13", "--manifold"],
             INDEFINITE_SPEC,
-            "einstein: point 4 of 5, seed 0: ",
-            "metric not positive definite at [0.67773239+0.22247977j]: smallest eigenvalue -1.763687e-02\n",
+            "einstein: point 4 of 5, seed 13: ",
+            "metric not positive definite at [-0.3323726-0.64966559j]: smallest eigenvalue -6.507386e-02\n",
         ),
         (
             ["check", "chsc", "--seed", "3", "--manifold"],
@@ -500,6 +520,28 @@ def test_one_curvature_and_one_ricci_call_per_manifold_run(monkeypatch):
         assert runs == [manifold.tape] * 4, check
 
 
+def test_a_suite_evaluates_its_points_once(monkeypatch):
+    # Seven checks share one point set: one tape run per point, and one
+    # metric test, curvature and Ricci for the whole stack.
+    manifold = models.load_manifold("builtin:fs:3")
+    monkeypatch.setattr(models, "load_manifold", lambda source: manifold)
+    calls, runs = [], []
+    for name in ("hermitian_metric", "curvature_tensor", "ricci_tensor"):
+        real = getattr(geo, name)
+
+        def counted(*a, name=name, real=real):
+            calls.append(name)
+            return real(*a)
+
+        monkeypatch.setattr(geo, name, counted)
+    real_run = ex.Tape.run
+    monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
+    reports, _ = run_suite("builtin:fs:3", points=4, samples=3, seed=2)
+    assert len(reports) == len(MANIFOLD_CHECKS)
+    assert calls == ["hermitian_metric", "curvature_tensor", "ricci_tensor"]
+    assert runs == [manifold.tape] * 4
+
+
 @pytest.mark.parametrize("bad", [0, 2])
 def test_a_ricci_disagreement_in_a_stack_names_its_point(bad, monkeypatch):
     # Route (b) of the Ricci cross-check alone reads d2g from the jets: a
@@ -524,18 +566,64 @@ def test_a_ricci_disagreement_in_a_stack_names_its_point(bad, monkeypatch):
     assert str(err) == f"einstein: point {bad} of 4, seed 3: Ricci computation routes disagree at {point}"
 
 
+@pytest.mark.parametrize("source", ["builtin:fs:3", "builtin:product:fs:1:fs:2"])
+def test_a_check_run_equals_its_report_in_the_suite(source):
+    # The suite evaluates one point set for all checks; each check draws its
+    # frames from its own stream, so running it alone changes nothing.
+    def key(report):
+        return {k: v for k, v in report.to_json_dict().items() if k != "timestamp"}
+
+    settings = dict(points=3, samples=20, seed=5)
+    reports, _ = cli.run_suite(source, **settings)
+    assert [r.check for r in reports] == list(MANIFOLD_CHECKS)
+    for report in reports:
+        alone = run_check(RunConfig(manifold=source, check=report.check, **settings))
+        assert key(alone) == key(report), report.check
+
+
+def _stubbed_jets(monkeypatch, manifold, failing_call):
+    """Make the ``failing_call``-th jet run (counted from 0) raise."""
+    real, calls = manifold.jets, []
+
+    def jets(p, *a):
+        calls.append(p)
+        if len(calls) - 1 == failing_call:
+            raise ValueError("stub tape failure")
+        return real(p, *a)
+
+    monkeypatch.setattr(manifold, "jets", jets)
+
+
+@pytest.mark.parametrize("seed, named", [(18, 2), (17, 3)])
+def test_an_earlier_metric_failure_comes_before_a_later_point_error(seed, named, tmp_path, monkeypatch):
+    # At seed 18, point 2 has an indefinite metric; at seed 17 points 0 to 3
+    # are good.  Point 3 fails in the per-point stage: an earlier point whose
+    # metric fails is still the one named.
+    path = tmp_path / "indefinite.manifold"
+    path.write_text(INDEFINITE_SPEC)
+    manifold = models.load_manifold(str(path))
+    _stubbed_jets(monkeypatch, manifold, 3)
+    cfg = RunConfig(manifold=str(path), check="einstein", points=5, samples=3, seed=seed)
+    with pytest.raises(cli.PointError) as info:
+        cli._run_loaded(cfg, manifold)
+    err = info.value
+    assert (err.check, err.index, err.seed) == ("einstein", named, seed)
+    assert isinstance(err.__cause__, ValueError if named == 3 else geo.MetricError)
+    assert str(err).startswith(f"einstein: point {named} of 5, seed {seed}: ")
+
+
 def test_point_error_carries_the_point_and_chains_the_original(tmp_path):
     path = tmp_path / "indefinite.manifold"
     path.write_text(INDEFINITE_SPEC)
-    cfg = RunConfig(manifold=str(path), check="einstein", points=5, samples=10, seed=6)
+    cfg = RunConfig(manifold=str(path), check="einstein", points=5, samples=10, seed=18)
     with pytest.raises(cli.PointError) as info:
         run_check(cfg)
     err = info.value
-    assert (err.check, err.index, err.seed) == ("einstein", 2, 6)
+    assert (err.check, err.index, err.seed) == ("einstein", 2, 18)
     assert isinstance(err.__cause__, geo.MetricError)
-    assert str(err) == f"einstein: point 2 of 5, seed 6: {err.__cause__}"
+    assert str(err) == f"einstein: point 2 of 5, seed 18: {err.__cause__}"
     # Points 0 and 1 are good: a run of those two alone raises nothing.
-    run_check(RunConfig(manifold=str(path), check="einstein", points=2, samples=10, seed=6))
+    run_check(RunConfig(manifold=str(path), check="einstein", points=2, samples=10, seed=18))
     # Outside the runner the library keeps its own error types.
     manifold = models.load_manifold(str(path))
     with pytest.raises(geo.MetricError):

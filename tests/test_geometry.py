@@ -621,3 +621,81 @@ def test_zero_unit_draws_every_time_raise_frame_error(fs3):
     with pytest.raises(geo.FrameError, match="nonzero tangent"):
         geo.unit_tangents(gm, 3, 2, stub)
     assert len(stub.sizes) == 2 * 64
+
+
+# ------------------------------------------------------ stacks of points
+
+
+def _metric_stack(manifold, seed, count):
+    rng = np.random.default_rng(seed)
+    points = np.array([manifold.sample_point(rng) for _ in range(count)])
+    return points, np.array([manifold.metric_matrix(p) for p in points])
+
+
+@pytest.mark.parametrize("chart", ["fs3", "chyp3", "product"])
+def test_stacked_samplers_fit_each_point_metric(chart, request):
+    # One draw for every point; each point's frames are unit, or orthonormal
+    # and antiholomorphic, in that point's own metric, not in another's.
+    manifold = request.getfixturevalue(chart)
+    points, g = _metric_stack(manifold, 6, 4)
+    stacked = geo.hermitian_metric(points, g)
+    metrics = [geo.hermitian_metric(p, m) for p, m in zip(points, g)]
+    assert not np.allclose(g[0], g[1])
+    rng = np.random.default_rng(2)
+    units = geo.unit_tangents(stacked, 6, 2, rng)
+    frames = geo.antiholomorphic_frames(stacked, 6, 3, rng)
+    assert units.shape == (4, 6, 2, 3) and frames.shape == (4, 6, 3, 3)
+    for i, gm in enumerate(metrics):
+        assert np.allclose(gm.norm(geo.RealTangentVector(units[i])), 1.0, rtol=0, atol=1e-13)
+        assert np.allclose(_gram(gm, frames[i]), np.eye(3), rtol=0, atol=1e-12)
+        other = metrics[(i + 1) % 4]
+        assert not np.allclose(_gram(other, frames[i]), np.eye(3), rtol=0, atol=1e-6)
+
+
+def test_a_stacked_draw_is_one_call_for_all_points(fs3):
+    points, g = _metric_stack(fs3, 6, 4)
+    stacked = geo.hermitian_metric(points, g)
+    for sampler, k in ((geo.unit_tangents, 2), (geo.antiholomorphic_frames, 3)):
+        stub = _Draws(6)
+        sampler(stacked, 5, k, stub)
+        assert [np.prod(size) for size in stub.sizes] == [4 * 5 * k * 3] * 2, sampler.__name__
+
+
+def test_a_stacked_frame_error_names_its_point(fs3):
+    points, g = _metric_stack(fs3, 6, 3)
+    stacked = geo.hermitian_metric(points, g)
+
+    def dependent(call, values):
+        # point 1's second frame (row 3 of the first draw), and every redraw
+        values[3 if call <= 2 else 0, 1] = values[3 if call <= 2 else 0, 0]
+        return values
+
+    with pytest.raises(geo.FrameError, match="independent") as info:
+        geo.antiholomorphic_frames(stacked, 2, 2, _Draws(1, dependent))
+    assert info.value.index == (1,)
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_stacked_metric_failure_keeps_the_one_point_text(bad, fs3):
+    points, g = _metric_stack(fs3, 6, 3)
+    g[bad] = -g[bad]
+    with pytest.raises(geo.MetricError) as one:
+        geo.hermitian_metric(points[bad], g[bad])
+    with pytest.raises(geo.MetricError) as stacked:
+        geo.hermitian_metric(points, g)
+    assert str(stacked.value) == str(one.value)
+    assert ": smallest eigenvalue -" in str(one.value) and one.value.index == ()
+    assert stacked.value.index == (bad,)
+
+
+def test_a_stacked_metric_test_names_the_first_failing_point(fs3):
+    # The tests run one after another over the stack: point 2 fails the first
+    # (finiteness), point 1 a later one (positivity), and point 1 is named.
+    points, g = _metric_stack(fs3, 6, 4)
+    g[2, 0, 0] = np.nan
+    g[1] = -g[1]
+    g[3, 0, 1] += 1.0  # not Hermitian
+    with pytest.raises(geo.MetricError, match="not positive definite") as info:
+        geo.hermitian_metric(points, g)
+    assert info.value.index == (1,)
+    assert str(info.value).startswith(f"metric not positive definite at {points[1]}: smallest eigenvalue")

@@ -388,11 +388,23 @@ def test_stacked_values_match_one_frame_calls(chart, request, rng):
         assert values.shape == (7,) and np.max(np.abs(values - singles)) <= 1e-14 * scale, name
 
 
+class _Share:
+    """Generator stand-in for one point of a stacked draw: ``normal`` hands
+    out, in turn, the point's rows of each of the stack's draws."""
+
+    def __init__(self, draws, point):
+        self.draws, self.point = iter(draws), point
+
+    def normal(self, size):
+        return next(self.draws)[self.point * size[0] : (self.point + 1) * size[0]]
+
+
 @pytest.mark.parametrize("points", [1, 3, 8])
 @pytest.mark.parametrize("chart", ["fs3", "product", "flat_pullback_path"])
 def test_a_stacked_run_equals_the_loop_over_its_points(chart, points, request):
     # One stacked PointData per run against point_data and draw at each point,
-    # on the same generator calls: every field and value agrees bit for bit.
+    # on the same points and each point's share of the stacked frame draw:
+    # every field and value agrees bit for bit.
     manifold = request.getfixturevalue(chart)
     if chart == "flat_pullback_path":
         manifold = models.load_manifold(manifold)
@@ -400,10 +412,13 @@ def test_a_stacked_run_equals_the_loop_over_its_points(chart, points, request):
         if manifold.m < check.min_dim:
             continue
         run, frames, values = inv.sample(name, manifold, points, 5, np.random.default_rng(11))
-        rng = np.random.default_rng(11)
+        rng, streams = inv.streams(np.random.default_rng(11))
+        # The stacked draw of real, then imaginary parts, as one point's rows each.
+        size = (points * 5, check.k or manifold.m, manifold.m)
+        draws = [streams[name].normal(size=size) for _ in range(2)]
         loop = [
-            inv.draw(name, inv.point_data(manifold, manifold.sample_point(rng)), 5, rng)
-            for _ in range(points)
+            inv.draw(name, inv.point_data(manifold, manifold.sample_point(rng)), 5, _Share(draws, i))
+            for i in range(points)
         ]
         assert frames.shape == (points, 5, check.k or manifold.m, manifold.m), name
         assert values.shape == (points, 5) and run.tau.shape == run.term_scale.shape == (points,), name
@@ -425,6 +440,17 @@ def test_worst_case_frames_are_copies(name, fs3, rng):
         assert not np.shares_memory(case.frame, frames)
         assert not np.shares_memory(case.point, run.point)
         assert any(np.array_equal(case.frame, row) for per_point in frames for row in per_point)
+
+
+def test_worst_cases_keep_three_arrays_and_give_fresh_copies(fs3, rng):
+    # A kept report holds one array of points, frames and residuals each;
+    # every item access copies its row, so a caller's edit changes nothing.
+    _, worst = inv.reduce_samples("max", inv.sample("bochner", fs3, 3, 4, rng))
+    assert (worst.points.shape, worst.frames.shape, worst.residuals.shape) == ((3, 3), (3, 4, 3), (3,))
+    case = worst[0]
+    case.point[:] = 0.0
+    assert not np.array_equal(worst[0].point, case.point)
+    assert [c.residual for c in worst] == worst.residuals.tolist() and worst[-1].residual == worst.residuals[2]
 
 
 @pytest.mark.parametrize("name", ["bochner", "basis-sum"])
