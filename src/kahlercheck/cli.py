@@ -99,20 +99,14 @@ def _first_failing_point(cfg: RunConfig):
         raise PointError(cfg, err.index[0], err) from err
 
 
-def _each_point(cfg: RunConfig, evaluate: Callable, earlier: Callable = lambda found: None) -> list:
+def _each_point(cfg: RunConfig, evaluate: Callable):
     """``evaluate()`` at each point of the run, in order.  Any error there is
-    re-raised as a ``PointError`` naming its point, once ``earlier(found)``
-    has run the stacked tests of the points before it, so that a failure at
-    an earlier point is the one named."""
-    found = []
+    re-raised as a ``PointError`` naming its point."""
     for index in range(cfg.points):
         try:
-            found.append(evaluate())
+            yield evaluate()
         except Exception as err:  # any failure at a point: re-raised with where it happened
-            with _first_failing_point(cfg):
-                earlier(found)
             raise PointError(cfg, index, err) from err
-    return found
 
 
 def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.PointData, dict]:
@@ -123,13 +117,17 @@ def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.
     tape run alone; the metric test, curvature and Ricci then run once over
     the stack."""
     rng, frames = inv.streams(np.random.default_rng(cfg.seed))
-
-    def earlier_metrics(found: list) -> None:
+    found = []
+    try:
+        for evaluated in _each_point(cfg, lambda: geo.point_jets(manifold, manifold.sample_point(rng))):
+            found.append(evaluated)
+    except PointError:
+        # A metric failure at a point before the one that failed is named first.
         if found:
             points, jets = zip(*found)
-            geo.hermitian_metric(np.stack(points), np.stack([j[0] for j in jets]))
-
-    found = _each_point(cfg, lambda: geo.point_jets(manifold, manifold.sample_point(rng)), earlier_metrics)
+            with _first_failing_point(cfg):
+                geo.hermitian_metric(np.stack(points), np.stack([j[0] for j in jets]))
+        raise
     with _first_failing_point(cfg):
         return geo.stack(manifold, found), frames
 
@@ -161,7 +159,7 @@ def _run_loaded(
             sampled = inv.draw(cfg.check, pd, cfg.samples, frames[cfg.check])
     else:
         rng = np.random.default_rng(cfg.seed)
-        found = _each_point(cfg, lambda: sub.state(target, target.domain.sample(rng)))
+        found = list(_each_point(cfg, lambda: sub.state(target, target.domain.sample(rng))))
         with _first_failing_point(cfg):
             run = sub.stack(found)
             # one frame, the tangents, and one value per point: its residual

@@ -338,7 +338,7 @@ class KahlerManifold:
                 continue
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ValueError(
-                    f"not real on the chart: K({p}) = {value}"
+                    f"potential is not real on the chart: K({p}) = {value}"
                 )
 
     def assignment(self, p: Sequence[complex]) -> dict[Var, complex]:

@@ -232,7 +232,8 @@ def streams(rng: np.random.Generator) -> tuple[np.random.Generator, dict[str, np
     draws that check's frames.  From ``np.random.default_rng(seed)`` they
     are the children of ``np.random.SeedSequence(seed).spawn(1 + len(CHECKS))``,
     which is how ``check`` and ``suite`` draw: every check of a suite sees
-    the same points, and a check's frames do not depend on the other checks."""
+    the same points, and a check's frames do not depend on the other checks.
+    ``Generator.spawn`` needs numpy 1.25."""
     points, *frames = rng.spawn(1 + len(CHECKS))
     return points, dict(zip(CHECKS, frames))
 

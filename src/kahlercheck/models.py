@@ -344,14 +344,15 @@ def _build(where: dict[str, str], key: str, build: Callable, *args):
     """``build(*args)``; an error from it names the line of ``key``: a
     RecursionError, which the recursive build walks raise on a tree nested
     deeper than Python's recursion limit, and a ValueError, which a chart
-    raises for a potential that is not real.  The parsers have already
-    checked every other value the builds could reject."""
+    raises for a potential that is not real and whose text names the
+    potential.  The parsers have already checked every other value the
+    builds could reject."""
     try:
         return build(*args)
     except RecursionError as err:
         raise ModelError(f"{where[key]}: {key}: build: expression nested too deeply ({err})") from None
     except ValueError as err:
-        raise ModelError(f"{where[key]}: {key}: {err}") from None
+        raise ModelError(f"{where[key]}: {err}") from None
 
 
 def _parse_domain(value: str, m: int) -> ChartDomain:

@@ -381,7 +381,7 @@ def test_a_non_real_potential_names_its_line(tmp_path, capsys):
     path.write_text('dimension = 1\n# holomorphic, so not real\npotential = "z1*z1"\n')
     assert main(["check", "einstein", "--manifold", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {path}:3: potential: not real on the chart: K([")
+    assert captured.err.startswith(f"error: {path}:3: potential is not real on the chart: K([")
     assert captured.out == ""
 
 
