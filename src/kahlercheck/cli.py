@@ -16,9 +16,11 @@ A manifold run spawns its generators from ``--seed``
 the first draws every chart point, and one per check draws that check's
 frames.  A suite evaluates one set of points for all its checks, so
 ``check X --seed s`` gives the X report of ``suite --seed s``.  An
-immersion run draws its parameter points from one generator seeded with
-``--seed``.  A report is a deterministic function of its RunConfig (up to
-the timestamp field).
+immersion run draws all its parameter points in one call of one generator
+seeded with ``--seed``.  Both kinds of run go points first (``_points_first``):
+each point's tapes run alone, then the tests of the joined stack run once.
+A report is a deterministic function of its RunConfig (up to the timestamp
+field).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -99,14 +102,25 @@ def _first_failing_point(cfg: RunConfig):
         raise PointError(cfg, err.index[0], err) from err
 
 
-def _each_point(cfg: RunConfig, evaluate: Callable):
-    """``evaluate()`` at each point of the run, in order.  Any error there is
-    re-raised as a ``PointError`` naming its point."""
-    for index in range(cfg.points):
+def _points_first(cfg: RunConfig, points: Iterable, evaluate: Callable, join: Callable):
+    """The two stages of a run.  ``evaluate`` runs at each of ``points``
+    alone, in order, and any error there is re-raised as a ``PointError``
+    naming its point.  ``join`` then runs once on all their results, and a
+    ``GeometryError`` there names the first point that failed it.  When
+    point k fails alone, ``join`` first runs on the results of the points
+    before it, so that an earlier point failing a stacked test is the one
+    named."""
+    found = []
+    for index, point in enumerate(points):
         try:
-            yield evaluate()
+            found.append(evaluate(point))
         except Exception as err:  # any failure at a point: re-raised with where it happened
+            if found:
+                with _first_failing_point(cfg):
+                    join(found)
             raise PointError(cfg, index, err) from err
+    with _first_failing_point(cfg):
+        return join(found)
 
 
 def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.PointData, dict]:
@@ -117,19 +131,8 @@ def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.
     tape run alone; the metric test, curvature and Ricci then run once over
     the stack."""
     rng, frames = inv.streams(np.random.default_rng(cfg.seed))
-    found = []
-    try:
-        for evaluated in _each_point(cfg, lambda: geo.point_jets(manifold, manifold.sample_point(rng))):
-            found.append(evaluated)
-    except PointError:
-        # A metric failure at a point before the one that failed is named first.
-        if found:
-            points, jets = zip(*found)
-            with _first_failing_point(cfg):
-                geo.hermitian_metric(np.stack(points), np.stack([j[0] for j in jets]))
-        raise
-    with _first_failing_point(cfg):
-        return geo.stack(manifold, found), frames
+    points = (manifold.sample_point(rng) for _ in range(cfg.points))
+    return _points_first(cfg, points, partial(geo.point_jets, manifold), partial(geo.stack, manifold)), frames
 
 
 def _run_loaded(
@@ -147,8 +150,9 @@ def _run_loaded(
     ``GeometryError`` there names its first failing point in the same way.
     A manifold run draws its points and frames from ``inv.streams``; a suite
     passes the ``_manifold_points`` its checks share as ``shared``.  An
-    immersion run draws its parameter points from one generator seeded with
-    ``cfg.seed``.
+    immersion run draws its parameter points in one call of one generator
+    seeded with ``cfg.seed``; its stacked stage runs the metric and rank
+    tests (``sub.stack``).
     """
     on_manifold = cfg.check in MANIFOLD_CHECKS
     if on_manifold and target.m < (need := inv.CHECKS[cfg.check].min_dim):
@@ -158,10 +162,9 @@ def _run_loaded(
         with _first_failing_point(cfg):
             sampled = inv.draw(cfg.check, pd, cfg.samples, frames[cfg.check])
     else:
-        rng = np.random.default_rng(cfg.seed)
-        found = list(_each_point(cfg, lambda: sub.state(target, target.domain.sample(rng))))
+        us = target.domain.sample(np.random.default_rng(cfg.seed), cfg.points)
+        run = _points_first(cfg, us, partial(sub.point_jets, target), partial(sub.stack, target))
         with _first_failing_point(cfg):
-            run = sub.stack(found)
             # one frame, the tangents, and one value per point: its residual
             sampled = (run, run.tangents[:, None], sub.CHECKS[cfg.check](run)[:, None])
     residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], sampled)

@@ -266,9 +266,10 @@ class KahlerManifold:
     metric alone.  Filled entries are exact conjugates and cannot show a
     non-real K: its reality rests on ``_check_reality`` and on the
     Hermiticity test of the whole ``g`` at each point (``hermitian_metric``).
-    ``immersion_tape`` adds ``ddg`` for the immersion checks and is built
-    from the same table on first use; nothing else about an instance
-    changes after construction.
+    ``immersion_tape`` adds ``ddg`` for the immersion checks.  Both tapes
+    are lowered from the same table on first use, so an immersion's ambient
+    chart never lowers the ``tape`` it does not run; nothing else about an
+    instance changes after construction.
     """
 
     def __init__(
@@ -306,11 +307,15 @@ class KahlerManifold:
         pairs = [(i, k) for i in r for k in r if i <= k]
         d2g = [d(dg[(i * m + k) * m + j], zbs[l]) for h, (i, k) in enumerate(pairs) for j, l in pairs[h:]]
         self._dag, self._roots, self._dg = dag, g + dg + d2g, dg
-        self.tape = dag.lower(self._roots)
         self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)))
         self._index, self._conjugate = _conjugate_fill(m, pairs)
         # the tape outputs that the first b blocks read, for each b
         self._outputs = [int(self._index[: block.stop].max()) + 1 for block, _ in self._jets]
+
+    @cached_property
+    def tape(self) -> ex.Tape:
+        """The chart's jet tape: ``g``, ``dg`` and half of ``d2g`` (see above)."""
+        return self._dag.lower(self._roots)
 
     @cached_property
     def immersion_tape(self) -> ex.Tape:

@@ -15,9 +15,13 @@ respect to the ambient metric and never require a choice of normal frame.
 They act on vectors stacked along the last axis, and the Codazzi residuals
 of all index triples at a point come back as one (n, n, n) array.
 
-``state`` evaluates one parameter point into a ``_State``: the tape runs
-and every test that can fail at a point.  ``stack`` joins the states of a
-run's points into one state with a leading point axis.  The derived fields
+A state is made in two stages.  ``point_jets`` runs at each parameter
+point alone: the box test, one run of the immersion's tape with the test
+that f(u) lies in the ambient chart domain, and one run of the ambient
+``immersion_tape`` at f(u).  ``stack`` joins the results of a run's points
+and runs the metric test and the rank test of the differential once over
+them, giving one ``_State`` with a leading point axis; ``state`` runs the
+same two stages at one point, with no leading axis.  The derived fields
 (connection, second fundamental form, mean curvature and their derivatives)
 are computed once, on first use, by formulas that broadcast over leading
 axes, so a stack derives each field once for all its points, and per point
@@ -30,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +44,7 @@ from .expr import Expr, Var, U
 from .geometry import DomainError, HermitianMetric, KahlerManifold, RealTangentVector
 
 
-class RankError(Exception):
+class RankError(geo.GeometryError):
     """Immersion differential is rank deficient at the requested point."""
 
 
@@ -71,12 +74,14 @@ class ParameterBox:
         u = np.asarray(u, dtype=float)
         return bool(np.all(u >= np.asarray(self.lo) - 1e-12) and np.all(u <= np.asarray(self.hi) + 1e-12))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Uniform draw from the box shrunk by ``_SAMPLE_MARGIN`` of each side."""
+    def sample(self, rng: np.random.Generator, points: int | None = None) -> np.ndarray:
+        """Uniform draw from the box shrunk by ``_SAMPLE_MARGIN`` of each side:
+        one point, shape (n,), or ``points`` of them from one call, shape
+        (points, n), equal bit for bit to ``points`` one-point draws in turn."""
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         pad = _SAMPLE_MARGIN * (hi - lo)
-        return lo + pad + (hi - lo - 2 * pad) * rng.random(self.n)
+        return lo + pad + (hi - lo - 2 * pad) * rng.random(self.n if points is None else (points, self.n))
 
 
 def box(*bounds: float) -> ParameterBox:
@@ -270,47 +275,73 @@ class _State:
 _RANK_TOL = 1e-8
 
 
+def point_jets(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """The stage of a state that runs at each parameter point alone: ``u``
+    checked against the box, one run of the immersion's tape with the test
+    that f(u) lies in the ambient chart domain, and one run of the ambient
+    ``immersion_tape`` at f(u), each of which can fail at that point.
+
+    Gives ``u``, the immersion jets ``(f, df, d2f, d3f)`` and the ambient
+    jets ``(g, dg, dgb, d2g, ddg)`` as one flat tuple.
+    """
+    u = imm.require_in_box(u)
+    jets = imm.jets(u)
+    return (u, *jets, *imm.ambient.jets(jets[0], 5))
+
+
+def _require_rank(u: np.ndarray, tangents: np.ndarray) -> None:
+    """Raise a ``RankError`` carrying the ``index`` of the first point, of
+    one or of a stack, whose real differential has a singular value below
+    ``_RANK_TOL``; a differential with a non-finite entry fails too."""
+    jac = np.swapaxes(tangents, -1, -2)
+    jac = np.concatenate([jac.real, jac.imag], axis=-2)  # (2m, n) per point
+    # numpy's SVD raises for the whole stack on a NaN anywhere in it, naming no point
+    finite = np.all(np.isfinite(jac), axis=(-2, -1))
+    singular = np.linalg.svd(np.where(finite[..., None, None], jac, 0.0), compute_uv=False)
+    smallest = np.where(finite, singular[..., -1], np.nan)
+    bad = ~(smallest >= _RANK_TOL)
+    if np.any(bad):
+        index = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        raise RankError(
+            f"immersion differential rank deficient at u={u[index]}: "
+            f"smallest singular value {smallest[index]:.3e}",
+            index,
+        )
+
+
+def _tested(imm: Immersion, u, point, tangents, d2f, d3f, *jets: np.ndarray) -> _State:
+    """The stage of a state that runs once over the output of ``point_jets``,
+    at one point or joined over a stack: the metric test, then the rank
+    test.  Each error names the first point that fails; a point that fails
+    both is named by the metric test."""
+    try:
+        metric = geo.hermitian_metric(point, jets[0])
+    except geo.MetricError as err:
+        if err.index:  # a rank failure at an earlier point of the stack comes first
+            _require_rank(u[: err.index[0]], tangents[: err.index[0]])
+        raise
+    _require_rank(u, tangents)
+    return _State(imm, u, point, metric, tangents, d2f, d3f, list(jets))
+
+
 def state(imm: Immersion, u: Sequence[float]) -> _State:
-    """The state of ``imm`` at ``u``: one run of its tape and one of ``immersion_tape``.
+    """The state of ``imm`` at ``u``: one run of its tape and one of
+    ``immersion_tape``, then the metric and rank tests.
 
     Everything here can fail at a point, so the caller names the point; the
     fields derived from the state cannot, apart from the ambient curvature's
-    symmetry test (see ``stack``).
+    symmetry test.
     """
-    u = imm.require_in_box(u)
-    point, v, d2f, d3f = imm.jets(u)
-    jets = imm.ambient.jets(point, 5)
-    metric = geo.hermitian_metric(point, jets[0])
-    jac_real = np.vstack([v.T.real, v.T.imag])
-    smallest = float(np.linalg.svd(jac_real, compute_uv=False)[-1])
-    if smallest < _RANK_TOL:
-        raise RankError(
-            f"immersion differential rank deficient at u={u}: "
-            f"smallest singular value {smallest:.3e}"
-        )
-    return _State(imm=imm, u=u, point=point, metric=metric, tangents=v, d2f=d2f, d3f=d3f, jets=jets)
+    return _tested(imm, *point_jets(imm, u))
 
 
-def stack(states: Sequence[_State]) -> _State:
-    """The states of points of one immersion as one state with a leading
-    point axis: each derived field is computed once for all of them, and a
-    check gives one residual per point.  A ``GeometryError`` from the
-    ambient curvature carries the ``index`` of the first failing point."""
-
-    def stacked(field: str) -> np.ndarray:
-        get = attrgetter(field)
-        return np.stack([get(st) for st in states])
-
-    return _State(
-        imm=states[0].imm,
-        u=stacked("u"),
-        point=stacked("point"),
-        metric=HermitianMetric(stacked("metric.matrix"), stacked("metric.inverse")),
-        tangents=stacked("tangents"),
-        d2f=stacked("d2f"),
-        d3f=stacked("d3f"),
-        jets=[np.stack(block) for block in zip(*(st.jets for st in states))],
-    )
+def stack(imm: Immersion, evaluated: Sequence[tuple]) -> _State:
+    """The ``point_jets`` of points of ``imm`` as one state with a leading
+    point axis: the metric and rank tests run once for all of them, each
+    derived field is computed once, and a check gives one residual per
+    point.  A ``GeometryError`` from a test, or from the ambient curvature,
+    carries the ``index`` of the first failing point."""
+    return _tested(imm, *(np.stack(block) for block in zip(*evaluated)))
 
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
@@ -421,8 +452,8 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     """
     if points < 1:
         raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
-    us = [imm.domain.sample(rng) for _ in range(points)]
-    return float(np.max(_parallel_h_residual(stack([state(imm, u) for u in us]))))
+    us = imm.domain.sample(rng, points)
+    return float(np.max(_parallel_h_residual(stack(imm, [point_jets(imm, u) for u in us]))))
 
 
 # The residual of each immersion check per point of a state (see ``stack``);

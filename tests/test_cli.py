@@ -149,23 +149,25 @@ def test_codazzi_check_on_builtin_sphere():
     "check", ["umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical"]
 )
 def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
-    # One state per parameter point: the derivatives of alpha and H along
-    # every direction are closed forms in the jets of that state, shared by
-    # every index triple.  The ambient curvature is evaluated once per point,
-    # from the same jets, in one call on the stack of the run's points, so
-    # the ambient immersion tape runs once per state.
+    # One per-point stage per parameter point: the derivatives of alpha and
+    # H along every direction are closed forms in the jets of that point,
+    # shared by every index triple.  The ambient curvature is evaluated once
+    # per point, from the same jets, in one call on the stack of the run's
+    # points, so the ambient immersion tape runs once per point.
     imm = models.load_immersion("builtin:linear-flat3")
-    states, curvatures, runs = [], [], []
-    real_state, real_curvature, real_run = sub.state, geo.curvature_tensor, ex.Tape.run
-    monkeypatch.setattr(sub, "state", lambda *a: states.append(a) or real_state(*a))
+    evaluated, curvatures, runs = [], [], []
+    real_point_jets, real_curvature, real_run = sub.point_jets, geo.curvature_tensor, ex.Tape.run
+    monkeypatch.setattr(sub, "point_jets", lambda *a: evaluated.append(a) or real_point_jets(*a))
     monkeypatch.setattr(geo, "curvature_tensor", lambda *a: curvatures.append(a) or real_curvature(*a))
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     points = 2
     cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=points, seed=3)
     assert cli._run_loaded(cfg, imm)[0].passed
-    assert len(states) == points
+    assert len(evaluated) == points
     assert [len(a[0]) for a in curvatures] == ([points] if check.startswith("codazzi") else [])
-    assert sum(tape is imm.ambient.immersion_tape for tape in runs) == len(states)
+    assert sum(tape is imm.ambient.immersion_tape for tape in runs) == len(evaluated)
+    # The chart's own jet tape is never lowered, so it never runs.
+    assert "tape" not in vars(imm.ambient)
     assert not any(tape is imm.ambient.tape for tape in runs)
 
 
@@ -478,8 +480,8 @@ def test_a_stacked_stage_error_names_its_first_failing_point(first, monkeypatch)
     imm = models.load_immersion("builtin:cp1-in-cp2")
     real_stack = sub.stack
 
-    def broken_stack(states):
-        run = real_stack(states)
+    def broken_stack(imm, evaluated):
+        run = real_stack(imm, evaluated)
         for k in {first, 3}:  # break the (i, k) pair symmetry of d2g at these points only
             run.jets[3][k, 0, 1, 1, 0] += 1e-3
         return run
@@ -612,6 +614,26 @@ def test_an_earlier_metric_failure_comes_before_a_later_point_error(seed, named,
     assert str(err).startswith(f"einstein: point {named} of 5, seed {seed}: ")
 
 
+def test_an_earlier_ricci_disagreement_comes_before_a_later_point_error(monkeypatch):
+    # The whole stacked stage, not the metric test alone, runs on the points
+    # before one that fails alone: point 1 fails the Ricci cross-check.
+    manifold = models.load_manifold("builtin:fs:3")
+    real_ricci = geo.ricci_tensor
+
+    def broken_ricci(p, metric, curvature, jets):
+        d2g = jets[3].copy()
+        d2g[1, 0, 0, 0, 0] += 1e-3
+        return real_ricci(p, metric, curvature, [*jets[:3], d2g])
+
+    monkeypatch.setattr(geo, "ricci_tensor", broken_ricci)
+    _stubbed_jets(monkeypatch, manifold, 3)
+    cfg = RunConfig(manifold=manifold.name, check="einstein", points=5, samples=3, seed=3)
+    with pytest.raises(cli.PointError) as info:
+        cli._run_loaded(cfg, manifold)
+    assert (info.value.index, type(info.value.__cause__)) == (1, geo.GeometryError)
+    assert str(info.value).startswith("einstein: point 1 of 5, seed 3: Ricci computation routes disagree at [")
+
+
 def test_point_error_carries_the_point_and_chains_the_original(tmp_path):
     path = tmp_path / "indefinite.manifold"
     path.write_text(INDEFINITE_SPEC)
@@ -739,6 +761,97 @@ def test_immersion_report_is_a_max_reduction_of_the_state_residuals(fixture, che
     for case, st, residual in zip(report.worst_cases, states, want):
         assert case.residual == residual
         assert np.array_equal(case.point, st.point) and np.array_equal(case.frame, st.tangents)
+
+
+def test_an_immersion_run_tests_its_metric_and_rank_once(monkeypatch):
+    # The tapes run at each point; the metric test and the rank test of the
+    # differential each run once, on the stack of all the run's points.
+    imm = models.load_immersion("builtin:cp1-in-cp2")
+    calls = []
+    real_metric, real_svd = geo.hermitian_metric, np.linalg.svd
+    monkeypatch.setattr(geo, "hermitian_metric", lambda p, g: calls.append(("metric", g.shape)) or real_metric(p, g))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **k: calls.append(("svd", a.shape)) or real_svd(a, **k))
+    for check in cli.IMMERSION_CHECKS:
+        calls.clear()
+        cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=6, seed=4)
+        cli._run_loaded(cfg, imm)
+        assert calls == [("metric", (6, 2, 2)), ("svd", (6, 4, 2))], check
+
+
+def test_parallel_h_check_is_the_run_of_its_check():
+    # The library helper draws its points in one call and runs them through
+    # the same two stages as ``check parallel-h --seed s``.
+    source = "builtin:ellipsoid-flat2"
+    cfg = RunConfig(manifold=None, check="parallel-h", immersion=source, points=4, seed=9)
+    imm = models.load_immersion(source)
+    assert sub.parallel_h_check(imm, 4, np.random.default_rng(9)) == run_check(cfg).max_residual
+
+
+def _broken_point_jets(monkeypatch, metric=(), rank=(), fail=None):
+    """Make the per-point stage give an indefinite metric at the calls in
+    ``metric``, a zero differential at those in ``rank``, and raise at call
+    ``fail``, all counted from 0."""
+    real, calls = sub.point_jets, []
+
+    def point_jets(imm, u):
+        calls.append(u)
+        if len(calls) - 1 == fail:
+            raise ValueError("stub tape failure")
+        u, f, df, *rest = (np.copy(x) for x in real(imm, u))
+        if len(calls) - 1 in metric:
+            rest[2] = -rest[2]  # the ambient metric g
+        if len(calls) - 1 in rank:
+            df[...] = 0
+        return (u, f, df, *rest)
+
+    monkeypatch.setattr(sub, "point_jets", point_jets)
+
+
+@pytest.mark.parametrize(
+    "broken, named, cause",
+    [
+        (dict(metric={1}, fail=3), 1, "metric not positive definite at ["),
+        (dict(rank={1}, fail=3), 1, "immersion differential rank deficient at u=["),
+        (dict(metric={3}, fail=1), 1, "stub tape failure"),
+        (dict(metric={3}, rank={1}), 1, "immersion differential rank deficient at u=["),
+        (dict(metric={1}, rank={3}), 1, "metric not positive definite at ["),
+        (dict(metric={2}, rank={2}), 2, "metric not positive definite at ["),
+    ],
+    ids=[
+        "metric-before-point-error",
+        "rank-before-point-error",
+        "point-error-before-metric",
+        "rank-before-metric",
+        "metric-before-rank",
+        "metric-and-rank-at-one-point",
+    ],
+)
+def test_an_immersion_run_names_its_first_failing_point(broken, named, cause, monkeypatch):
+    # Every test of a point counts, whichever stage runs it; at one point
+    # the metric test comes before the rank test.
+    imm = models.load_immersion("builtin:cp1-in-cp2")
+    _broken_point_jets(monkeypatch, **broken)
+    cfg = RunConfig(manifold=None, check="umbilical", immersion=imm.name, points=5, seed=3)
+    with pytest.raises(cli.PointError) as info:
+        cli._run_loaded(cfg, imm)
+    err = info.value
+    assert (err.check, err.index, err.seed) == ("umbilical", named, 3)
+    assert str(err).startswith(f"umbilical: point {named} of 5, seed 3: {cause}")
+
+
+def test_an_indefinite_ambient_metric_names_its_parameter_point(tmp_path, capsys):
+    # The immersion stays inside the ambient ball, but the ambient metric is
+    # indefinite for |z1| > 1/sqrt(2): points 0 to 3 are good.
+    (tmp_path / "indefinite.manifold").write_text(INDEFINITE_SPEC)
+    path = tmp_path / "indefinite.immersion"
+    path.write_text('ambient = indefinite.manifold\nparameters = 1\ncomponent1 = "u1"\ndomain = box -0.95 0.95\n')
+    assert main(["check", "umbilical", "--immersion", str(path), "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: umbilical: point 4 of 5, seed 5: metric not positive definite at [-0.7627785+0.j]: "
+        "smallest eigenvalue -1.636621e-01\n"
+    )
+    assert captured.out == ""
 
 
 def test_immersion_worst_cases_own_their_arrays():

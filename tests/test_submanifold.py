@@ -536,7 +536,7 @@ def test_each_state_builds_nabla_once(check, sphere, rng, monkeypatch):
     st.alpha, st.h, st.derivatives
     assert len(nablas) == 1
     # A stack of the 8 points of a run derives each field once for all of them.
-    run = sub.stack([sub.state(sphere, sphere.domain.sample(rng)) for _ in range(8)])
+    run = sub.stack(sphere, [sub.point_jets(sphere, u) for u in sphere.domain.sample(rng, 8)])
     sub.CHECKS[check](run)
     run.alpha, run.h, run.derivatives
     assert nablas == [st, run]
@@ -556,7 +556,7 @@ def test_a_stacked_state_equals_the_loop_over_its_points(name, rng):
     for points in (1, 3, 8):
         us = [imm.domain.sample(rng) for _ in range(points)]
         loop = [sub.state(imm, u) for u in us]
-        run = sub.stack([sub.state(imm, u) for u in us])
+        run = sub.stack(imm, [sub.point_jets(imm, u) for u in us])
         for check, residual in sub.CHECKS.items():
             got = residual(run)
             assert got.shape == (points,)
@@ -566,6 +566,44 @@ def test_a_stacked_state_equals_the_loop_over_its_points(name, rng):
                 assert np.array_equal(getattr(run, field)[i], getattr(st, field)), (name, field, i)
             for block, want in zip(run.derivatives, st.derivatives):
                 assert np.array_equal(block[i], want), (name, i)
+
+
+@pytest.mark.parametrize("name", BUILTIN_IMMERSIONS)
+def test_a_batched_parameter_draw_equals_the_one_point_draws(name):
+    # A run draws all its points in one call; the generator gives the same
+    # bits as one call per point, and is left in the same state.
+    domain = models.builtin_immersion(name).domain
+    batched, one = np.random.default_rng(11), np.random.default_rng(11)
+    draw = domain.sample(batched, 7)
+    assert draw.shape == (7, domain.n)
+    assert np.array_equal(draw, [domain.sample(one) for _ in range(7)])
+    assert batched.random() == one.random()
+
+
+def _with_metric_and_differential(imm, u, scale_g, scale_df):
+    """``point_jets`` at ``u`` with the ambient metric and the differential scaled."""
+    u, f, df, *rest = (np.copy(x) for x in sub.point_jets(imm, u))
+    rest[2] *= scale_g
+    return (u, f, df * scale_df, *rest)
+
+
+@pytest.mark.parametrize(
+    "scale_g, scale_df, error",
+    [(-1.0, 0.0, geo.MetricError), (1.0, 0.0, sub.RankError), (1.0, np.nan, sub.RankError)],
+    ids=["metric-first", "rank", "non-finite-differential"],
+)
+def test_the_tested_stage_at_one_point(scale_g, scale_df, error, cp1, rng, monkeypatch):
+    # At one point the metric test comes before the rank test; a
+    # differential with a NaN entry fails the rank test, naming the point.
+    u = cp1.domain.sample(rng)
+    good, evaluated = sub.point_jets(cp1, u), _with_metric_and_differential(cp1, u, scale_g, scale_df)
+    with pytest.raises(error) as info:
+        sub.stack(cp1, [good, evaluated])
+    assert info.value.index == (1,)
+    monkeypatch.setattr(sub, "point_jets", lambda imm, u: evaluated)
+    with pytest.raises(error, match=r"at (u=)?\[") as info:
+        sub.state(cp1, u)
+    assert info.value.index == ()
 
 
 def test_codazzi_residuals_are_one_array_per_point(sphere, linear, rng):
