@@ -19,6 +19,8 @@ frames.  A suite evaluates one set of points for all its checks, so
 immersion run draws all its parameter points in one call of one generator
 seeded with ``--seed``.  Both kinds of run go points first (``_points_first``):
 each point's tapes run alone, then the tests of the joined stack run once.
+On a manifold a point runs only its domain test and its jet tape; the jets
+of the run are filled from the tape outputs once, over the stack.
 A report is a deterministic function of its RunConfig (up to the timestamp
 field).
 """
@@ -128,8 +130,8 @@ def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.
     generator of each check's frames (``inv.streams`` of ``cfg.seed``).
 
     Each point is drawn and then checked against the domain and its jet
-    tape run alone; the metric test, curvature and Ricci then run once over
-    the stack."""
+    tape run alone; the fill of the jets from the tape outputs, the metric
+    test, curvature and Ricci then run once over the stack."""
     rng, frames = inv.streams(np.random.default_rng(cfg.seed))
     points = (manifold.sample_point(rng) for _ in range(cfg.points))
     return _points_first(cfg, points, partial(geo.point_jets, manifold), partial(geo.stack, manifold)), frames

@@ -222,12 +222,12 @@ def run_jets(tape: ex.Tape, assignment: dict, layout: Sequence[tuple]) -> list[n
     return [values[block].reshape(shape) for block, shape in layout]
 
 
-def _conjugate_fill(m: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The tape output each entry of the flat blocks ``(g, dg, dgb, d2g, ddg)``
-    of ``KahlerManifold.jets`` reads, and whether it is that output's
-    conjugate.  The tape holds g and dg, then one d2g output per pair of
-    sorted index pairs ``pairs[h] <= pairs[a]`` in row-major order, then (on
-    ``immersion_tape``) ``ddg``."""
+def _conjugate_fill(m: int, pairs: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each block ``g, dg, dgb, d2g, ddg`` of ``KahlerManifold.jets``,
+    in the block's shape: the tape output each entry reads, and whether it
+    is that output's conjugate.  The tape holds g and dg, then one d2g
+    output per pair of sorted index pairs ``pairs[h] <= pairs[a]`` in
+    row-major order, then (on ``immersion_tape``) ``ddg``."""
     first, count = m * m + m**3, len(pairs)
     pair = np.empty((m, m), dtype=int)
     for n, (i, k) in enumerate(pairs):
@@ -236,14 +236,14 @@ def _conjugate_fill(m: int, pairs: list[tuple[int, int]]) -> tuple[np.ndarray, n
     # row-major position of (lo, hi) among the pairs of pairs with lo <= hi
     h, a = pair[:, None, :, None], pair[None, :, None, :]
     lo, hi = np.minimum(h, a), np.maximum(h, a)
-    index = [
-        np.arange(first),
-        m * m + np.arange(m**3).reshape(m, m, m).transpose(0, 2, 1),  # dgb[b, i, j] = conj(dg[b, j, i])
-        first + lo * (2 * count - lo + 1) // 2 + hi - lo,
-        first + count * (count + 1) // 2 + np.arange(m**4),
+    dg = m * m + np.arange(m**3).reshape(m, m, m)
+    return [
+        (np.arange(m * m).reshape(m, m), np.zeros((m, m), bool)),
+        (dg, np.zeros((m, m, m), bool)),
+        (dg.transpose(0, 2, 1), np.ones((m, m, m), bool)),  # dgb[b, i, j] = conj(dg[b, j, i])
+        (first + lo * (2 * count - lo + 1) // 2 + hi - lo, h > a),
+        (first + count * (count + 1) // 2 + np.arange(m**4).reshape(m, m, m, m), np.zeros((m,) * 4, bool)),
     ]
-    conjugate = [np.zeros(first, bool), np.ones(m**3, bool), h > a, np.zeros(m**4, bool)]
-    return np.concatenate([x.ravel() for x in index]), np.concatenate([x.ravel() for x in conjugate])
 
 
 class KahlerManifold:
@@ -261,11 +261,14 @@ class KahlerManifold:
     ``d2g[j, i, l, k] = conj(d2g[i, j, k, l])``.  ``tape`` evaluates, in
     this order, all of ``g``, all of ``dg``, and of each conjugate pair of
     ``d2g`` entries the one whose sorted holomorphic pair (i, k) is at most
-    its sorted antiholomorphic pair (j, l); ``jets`` fills ``dgb`` and the
-    other half of ``d2g`` by conjugation.  A prefix of the tape yields the
-    metric alone.  Filled entries are exact conjugates and cannot show a
-    non-real K: its reality rests on ``_check_reality`` and on the
-    Hermiticity test of the whole ``g`` at each point (``hermitian_metric``).
+    its sorted antiholomorphic pair (j, l).  A point's only work is one
+    run of the tape (``tape_values``); ``fill`` then gathers the blocks
+    from the outputs and fills ``dgb`` and the other half of ``d2g`` by
+    conjugation, at one point (``jets``) or once over a stack of points
+    (``geometry.stack``).  A prefix of the tape yields the metric alone.
+    Filled entries are exact conjugates and cannot show a non-real K: its
+    reality rests on ``_check_reality`` and on the Hermiticity test of the
+    whole ``g`` at each point (``hermitian_metric``).
     ``immersion_tape`` adds ``ddg`` for the immersion checks.  Both tapes
     are lowered from the same table on first use, so an immersion's ambient
     chart never lowers the ``tape`` it does not run; nothing else about an
@@ -286,14 +289,15 @@ class KahlerManifold:
         self.domain = domain if domain is not None else ball(1.0)
         self.name = name
         ex.validate_variables(potential, self.m, (Z, ZB))
+        self._variables = [(Var(Z, i + 1), Var(ZB, i + 1)) for i in range(self.m)]
         dag = ex.Dag()
         unfolded = dag.intern_id(potential)
         self._check_reality(dag.lower([unfolded]))
 
         m = self.m
         d = dag.derive
-        zs = [dag.intern_id(Var(Z, i + 1)) for i in range(m)]
-        zbs = [dag.intern_id(Var(ZB, j + 1)) for j in range(m)]
+        zs = [dag.intern_id(z) for z, _ in self._variables]
+        zbs = [dag.intern_id(zb) for _, zb in self._variables]
         K = dag.fold_id(unfolded)
         r = range(m)
         # Flat, row-major blocks; the derivatives of folded nodes come out
@@ -307,10 +311,9 @@ class KahlerManifold:
         pairs = [(i, k) for i in r for k in r if i <= k]
         d2g = [d(dg[(i * m + k) * m + j], zbs[l]) for h, (i, k) in enumerate(pairs) for j, l in pairs[h:]]
         self._dag, self._roots, self._dg = dag, g + dg + d2g, dg
-        self._jets = jet_layout(((m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)))
-        self._index, self._conjugate = _conjugate_fill(m, pairs)
+        self._fill = _conjugate_fill(m, pairs)
         # the tape outputs that the first b blocks read, for each b
-        self._outputs = [int(self._index[: block.stop].max()) + 1 for block, _ in self._jets]
+        self._outputs = list(accumulate((int(index.max()) + 1 for index, _ in self._fill), max))
 
     @cached_property
     def tape(self) -> ex.Tape:
@@ -322,7 +325,7 @@ class KahlerManifold:
         """``tape`` followed by ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``,
         each entry built once from the sorted triple (a, i, j)."""
         m, r, dag = self.m, range(self.m), self._dag
-        zs = [dag.intern_id(Var(Z, a + 1)) for a in r]
+        zs = [dag.intern_id(z) for z, _ in self._variables]
 
         def entry(a, i, j, l):
             x, y, w = sorted((a, i, j))
@@ -349,10 +352,9 @@ class KahlerManifold:
     def assignment(self, p: Sequence[complex]) -> dict[Var, complex]:
         """Evaluation assignment binding zb_k to the conjugate of z_k."""
         a: dict[Var, complex] = {}
-        for i, value in enumerate(np.asarray(p, dtype=complex)):
-            v = complex(value)
-            a[Var(Z, i + 1)] = v
-            a[Var(ZB, i + 1)] = v.conjugate()
+        for (z, zb), v in zip(self._variables, np.asarray(p, dtype=complex).tolist()):
+            a[z] = v
+            a[zb] = v.conjugate()
         return a
 
     def require_in_domain(self, p: Sequence[complex]) -> ChartPoint:
@@ -366,22 +368,40 @@ class KahlerManifold:
     def sample_point(self, rng: np.random.Generator) -> ChartPoint:
         return self.domain.sample_point(rng, self.m)
 
-    def jets(self, p: Sequence[complex], blocks: int = 4) -> list[np.ndarray]:
-        """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` at ``p``, without validation.
+    def tape_values(self, p: Sequence[complex], blocks: int = 4) -> list[complex]:
+        """The tape outputs that the first ``blocks`` of ``jets`` read at ``p``,
+        from one run of the prefix of the tape that holds them (of
+        ``immersion_tape`` for the fifth block), without validation."""
+        tape = self.immersion_tape if blocks > 4 else self.tape
+        return tape.run(self.assignment(p), self._outputs[blocks - 1])
 
-        One run of the tape prefix those blocks need; the fifth block runs
-        ``immersion_tape``.  ``dgb`` and the half of ``d2g`` the tape leaves
-        out are conjugates of tape outputs, gathered through one index array
-        and one conjugation mask.  Index order: ``g[i, j] = g_{i jbar}``,
-        ``dg[a, i, j] = d_{z_a} g_{i jbar}``, ``dgb[b, i, j] = d_{zb_b} g_{i jbar}``,
+    def fill(self, values: np.ndarray, blocks: int = 4) -> list[np.ndarray]:
+        """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` from ``tape_values``
+        stacked along any leading axes, each block with those axes first.
+
+        Each block gathers its entries from the tape outputs through one
+        index array.  The entries of ``dgb``, and of the half of ``d2g``
+        that the tape leaves out, read their conjugate partner and are
+        conjugated in place.
+        """
+        values = np.asarray(values, dtype=complex)
+        jets = []
+        for index, conjugate in self._fill[:blocks]:
+            block = values[..., index]
+            np.conjugate(block, out=block, where=conjugate)
+            jets.append(block)
+        return jets
+
+    def jets(self, p: Sequence[complex], blocks: int = 4) -> list[np.ndarray]:
+        """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` at ``p``, without
+        validation: ``fill`` of one ``tape_values`` run.
+
+        Index order: ``g[i, j] = g_{i jbar}``, ``dg[a, i, j] = d_{z_a} g_{i jbar}``,
+        ``dgb[b, i, j] = d_{zb_b} g_{i jbar}``,
         ``d2g[i, j, k, l] = d_{z_i} d_{zb_j} g_{k lbar}`` and
         ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``.
         """
-        tape = self.immersion_tape if blocks > 4 else self.tape
-        stop = self._jets[blocks - 1][0].stop
-        values = np.array(tape.run(self.assignment(p), self._outputs[blocks - 1]))[self._index[:stop]]
-        np.conjugate(values, out=values, where=self._conjugate[:stop])
-        return [values[block].reshape(shape) for block, shape in self._jets[:blocks]]
+        return self.fill(self.tape_values(p, blocks), blocks)
 
     # Raw metric (no validation); used by metric_at and the finite-difference
     # oracle, which run only the g prefix of the tape.
@@ -438,8 +458,12 @@ def _curvature_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two terms whose sum is the curvature tensor."""
     _, dg, dgb, d2g = jets
-    # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l]
-    return -d2g, np.einsum("...qp,...ikq,...jpl->...ijkl", metric.inverse, dg, dgb)
+    # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l], with the
+    # quadratic term as rows (i,k) of dg g^-1 times columns (j,l) of dgb
+    *points, m = dg.shape[:-2]
+    rows = dg.reshape(*points, m * m, m) @ metric.inverse
+    columns = np.swapaxes(dgb, -3, -2).reshape(*points, m, m * m)
+    return -d2g, np.swapaxes((rows @ columns).reshape(*points, m, m, m, m), -3, -2)
 
 
 def curvature_tensor(
@@ -592,17 +616,18 @@ class PointData:
         return np.maximum(*(frame_norm(t) for t in _curvature_terms(self.metric, self.jets)))
 
 
-def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoint, list[np.ndarray]]:
+def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoint, list[complex]]:
     """The stage of ``point_data`` that runs at each point alone: ``p``
-    checked against the chart domain and one run of the chart's jet tape,
-    each of which can fail at that point."""
+    checked against the chart domain and one run of the chart's jet tape
+    (``KahlerManifold.tape_values``), each of which can fail at that point.
+    Gives ``p`` and the raw tape outputs."""
     p = manifold.require_in_domain(p)
-    return p, manifold.jets(p)
+    return p, manifold.tape_values(p)
 
 
 def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) -> PointData:
-    """The metric test, curvature, Ricci and scalar curvature from the
-    output of ``point_jets``, at one point or at a stack of points."""
+    """The metric test, curvature, Ricci and scalar curvature from the jets
+    at one point or at a stack of points."""
     metric = hermitian_metric(p, jets[0])
     curvature = curvature_tensor(p, metric, jets)
     ricci = ricci_tensor(p, metric, curvature, jets)
@@ -614,16 +639,18 @@ def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) ->
 def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
     """Evaluate metric, curvature, Ricci and scalar curvature at ``p``,
     from one run of the chart's jet tape."""
-    return _tensors(manifold, *point_jets(manifold, p))
+    p, values = point_jets(manifold, p)
+    return _tensors(manifold, p, manifold.fill(values))
 
 
 def stack(manifold: KahlerManifold, evaluated: Sequence[tuple]) -> PointData:
     """The ``point_jets`` of points of ``manifold`` as one ``PointData`` with
-    a leading point axis: the metric test, curvature, Ricci and tau run once
-    for all of them.  A ``GeometryError`` from any of their tests carries
-    the ``index`` of the first failing point."""
-    points, jets = zip(*evaluated)
-    return _tensors(manifold, np.stack(points), [np.stack(block) for block in zip(*jets)])
+    a leading point axis: the jets are filled from the tape outputs, and
+    the metric test, curvature, Ricci and tau run, once for all of them.
+    A ``GeometryError`` from any of their tests carries the ``index`` of
+    the first failing point."""
+    points, values = zip(*evaluated)
+    return _tensors(manifold, np.stack(points), manifold.fill(values))
 
 
 # One tensor at one point of a chart.  The metric runs only the tape prefix

@@ -11,12 +11,12 @@ value per stacked tangent vector; on a ``PointData`` of a stack of points
 ``CHECKS`` names every sampled manifold check: the least complex dimension
 it needs, the frames it draws, its value on them and how the values reduce
 to residuals.  A sampled run draws from the ``streams`` of one seed.  The
-first draws all the run's chart points; their jets run one point at a time,
-and ``geometry.stack`` then evaluates them as one stack.  Each check then
-draws the frames of every point in one call from its own stream (``draw``),
-and computes its values once for the stack.  So a seed fixes every residual,
-and every check of a suite sees the same points.  ``sample`` runs one check
-this way.
+first draws all the run's chart points; their jet tapes run one point at a
+time, and ``geometry.stack`` then fills their jets and evaluates them as one
+stack.  Each check then draws the frames of every point in one call from
+its own stream (``draw``), and computes its values once for the stack.  So
+a seed fixes every residual, and every check of a suite sees the same
+points.  ``sample`` runs one check this way.
 """
 
 from __future__ import annotations

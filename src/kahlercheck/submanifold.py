@@ -122,10 +122,11 @@ class Immersion:
         self.name = name
         for c in components:
             ex.validate_variables(c, self.n, (U,))
+        self._variables = [Var(U, a + 1) for a in range(self.n)]
 
         dag = ex.Dag()
         m, n = ambient.m, self.n
-        us = [dag.intern_id(Var(U, a + 1)) for a in range(n)]
+        us = [dag.intern_id(v) for v in self._variables]
         f = [dag.fold_id(dag.intern_id(c)) for c in components]
         df = [dag.derive(f[i], us[a]) for a in range(n) for i in range(m)]
         r = range(n)
@@ -142,7 +143,7 @@ class Immersion:
         self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))
 
     def assignment(self, u: Sequence[float]) -> dict[Var, complex]:
-        return {Var(U, a + 1): complex(val) for a, val in enumerate(u)}
+        return {v: complex(val) for v, val in zip(self._variables, u)}
 
     def require_in_box(self, u: Sequence[float]) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -210,10 +211,15 @@ class _State:
         return geo.christoffel_symbols(self.metric, self.jets[1]).gamma
 
     @cached_property
+    def gamma_t(self) -> np.ndarray:
+        """``Gamma^k_{ij} T_b^j``, index order [k, i, b], shape (m, m, n); since
+        Gamma is symmetric in (i, j), also ``Gamma^k_{ji} T_b^j``."""
+        return np.einsum("...kij,...bj->...kib", self.gamma, self.tangents)
+
+    @cached_property
     def nabla(self) -> np.ndarray:
         """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
-        t = self.tangents
-        return self.d2f + np.einsum("...kij,...ai,...bj->...abk", self.gamma, t, t)
+        return self.d2f + np.einsum("...ai,...kib->...abk", self.tangents, self.gamma_t)
 
     @cached_property
     def conn(self) -> np.ndarray:
@@ -254,13 +260,15 @@ class _State:
             "...qk,...saijq->...sakij", ginv, d2 - np.einsum("...sapq,...pij->...saijq", d1, gamma)
         )
         gamma_x = np.einsum("...sxa,...sakij->...xkij", np.stack([t, t.conj()], axis=-3), d_gamma)
+        # Gamma(d2f_xy, T_z), and Gamma(T_y, d2f_xz) by the symmetry of Gamma
+        gamma_d2f = np.einsum("...xyi,...kiz->...xyzk", d2f, self.gamma_t)
         d_alpha = _normal_part(
             self,
             self.d3f
-            + np.einsum("...xkij,...yi,...zj->...xyzk", gamma_x, t, t)
-            + np.einsum("...kij,...xyi,...zj->...xyzk", gamma, d2f, t)
-            + np.einsum("...kij,...yi,...xzj->...xyzk", gamma, t, d2f)
-            + np.einsum("...kij,...xi,...yzj->...xyzk", gamma, t, alpha)
+            + np.einsum("...yi,...xkiz->...xyzk", t, np.einsum("...xkij,...zj->...xkiz", gamma_x, t))
+            + gamma_d2f
+            + np.swapaxes(gamma_d2f, -3, -2)
+            + np.einsum("...kjx,...yzj->...xyzk", self.gamma_t, alpha)
             - np.einsum("...yza,...xak->...xyzk", conn, d2f),
         )
         d_ghat = np.einsum("...xya,...az->...xyz", conn, self.induced)

@@ -584,16 +584,17 @@ def test_a_check_run_equals_its_report_in_the_suite(source):
 
 
 def _stubbed_jets(monkeypatch, manifold, failing_call):
-    """Make the ``failing_call``-th jet run (counted from 0) raise."""
-    real, calls = manifold.jets, []
+    """Make the ``failing_call``-th jet tape run of the per-point stage
+    (counted from 0) raise."""
+    real, calls = manifold.tape_values, []
 
-    def jets(p, *a):
+    def tape_values(p, *a):
         calls.append(p)
         if len(calls) - 1 == failing_call:
             raise ValueError("stub tape failure")
         return real(p, *a)
 
-    monkeypatch.setattr(manifold, "jets", jets)
+    monkeypatch.setattr(manifold, "tape_values", tape_values)
 
 
 @pytest.mark.parametrize("seed, named", [(18, 2), (17, 3)])

@@ -5,7 +5,14 @@ The reference here differentiates every index order separately, through
 ``Dag.derivative`` in a table of its own, and so builds the twins of each
 partial as differently associated sums.  The two routes must agree to
 round-off, and the blocks the charts give must be exactly symmetric.
+
+The blocks of a stack of points are filled from the tape outputs in one
+call, and the quadratic term of the curvature is contracted as two matrix
+products; the last tests hold those to the jets of each point alone and to
+an index-level sum.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -114,3 +121,53 @@ def test_immersion_jets_match_every_order_reference(name, tmp_path):
         _, _, d2f, d3f = jets
         _assert_swaps_bit_equal(d2f, [(1, 0, 2)])
         _assert_swaps_bit_equal(d3f, [(1, 0, 2, 3), (2, 1, 0, 3)])
+
+
+# ---------------------------------------------- the stacked fill and contraction
+
+
+@pytest.mark.parametrize("chart", ["fs3", "product", "mixed"], indirect=True)
+def test_a_stacked_fill_equals_the_jets_of_each_point(chart):
+    # The fill of a stack of tape outputs gives each point the blocks that
+    # ``jets`` gives it alone, bit for bit, whatever the leading axes.
+    rng = np.random.default_rng(24)
+    points = [chart.sample_point(rng) for _ in range(4)]
+    for blocks in range(1, 6):
+        values = np.array([chart.tape_values(p, blocks) for p in points])
+        stacked = chart.fill(values, blocks)
+        square = chart.fill(values.reshape(2, 2, -1), blocks)
+        assert len(stacked) == len(square) == blocks
+        for k, p in enumerate(points):
+            for got, grid, want in zip(stacked, square, chart.jets(p, blocks)):
+                assert np.array_equal(got[k], want)
+                assert np.array_equal(grid[divmod(k, 2)], want)
+    pd = geo.stack(chart, [geo.point_jets(chart, p) for p in points])
+    for k, p in enumerate(points):
+        assert all(np.array_equal(got[k], want) for got, want in zip(pd.jets, chart.jets(p)))
+
+
+def _quadratic_reference(inverse, dg, dgb):
+    """``g^{p qbar} dg[i, k, q] dgb[j, p, l]``, summed index by index."""
+    r = range(dg.shape[-1])
+    quadratic = np.zeros((len(r),) * 4, dtype=complex)
+    for i, j, k, l in itertools.product(r, repeat=4):
+        quadratic[i, j, k, l] = sum(inverse[q, p] * dg[i, k, q] * dgb[j, p, l] for q in r for p in r)
+    return quadratic
+
+
+@pytest.mark.parametrize("chart", ["product", "mixed", "flat_pullback"], indirect=True)
+def test_the_quadratic_curvature_term_matches_an_index_level_sum(chart):
+    # On charts that are not U(m)-symmetric, at one point and on a stack.
+    rng = np.random.default_rng(24)
+    points = [chart.sample_point(rng) for _ in range(3)]
+    pd = geo.stack(chart, [geo.point_jets(chart, p) for p in points])
+    stacked = geo._curvature_terms(pd.metric, pd.jets)
+    for k, p in enumerate(points):
+        one = geo.point_data(chart, p)
+        minus_d2g, quadratic = geo._curvature_terms(one.metric, one.jets)
+        _, dg, dgb, d2g = one.jets
+        want = _quadratic_reference(one.metric.inverse, dg, dgb)
+        assert np.max(np.abs(want)) > 0
+        for got in (quadratic, stacked[1][k]):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(minus_d2g, -d2g) and np.array_equal(stacked[0][k], -d2g)
