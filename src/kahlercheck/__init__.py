@@ -12,11 +12,8 @@ from .expr import (
     Power,
     Unary,
     Var,
-    constant_fold,
-    evaluate,
     parse_expression,
     unparse,
-    wirtinger_derivative,
 )
 from .geometry import (
     ChartDomain,

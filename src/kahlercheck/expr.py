@@ -5,15 +5,14 @@ Expressions are built from constants, indexed variables of three kinds
 arithmetic operators, integer powers, and ``log``/``exp``.  ``z_k`` and
 ``zb_k`` are formally independent variables; the coupling ``zb_k = conj(z_k)``
 is imposed only when an evaluation assignment is built.  All nodes are
-immutable, so trees can be shared and evaluated concurrently without
-synchronization.  The constructors ``add``, ``mul``, ... build plain nodes;
-nothing folds outside a table.
+immutable, so trees can share subtrees.  The constructors ``add``, ``mul``,
+... build plain nodes; nothing folds outside a table.
 
 A ``Dag`` is the node table of one build.  It stores each distinct node once,
 under an integer id, runs the one set of folding and derivative rules on
 those ids, and lowers a list of roots to one ``Tape``, the single
-evaluator.  ``evaluate``, ``compile_evaluator``, ``wirtinger_derivative`` and
-``constant_fold`` go through a fresh table.
+evaluator.  A tree enters a table through ``Dag.intern_id``; ``Dag.expr``
+gives the tree of an id back.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Z = "z"
 ZB = "zb"
@@ -192,11 +191,10 @@ class Dag:
     memoized per id, and derivatives per id in one memo per variable.
 
     Charts and immersions are built on ids: ``intern_id``, ``fold_id``,
-    ``derive`` and ``lower``.  ``intern``, ``fold``, ``derivative`` and
-    ``tape`` are their ``Expr`` forms; ``expr`` gives the tree of an id, one object per id,
-    built on first use.  A ``Tape`` builds its failing node only when it
-    raises.  The table lives as long as the build that owns it; nothing is
-    cached globally.
+    ``derive`` and ``lower``.  ``expr`` gives the tree of an id, one object
+    per id, built on first use, for error text and a tape's variable keys;
+    a ``Tape`` builds its failing node only when it raises.  The table
+    lives as long as the build that owns it; nothing is cached globally.
     """
 
     def __init__(self):
@@ -206,7 +204,6 @@ class Dag:
         self._risky: list[bool] = []
         self._nonzero: list[bool] = []
         self._exprs: dict[int, Expr] = {}
-        self._expr_ids: dict[int, int] = {}  # id() of a tree from ``expr`` -> its node
         self._folds: dict[int, int] = {}
         self._derivatives: dict[int, dict[int, int]] = {}  # variable -> node -> derivative
         self._zero = self._const(0j)
@@ -342,9 +339,7 @@ class Dag:
     def _intern(self, e: Expr, done: dict[int, int]) -> int:
         # ``done`` maps id() of the nodes of one outside tree read so far, so
         # a subtree shared by object is read once; the tree keeps them alive.
-        n = self._expr_ids.get(id(e))
-        if n is None:
-            n = done.get(id(e))
+        n = done.get(id(e))
         if n is not None:
             return n
         if isinstance(e, Binary):
@@ -361,7 +356,8 @@ class Dag:
         return n
 
     def fold_id(self, n: int) -> int:
-        """The id of ``n`` with constant subtrees and 0/1 identities collapsed."""
+        """The id of ``n`` with constant subtrees and 0/1 identities collapsed;
+        a subtree whose evaluation could raise is never folded away."""
         done = self._folds.get(n)
         if done is None:
             op, a, b = self._nodes[n]
@@ -378,8 +374,10 @@ class Dag:
         return done
 
     def derive(self, n: int, v: int) -> int:
-        """The id of the derivative of ``n`` with respect to the variable ``v``
-        (see ``derivative``)."""
+        """The id of the exact derivative of ``n`` by the variable ``v``.  Other
+        variables (``zb_k`` under ``d/dz_k`` too) are held constant, and a
+        constant factor or divisor is carried through (``d(c x) = c dx``), so
+        no dead ``x * 0`` term is built around a subtree that could raise."""
         memo = self._derivatives.get(v)
         if memo is None:
             memo = self._derivatives[v] = {}
@@ -481,37 +479,7 @@ class Dag:
             else:
                 e = Unary(op, self.expr(a))
             self._exprs[n] = e
-            self._expr_ids[id(e)] = n
         return e
-
-    # ----------------------------------------------------- Expr methods
-
-    def intern(self, e: Expr) -> Expr:
-        """The table's tree equal to ``e``, adding it and its subtrees as needed."""
-        return self.expr(self.intern_id(e))
-
-    def fold(self, e: Expr) -> Expr:
-        """Collapse constant subtrees and 0/1 identities.
-
-        The result is evaluation-equivalent to ``e``; subtrees whose
-        evaluation could raise a domain error are never folded away.
-        """
-        return self.expr(self.fold_id(self.intern_id(e)))
-
-    def derivative(self, e: Expr, v: Var) -> Expr:
-        """Exact symbolic derivative of ``e`` with respect to the variable ``v``.
-
-        Variables of other kinds or indices (in particular ``zb_k`` under
-        ``d/dz_k`` and conversely) are held constant.  A constant factor or
-        divisor is carried through as such (``d(c x) = c dx``,
-        ``d(x / c) = dx / c``), so no dead ``x * 0`` term is built around a
-        subtree that could raise.
-        """
-        return self.expr(self.derive(self.intern_id(e), self.intern_id(v)))
-
-    def tape(self, roots: Sequence[Expr]) -> "Tape":
-        """Lower the trees ``roots`` to one straight-line tape (see ``lower``)."""
-        return self.lower([self.intern_id(r) for r in roots])
 
 
 class Tape:
@@ -599,37 +567,6 @@ class Tape:
         return [vals[k] for k in self._outputs[:n]]
 
 
-def wirtinger_derivative(e: Expr, v: Var) -> Expr:
-    """Exact symbolic derivative of ``e`` with respect to ``v`` (see ``Dag.derivative``)."""
-    return Dag().derivative(e, v)
-
-
-def constant_fold(e: Expr) -> Expr:
-    """Collapse constant subtrees and 0/1 identities (see ``Dag.fold``)."""
-    return Dag().fold(e)
-
-
-def evaluate(e: Expr, assignment: Assignment) -> complex:
-    """Evaluate ``e`` in double-precision complex arithmetic.
-
-    ``assignment`` maps every variable occurring in ``e`` to a complex value.
-    Raises ``EvaluationDomainError`` for log(0), division by zero, zero
-    raised to a negative power (log uses the principal branch) and
-    overflow, and ``ValueError`` for a variable without a value.
-    """
-    return Dag().tape([e]).run(assignment)[0]
-
-
-def compile_evaluator(e: Expr) -> Callable[[Assignment], complex]:
-    """Lower ``e`` to a tape once and return ``assignment -> complex``.
-
-    Same values and the same errors as ``evaluate``, without re-lowering
-    ``e`` on every call.
-    """
-    tape = Dag().tape([e])
-    return lambda assignment: tape.run(assignment)[0]
-
-
 def variables(e: Expr) -> frozenset[Var]:
     out: set[Var] = set()
     stack = [e]
@@ -671,6 +608,7 @@ def validate_variables(e: Expr, dimension: int, allowed_kinds: Iterable[str]) ->
 #   var    := 'z' index | 'zb' index | 'u' index ;  index := [1-9][0-9]*
 # Numbers are decimal literals; a trailing 'i' (or a bare 'i') makes an
 # imaginary constant, so immersion components can carry complex constants.
+# A literal too large for a double is an error, since 'inf' does not re-parse.
 # --------------------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?i?")
@@ -785,9 +723,10 @@ class _Parser:
         tok = self.cur
         if tok.kind == "number":
             self.advance()
-            if tok.text.endswith("i"):
-                return Const(complex(0.0, float(tok.text[:-1])))
-            return Const(complex(float(tok.text)))
+            value = float(tok.text.rstrip("i"))
+            if not math.isfinite(value):
+                raise ParseError("number out of range", tok.pos)
+            return Const(complex(0.0, value) if tok.text.endswith("i") else complex(value))
         if tok.kind == "name":
             return self.name_atom()
         if tok.kind == "(":
@@ -837,11 +776,15 @@ def parse_expression(
 
     ``dimension`` bounds variable indices; ``allowed_kinds`` whitelists the
     variable kinds that may appear (e.g. ``{"z", "zb"}`` for potentials,
-    ``{"u"}`` for immersion components).
+    ``{"u"}`` for immersion components).  Raises ``ValueError`` naming any
+    kind of ``allowed_kinds`` that is not a variable kind.
     """
+    allowed = frozenset(allowed_kinds)
+    if unknown := sorted(allowed.difference(VAR_KINDS)):
+        raise ValueError(f"unknown variable kind {', '.join(map(repr, unknown))}")
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(_tokenize(text), dimension, frozenset(allowed_kinds)).parse()
+    return _Parser(_tokenize(text), dimension, allowed).parse()
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+from kahlercheck import expr as ex
 from kahlercheck import models
+
+
+def evaluate(e, assignment):
+    """The value of the tree ``e`` at ``assignment``, on a tape of its own."""
+    return (dag := ex.Dag()).lower([dag.intern_id(e)]).run(assignment)[0]
 
 
 @pytest.fixture(scope="session")

@@ -667,6 +667,13 @@ def test_main_parse_error_exit_two(capsys):
     assert "offset 5" in capsys.readouterr().err
 
 
+def test_a_number_out_of_range_names_its_line(tmp_path, capsys):
+    path = tmp_path / "1e400.manifold"
+    path.write_text('dimension = 1\npotential = "1e400*z1*zb1"\n')
+    assert main(["check", "einstein", "--manifold", str(path)]) == 2
+    assert f"{path}:2: potential: number out of range at offset 0" in capsys.readouterr().err
+
+
 def test_main_suite_json_deterministic(tmp_path):
     args = [
         "suite",

@@ -14,6 +14,7 @@ from kahlercheck.oracle import (
     riemann_tensor_fd,
     wirtinger_fd,
 )
+from conftest import evaluate
 from test_jets import _mixed_chart
 
 
@@ -51,7 +52,7 @@ def test_fs1_metric_against_nested_fd_oracle():
     for p in (1.0 + 0j, 0.3 + 0.2j):
 
         def chart_potential(w):
-            return ex.evaluate(m.potential, m.assignment(np.array([w])))
+            return evaluate(m.potential, m.assignment(np.array([w])))
 
         def dz_of_potential(w):
             return wirtinger_fd(chart_potential, w, step=1e-5)[0]

@@ -2,7 +2,7 @@
 index order of a jet block is the same node.
 
 The reference here differentiates every index order separately, through
-``Dag.derivative`` in a table of its own, and so builds the twins of each
+``Dag.derive`` in a table of its own, and so builds the twins of each
 partial as differently associated sums.  The two routes must agree to
 round-off, and the blocks the charts give must be exactly symmetric.
 
@@ -46,30 +46,30 @@ def _every_order_manifold_jets(manifold, p):
     """(g, dg, dgb, d2g, ddg) at ``p``, each entry differentiated in its own index order."""
     m, r = manifold.m, range(manifold.m)
     dag = ex.Dag()
-    d = dag.derivative
-    zs = [Var("z", i + 1) for i in r]
-    zbs = [Var("zb", i + 1) for i in r]
-    K = dag.fold(manifold.potential)
+    d = dag.derive
+    zs = [dag.intern_id(Var("z", i + 1)) for i in r]
+    zbs = [dag.intern_id(Var("zb", i + 1)) for i in r]
+    K = dag.fold_id(dag.intern_id(manifold.potential))
     g = [d(d(K, zs[i]), zbs[j]) for i in r for j in r]
     dg = [d(g[i * m + j], zs[a]) for a in r for i in r for j in r]
     dgb = [d(g[i * m + j], zbs[b]) for b in r for i in r for j in r]
     d2g = [d(dg[(i * m + k) * m + l], zbs[j]) for i in r for j in r for k in r for l in r]
     ddg = [d(e, z) for z in zs for e in dg]
     layout = geo.jet_layout([(m, m), (m, m, m), (m, m, m), (m, m, m, m), (m, m, m, m)])
-    return geo.run_jets(dag.tape(g + dg + dgb + d2g + ddg), manifold.assignment(p), layout)
+    return geo.run_jets(dag.lower(g + dg + dgb + d2g + ddg), manifold.assignment(p), layout)
 
 
 def _every_order_immersion_jets(immersion, u):
     """(f, df, d2f, d3f) at ``u``, each entry differentiated in its own index order."""
     m, n = immersion.ambient.m, immersion.n
     dag = ex.Dag()
-    us = [Var("u", a + 1) for a in range(n)]
-    f = [dag.fold(c) for c in immersion.components]
-    df = [dag.derivative(f[i], us[a]) for a in range(n) for i in range(m)]
-    d2f = [dag.derivative(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
-    d3f = [dag.derivative(e, us[x]) for x in range(n) for e in d2f]
+    us = [dag.intern_id(Var("u", a + 1)) for a in range(n)]
+    f = [dag.fold_id(dag.intern_id(c)) for c in immersion.components]
+    df = [dag.derive(f[i], us[a]) for a in range(n) for i in range(m)]
+    d2f = [dag.derive(df[a * m + i], us[b]) for a in range(n) for b in range(n) for i in range(m)]
+    d3f = [dag.derive(e, us[x]) for x in range(n) for e in d2f]
     layout = geo.jet_layout([(m,), (n, m), (n, n, m), (n, n, n, m)])
-    return geo.run_jets(dag.tape(f + df + d2f + d3f), immersion.assignment(u), layout)
+    return geo.run_jets(dag.lower(f + df + d2f + d3f), immersion.assignment(u), layout)
 
 
 def _assert_close(got, want):

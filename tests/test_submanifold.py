@@ -189,9 +189,10 @@ def _flat_derivatives(imm, xi, u):
     """A field xi over the parameters and its derivatives d_a xi, shape (n, m),
     at ``u``.  In a flat chart d_a xi is the ambient derivative along T_a."""
     dag = ex.Dag()
-    fields = [dag.intern(c) for c in xi]
-    partials = [dag.derivative(c, ex.Var(ex.U, a + 1)) for a in range(imm.n) for c in fields]
-    values = np.array(dag.tape(fields + partials).run(imm.assignment(u)))
+    fields = [dag.intern_id(c) for c in xi]
+    us = [dag.intern_id(ex.Var(ex.U, a + 1)) for a in range(imm.n)]
+    partials = [dag.derive(c, v) for v in us for c in fields]
+    values = np.array(dag.lower(fields + partials).run(imm.assignment(u)))
     return values[: len(xi)], values[len(xi) :].reshape(imm.n, len(xi))
 
 
