@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "parse":
-            tree = ex.parse_expression(args.expr, args.dim, args.kinds.split(","))
+            tree = ex.parse_expression(args.expr, args.dim, [k.strip() for k in args.kinds.split(",")])
             print(ex.unparse(tree))
             print(f"nodes: {ex.node_count(tree)}")
             names = sorted(ex.unparse(v) for v in ex.variables(tree))

@@ -19,7 +19,14 @@ vanishes on constant-curvature models):
   ``h(v,w) = g_{i jbar} v^i conj(w^j)``
 * real curvature values expand the quadrilinear form through the mixed
   components: ``R(X,Y,Z,U) = sum R_{i jbar k lbar}
-  (x^i conj(y^j) - y^i conj(x^j)) (z^k conj(u^l) - u^k conj(z^l))``
+  (x^i conj(y^j) - y^i conj(x^j)) (z^k conj(u^l) - u^k conj(z^l))``.
+  A tensor with the Kähler conjugation symmetry ``conj(R_{i jbar k lbar}) =
+  R_{j ibar l kbar}`` (R, which ``curvature_tensor`` validates, and B and
+  R - B, which inherit it) has anti-Hermitian rows ``sum (x^i conj(y^j) -
+  y^i conj(x^j)) R_{i jbar k lbar}`` in (k, l), so the second factor folds
+  into one product: ``R(X,Y,Z,U) = 2 Re sum rows_{kl} z^k conj(u^l)``.  On
+  a J-pair the first factor is ``-2i x^i conj(x^j)``, so ``R(X,JX,JX,X) =
+  4 sum R_{i jbar k lbar} x^i conj(x^j) x^k conj(x^l)``
 * Ricci is the trace of the curvature operator over a real orthonormal
   basis, ``S_{k jbar} = g^{l ibar}-contraction of R``; it coincides with
   ``-d_k d_jbar log det g``
@@ -472,7 +479,9 @@ def curvature_tensor(
     """Curvature components ``R_{i jbar k lbar}`` from the four jet blocks at ``p``.
 
     Validates the Kähler symmetries (pair symmetry and conjugation symmetry)
-    of the result before returning it.  On a chart's own jets both hold by
+    of the result before returning it; ``real_curvature`` and
+    ``holomorphic_square`` rest on the conjugation symmetry, which B and
+    R - B inherit from R, g and the Hermitian S.  On a chart's own jets both hold by
     construction, since ``dgb`` and half of ``d2g`` are filled by
     conjugation, except for the realness of the ``d2g`` entries that are
     their own conjugate partner (holomorphic pair = antiholomorphic pair);
@@ -674,25 +683,51 @@ def real_curvature(
     z: RealTangentVector,
     u: RealTangentVector,
 ) -> float:
-    """R(X, Y, Z, U) as a real quadrilinear form, one value per stacked vector."""
-    w = _wedge(z, u)
-    rows = _curvature_rows(curvature, x, y)
-    return np.einsum("...i,...i->...", rows, w.reshape(*w.shape[:-2], rows.shape[-1])).real
+    """R(X, Y, Z, U) as a real quadrilinear form, one value per stacked vector.
+
+    ``curvature`` must have the conjugation symmetry ``conj(R_{i jbar k lbar})
+    = R_{j ibar l kbar}``: then the rows of (X, Y) are anti-Hermitian, and
+    the value is ``2 Re sum rows_{kl} z^k conj(u^l)`` (module docstring).
+    """
+    return 2.0 * _pair(_curvature_rows(curvature, _wedge(x, y)), z.components, u.components).real
+
+
+def holomorphic_square(curvature: ComplexCurvature, x: RealTangentVector) -> float:
+    """``R(X, JX, JX, X) = 4 sum R_{i jbar k lbar} x^i conj(x^j) x^k conj(x^l)``,
+    one value per stacked vector: one Hermitian square of x, contracted
+    with R on both sides.  ``curvature`` needs the symmetry that
+    ``real_curvature`` needs."""
+    square = _outer(x.components, x.components)
+    rows = _curvature_rows(curvature, square)
+    flat = (*square.shape[:-2], -1)
+    return 4.0 * np.einsum("...i,...i->...", rows.reshape(flat), square.reshape(flat)).real
+
+
+def _pair(rows: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sum_kl rows_{kl} z^k conj(u^l)``, broadcasting the leading axes."""
+    return np.einsum("...k,...k->...", np.einsum("...kl,...l->...k", rows, np.conj(u)), z)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^i conj(b^j)``, stacked like ``a`` and ``b``."""
+    return np.einsum("...i,...j->...ij", a, np.conj(b))
 
 
 def _wedge(x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
     """``x^i conj(y^j) - y^i conj(x^j)``, stacked like ``x`` and ``y``."""
-    w = x.components[..., :, None] * np.conj(y.components)[..., None, :]
-    return w - np.conj(np.swapaxes(w, -1, -2))
+    w = _outer(x.components, y.components)
+    w -= np.conj(np.swapaxes(w, -1, -2))
+    return w
 
 
-def _curvature_rows(curvature: ComplexCurvature, x: RealTangentVector, y: RealTangentVector) -> np.ndarray:
-    """``sum_ij w^{ij} R_{i jbar k lbar}`` for ``w = _wedge(x, y)``, flat over
-    (k, l): one product with R as an ``(m^2, m^2)`` matrix."""
+def _curvature_rows(curvature: ComplexCurvature, w: np.ndarray) -> np.ndarray:
+    """``sum_ij w^{ij} R_{i jbar k lbar}`` for a stack of ``(m, m)`` matrices
+    ``w``, as ``(m, m)`` matrices over (k, l): one product with R as an
+    ``(m^2, m^2)`` matrix."""
     t = curvature.tensor
-    m2 = t.shape[-1] ** 2
-    w = _wedge(x, y)
-    return _rows(w.reshape(*w.shape[:-2], m2), t.reshape(*t.shape[:-4], m2, m2))
+    m = t.shape[-1]
+    rows = _rows(w.reshape(*w.shape[:-2], m * m), t.reshape(*t.shape[:-4], m * m, m * m))
+    return rows.reshape(w.shape)
 
 
 def curvature_operator(
@@ -708,8 +743,8 @@ def curvature_operator(
     and broadcast as in ``real_curvature``.
     """
     g = metric.matrix
-    rows = _curvature_rows(curvature, x, y)
-    a = np.einsum("...kl,...k->...l", rows.reshape(*rows.shape[:-1], *g.shape[-2:]), z.components)[..., None]
+    rows = _curvature_rows(curvature, _wedge(x, y))
+    a = np.einsum("...kl,...k->...l", rows, z.components)[..., None]
     return np.linalg.solve(_per_point(np.swapaxes(g, -1, -2), a), a)[..., 0]
 
 
@@ -717,8 +752,13 @@ _PIVOT = 1e-8
 
 
 def _gaussian(rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
-    """Complex Gaussian seeds of shape ``size``, all real parts drawn first."""
-    return rng.normal(size=size) + 1j * rng.normal(size=size)
+    """Complex Gaussian seeds of shape ``size``, all real parts drawn first,
+    written into one complex array: the bits of ``rng.normal(size=size) +
+    1j * rng.normal(size=size)``."""
+    seeds = np.empty(size, dtype=complex)
+    seeds.real = rng.normal(size=size)
+    seeds.imag = rng.normal(size=size)
+    return seeds
 
 
 def _frame_error(todo: np.ndarray, what: str) -> FrameError:
@@ -746,7 +786,8 @@ def unit_tangents(
             raise _frame_error(small.any(axis=-1), "failed to draw a nonzero tangent vector")
         v[small] = _gaussian(rng, (int(small.sum()), m))
         n[small] = metric.norm(RealTangentVector(v))[small]
-    return v / n[..., None]
+    v /= n[..., None]
+    return v
 
 
 def antiholomorphic_frames(
@@ -769,18 +810,20 @@ def antiholomorphic_frames(
     # h(v, w) is the standard product of v L and w L, for g = L L^H.
     lower = np.linalg.cholesky(metric.matrix)
     back = np.linalg.inv(lower) / math.sqrt(2.0)
-    seeds, frames = (np.empty((*points, count, k, m), dtype=complex) for _ in range(2))
-    todo = np.ones((*points, count), dtype=bool)
-    for _ in range(64):
+    seeds = _gaussian(rng, (math.prod(points) * count, k, m)).reshape(*points, count, k, m)
+    q, ok = _gram_schmidt(_rows(seeds, lower))
+    frames, todo, draws = _rows(q, back), ~ok, 1
+    while todo.any():
+        if (draws := draws + 1) > 64:
+            raise _frame_error(todo, "failed to draw an independent frame")
         # A redraw whitens and orthonormalizes the whole stack again, and
         # keeps only the frames it redrew.
         seeds[todo] = _gaussian(rng, (int(todo.sum()), k, m))
         q, ok = _gram_schmidt(_rows(seeds, lower))
         new = todo & ok
         frames[new] = _rows(q, back)[new]
-        if not (todo := todo & ~ok).any():
-            return frames
-    raise _frame_error(todo, "failed to draw an independent frame")
+        todo &= ~ok
+    return frames
 
 
 def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -791,18 +834,27 @@ def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Classical Gram-Schmidt with one repeat of the projection, which keeps
     the rows orthogonal to round-off.  A smaller pivot (NaN too) fails its
     matrix and leaves its row undivided: a zero pivot gives a zero row, not NaN.
+    It runs component-major, on a ``(k, m, *stack)`` copy of ``w``, so each
+    step is a pass over the whole stack, and gives ``q`` as a ``(*stack, k,
+    m)`` view of that layout.
     """
+    w = np.ascontiguousarray(np.moveaxis(w, (-2, -1), (0, 1)))
     q = np.empty_like(w)
-    ok = np.ones(w.shape[:-2], dtype=bool)
-    floor = _PIVOT * np.linalg.norm(w, axis=-1)
-    for a in range(w.shape[-2]):
-        v, done = w[..., a, :], q[..., :a, :]
+    ok = np.ones(w.shape[2:], dtype=bool)
+    floor = _PIVOT * _length(w, axis=1)
+    for a in range(len(w)):
+        v, done = w[a], q[:a]
         for _ in range(2 if a else 0):  # the first row has nothing to project out
-            v = v - np.einsum("...b,...bi->...i", np.einsum("...bi,...i->...b", done.conj(), v), done)
-        pivot = np.linalg.norm(v, axis=-1)
-        ok &= (good := pivot > floor[..., a])
-        q[..., a, :] = v / np.where(good, pivot, 1.0)[..., None]
-    return q, ok
+            v = v - (np.sum(done.conj() * v, axis=1)[:, None] * done).sum(axis=0)
+        pivot = _length(v, axis=0)
+        ok &= (good := pivot > floor[a])
+        np.divide(v, np.where(good, pivot, 1.0), out=q[a])
+    return np.moveaxis(q, (0, 1), (-2, -1)), ok
+
+
+def _length(v: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean length of complex vectors whose components run along ``axis``."""
+    return np.sqrt(np.sum(v.real**2 + v.imag**2, axis=axis))
 
 
 def orthonormal_antiholomorphic_frame(

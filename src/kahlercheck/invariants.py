@@ -47,7 +47,14 @@ def _gram(matrix: np.ndarray, legs: Sequence[RealTangentVector]) -> np.ndarray:
     the legs: for the metric ``g(x_a, x_b) + i g(x_a, J x_b)``, for the Ricci
     matrix ``S(x_a, x_b) + i S(x_a, J x_b)``."""
     v = _stack(legs)
-    return 2.0 * np.einsum("...ai,...bi->...ab", geo._rows(v, matrix), np.conj(v))
+    rows, conj = geo._rows(v, matrix), np.conj(v)
+    gram = np.empty((*v.shape[:-1], len(legs)), dtype=complex)
+    # Row by row: the bits of one einsum over (a, b), and faster than it or
+    # a batched matmul on stacks of these small matrices.
+    for a in range(len(legs)):
+        gram[..., a, :] = np.einsum("...i,...bi->...b", rows[..., a, :], conj)
+    gram *= 2.0
+    return gram
 
 
 # The Bochner blocks read the metric Gram ``g`` and the Ricci Gram ``s`` of
@@ -143,9 +150,11 @@ def lemma_residual(
     """
     _check_antiholomorphic_frame(pd, (x, y, z))
     rc = pd.curvature
-    return geo.real_curvature(rc, x, x.j(), y, z) - 2.0 * geo.real_curvature(
-        rc, x, y, x.j(), z
-    )
+    # R(x, Jx, y, z) through the Hermitian square of x, as in
+    # ``geometry.holomorphic_square``: w(x, Jx) = -2i x conj(x).
+    rows = geo._curvature_rows(rc, geo._outer(x.components, x.components))
+    first = 4.0 * geo._pair(rows, y.components, z.components).imag
+    return first - 2.0 * geo.real_curvature(rc, x, y, x.j(), z)
 
 
 def basis_sum(pd: PointData, basis: Sequence[RealTangentVector]) -> float:
@@ -156,8 +165,7 @@ def basis_sum(pd: PointData, basis: Sequence[RealTangentVector]) -> float:
     if len(basis) != pd.m:
         raise FrameConditionError(f"expected {pd.m} basis vectors, got {len(basis)}")
     _check_antiholomorphic_frame(pd, basis)
-    e = RealTangentVector(_stack(basis))
-    return geo.real_curvature(pd.curvature, e, e.j(), e.j(), e).sum(axis=-1)
+    return geo.holomorphic_square(pd.curvature, RealTangentVector(_stack(basis))).sum(axis=-1)
 
 
 def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> float:
@@ -165,8 +173,7 @@ def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> floa
     gxx = pd.metric.inner(x, x)
     if np.any(gxx <= 0.0) or not np.all(np.isfinite(x.components)):
         raise ValueError("holomorphic sectional curvature requires a nonzero vector")
-    jx = x.j()
-    return geo.real_curvature(pd.curvature, x, jx, jx, x) / gxx**2
+    return geo.holomorphic_square(pd.curvature, x) / gxx**2
 
 
 # --------------------------------------------------------------------------
@@ -202,9 +209,10 @@ def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
 
 
 def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
-    # R - reconstruction - B: the real-vector blocks against the index-level B.
-    r = geo.real_curvature(pd.curvature, *frame)
-    return r - reconstruct_curvature_from_ricci(pd, *frame) - bochner_at(pd, *frame)
+    # (R - B) - reconstruction: the real-vector blocks against the index-level
+    # B, with R - B contracted once.
+    r_minus_b = geo.ComplexCurvature(pd.curvature.tensor - pd.bochner.tensor)
+    return geo.real_curvature(r_minus_b, *frame) - reconstruct_curvature_from_ricci(pd, *frame)
 
 
 _UNIT, _ANTI = "unit_tangents", "antiholomorphic_frames"

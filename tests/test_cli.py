@@ -661,6 +661,15 @@ def test_main_parse_command(capsys):
     assert "nodes: 7" in out
 
 
+def test_main_parse_kinds_may_carry_spaces(capsys):
+    rc = main(["parse", "--expr", "z1*zb1", "--dim", "1", "--kinds", "z, zb"])
+    assert rc == 0
+    assert "variables: z1, zb1" in capsys.readouterr().out
+    # A kind outside the grammar is still named, without the space.
+    assert main(["parse", "--expr", "z1", "--dim", "1", "--kinds", "z, w"]) == 2
+    assert "unknown variable kind 'w'" in capsys.readouterr().err
+
+
 def test_main_parse_error_exit_two(capsys):
     rc = main(["parse", "--expr", "z1 + ", "--dim", "1"])
     assert rc == 2

@@ -662,6 +662,26 @@ def test_a_stacked_draw_is_one_call_for_all_points(fs3):
         assert [np.prod(size) for size in stub.sizes] == [4 * 5 * k * 3] * 2, sampler.__name__
 
 
+@pytest.mark.parametrize("size", [(7,), (4, 3, 2), (0, 3)])
+def test_gaussian_seeds_keep_the_bits_of_the_complex_sum(size):
+    got = geo._gaussian(np.random.default_rng(9), size)
+    ref = np.random.default_rng(9)
+    want = ref.normal(size=size) + 1j * ref.normal(size=size)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_first_draw_without_redraws_is_two_flat_normal_calls(fs3):
+    # One metric or a stack of 4: the real and the imaginary parts of all
+    # points' frames, each one (points * count, k, m) call, and nothing more.
+    points, g = _metric_stack(fs3, 6, 4)
+    for metric, stack in ((geo.hermitian_metric(points[0], g[0]), 1), (geo.hermitian_metric(points, g), 4)):
+        stub = _Draws(6)
+        frames = geo.antiholomorphic_frames(metric, 5, 3, stub)
+        assert stub.sizes == [(stack * 5, 3, 3)] * 2
+        assert frames.shape == metric.matrix.shape[:-2] + (5, 3, 3)
+
+
 def test_a_stacked_frame_error_names_its_point(fs3):
     points, g = _metric_stack(fs3, 6, 3)
     stacked = geo.hermitian_metric(points, g)

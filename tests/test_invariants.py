@@ -548,7 +548,14 @@ def test_kernels_match_index_level_sums(product, rng):
         _close(pd.metric.inner(x, y), 2.0 * want_h.real)
         _close(pd.metric.inner_j(x, y), 2.0 * want_h.imag)
         _close(pd.ricci(x, y), 2.0 * _h(pd.ricci.matrix, vs[0], vs[1]).real)
-        _close(geo.real_curvature(pd.curvature, x, y, z, u), _real_curvature_sum(pd.curvature.tensor, *vs))
+        # The one-wedge form on R, on B and on R - B, which inherit the
+        # conjugation symmetry of R, against the four-term index sum.
+        r_minus_b = pd.curvature.tensor - pd.bochner.tensor
+        for t in (pd.curvature.tensor, pd.bochner.tensor, r_minus_b):
+            _close(geo.real_curvature(geo.ComplexCurvature(t), x, y, z, u), _real_curvature_sum(t, *vs))
+        # J-pairs as Hermitian squares: R(X, JX, JX, X).
+        ix = 1j * vs[0]
+        _close(geo.holomorphic_square(pd.curvature, x), _real_curvature_sum(pd.curvature.tensor, vs[0], ix, ix, vs[0]))
 
         legs = (x, y, z, u)
         ricci, metric = _blocks_by_terms(pd, *vs)
@@ -557,6 +564,15 @@ def test_kernels_match_index_level_sums(product, rng):
         _close(inv._metric_block(g), metric)
         want = ricci / (2.0 * (m + 2)) - pd.tau * metric / (4.0 * (m + 1) * (m + 2))
         _close(inv.reconstruct_curvature_from_ricci(pd, *legs), want)
+    # Squares of a stack of stacked vectors (a basis per frame, as basis-sum
+    # takes them), and the lemma, whose first term goes through a square.
+    r = pd.curvature.tensor
+    _close(geo.holomorphic_square(pd.curvature, geo.RealTangentVector(stack)),
+           _real_curvature_sum(r, stack, 1j * stack, 1j * stack, stack))
+    frames = geo.antiholomorphic_frames(pd.metric, 6, 3, rng)
+    x, y, z = (frames[:, a] for a in range(3))
+    want = _real_curvature_sum(r, x, 1j * x, y, z) - 2.0 * _real_curvature_sum(r, x, y, 1j * x, z)
+    _close(inv.lemma_residual(pd, *(geo.RealTangentVector(v) for v in (x, y, z))), want)
     # term_scale: the larger Frobenius norm of the two terms of R in a g-unit frame.
     c = np.linalg.inv(np.linalg.cholesky(pd.metric.matrix)).T
     terms = geo._curvature_terms(pd.metric, pd.jets)
