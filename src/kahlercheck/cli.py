@@ -18,9 +18,11 @@ frames.  A suite evaluates one set of points for all its checks, so
 ``check X --seed s`` gives the X report of ``suite --seed s``.  An
 immersion run draws all its parameter points in one call of one generator
 seeded with ``--seed``.  Both kinds of run go points first (``_points_first``):
-each point's tapes run alone, then the tests of the joined stack run once.
-On a manifold a point runs only its domain test and its jet tape; the jets
-of the run are filled from the tape outputs once, over the stack.
+the domain tests and each tape run once over the stack of all the run's
+points, then the tests of the stack run once.  On a manifold the first
+stage is the domain test and the jet tape; the jets of the run are filled
+from the tape outputs once, over the stack.  Only when the first stage
+raises does it run again point by point, to name the point that fails.
 A report is a deterministic function of its RunConfig (up to the timestamp
 field).
 """
@@ -34,7 +36,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -104,23 +106,28 @@ def _first_failing_point(cfg: RunConfig):
         raise PointError(cfg, err.index[0], err) from err
 
 
-def _points_first(cfg: RunConfig, points: Iterable, evaluate: Callable, join: Callable):
-    """The two stages of a run.  ``evaluate`` runs at each of ``points``
-    alone, in order, and any error there is re-raised as a ``PointError``
-    naming its point.  ``join`` then runs once on all their results, and a
-    ``GeometryError`` there names the first point that failed it.  When
-    point k fails alone, ``join`` first runs on the results of the points
-    before it, so that an earlier point failing a stacked test is the one
-    named."""
-    found = []
-    for index, point in enumerate(points):
-        try:
-            found.append(evaluate(point))
-        except Exception as err:  # any failure at a point: re-raised with where it happened
-            if found:
-                with _first_failing_point(cfg):
-                    join(found)
-            raise PointError(cfg, index, err) from err
+def _points_first(cfg: RunConfig, points: np.ndarray, evaluate: Callable, join: Callable):
+    """The two stages of a run on the stack ``points``.  ``evaluate`` runs
+    once on the whole stack, and ``join`` once on a list of its results;
+    a ``GeometryError`` there names the first point that failed it.
+
+    ``evaluate``'s errors name no point, so if it raises, it runs again on
+    each point alone (a stack of one), in order, and the first error there
+    is re-raised as a ``PointError`` naming its point.  When point k fails
+    alone, ``join`` first runs on the results of the points before it, so
+    that an earlier point failing a stacked test is the one named."""
+    try:
+        found = [evaluate(points)]
+    except Exception:  # some point fails: find the first, one point at a time
+        found = []
+        for index in range(len(points)):
+            try:
+                found.append(evaluate(points[index : index + 1]))
+            except Exception as err:  # re-raised with where it happened
+                if found:
+                    with _first_failing_point(cfg):
+                        join(found)
+                raise PointError(cfg, index, err) from err
     with _first_failing_point(cfg):
         return join(found)
 
@@ -129,11 +136,12 @@ def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.
     """The points of a manifold run as one stacked ``PointData``, and the
     generator of each check's frames (``inv.streams`` of ``cfg.seed``).
 
-    Each point is drawn and then checked against the domain and its jet
-    tape run alone; the fill of the jets from the tape outputs, the metric
-    test, curvature and Ricci then run once over the stack."""
+    The points are drawn one by one, then checked against the domain and
+    run through the jet tape as one stack; the fill of the jets from the
+    tape outputs, the metric test, curvature and Ricci then run once over
+    the stack."""
     rng, frames = inv.streams(np.random.default_rng(cfg.seed))
-    points = (manifold.sample_point(rng) for _ in range(cfg.points))
+    points = np.array([manifold.sample_point(rng) for _ in range(cfg.points)])
     return _points_first(cfg, points, partial(geo.point_jets, manifold), partial(geo.stack, manifold)), frames
 
 
@@ -144,11 +152,11 @@ def _run_loaded(
 
     Returns the report and one array of the values it was reduced from:
     every sample of a manifold check, one per point of an immersion check.
-    Both kinds run in two stages.  Each point is first evaluated alone (its
-    tapes and the tests that can fail there); an error there is raised as a
-    ``PointError`` naming the point.  The run's points are then joined into
-    one stack, and the remaining tests, the curvature and the check's values
-    (with a manifold check's frames) are computed once for all of them; a
+    Both kinds run in two stages (``_points_first``).  The run's points are
+    first evaluated as one stack (the domain tests and the tapes); an error
+    there is raised as a ``PointError`` naming the first point that fails
+    alone.  The remaining tests, the curvature and the check's values (with
+    a manifold check's frames) are then computed once for all of them; a
     ``GeometryError`` there names its first failing point in the same way.
     A manifold run draws its points and frames from ``inv.streams``; a suite
     passes the ``_manifold_points`` its checks share as ``shared``.  An

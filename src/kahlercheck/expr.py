@@ -11,7 +11,8 @@ immutable, so trees can share subtrees.  The constructors ``add``, ``mul``,
 A ``Dag`` is the node table of one build.  It stores each distinct node once,
 under an integer id, runs the one set of folding and derivative rules on
 those ids, and lowers a list of roots to one ``Tape``, the single
-evaluator.  A tree enters a table through ``Dag.intern_id``; ``Dag.expr``
+evaluator, which runs at one point or over a stack of points with numpy.
+A tree enters a table through ``Dag.intern_id``; ``Dag.expr``
 gives the tree of an id back.
 """
 
@@ -24,6 +25,8 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 Z = "z"
 ZB = "zb"
@@ -154,6 +157,11 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 _UNARY_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp}
 _BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# The ufunc that runs each Python operator of a tape over a stack of points.
+_UFUNCS = {
+    operator.neg: np.negative, cmath.log: np.log, cmath.exp: np.exp, operator.pow: np.power,
+    operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply, operator.truediv: np.divide,
+}
 # The op of a table node: a leaf, a power, or the op of a Unary or Binary node.
 _CONST, _VAR, _POW = "c", "v", "^"
 _CONST_NODE = (_CONST, -1, -1)
@@ -483,13 +491,28 @@ class Dag:
 
 
 class Tape:
-    """Straight-line program that evaluates several expressions together.
+    """Straight-line program that evaluates several expressions together,
+    at one point or at a stack of points in one pass.
 
     Slots hold, in order: constants, the integer exponents of powers, the
     variables, then one value per op.  An op is ``(fn, i, j)`` and stores
-    ``fn(slot[i])`` (``j < 0``) or ``fn(slot[i], slot[j])``.  Values are
-    double-precision complex scalars, computed by the same Python operators
-    a recursive evaluation would apply, so they agree with it bit for bit.
+    ``fn(slot[i])`` (``j < 0``) or ``fn(slot[i], slot[j])``, where ``fn`` is
+    the Python operator of the node (``operator.pow`` for a power).  A run
+    gives every slot a row with one double-precision complex value per
+    point and applies each op as the numpy ufunc of that operator to whole
+    rows, so the ops run once for the whole stack.  Each point's value is
+    elementwise numpy arithmetic, the same bits at any position of any
+    stack; numpy's complex ``*`` and ``/`` may differ from Python's in the
+    last bit.
+
+    Faults are Python's.  From the first op at which numpy raises a
+    floating-point flag (or from the start, if a leaf is not finite), the
+    ops run with the flags ignored, and every point where an op's value is
+    not finite goes to the op's Python operator on the same operands.
+    Where that raises, the run raises ``EvaluationDomainError`` as a
+    recursive evaluation would; where it does not (an overflowing ``*``,
+    which Python allows), numpy's value stands.
+
     Built by ``Dag.lower`` from the table's node ids, and immutable
     afterwards; it keeps the table, from which it builds the tree of a
     failing op for the error only when one fails.
@@ -526,10 +549,14 @@ class Tape:
             else:
                 ops.append((_BINARY_FNS[op], slot[a], slot[b]))
         self._leaves: list = [values[n] for n in consts] + exponents
+        self._leaf_rows = np.array(self._leaves, dtype=complex).reshape(-1, 1)
+        self._finite_leaves = bool(np.isfinite(self._leaf_rows).all())
         self._variables = tuple(dag.expr(n) for n in variables)
         self._ops = ops
+        self._ufuncs = [(_UFUNCS[fn], i, j) for fn, i, j in ops]
         self._dag = dag
         self._op_nodes = nodes
+        self._first_var = first_var
         self._base = base
         self._outputs = [slot[r] for r in roots]
         self._ends = list(ends)
@@ -538,33 +565,71 @@ class Tape:
         """Number of ops (leaves excluded)."""
         return len(self._ops)
 
-    def run(self, assignment: Assignment, outputs: int | None = None) -> list[complex]:
-        """Values of the first ``outputs`` roots (all by default).
+    def run(self, assignment: Assignment, outputs: int | None = None) -> np.ndarray:
+        """Values of the first ``outputs`` roots (all by default), shape
+        ``(*points, outputs)``.
 
-        Runs only the tape prefix those roots need.  Raises
-        ``EvaluationDomainError`` naming the first failing subexpression
-        for log(0), division by zero, zero raised to a negative power and
-        overflow, and ``ValueError`` when a variable has no value.
+        The values of ``assignment`` are scalars for one point, or arrays
+        whose broadcast shape ``points`` is the stack.  Runs only the tape
+        prefix those roots need.  Raises ``EvaluationDomainError`` naming
+        the first subexpression, in tape order, that fails at any point of
+        the stack, for log(0), division by zero, zero raised to a negative
+        power and overflow, and ``ValueError`` when a variable has no value.
         """
         n = len(self._outputs) if outputs is None else outputs
         try:
-            vals = self._leaves + [complex(assignment[v]) for v in self._variables]
+            given = [np.asarray(assignment[v], dtype=complex) for v in self._variables]
         except KeyError as err:
             raise ValueError(f"no value assigned to '{unparse(err.args[0])}'") from None
-        end = self._ends[n - 1] if n else 0
-        ops = self._ops if end == len(self._ops) else islice(self._ops, end)
-        append = vals.append
+        shapes = {np.shape(x) for x in assignment.values()}
+        points = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        base, stop = self._base, self._base + (self._ends[n - 1] if n else 0)
+        slots = np.empty((stop, math.prod(points)), dtype=complex)
+        slots[: self._first_var] = self._leaf_rows
+        variables = slots[self._first_var : base].reshape(len(given), *points)
+        for k, x in enumerate(given):
+            variables[k] = x
+        rows = list(slots)
+        k = base
+        if self._finite_leaves and np.isfinite(variables).all():
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    for k, (fn, i, j) in enumerate(islice(self._ufuncs, stop - base), base):
+                        fn(rows[i], rows[k]) if j < 0 else fn(rows[i], rows[j], rows[k])
+                k = stop
+            except FloatingPointError:
+                pass  # op k raised a flag: it and the rest run checked
+        if k < stop:
+            self._run_checked(rows, k, stop)
+        return slots[self._outputs[:n]].T.reshape(*points, n)
+
+    def _run_checked(self, rows: list[np.ndarray], start: int, stop: int) -> None:
+        """Run the ops of slots ``start`` to ``stop`` with numpy's flags
+        ignored, giving each point where an op's value is not finite to
+        its Python operator, which raises where a recursive evaluation would."""
+        with np.errstate(all="ignore"):
+            for k in range(start, stop):
+                fn, i, j = self._ufuncs[k - self._base]
+                fn(rows[i], rows[k]) if j < 0 else fn(rows[i], rows[j], rows[k])
+                for point in np.flatnonzero(~np.isfinite(rows[k])):
+                    self._python_op(k, [rows[s][point].item() for s in (i, j) if s >= 0])
+
+    def _python_op(self, k: int, args: list[complex]) -> None:
+        """Apply the Python operator of the op of slot ``k`` to ``args``,
+        raising ``EvaluationDomainError`` (or the operator's own error, where
+        it names no domain fault) if it raises."""
+        fn, _, j = self._ops[k - self._base]
+        if fn is operator.pow:
+            args[1] = self._leaves[j]  # the integer exponent
         try:
-            for fn, i, j in ops:
-                append(fn(vals[i]) if j < 0 else fn(vals[i], vals[j]))
+            fn(*args)
         except (OverflowError, ZeroDivisionError, ValueError) as err:
-            node = self._op_nodes[len(vals) - self._base]
+            node = self._op_nodes[k - self._base]
             op, _, b = self._dag._nodes[node]
             fault = "overflow" if isinstance(err, OverflowError) else _fault(op, b)
             if fault is None:
                 raise
             raise EvaluationDomainError(fault, self._dag.expr(node)) from None
-        return [vals[k] for k in self._outputs[:n]]
 
 
 def variables(e: Expr) -> frozenset[Var]:

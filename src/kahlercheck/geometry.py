@@ -32,6 +32,12 @@ vanishes on constant-curvature models):
   ``-d_k d_jbar log det g``
 * scalar curvature is the full real trace, ``tau = 2 g^{i jbar} S_{i jbar}``.
 
+Points stack along leading axes.  The chart's jet tape runs once over a
+stack of points (``point_jets``), its outputs are filled into jet blocks
+once (``KahlerManifold.fill``), and the formula functions broadcast over
+the stack, each test naming the first point that fails it; a point gives
+the same bits at any position of a stack as alone.
+
 All objects are immutable after construction and all operations are pure.
 """
 
@@ -91,11 +97,14 @@ class ChartDomain:
         if not all(0 < r < math.inf for r in self.radii):
             raise ValueError("domain radii must be positive and finite")
 
-    def contains(self, p: Sequence[complex]) -> bool:
+    def contains(self, p: Sequence[complex]) -> np.ndarray:
+        """Whether each point of ``p``, one or a stack along leading axes, is inside."""
         p = np.asarray(p, dtype=complex)
         if self.kind == "ball":
-            return float(np.linalg.norm(p)) <= self.radii[0] + 1e-12
-        return bool(np.all(np.abs(p) <= np.array(self.radii) + 1e-12))
+            # a length past the float range is inf, which reads as outside
+            with np.errstate(over="ignore"):
+                return np.sqrt(np.sum(p.real**2 + p.imag**2, axis=-1)) <= self.radii[0] + 1e-12
+        return np.all(np.abs(p) <= np.array(self.radii) + 1e-12, axis=-1)
 
     def sample_point(self, rng: np.random.Generator, dimension: int) -> ChartPoint:
         """Uniform draw from the domain shrunk by ``_SAMPLE_MARGIN`` of its radius."""
@@ -224,9 +233,11 @@ def jet_layout(shapes: Sequence[tuple[int, ...]]) -> list[tuple[slice, tuple[int
 
 
 def run_jets(tape: ex.Tape, assignment: dict, layout: Sequence[tuple]) -> list[np.ndarray]:
-    """The blocks of a ``jet_layout`` from one run of the tape prefix they need."""
-    values = np.array(tape.run(assignment, layout[-1][0].stop))
-    return [values[block].reshape(shape) for block, shape in layout]
+    """The blocks of a ``jet_layout`` from one run of the tape prefix they
+    need, each with the leading point axes of ``assignment`` first."""
+    values = tape.run(assignment, layout[-1][0].stop)
+    points = values.shape[:-1]
+    return [values[..., block].reshape(*points, *shape) for block, shape in layout]
 
 
 def _conjugate_fill(m: int, pairs: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -268,7 +279,7 @@ class KahlerManifold:
     ``d2g[j, i, l, k] = conj(d2g[i, j, k, l])``.  ``tape`` evaluates, in
     this order, all of ``g``, all of ``dg``, and of each conjugate pair of
     ``d2g`` entries the one whose sorted holomorphic pair (i, k) is at most
-    its sorted antiholomorphic pair (j, l).  A point's only work is one
+    its sorted antiholomorphic pair (j, l).  A stack of points takes one
     run of the tape (``tape_values``); ``fill`` then gathers the blocks
     from the outputs and fills ``dgb`` and the other half of ``d2g`` by
     conjugation, at one point (``jets``) or once over a stack of points
@@ -348,7 +359,7 @@ class KahlerManifold:
         for _ in range(8):
             p = self.domain.sample_point(rng, self.m)
             try:
-                value = potential.run(self.assignment(p))[0]
+                value = complex(potential.run(self.assignment(p))[0])
             except ex.EvaluationDomainError:
                 continue
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
@@ -356,29 +367,37 @@ class KahlerManifold:
                     f"potential is not real on the chart: K({p}) = {value}"
                 )
 
-    def assignment(self, p: Sequence[complex]) -> dict[Var, complex]:
-        """Evaluation assignment binding zb_k to the conjugate of z_k."""
-        a: dict[Var, complex] = {}
-        for (z, zb), v in zip(self._variables, np.asarray(p, dtype=complex).tolist()):
-            a[z] = v
-            a[zb] = v.conjugate()
+    def assignment(self, p: Sequence[complex]) -> dict[Var, np.ndarray]:
+        """Evaluation assignment binding zb_k to the conjugate of z_k, at one
+        point ``p`` of shape (m,) or at a stack of them along leading axes."""
+        p = np.asarray(p, dtype=complex)
+        a: dict[Var, np.ndarray] = {}
+        for k, (z, zb) in enumerate(self._variables):
+            a[z] = p[..., k]
+            a[zb] = np.conj(p[..., k])
         return a
 
     def require_in_domain(self, p: Sequence[complex]) -> ChartPoint:
+        """``p`` as a complex array, one point of shape (m,) or a stack of
+        them, checked against the domain; the error names the first point
+        outside it and carries its ``index``."""
         p = np.asarray(p, dtype=complex)
-        if p.shape != (self.m,):
+        if p.ndim not in (1, 2) or p.shape[-1] != self.m:
             raise DomainError(f"point has shape {p.shape}, expected ({self.m},)")
-        if not self.domain.contains(p):
-            raise DomainError(f"point {p} outside chart domain {self.domain}")
+        outside = ~self.domain.contains(p)
+        if outside.any():
+            index = first_index(outside)
+            raise DomainError(f"point {p[index]} outside chart domain {self.domain}", index)
         return p
 
     def sample_point(self, rng: np.random.Generator) -> ChartPoint:
         return self.domain.sample_point(rng, self.m)
 
-    def tape_values(self, p: Sequence[complex], blocks: int = 4) -> list[complex]:
+    def tape_values(self, p: Sequence[complex], blocks: int = 4) -> np.ndarray:
         """The tape outputs that the first ``blocks`` of ``jets`` read at ``p``,
-        from one run of the prefix of the tape that holds them (of
-        ``immersion_tape`` for the fifth block), without validation."""
+        one point or a stack along leading axes, from one run of the prefix
+        of the tape that holds them (of ``immersion_tape`` for the fifth
+        block), without validation."""
         tape = self.immersion_tape if blocks > 4 else self.tape
         return tape.run(self.assignment(p), self._outputs[blocks - 1])
 
@@ -400,8 +419,8 @@ class KahlerManifold:
         return jets
 
     def jets(self, p: Sequence[complex], blocks: int = 4) -> list[np.ndarray]:
-        """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` at ``p``, without
-        validation: ``fill`` of one ``tape_values`` run.
+        """The first ``blocks`` of ``(g, dg, dgb, d2g, ddg)`` at ``p``, one point
+        or a stack, without validation: ``fill`` of one ``tape_values`` run.
 
         Index order: ``g[i, j] = g_{i jbar}``, ``dg[a, i, j] = d_{z_a} g_{i jbar}``,
         ``dgb[b, i, j] = d_{zb_b} g_{i jbar}``,
@@ -489,8 +508,18 @@ def curvature_tensor(
     itself rests on ``KahlerManifold._check_reality`` and on the
     Hermiticity test of ``hermitian_metric``.  Points, metrics and jets may
     stack along leading axes; each point is validated alone, and the error
-    names the first that fails.
+    names the first that fails.  Jets whose ``dg``, ``dgb`` or ``d2g`` hold
+    a value that is not finite fail first, before any product.
     """
+    _, dg, dgb, d2g = jets
+    finite = np.isfinite(dg).all(axis=(-3, -2, -1)) & np.isfinite(dgb).all(axis=(-3, -2, -1))
+    finite &= np.isfinite(d2g).all(axis=(-4, -3, -2, -1))
+    try:
+        _raise_at_first(~finite, p, "metric derivatives not finite")
+    except GeometryError as err:
+        if err.index and (k := err.index[0]):  # an earlier point failing the symmetry test comes first
+            curvature_tensor(p[:k], HermitianMetric(metric.matrix[:k], metric.inverse[:k]), [b[:k] for b in jets])
+        raise
     minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic
     axes = (-4, -3, -2, -1)
@@ -516,8 +545,14 @@ def _raise_at_first(
     naming it, then ``detail`` of its index, and carrying its leading-axis
     ``index``."""
     if np.count_nonzero(bad):
-        index = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        index = first_index(bad)
         raise error(f"{what} at {np.asarray(p)[index]}{detail(index)}", index)
+
+
+def first_index(bad: np.ndarray) -> tuple[int, ...]:
+    """The leading-axis indices of the first point of a stack where ``bad``
+    holds (() for one point)."""
+    return tuple(map(int, np.unravel_index(np.argmax(bad), np.shape(bad))))
 
 
 def ricci_tensor(
@@ -625,13 +660,23 @@ class PointData:
         return np.maximum(*(frame_norm(t) for t in _curvature_terms(self.metric, self.jets)))
 
 
-def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoint, list[complex]]:
-    """The stage of ``point_data`` that runs at each point alone: ``p``
-    checked against the chart domain and one run of the chart's jet tape
-    (``KahlerManifold.tape_values``), each of which can fail at that point.
-    Gives ``p`` and the raw tape outputs."""
+def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoint, np.ndarray]:
+    """The first stage of ``point_data``: ``p``, one point or a stack of
+    them, checked against the chart domain, and one run of the chart's jet
+    tape over all of them (``KahlerManifold.tape_values``).  Gives ``p``
+    and the raw tape outputs, with the points' axis first.  A tape error
+    carries no point index: a run finds the failing point by running this
+    stage again on each point alone."""
     p = manifold.require_in_domain(p)
     return p, manifold.tape_values(p)
+
+
+def join(evaluated: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+    """The blocks of ``point_jets`` results, here or in ``submanifold``,
+    joined along one leading point axis.  Each result is of one point (its
+    first block, the point, is 1-D) or of a stack of points."""
+    stacks = [r if np.ndim(r[0]) > 1 else [block[None] for block in r] for r in evaluated]
+    return tuple(np.concatenate(blocks) for blocks in zip(*stacks))
 
 
 def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) -> PointData:
@@ -653,13 +698,13 @@ def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
 
 
 def stack(manifold: KahlerManifold, evaluated: Sequence[tuple]) -> PointData:
-    """The ``point_jets`` of points of ``manifold`` as one ``PointData`` with
-    a leading point axis: the jets are filled from the tape outputs, and
-    the metric test, curvature, Ricci and tau run, once for all of them.
-    A ``GeometryError`` from any of their tests carries the ``index`` of
-    the first failing point."""
-    points, values = zip(*evaluated)
-    return _tensors(manifold, np.stack(points), manifold.fill(values))
+    """The ``point_jets`` results of points of ``manifold`` (see ``join``)
+    as one ``PointData`` with a leading point axis: the jets are filled
+    from the tape outputs, and the metric test, curvature, Ricci and tau
+    run, once for all of them.  A ``GeometryError`` from any of their tests
+    carries the ``index`` of the first failing point."""
+    points, values = join(evaluated)
+    return _tensors(manifold, points, manifold.fill(values))
 
 
 # One tensor at one point of a chart.  The metric runs only the tape prefix

@@ -11,8 +11,8 @@ value per stacked tangent vector; on a ``PointData`` of a stack of points
 ``CHECKS`` names every sampled manifold check: the least complex dimension
 it needs, the frames it draws, its value on them and how the values reduce
 to residuals.  A sampled run draws from the ``streams`` of one seed.  The
-first draws all the run's chart points; their jet tapes run one point at a
-time, and ``geometry.stack`` then fills their jets and evaluates them as one
+first draws all the run's chart points; the jet tape runs once over all of
+them, and ``geometry.stack`` then fills their jets and evaluates them as one
 stack.  Each check then draws the frames of every point in one call from
 its own stream (``draw``), and computes its values once for the stack.  So
 a seed fixes every residual, and every check of a suite sees the same
@@ -128,7 +128,8 @@ _FRAME_TOL = 1e-8
 
 def _check_antiholomorphic_frame(pd: PointData, vectors: Sequence[RealTangentVector]) -> None:
     gram = _gram(pd.metric.matrix, vectors)
-    bad = (np.abs(gram.real - np.eye(len(vectors))) > _FRAME_TOL) | (np.abs(gram.imag) > _FRAME_TOL)
+    # written as "not within", so that a NaN entry fails too
+    bad = ~((np.abs(gram.real - np.eye(len(vectors))) <= _FRAME_TOL) & (np.abs(gram.imag) <= _FRAME_TOL))
     if bad.any():
         *_, a, b = first = tuple(np.argwhere(bad)[0])
         raise FrameConditionError(
@@ -262,8 +263,8 @@ def sample(
     With ``rng = np.random.default_rng(seed)`` this is the run that
     ``check`` makes at that seed."""
     points_rng, frames = streams(rng)
-    evaluated = [geo.point_jets(manifold, manifold.sample_point(points_rng)) for _ in range(points)]
-    return draw(name, geo.stack(manifold, evaluated), samples, frames[name])
+    stacked = np.array([manifold.sample_point(points_rng) for _ in range(points)])
+    return draw(name, geo.stack(manifold, [geo.point_jets(manifold, stacked)]), samples, frames[name])
 
 
 def _spread(sampled: PointSamples) -> tuple[np.ndarray, float, float]:

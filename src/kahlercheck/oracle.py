@@ -21,13 +21,22 @@ import numpy as np
 from .geometry import KahlerManifold, RealTangentVector
 
 
+# The steps, in units of h, of the four points of ``richardson_derivative``.
+_STEPS = np.array([0.5, -0.5, 1.0, -1.0])
+
+
+def _derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """d/dt at 0 along each direction from ``values`` at the ``h * _STEPS``
+    points of each, stencil axes first: ``(n, 4, ...) -> (n, ...)``; central
+    differences with one Richardson step."""
+    central_half = (values[:, 0] - values[:, 1]) / (2.0 * (h / 2.0))
+    central = (values[:, 2] - values[:, 3]) / (2.0 * h)
+    return (4.0 * central_half - central) / 3.0
+
+
 def richardson_derivative(f: Callable[[float], np.ndarray], h: float) -> np.ndarray:
     """d/dt f at 0 by central differences with one Richardson step."""
-
-    def central(hh: float) -> np.ndarray:
-        return (f(hh) - f(-hh)) / (2.0 * hh)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+    return _derivative(np.array([[f(t) for t in h * _STEPS]]), h)[0]
 
 
 def wirtinger_fd(
@@ -44,53 +53,51 @@ def wirtinger_fd(
 
 
 def real_metric_at(manifold: KahlerManifold, x: np.ndarray) -> np.ndarray:
-    """2m x 2m real metric in (x, y) coordinates from the Hermitian matrix.
+    """2m x 2m real metric in (x, y) coordinates from the Hermitian matrix,
+    at one real point ``x`` or at a stack of them along leading axes.
 
     Blocks: ``gamma_xx = gamma_yy = 2 Re g`` and ``gamma_xy = 2 Im g``.
     """
     m = manifold.m
-    g = manifold.metric_matrix(x[:m] + 1j * x[m:])
+    g = manifold.metric_matrix(x[..., :m] + 1j * x[..., m:])
     re, im = 2.0 * g.real, 2.0 * g.imag
-    return np.block([[re, im], [im.T, re]])
+    return np.block([[re, im], [np.swapaxes(im, -1, -2), re]])
 
 
-def _metric_partials(manifold: KahlerManifold, x: np.ndarray, h: float) -> np.ndarray:
-    n = 2 * manifold.m
-    dgamma = np.empty((n, n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        dgamma[a] = richardson_derivative(
-            lambda t: real_metric_at(manifold, x + t * e), h
-        )
-    return dgamma
+def _stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The points ``x + t e_a`` at which ``richardson_derivative`` evaluates
+    along each coordinate direction ``a``, shape ``(n, 4, *x.shape)``, so
+    that a metric of the whole stencil is one tape run."""
+    n = x.shape[-1]
+    steps = (h * _STEPS)[:, None] * np.eye(n)[:, None, :]
+    return x + steps.reshape(n, 4, *[1] * (x.ndim - 1), n)
 
 
 def real_christoffel_fd(manifold: KahlerManifold, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Levi-Civita symbols ``Gamma^c_{ab}`` of the real metric, index [c,a,b]."""
-    gamma = real_metric_at(manifold, x)
+    """Levi-Civita symbols ``Gamma^c_{ab}`` of the real metric, index [c,a,b],
+    at ``x`` or at a stack of points; the metric at the points and at their
+    stencils is one tape run."""
+    n = x.shape[-1]
+    metrics = real_metric_at(manifold, np.concatenate([x[None], _stencil(x, h).reshape(4 * n, *x.shape)]))
+    gamma = metrics[0]
+    # dg[..., a, b, d] = d_a g_bd
+    dg = np.moveaxis(_derivative(metrics[1:].reshape(n, 4, *gamma.shape), h), 0, -3)
     ginv = np.linalg.inv(gamma)
-    dg = _metric_partials(manifold, x, h)
     # Gamma^c_ab = 1/2 g^{cd} (d_a g_bd + d_b g_ad - d_d g_ab)
     return 0.5 * (
-        np.einsum("cd,abd->cab", ginv, dg)
-        + np.einsum("cd,bad->cab", ginv, dg)
-        - np.einsum("cd,dab->cab", ginv, dg)
+        np.einsum("...cd,...abd->...cab", ginv, dg)
+        + np.einsum("...cd,...bad->...cab", ginv, dg)
+        - np.einsum("...cd,...dab->...cab", ginv, dg)
     )
 
 
 def riemann_tensor_fd(manifold: KahlerManifold, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Fully lowered Riemann tensor ``Riem[a,b,c,d]`` by nested differences."""
-    n = 2 * manifold.m
+    """Fully lowered Riemann tensor ``Riem[a,b,c,d]`` by nested differences;
+    the Christoffel symbols at every point of the stencil of ``x`` are one
+    stacked evaluation."""
     gamma = real_metric_at(manifold, x)
     chr0 = real_christoffel_fd(manifold, x, h)
-    dchr = np.empty((n, n, n, n))
-    for a in range(n):
-        e = np.zeros(n)
-        e[a] = 1.0
-        dchr[a] = richardson_derivative(
-            lambda t: real_christoffel_fd(manifold, x + t * e, h), h
-        )
+    dchr = _derivative(real_christoffel_fd(manifold, _stencil(x, h), h), h)
     # riem_up[a,b,c,f] = d_a Gamma^f_bc - d_b Gamma^f_ac
     #                    + Gamma^e_bc Gamma^f_ae - Gamma^e_ac Gamma^f_be
     riem_up = (

@@ -15,13 +15,13 @@ respect to the ambient metric and never require a choice of normal frame.
 They act on vectors stacked along the last axis, and the Codazzi residuals
 of all index triples at a point come back as one (n, n, n) array.
 
-A state is made in two stages.  ``point_jets`` runs at each parameter
-point alone: the box test, one run of the immersion's tape with the test
-that f(u) lies in the ambient chart domain, and one run of the ambient
-``immersion_tape`` at f(u).  ``stack`` joins the results of a run's points
-and runs the metric test and the rank test of the differential once over
-them, giving one ``_State`` with a leading point axis; ``state`` runs the
-same two stages at one point, with no leading axis.  The derived fields
+A state is made in two stages.  ``point_jets`` runs once over the stack of
+a run's parameter points: the box test, one run of the immersion's tape
+with the test that f(u) lies in the ambient chart domain, and one run of
+the ambient ``immersion_tape`` at f(u).  ``stack`` joins its results and
+runs the metric test and the rank test of the differential once over them,
+giving one ``_State`` with a leading point axis; ``state`` runs the same
+two stages at one point, with no leading axis.  The derived fields
 (connection, second fundamental form, mean curvature and their derivatives)
 are computed once, on first use, by formulas that broadcast over leading
 axes, so a stack derives each field once for all its points, and per point
@@ -70,9 +70,10 @@ class ParameterBox:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains(self, u: Sequence[float]) -> bool:
+    def contains(self, u: Sequence[float]) -> np.ndarray:
+        """Whether each point of ``u``, one or a stack along leading axes, is inside."""
         u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= np.asarray(self.lo) - 1e-12) and np.all(u <= np.asarray(self.hi) + 1e-12))
+        return np.all((u >= np.asarray(self.lo) - 1e-12) & (u <= np.asarray(self.hi) + 1e-12), axis=-1)
 
     def sample(self, rng: np.random.Generator, points: int | None = None) -> np.ndarray:
         """Uniform draw from the box shrunk by ``_SAMPLE_MARGIN`` of each side:
@@ -142,31 +143,41 @@ class Immersion:
         self.tape = dag.lower(f + df + d2f + d3f)
         self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))
 
-    def assignment(self, u: Sequence[float]) -> dict[Var, complex]:
-        return {v: complex(val) for v, val in zip(self._variables, u)}
+    def assignment(self, u: Sequence[float]) -> dict[Var, np.ndarray]:
+        """Evaluation assignment at one parameter point ``u`` of shape (n,),
+        or at a stack of them along leading axes."""
+        u = np.asarray(u, dtype=float)
+        return {v: u[..., a].astype(complex) for a, v in enumerate(self._variables)}
 
     def require_in_box(self, u: Sequence[float]) -> np.ndarray:
+        """``u``, one parameter point of shape (n,) or a stack of them,
+        checked against the box; the error names the first point outside."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
+        if u.ndim not in (1, 2) or u.shape[-1] != self.n:
             raise ParameterDomainError(
                 f"parameter point has shape {u.shape}, expected ({self.n},)"
             )
-        if not self.domain.contains(u):
-            raise ParameterDomainError(f"parameter point {u} outside the box")
+        outside = ~self.domain.contains(u)
+        if outside.any():
+            raise ParameterDomainError(f"parameter point {u[geo.first_index(outside)]} outside the box")
         return u
 
     def jets(self, u: Sequence[float], blocks: int = 4) -> list[np.ndarray]:
-        """The first ``blocks`` of ``(f, df, d2f, d3f)`` at ``u``, from one tape run.
+        """The first ``blocks`` of ``(f, df, d2f, d3f)`` at ``u``, one point or
+        a stack along leading axes, from one tape run.
 
-        ``f`` has shape (m,) and is checked against the ambient chart domain;
-        ``df[a] = df/du_a`` has shape (n, m), ``d2f[a, b]`` shape (n, n, m)
-        and ``d3f[x, a, b] = d/du_x d2f[a, b]`` shape (n, n, n, m).
+        ``f`` has shape (m,) and is checked against the ambient chart domain,
+        the error naming the first point that leaves it; ``df[a] = df/du_a``
+        has shape (n, m), ``d2f[a, b]`` shape (n, n, m) and
+        ``d3f[x, a, b] = d/du_x d2f[a, b]`` shape (n, n, n, m), each after
+        the leading axes of ``u``.
         """
+        u = np.asarray(u)
         jets = geo.run_jets(self.tape, self.assignment(u), self._jets[:blocks])
-        if not self.ambient.domain.contains(jets[0]):
-            raise DomainError(
-                f"immersion leaves the ambient chart domain at u={np.asarray(u)}"
-            )
+        outside = ~self.ambient.domain.contains(jets[0])
+        if outside.any():
+            index = geo.first_index(outside)
+            raise DomainError(f"immersion leaves the ambient chart domain at u={u[index]}", index)
         return jets
 
     def value(self, u: Sequence[float]) -> np.ndarray:
@@ -284,13 +295,16 @@ _RANK_TOL = 1e-8
 
 
 def point_jets(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, ...]:
-    """The stage of a state that runs at each parameter point alone: ``u``
-    checked against the box, one run of the immersion's tape with the test
-    that f(u) lies in the ambient chart domain, and one run of the ambient
-    ``immersion_tape`` at f(u), each of which can fail at that point.
+    """The first stage of a state: ``u``, one parameter point or a stack of
+    them, checked against the box, one run of the immersion's tape over all
+    of them with the test that f(u) lies in the ambient chart domain, and
+    one run of the ambient ``immersion_tape`` at f(u).  A tape error carries
+    no point index: a run finds the failing point by running this stage
+    again on each point alone.
 
     Gives ``u``, the immersion jets ``(f, df, d2f, d3f)`` and the ambient
-    jets ``(g, dg, dgb, d2g, ddg)`` as one flat tuple.
+    jets ``(g, dg, dgb, d2g, ddg)`` as one flat tuple, the points' axis
+    first in each.
     """
     u = imm.require_in_box(u)
     jets = imm.jets(u)
@@ -309,7 +323,7 @@ def _require_rank(u: np.ndarray, tangents: np.ndarray) -> None:
     smallest = np.where(finite, singular[..., -1], np.nan)
     bad = ~(smallest >= _RANK_TOL)
     if np.any(bad):
-        index = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        index = geo.first_index(bad)
         raise RankError(
             f"immersion differential rank deficient at u={u[index]}: "
             f"smallest singular value {smallest[index]:.3e}",
@@ -344,12 +358,12 @@ def state(imm: Immersion, u: Sequence[float]) -> _State:
 
 
 def stack(imm: Immersion, evaluated: Sequence[tuple]) -> _State:
-    """The ``point_jets`` of points of ``imm`` as one state with a leading
-    point axis: the metric and rank tests run once for all of them, each
-    derived field is computed once, and a check gives one residual per
-    point.  A ``GeometryError`` from a test, or from the ambient curvature,
-    carries the ``index`` of the first failing point."""
-    return _tested(imm, *(np.stack(block) for block in zip(*evaluated)))
+    """The ``point_jets`` results of points of ``imm`` (see ``geometry.join``)
+    as one state with a leading point axis: the metric and rank tests run
+    once for all of them, each derived field is computed once, and a check
+    gives one residual per point.  A ``GeometryError`` from a test, or from
+    the ambient curvature, carries the ``index`` of the first failing point."""
+    return _tested(imm, *geo.join(evaluated))
 
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
@@ -461,7 +475,7 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     if points < 1:
         raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
     us = imm.domain.sample(rng, points)
-    return float(np.max(_parallel_h_residual(stack(imm, [point_jets(imm, u) for u in us]))))
+    return float(np.max(_parallel_h_residual(stack(imm, [point_jets(imm, us)]))))
 
 
 # The residual of each immersion check per point of a state (see ``stack``);

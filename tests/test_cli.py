@@ -149,11 +149,11 @@ def test_codazzi_check_on_builtin_sphere():
     "check", ["umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical"]
 )
 def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
-    # One per-point stage per parameter point: the derivatives of alpha and
-    # H along every direction are closed forms in the jets of that point,
-    # shared by every index triple.  The ambient curvature is evaluated once
-    # per point, from the same jets, in one call on the stack of the run's
-    # points, so the ambient immersion tape runs once per point.
+    # One per-point stage per run, on the stack of its parameter points: the
+    # derivatives of alpha and H along every direction are closed forms in
+    # the jets, shared by every index triple.  The ambient curvature is
+    # evaluated once, from the same jets, in one call on the stack, and each
+    # tape runs once for all the points.
     imm = models.load_immersion("builtin:linear-flat3")
     evaluated, curvatures, runs = [], [], []
     real_point_jets, real_curvature, real_run = sub.point_jets, geo.curvature_tensor, ex.Tape.run
@@ -163,9 +163,9 @@ def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     points = 2
     cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=points, seed=3)
     assert cli._run_loaded(cfg, imm)[0].passed
-    assert len(evaluated) == points
+    assert [len(u) for _, u in evaluated] == [points]
     assert [len(a[0]) for a in curvatures] == ([points] if check.startswith("codazzi") else [])
-    assert sum(tape is imm.ambient.immersion_tape for tape in runs) == len(evaluated)
+    assert runs == [imm.tape, imm.ambient.immersion_tape]
     # The chart's own jet tape is never lowered, so it never runs.
     assert "tape" not in vars(imm.ambient)
     assert not any(tape is imm.ambient.tape for tape in runs)
@@ -499,8 +499,8 @@ def test_a_stacked_stage_error_names_its_first_failing_point(first, monkeypatch)
 
 
 def test_one_curvature_and_one_ricci_call_per_manifold_run(monkeypatch):
-    # The jet tape runs at each point; curvature and Ricci run once, on the
-    # stack of all the run's points.
+    # The jet tape, curvature and Ricci each run once, on the stack of all
+    # the run's points.
     manifold = models.load_manifold("builtin:fs:3")
     calls, runs = [], []
     for name in ("curvature_tensor", "ricci_tensor"):
@@ -519,12 +519,12 @@ def test_one_curvature_and_one_ricci_call_per_manifold_run(monkeypatch):
         cfg = RunConfig(manifold=manifold.name, check=check, points=4, samples=3, seed=2)
         cli._run_loaded(cfg, manifold)
         assert calls == [("curvature_tensor", 4), ("ricci_tensor", 4)], check
-        assert runs == [manifold.tape] * 4, check
+        assert runs == [manifold.tape], check
 
 
 def test_a_suite_evaluates_its_points_once(monkeypatch):
-    # Seven checks share one point set: one tape run per point, and one
-    # metric test, curvature and Ricci for the whole stack.
+    # Seven checks share one point set: one tape run, metric test,
+    # curvature and Ricci for the whole stack.
     manifold = models.load_manifold("builtin:fs:3")
     monkeypatch.setattr(models, "load_manifold", lambda source: manifold)
     calls, runs = [], []
@@ -541,7 +541,7 @@ def test_a_suite_evaluates_its_points_once(monkeypatch):
     reports, _ = run_suite("builtin:fs:3", points=4, samples=3, seed=2)
     assert len(reports) == len(MANIFOLD_CHECKS)
     assert calls == ["hermitian_metric", "curvature_tensor", "ricci_tensor"]
-    assert runs == [manifold.tape] * 4
+    assert runs == [manifold.tape]
 
 
 @pytest.mark.parametrize("bad", [0, 2])
@@ -583,14 +583,15 @@ def test_a_check_run_equals_its_report_in_the_suite(source):
         assert key(alone) == key(report), report.check
 
 
-def _stubbed_jets(monkeypatch, manifold, failing_call):
-    """Make the ``failing_call``-th jet tape run of the per-point stage
-    (counted from 0) raise."""
-    real, calls = manifold.tape_values, []
+def _stubbed_jets(monkeypatch, manifold, failing):
+    """Make the jet tape raise on any stack that holds the ``failing``-th
+    point of the run (counted from 0); the run's first tape call is on the
+    stack of all its points."""
+    real, stacks = manifold.tape_values, []
 
     def tape_values(p, *a):
-        calls.append(p)
-        if len(calls) - 1 == failing_call:
+        stacks.append(p)
+        if any(np.array_equal(q, stacks[0][failing]) for q in p):
             raise ValueError("stub tape failure")
         return real(p, *a)
 
@@ -746,8 +747,8 @@ def test_immersion_worst_cases_run_the_tape_once_each(monkeypatch):
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     cfg = RunConfig(manifold=None, check="umbilical", immersion=imm.name, points=3, seed=5)
     report, residuals = cli._run_loaded(cfg, imm)
-    # One state per point serves the check and the report.
-    assert sum(tape is imm.tape for tape in runs) == 3
+    # One stacked state serves the check and the report: one tape run.
+    assert sum(tape is imm.tape for tape in runs) == 1
     assert len(report.worst_cases) == 3
     assert np.array_equal(residuals, [case.residual for case in report.worst_cases])
     for case in report.worst_cases:
@@ -805,20 +806,23 @@ def test_parallel_h_check_is_the_run_of_its_check():
 
 
 def _broken_point_jets(monkeypatch, metric=(), rank=(), fail=None):
-    """Make the per-point stage give an indefinite metric at the calls in
-    ``metric``, a zero differential at those in ``rank``, and raise at call
-    ``fail``, all counted from 0."""
-    real, calls = sub.point_jets, []
+    """Make the per-point stage give an indefinite metric at the points of
+    the run in ``metric``, a zero differential at those in ``rank``, and
+    raise on any stack that holds point ``fail``, all counted from 0 by
+    their position in the run; its first call is on the stack of all of them."""
+    real, stacks = sub.point_jets, []
 
     def point_jets(imm, u):
-        calls.append(u)
-        if len(calls) - 1 == fail:
+        stacks.append(u)
+        where = [next(k for k, v in enumerate(stacks[0]) if np.array_equal(v, row)) for row in u]
+        if fail in where:
             raise ValueError("stub tape failure")
         u, f, df, *rest = (np.copy(x) for x in real(imm, u))
-        if len(calls) - 1 in metric:
-            rest[2] = -rest[2]  # the ambient metric g
-        if len(calls) - 1 in rank:
-            df[...] = 0
+        for row, k in enumerate(where):
+            if k in metric:
+                rest[2][row] = -rest[2][row]  # the ambient metric g
+            if k in rank:
+                df[row] = 0
         return (u, f, df, *rest)
 
     monkeypatch.setattr(sub, "point_jets", point_jets)
@@ -869,6 +873,49 @@ def test_an_indefinite_ambient_metric_names_its_parameter_point(tmp_path, capsys
         "smallest eigenvalue -1.636621e-01\n"
     )
     assert captured.out == ""
+
+
+def test_an_immersion_far_outside_a_ball_chart_is_named_quietly(tmp_path, capsys, recwarn):
+    # |f| is about 1e157 to 1e165: finite, but its square overflows, which
+    # must read as outside the ball without a numpy warning.
+    path = tmp_path / "far.immersion"
+    path.write_text(
+        'ambient = builtin:chyp:2\nparameters = 2\ncomponent1 = "exp(400*u1)"\ncomponent2 = "u2"\n'
+        "domain = box 0.9 0.95 -0.5 0.5\n"
+    )
+    assert main(["check", "umbilical", "--immersion", str(path), "--seed", "4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: umbilical: point 0 of 5, seed 4: "
+        "immersion leaves the ambient chart domain at u=[0.94493752 0.0101948 ]\n"
+    )
+    assert not recwarn.list
+
+
+# exp(1000 |z1|^2) overflows towards the rim of the unit ball: its tape
+# raises there, or, where a product overflows silently, gives jets that are
+# not finite.
+OVERFLOW_SPEC = 'dimension = 1\npotential = "exp(1000*z1*zb1)"\ndomain = ball 1.0\n'
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (3, "point 0 of 5, seed 3: overflow in subexpression 'exp(1000.0 * z1 * zb1)'"),
+        (5, "point 3 of 5, seed 5: metric not finite at [0.00882007-0.83854463j]"),
+        (7, "point 3 of 5, seed 7: metric derivatives not finite at [0.74523309-0.36824493j]"),
+        (8, "point 2 of 5, seed 8: overflow in subexpression 'exp(1000.0 * z1 * zb1)'"),
+        (11, "point 3 of 5, seed 11: overflow in subexpression 'exp(1000.0 * z1 * zb1)'"),
+    ],
+)
+def test_an_overflowing_potential_names_its_point_and_fault(seed, message, tmp_path, capsys, recwarn):
+    # The points and faults that evaluating one point at a time named; at
+    # seed 7 the metric is finite but its derivatives are not, which the
+    # curvature reports before any product, with no numpy warning.
+    path = tmp_path / "overflow.manifold"
+    path.write_text(OVERFLOW_SPEC)
+    assert main(["check", "einstein", "--manifold", str(path), "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == f"error: einstein: {message}\n"
+    assert not recwarn.list
 
 
 def test_immersion_worst_cases_own_their_arrays():

@@ -363,6 +363,57 @@ def test_tape_prefix_runs_only_the_ops_it_needs():
         tape.run({ex.z(1): 1 + 0j})
 
 
+def _stack_tape(text):
+    dag = ex.Dag()
+    return dag.lower([dag.intern_id(ex.parse_expression(text, 2, ("z",)))])
+
+
+@pytest.mark.parametrize(
+    "text, bad, message",
+    [
+        ("log(z1)", 0j, "log of zero in subexpression 'log(z1)'"),
+        ("z2 / z1", 0j, "division by zero in subexpression 'z2 / z1'"),
+        ("z1^-2", 0j, "zero raised to a negative power in subexpression 'z1^-2'"),
+        ("z1^3", 1e200 + 0j, "overflow in subexpression 'z1^3'"),
+        ("exp(z1)", 1e3 + 0j, "overflow in subexpression 'exp(z1)'"),
+        # a silent overflow first (Python's * allows it), then inf / 0
+        ("z1 * z1 / (z1 - 1e200)", 1e200 + 0j, "division by zero in subexpression 'z1 * z1 / (z1 - 1e+200)'"),
+    ],
+)
+def test_a_stacked_run_raises_the_fault_of_its_failing_point(text, bad, message):
+    # One run over a stack whose third point fails: the op's Python operator
+    # names the fault, with the text a run at that point alone gives.
+    tape = _stack_tape(text)
+    z1 = np.array([0.5, 2j, bad, 0.25])
+    a = {ex.z(1): z1, ex.z(2): np.ones(4, complex)}
+    with pytest.raises(EvaluationDomainError) as stacked:
+        tape.run(a)
+    with pytest.raises(EvaluationDomainError) as alone:
+        tape.run({ex.z(1): bad, ex.z(2): 1 + 0j})
+    assert str(stacked.value) == str(alone.value) == message
+    good = tape.run({ex.z(1): z1[[0, 1, 3]], ex.z(2): np.ones(3, complex)})
+    assert good.shape == (3, 1) and np.isfinite(good).all()
+
+
+def test_a_silent_overflow_gives_inf_with_no_error(recwarn):
+    # Python lets a complex * overflow through; so does the tape, without a
+    # warning, and the other points of the stack keep their values.
+    tape = _stack_tape("z1 * z1")
+    got = tape.run({ex.z(1): np.array([3 + 0j, 1e200 + 0j]), ex.z(2): np.zeros(2, complex)})
+    assert got[0, 0] == 9 and np.isinf(got[1, 0].real)
+    assert not recwarn.list
+
+
+def test_a_run_has_the_shape_of_its_assignment():
+    # One point gives (outputs,); a stack gives its axes first, even on a
+    # tape whose outputs are all constants.
+    dag = ex.Dag()
+    tape = dag.lower([dag.intern_id(ex.parse_expression(t, 1, ("z",))) for t in ("z1 + 1", "2")])
+    assert tape.run({ex.z(1): 1j}).shape == (2,)
+    assert tape.run({ex.z(1): np.zeros((3, 2), complex)}).shape == (3, 2, 2)
+    assert np.array_equal(tape.run({ex.z(1): np.zeros(3, complex)}, 2)[:, 1], [2, 2, 2])
+
+
 def test_metric_prefix_equals_g_slice_of_full_run(fs3, product, rng):
     for manifold in (fs3, product):
         m = manifold.m
@@ -378,44 +429,45 @@ def test_metric_prefix_equals_g_slice_of_full_run(fs3, product, rng):
         assert np.array_equal(np.array(stored), full[m * m + m**3 :])
 
 
+# The ufunc and the Python operator of each node op.
+_OPS = {
+    "neg": (np.negative, lambda v: -v), "log": (np.log, cmath.log), "exp": (np.exp, cmath.exp),
+    "+": (np.add, lambda l, r: l + r), "-": (np.subtract, lambda l, r: l - r),
+    "*": (np.multiply, lambda l, r: l * r), "/": (np.divide, lambda l, r: l / r),
+}
+
+
 def _reference_evaluate(e, a):
-    """Recursive evaluator: the semantics the tape must reproduce."""
+    """Recursive evaluator: the semantics the tape must reproduce.  A node's
+    value is the numpy ufunc of its op on one-element arrays of its
+    operands; where the node's Python operator raises on the same operands,
+    the node fails with the error a recursive Python evaluation raises."""
     if isinstance(e, Const):
-        return complex(e.value)
+        return np.array([complex(e.value)])
     if isinstance(e, Var):
-        return complex(a[e])
-    if isinstance(e, Unary):
-        v = _reference_evaluate(e.arg, a)
-        if e.op == "neg":
-            return -v
-        if e.op == "exp":
-            return _no_overflow(cmath.exp, e, v)
-        if v == 0:
-            raise EvaluationDomainError("log of zero", e)
-        return cmath.log(v)
-    if isinstance(e, Binary):
-        l = _reference_evaluate(e.left, a)
-        r = _reference_evaluate(e.right, a)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if r == 0:
-            raise EvaluationDomainError("division by zero", e)
-        return l / r
-    b = _reference_evaluate(e.base, a)
-    if b == 0 and e.exponent < 0:
-        raise EvaluationDomainError("zero raised to a negative power", e)
-    return _no_overflow(pow, e, b, e.exponent)
-
-
-def _no_overflow(fn, node, *args):
+        return np.array([complex(a[e])])
+    if isinstance(e, Power):
+        b = _reference_evaluate(e.base, a)
+        ufunc, fn, args, python = np.power, pow, [b, np.array([complex(e.exponent)])], [b[0].item(), e.exponent]
+    else:
+        children = [e.arg] if isinstance(e, Unary) else [e.left, e.right]
+        args = [_reference_evaluate(c, a) for c in children]
+        (ufunc, fn), python = _OPS[e.op], [x[0].item() for x in args]
     try:
-        return fn(*args)
+        fn(*python)
     except OverflowError:
-        raise EvaluationDomainError("overflow", node) from None
+        raise EvaluationDomainError("overflow", e) from None
+    except (ZeroDivisionError, ValueError):
+        fault = {"log": "log of zero", "/": "division by zero", "^": "zero raised to a negative power"}
+        if (op := getattr(e, "op", "^")) not in fault:
+            raise
+        raise EvaluationDomainError(fault[op], e) from None
+    with np.errstate(all="ignore"):
+        return ufunc(*args)
+
+
+def _reference_value(e, a):
+    return _reference_evaluate(e, a)[0]
 
 
 def _outcome(fn, *args):
@@ -464,7 +516,7 @@ def test_tape_matches_reference_evaluator(tree, values):
     for i, v in enumerate(values, start=1):
         a[ex.z(i)] = complex(v)
         a[ex.zb(i)] = complex(v).conjugate()
-    kind, want = _outcome(_reference_evaluate, tree, a)
+    kind, want = _outcome(_reference_value, tree, a)
     got_kind, got = _outcome(evaluate, tree, a)
     assert got_kind == kind
     if kind == "value":
@@ -474,7 +526,7 @@ def test_tape_matches_reference_evaluator(tree, values):
     # Several roots in one tape: every prefix gives the reference values.
     children = (getattr(tree, name, None) for name in ("left", "right", "arg", "base"))
     roots = [tree] + [c for c in children if c is not None]
-    outcomes = [_outcome(_reference_evaluate, r, a) for r in roots]
+    outcomes = [_outcome(_reference_value, r, a) for r in roots]
     dag = ex.Dag()
     tape = dag.lower([dag.intern_id(r) for r in roots])
     for k in range(1, len(roots) + 1):

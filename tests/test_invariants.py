@@ -100,6 +100,20 @@ def test_frame_error_names_the_first_bad_pair(fs3, rng):
         inv.lemma_residual(pd, x, x.j(), y)
 
 
+def test_a_frame_with_a_nan_component_is_rejected(fs3, rng):
+    # A NaN fails the frame test rather than passing it as "not too far".
+    p = fs3.sample_point(rng)
+    pd = inv.point_data(fs3, p)
+    frame = geo.orthonormal_antiholomorphic_frame(fs3, p, 3, rng, pd.metric)
+    broken = frame[2].components.copy()
+    broken[1] = np.nan
+    frame[2] = geo.tangent(broken)
+    with pytest.raises(inv.FrameConditionError, match=r"pair 0,2: g=nan"):
+        inv.lemma_residual(pd, *frame)
+    with pytest.raises(inv.FrameConditionError, match=r"pair 0,2: g=nan"):
+        inv.basis_sum(pd, frame)
+
+
 def test_lemma_bochner_equivalence_at_sampling_fidelity(
     flat3, fs3, chyp3, product, rng
 ):
