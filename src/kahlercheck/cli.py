@@ -17,12 +17,13 @@ the first draws every chart point, and one per check draws that check's
 frames.  A suite evaluates one set of points for all its checks, so
 ``check X --seed s`` gives the X report of ``suite --seed s``.  An
 immersion run draws all its parameter points in one call of one generator
-seeded with ``--seed``.  Both kinds of run go points first (``_points_first``):
-the domain tests and each tape run once over the stack of all the run's
-points, then the tests of the stack run once.  On a manifold the first
-stage is the domain test and the jet tape; the jets of the run are filled
-from the tape outputs once, over the stack.  Only when the first stage
-raises does it run again point by point, to name the point that fails.
+seeded with ``--seed``.  Every check is one entry of ``invariants.CHECKS``,
+and only a run's points stage (``_run_points``) knows its kind.  Both kinds
+go points first (``_points_first``): the domain tests and each tape run once
+over the stack of all the run's points, then the tests of the stack run
+once.  Only when the first stage raises does it run again point by point,
+to name the point that fails.  From the stack on, every check takes one
+path: ``invariants.draw``, ``invariants.reduce_samples``, a ``CheckReport``.
 A report is a deterministic function of its RunConfig (up to the timestamp
 field).
 """
@@ -45,12 +46,7 @@ from . import geometry as geo
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
-from .invariants import MANIFOLD_CHECKS, CheckReport
-
-IMMERSION_CHECKS = tuple(sub.CHECKS)
-ALL_CHECKS = MANIFOLD_CHECKS + IMMERSION_CHECKS
-# How the values of each check reduce to residuals (see ``invariants.reduce_samples``).
-_REDUCE = {name: sub.REDUCE for name in IMMERSION_CHECKS} | {n: c.reduce for n, c in inv.CHECKS.items()}
+from .invariants import IMMERSION_CHECKS, MANIFOLD_CHECKS, CheckReport  # IMMERSION_CHECKS: re-exported
 
 
 class ConfigError(ValueError):
@@ -59,11 +55,14 @@ class ConfigError(ValueError):
 
 class PointError(Exception):
     """A check failed at one of its sample points: the ``index``-th, counted
-    from 0, of the run with ``seed``.  The original error is the cause."""
+    from 0, of the run with ``seed``.  ``stage`` is the stage of the run
+    that raised: "points" (the domain test and the tapes, at the point
+    alone), "stack" (the tests and fields of the stacked points) or "check"
+    (the check's frames and values).  The original error is the cause."""
 
-    def __init__(self, cfg: RunConfig, index: int, err: Exception):
+    def __init__(self, cfg: RunConfig, stage: str, index: int, err: Exception):
         super().__init__(f"{cfg.check}: point {index} of {cfg.points}, seed {cfg.seed}: {err}")
-        self.check, self.index, self.seed = cfg.check, index, cfg.seed
+        self.check, self.index, self.seed, self.stage = cfg.check, index, cfg.seed, stage
 
 
 @dataclass
@@ -78,14 +77,14 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.check not in ALL_CHECKS:
+        if self.check not in inv.CHECKS:
             raise ConfigError(
-                f"unknown check {self.check!r}; known: {', '.join(ALL_CHECKS)}"
+                f"unknown check {self.check!r}; known: {', '.join(inv.CHECKS)}"
             )
         if self.points < 1 or self.samples < 1:
             raise ConfigError("points and samples must be >= 1")
         # A standard deviation or a spread of one value is 0 whatever the chart.
-        how = _REDUCE[self.check]
+        how = inv.CHECKS[self.check].reduce
         if {"std": self.samples, "spread": self.points * self.samples}.get(how, 2) < 2:
             what = "samples" if how == "std" else "points x samples"
             raise ConfigError(f"check {self.check!r} needs {what} >= 2")
@@ -97,13 +96,13 @@ class RunConfig:
 
 
 @contextmanager
-def _first_failing_point(cfg: RunConfig):
+def _first_failing_point(cfg: RunConfig, stage: str):
     """A ``GeometryError`` of a test run on a stack of points, re-raised as
-    a ``PointError`` naming the first point that failed it."""
+    a ``PointError`` of ``stage`` naming the first point that failed it."""
     try:
         yield
     except geo.GeometryError as err:
-        raise PointError(cfg, err.index[0], err) from err
+        raise PointError(cfg, stage, err.index[0], err) from err
 
 
 def _points_first(cfg: RunConfig, points: np.ndarray, evaluate: Callable, join: Callable):
@@ -125,24 +124,35 @@ def _points_first(cfg: RunConfig, points: np.ndarray, evaluate: Callable, join: 
                 found.append(evaluate(points[index : index + 1]))
             except Exception as err:  # re-raised with where it happened
                 if found:
-                    with _first_failing_point(cfg):
+                    with _first_failing_point(cfg, "stack"):
                         join(found)
-                raise PointError(cfg, index, err) from err
-    with _first_failing_point(cfg):
+                raise PointError(cfg, "points", index, err) from err
+    with _first_failing_point(cfg, "stack"):
         return join(found)
 
 
-def _manifold_points(cfg: RunConfig, manifold: inv.KahlerManifold) -> tuple[inv.PointData, dict]:
-    """The points of a manifold run as one stacked ``PointData``, and the
-    generator of each check's frames (``inv.streams`` of ``cfg.seed``).
+def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
+    """The points stage of a run, the one stage that knows the kind of its
+    target: the target's name in the report, the run's points as one stack,
+    and the generator of each manifold check's frames.
 
-    The points are drawn one by one, then checked against the domain and
-    run through the jet tape as one stack; the fill of the jets from the
-    tape outputs, the metric test, curvature and Ricci then run once over
-    the stack."""
+    A manifold run draws its points one by one from ``inv.streams`` of
+    ``cfg.seed``, then ``geo.point_jets`` and ``geo.stack`` evaluate them;
+    an immersion run draws them in one call of one generator seeded with
+    ``cfg.seed``, then ``sub.point_jets`` and ``sub.stack`` evaluate them."""
+    check = inv.CHECKS[cfg.check]
+    kind = "immersion" if isinstance(target, sub.Immersion) else "manifold"
+    if kind != check.kind:
+        raise ConfigError(f"check {cfg.check!r} needs a target of kind {check.kind}, got the {kind} {target.name!r}")
+    if kind == "immersion":
+        us = target.domain.sample(np.random.default_rng(cfg.seed), cfg.points)
+        run = _points_first(cfg, us, partial(sub.point_jets, target), partial(sub.stack, target))
+        return f"{target.ambient.name}::{target.name}", run, {}
+    if target.m < check.min_dim:
+        raise ConfigError(f"check {cfg.check!r} needs complex dimension >= {check.min_dim} (got m={target.m})")
     rng, frames = inv.streams(np.random.default_rng(cfg.seed))
-    points = np.array([manifold.sample_point(rng) for _ in range(cfg.points)])
-    return _points_first(cfg, points, partial(geo.point_jets, manifold), partial(geo.stack, manifold)), frames
+    points = np.array([target.sample_point(rng) for _ in range(cfg.points)])
+    return target.name, _points_first(cfg, points, partial(geo.point_jets, target), partial(geo.stack, target)), frames
 
 
 def _run_loaded(
@@ -152,34 +162,17 @@ def _run_loaded(
 
     Returns the report and one array of the values it was reduced from:
     every sample of a manifold check, one per point of an immersion check.
-    Both kinds run in two stages (``_points_first``).  The run's points are
-    first evaluated as one stack (the domain tests and the tapes); an error
-    there is raised as a ``PointError`` naming the first point that fails
-    alone.  The remaining tests, the curvature and the check's values (with
-    a manifold check's frames) are then computed once for all of them; a
-    ``GeometryError`` there names its first failing point in the same way.
-    A manifold run draws its points and frames from ``inv.streams``; a suite
-    passes the ``_manifold_points`` its checks share as ``shared``.  An
-    immersion run draws its parameter points in one call of one generator
-    seeded with ``cfg.seed``; its stacked stage runs the metric and rank
-    tests (``sub.stack``).
+    The points stage (``_run_points``, or the ``shared`` one of a suite)
+    gives the run's points as one stack; then, for either kind, ``inv.draw``
+    computes the check's frames and values once for all of them.  A
+    ``PointError`` names the stage that failed (see its ``stage``).
     """
-    on_manifold = cfg.check in MANIFOLD_CHECKS
-    if on_manifold and target.m < (need := inv.CHECKS[cfg.check].min_dim):
-        raise ConfigError(f"check {cfg.check!r} needs complex dimension >= {need} (got m={target.m})")
-    if on_manifold:
-        pd, frames = shared or _manifold_points(cfg, target)
-        with _first_failing_point(cfg):
-            sampled = inv.draw(cfg.check, pd, cfg.samples, frames[cfg.check])
-    else:
-        us = target.domain.sample(np.random.default_rng(cfg.seed), cfg.points)
-        run = _points_first(cfg, us, partial(sub.point_jets, target), partial(sub.stack, target))
-        with _first_failing_point(cfg):
-            # one frame, the tangents, and one value per point: its residual
-            sampled = (run, run.tangents[:, None], sub.CHECKS[cfg.check](run)[:, None])
-    residuals, worst = inv.reduce_samples(_REDUCE[cfg.check], sampled)
+    name, run, frames = shared or _run_points(cfg, target)
+    with _first_failing_point(cfg, "check"):
+        sampled = inv.draw(cfg.check, run, cfg.samples, frames.get(cfg.check))
+    residuals, worst = inv.reduce_samples(inv.CHECKS[cfg.check].reduce, sampled)
     return CheckReport(
-        manifold=target.name if on_manifold else f"{target.ambient.name}::{target.name}",
+        manifold=name,
         check=cfg.check,
         seed=cfg.seed,
         points=cfg.points,
@@ -199,13 +192,11 @@ def _write_json(path: str, payload) -> None:
 
 def run_check(cfg: RunConfig) -> CheckReport:
     """Run one named check deterministically from its configuration."""
-    if cfg.check in MANIFOLD_CHECKS:
-        flag, source, load = "--manifold", cfg.manifold, models.load_manifold
-    else:
-        flag, source, load = "--immersion", cfg.immersion, models.load_immersion
+    kind = inv.CHECKS[cfg.check].kind  # names the RunConfig field, flag and loader
+    source = getattr(cfg, kind)
     if source is None:
-        raise ConfigError(f"check {cfg.check!r} needs {flag}")
-    report, _ = _run_loaded(cfg, load(source))
+        raise ConfigError(f"check {cfg.check!r} needs --{kind}")
+    report, _ = _run_loaded(cfg, getattr(models, f"load_{kind}")(source))
     if cfg.output:
         _write_json(cfg.output, report.to_json_dict())
     return report
@@ -230,7 +221,7 @@ def run_suite(
     skipped = [name for name in MANIFOLD_CHECKS if manifold.m < inv.CHECKS[name].min_dim]
     configs = [cfg for cfg in configs if cfg.check not in skipped]
     # One point set for every check; an error there is named by the first check.
-    shared = _manifold_points(configs[0], manifold)
+    shared = _run_points(configs[0], manifold)
     runs = {cfg.check: _run_loaded(cfg, manifold, shared) for cfg in configs}
 
     def yes(*names: str) -> str:
@@ -263,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     check = commands.add_parser("check", help="run one named check")
-    check.add_argument("check", choices=ALL_CHECKS)
+    check.add_argument("check", choices=inv.CHECKS)
     check.add_argument("--manifold", help="builtin URI or manifold spec file")
     check.add_argument("--immersion", help="immersion spec file or builtin:<name>")
     _add_run_flags(check)

@@ -8,15 +8,16 @@ from Ricci data, and the constant holomorphic-sectional-curvature fit.
 The pointwise functions are pure over a ``PointData`` bundle and give one
 value per stacked tangent vector; on a ``PointData`` of a stack of points
 (``geometry.stack``) the vectors stack along the same leading point axis.
-``CHECKS`` names every sampled manifold check: the least complex dimension
-it needs, the frames it draws, its value on them and how the values reduce
-to residuals.  A sampled run draws from the ``streams`` of one seed.  The
-first draws all the run's chart points; the jet tape runs once over all of
-them, and ``geometry.stack`` then fills their jets and evaluates them as one
-stack.  Each check then draws the frames of every point in one call from
-its own stream (``draw``), and computes its values once for the stack.  So
-a seed fixes every residual, and every check of a suite sees the same
-points.  ``sample`` runs one check this way.
+``CHECKS`` is the one table of checks, of manifolds and of immersions; a
+manifold check names the least complex dimension it needs, the frames it
+draws, its value on them and how the values reduce to residuals.  A
+manifold run draws from the ``streams`` of one seed.  The first draws all
+the run's chart points; the jet tape runs once over all of them, and
+``geometry.stack`` then fills their jets and evaluates them as one stack.
+Each check then draws the frames of every point in one call from its own
+stream (``draw``), and computes its values once for the stack.  So a seed
+fixes every residual, and every check of a suite sees the same points.
+``sample`` runs one check this way.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import geometry as geo
+from . import submanifold as sub
 # ``point_data`` is re-exported as the one-point entry of the library.
 from .geometry import KahlerManifold, PointData, RealTangentVector, point_data
 
@@ -184,23 +186,30 @@ def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> floa
 
 @dataclass(frozen=True)
 class Check:
-    """One sampled manifold check.
+    """One check of the table.
 
-    At each point it draws ``samples`` frames of k legs from
+    A manifold check draws at each point ``samples`` frames of k legs from
     ``geometry.<sampler>`` (k = None: the complex dimension), one
     ``(points, samples, k, m)`` draw for a stacked ``pd``; ``value(pd,
     legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
+    An immersion check has no sampler: ``value(state)`` is one residual per
+    point of a stacked state.  The sampler sets the ``kind`` of the check.
     ``reduce`` is "max" (each |value| is a residual), "std" (one residual
     per point: the standard deviation of its values) or "spread" (one
-    residual: the ``_spread`` of all values).  Sampler and values are
-    looked up by module name, so a module-attribute wrapper sees each call.
+    residual: the ``_spread`` of all values).  Samplers and the public
+    functions that manifold values call are looked up by module name, so a
+    module-attribute wrapper sees each call.
     """
 
-    min_dim: int
-    sampler: str
-    k: int | None
     value: Callable
     reduce: str
+    sampler: str | None = None
+    k: int | None = None
+    min_dim: int = 1
+
+    @property
+    def kind(self) -> str:
+        return "manifold" if self.sampler else "immersion"
 
 
 def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
@@ -218,15 +227,20 @@ def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarra
 
 _UNIT, _ANTI = "unit_tangents", "antiholomorphic_frames"
 CHECKS: dict[str, Check] = {
-    "bochner": Check(1, _UNIT, 4, lambda pd, f: bochner_at(pd, *f), "max"),
-    "lemma": Check(3, _ANTI, 3, lambda pd, f: lemma_residual(pd, *f), "max"),
-    "basis-sum": Check(1, _ANTI, None, lambda pd, f: basis_sum(pd, f), "std"),
-    "einstein": Check(1, _UNIT, 2, _einstein, "max"),
-    "ricci-offdiag": Check(2, _ANTI, 2, lambda pd, f: pd.ricci(*f), "max"),
-    "chsc": Check(1, _UNIT, 1, lambda pd, f: holomorphic_sectional_curvature(pd, *f), "spread"),
-    "reconstruct-2-3": Check(1, _UNIT, 4, _reconstruct, "max"),
+    "bochner": Check(lambda pd, f: bochner_at(pd, *f), "max", _UNIT, 4),
+    "lemma": Check(lambda pd, f: lemma_residual(pd, *f), "max", _ANTI, 3, min_dim=3),
+    "basis-sum": Check(lambda pd, f: basis_sum(pd, f), "std", _ANTI),
+    "einstein": Check(_einstein, "max", _UNIT, 2),
+    "ricci-offdiag": Check(lambda pd, f: pd.ricci(*f), "max", _ANTI, 2, min_dim=2),
+    "chsc": Check(lambda pd, f: holomorphic_sectional_curvature(pd, *f), "spread", _UNIT, 1),
+    "reconstruct-2-3": Check(_reconstruct, "max", _UNIT, 4),
+    "umbilical": Check(sub._umbilical_residual, "max"),
+    "parallel-h": Check(sub._parallel_h_residual, "max"),
+    "codazzi-general": Check(lambda st: sub._worst_triple(sub._codazzi_general(st)), "max"),
+    "codazzi-umbilical": Check(lambda st: sub._worst_triple(sub._codazzi_umbilical(st)), "max"),
 }
-MANIFOLD_CHECKS = tuple(CHECKS)
+MANIFOLD_CHECKS = tuple(name for name, check in CHECKS.items() if check.kind == "manifold")
+IMMERSION_CHECKS = tuple(name for name, check in CHECKS.items() if check.kind == "immersion")
 
 # One check on its points: a record with the ``point`` data (a PointData, or
 # the state of an immersion check), its frames and their values.  ``draw``
@@ -236,21 +250,24 @@ PointSamples = tuple[Any, np.ndarray, np.ndarray]
 
 
 def streams(rng: np.random.Generator) -> tuple[np.random.Generator, dict[str, np.random.Generator]]:
-    """The generators of a sampled run, spawned from ``rng``: the first
-    draws every chart point, and one per check, in the order of ``CHECKS``,
-    draws that check's frames.  From ``np.random.default_rng(seed)`` they
-    are the children of ``np.random.SeedSequence(seed).spawn(1 + len(CHECKS))``,
+    """The generators of a manifold run, spawned from ``rng``: the first
+    draws every chart point, and one per check of ``MANIFOLD_CHECKS``, in
+    order, draws that check's frames.  From ``np.random.default_rng(seed)``
+    they are the children of ``np.random.SeedSequence(seed).spawn(8)``,
     which is how ``check`` and ``suite`` draw: every check of a suite sees
     the same points, and a check's frames do not depend on the other checks.
     ``Generator.spawn`` needs numpy 1.25."""
-    points, *frames = rng.spawn(1 + len(CHECKS))
-    return points, dict(zip(CHECKS, frames))
+    points, *frames = rng.spawn(1 + len(MANIFOLD_CHECKS))
+    return points, dict(zip(MANIFOLD_CHECKS, frames))
 
 
-def draw(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> PointSamples:
+def draw(name: str, pd: Any, samples: int, rng: np.random.Generator | None) -> PointSamples:
     """``samples`` frames of check ``name`` at each point of ``pd`` in one
-    draw, and the check's value on each frame."""
+    draw, and the check's value on each frame.  An immersion check, on a
+    stacked state, has one frame per point: its tangents."""
     check = CHECKS[name]
+    if check.sampler is None:
+        return pd, pd.tangents[:, None], check.value(pd)[:, None]
     frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng)
     return pd, frames, check.value(pd, [RealTangentVector(frames[..., a, :]) for a in range(frames.shape[-2])])
 

@@ -25,8 +25,9 @@ two stages at one point, with no leading axis.  The derived fields
 (connection, second fundamental form, mean curvature and their derivatives)
 are computed once, on first use, by formulas that broadcast over leading
 axes, so a stack derives each field once for all its points, and per point
-exactly as a state of that point alone would.  ``CHECKS`` maps each
-immersion check to its residuals, one per point of a state.
+exactly as a state of that point alone would.  The residuals of the
+immersion checks give one value per point of a state; ``invariants.CHECKS``
+names them beside the manifold checks.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -477,13 +478,3 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     us = imm.domain.sample(rng, points)
     return float(np.max(_parallel_h_residual(stack(imm, [point_jets(imm, us)]))))
 
-
-# The residual of each immersion check per point of a state (see ``stack``);
-# every one reduces them as REDUCE (see ``invariants.reduce_samples``).
-REDUCE = "max"
-CHECKS: dict[str, Callable[[_State], np.ndarray]] = {
-    "umbilical": _umbilical_residual,
-    "parallel-h": _parallel_h_residual,
-    "codazzi-general": lambda st: _worst_triple(_codazzi_general(st)),
-    "codazzi-umbilical": lambda st: _worst_triple(_codazzi_umbilical(st)),
-}

@@ -118,6 +118,27 @@ def test_immersion_check_needs_immersion():
         run_check(cfg)
 
 
+@pytest.mark.parametrize(
+    "check, load, message",
+    [
+        (
+            "bochner",
+            lambda: models.load_immersion("builtin:sphere-flat2-r1"),
+            "check 'bochner' needs a target of kind manifold, got the immersion 'sphere-flat2-r1'",
+        ),
+        (
+            "umbilical",
+            lambda: models.load_manifold("builtin:fs:2"),
+            "check 'umbilical' needs a target of kind immersion, got the manifold 'builtin:fs:2'",
+        ),
+    ],
+)
+def test_a_check_on_the_wrong_kind_of_target_is_a_config_error(check, load, message):
+    with pytest.raises(ConfigError) as info:
+        cli._run_loaded(RunConfig(manifold=None, check=check), load())
+    assert str(info.value) == message
+
+
 def test_umbilical_check_on_builtin_sphere():
     cfg = RunConfig(
         manifold=None,
@@ -773,7 +794,7 @@ def test_immersion_report_is_a_max_reduction_of_the_state_residuals(fixture, che
     report, values = cli._run_loaded(cfg, imm)
     rng = np.random.default_rng(9)
     states = [sub.state(imm, imm.domain.sample(rng)) for _ in range(4)]
-    want = np.array([sub.CHECKS[check](st) for st in states])
+    want = np.array([inv.CHECKS[check].value(st) for st in states])
     assert np.array_equal(values, want)
     assert report.max_residual == float(np.max(want)) and report.mean_residual == float(np.mean(want))
     for case, st, residual in zip(report.worst_cases, states, want):
@@ -916,6 +937,43 @@ def test_an_overflowing_potential_names_its_point_and_fault(seed, message, tmp_p
     assert main(["check", "einstein", "--manifold", str(path), "--seed", str(seed)]) == 2
     assert capsys.readouterr().err == f"error: einstein: {message}\n"
     assert not recwarn.list
+
+
+class _Ones:
+    """Generator stand-in whose every draw is all ones: no frame of two or
+    more legs drawn from it is ever independent."""
+
+    def normal(self, size):
+        return np.ones(size)
+
+
+@pytest.mark.parametrize(
+    "stage, spec, check, seed, index, cause",
+    [
+        ("points", OVERFLOW_SPEC, "einstein", 8, 2, ex.EvaluationDomainError),
+        ("stack", INDEFINITE_SPEC, "einstein", 18, 2, geo.MetricError),
+        ("check", None, "ricci-offdiag", 3, 0, geo.FrameError),
+    ],
+)
+def test_a_point_error_names_its_stage(stage, spec, check, seed, index, cause, tmp_path, monkeypatch):
+    # One failure per stage of a run: the tape of one point alone overflows,
+    # a stacked metric test fails, and the frame draws of the check are never
+    # independent.  The message is the same for every stage.
+    source = "builtin:fs:3"
+    if spec is not None:
+        source = str(tmp_path / "bad.manifold")
+        Path(source).write_text(spec)
+    manifold = models.load_manifold(source)
+    if stage == "check":
+        points, frames = inv.streams(np.random.default_rng(seed))
+        monkeypatch.setattr(inv, "streams", lambda rng: (points, {name: _Ones() for name in frames}))
+    cfg = RunConfig(manifold=source, check=check, seed=seed)
+    with pytest.raises(cli.PointError) as info:
+        cli._run_loaded(cfg, manifold)
+    err = info.value
+    assert (err.stage, err.check, err.index, err.seed) == (stage, check, index, seed)
+    assert isinstance(err.__cause__, cause)
+    assert str(err) == f"{check}: point {index} of 5, seed {seed}: {err.__cause__}"
 
 
 def test_immersion_worst_cases_own_their_arrays():

@@ -9,7 +9,6 @@ from kahlercheck import cli
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
-from kahlercheck import submanifold as sub
 from kahlercheck.expr import Var
 from kahlercheck.models import MANIFOLD_CHECKS, ModelError
 from test_jets import MIXED_SPEC
@@ -438,9 +437,28 @@ def test_immersion_file_errors(lineno, line, match):
 
 def test_manifold_checks_are_the_keys_of_one_table():
     assert models.MANIFOLD_CHECKS is cli.MANIFOLD_CHECKS is inv.MANIFOLD_CHECKS
-    assert inv.MANIFOLD_CHECKS == tuple(inv.CHECKS)
+    assert inv.MANIFOLD_CHECKS == tuple(name for name, c in inv.CHECKS.items() if c.kind == "manifold")
 
 
 def test_immersion_checks_are_the_keys_of_one_table():
-    assert cli.IMMERSION_CHECKS == tuple(sub.CHECKS)
+    assert cli.IMMERSION_CHECKS == tuple(name for name, c in inv.CHECKS.items() if c.kind == "immersion")
     assert cli.IMMERSION_CHECKS == ("umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical")
+
+
+def test_every_check_is_one_entry_of_one_table():
+    manifold = ("bochner", "lemma", "basis-sum", "einstein", "ricci-offdiag", "chsc", "reconstruct-2-3")
+    immersion = ("umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical")
+    # Dict keys are unique; manifold checks come first, so a suite reports
+    # and ``check`` lists its choices in this order.
+    assert tuple(inv.CHECKS) == manifold + immersion
+    assert [inv.CHECKS[name].kind for name in inv.CHECKS] == ["manifold"] * 7 + ["immersion"] * 4
+    assert all(inv.CHECKS[name].reduce == "max" for name in immersion)
+    assert models.MANIFOLD_CHECKS is cli.MANIFOLD_CHECKS is inv.MANIFOLD_CHECKS == manifold
+    assert cli.IMMERSION_CHECKS is inv.IMMERSION_CHECKS == immersion
+    # The frame streams are the 7 children after the points' one, keyed by
+    # the manifold checks in this order: adding an immersion check moves none.
+    _, frames = inv.streams(np.random.default_rng(5))
+    children = np.random.SeedSequence(5).spawn(8)[1:]
+    assert tuple(frames) == manifold
+    for rng, child in zip(frames.values(), children):
+        assert rng.random() == np.random.default_rng(child).random()

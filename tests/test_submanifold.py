@@ -12,6 +12,7 @@ import pytest
 
 from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
+from kahlercheck import invariants as inv
 from kahlercheck import models
 from kahlercheck import submanifold as sub
 from kahlercheck.oracle import richardson_derivative
@@ -297,7 +298,7 @@ def test_codazzi_umbilical_fails_on_the_cylinder(cylinder, rng):
     # Parallel H in a flat ambient: the reduced relation itself holds to
     # round-off, so only the umbilical residual can fail the check.
     st = sub.state(cylinder, cylinder.domain.sample(rng))
-    assert sub.CHECKS["codazzi-umbilical"](st) == sub._umbilical_residual(st) > 1e-3
+    assert inv.CHECKS["codazzi-umbilical"].value(st) == sub._umbilical_residual(st) > 1e-3
 
 
 def test_umbilical_reduction_consistency(sphere, rng):
@@ -347,9 +348,9 @@ def test_per_point_codazzi_is_the_worst_per_triple_residual(rng):
         n = imm.n
         triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(n)]
         general = max(sub.codazzi_residual_general(imm, u, *t) for t in triples)
-        assert sub.CHECKS["codazzi-general"](sub.state(imm, u)) == general, imm.name
+        assert inv.CHECKS["codazzi-general"].value(sub.state(imm, u)) == general, imm.name
         reduced = max(sub.codazzi_residual_umbilical(imm, u, *t) for t in triples)
-        assert sub.CHECKS["codazzi-umbilical"](sub.state(imm, u)) == reduced, imm.name
+        assert inv.CHECKS["codazzi-umbilical"].value(sub.state(imm, u)) == reduced, imm.name
 
 
 def test_codazzi_exact_at_box_edge(sphere):
@@ -422,14 +423,14 @@ def test_codazzi_at_round_off_where_normal_curvature_is_large(generic, rng):
         st = sub.state(generic, u)
         normal_curvature = st.metric.norm(geo.RealTangentVector(sub._codazzi_lhs(st)))
         assert sub._worst_triple(normal_curvature) >= 1e-2, generic.name
-        assert sub.CHECKS["codazzi-general"](st) <= 1e-12, generic.name
+        assert inv.CHECKS["codazzi-general"].value(st) <= 1e-12, generic.name
 
 
 def test_codazzi_fails_with_the_curvature_sign_flipped(generic, rng, monkeypatch):
     real_operator = geo.curvature_operator
     monkeypatch.setattr(geo, "curvature_operator", lambda *a: -real_operator(*a))
     u = generic.domain.sample(rng)
-    assert sub.CHECKS["codazzi-general"](sub.state(generic, u)) >= 1e-3, generic.name
+    assert inv.CHECKS["codazzi-general"].value(sub.state(generic, u)) >= 1e-3, generic.name
 
 
 def test_runtime_import_graph_leaves_out_the_oracle():
@@ -522,7 +523,7 @@ def test_state_and_alpha_run_the_immersion_tape_once(fixture, request, rng, monk
     assert sum(tape is imm.tape for tape in runs) == 1
 
 
-@pytest.mark.parametrize("check", sorted(sub.CHECKS))
+@pytest.mark.parametrize("check", sorted(inv.IMMERSION_CHECKS))
 def test_each_state_builds_nabla_once(check, sphere, rng, monkeypatch):
     # Every field of a state is derived once, whichever checks read it.
     nablas, projections = [], []
@@ -532,13 +533,13 @@ def test_each_state_builds_nabla_once(check, sphere, rng, monkeypatch):
     monkeypatch.setattr(sub._State, "nabla", nabla)
     monkeypatch.setattr(sub, "_tangential_coeffs", lambda *a: projections.append(a) or real_coeffs(*a))
     st = sub.state(sphere, sphere.domain.sample(rng))
-    sub.CHECKS[check](st)
+    inv.CHECKS[check].value(st)
     assert len(projections) <= 3
     st.alpha, st.h, st.derivatives
     assert len(nablas) == 1
     # A stack of the 8 points of a run derives each field once for all of them.
     run = sub.stack(sphere, [sub.point_jets(sphere, u) for u in sphere.domain.sample(rng, 8)])
-    sub.CHECKS[check](run)
+    inv.CHECKS[check].value(run)
     run.alpha, run.h, run.derivatives
     assert nablas == [st, run]
     assert run.nabla.shape == (8, *st.nabla.shape)
@@ -558,7 +559,8 @@ def test_a_stacked_state_equals_the_loop_over_its_points(name, rng):
         us = [imm.domain.sample(rng) for _ in range(points)]
         loop = [sub.state(imm, u) for u in us]
         run = sub.stack(imm, [sub.point_jets(imm, u) for u in us])
-        for check, residual in sub.CHECKS.items():
+        for check in inv.IMMERSION_CHECKS:
+            residual = inv.CHECKS[check].value
             got = residual(run)
             assert got.shape == (points,)
             assert np.array_equal(got, [residual(st) for st in loop]), (name, check, points)
