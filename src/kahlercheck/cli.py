@@ -193,9 +193,12 @@ def _write_json(path: str, payload) -> None:
 def run_check(cfg: RunConfig) -> CheckReport:
     """Run one named check deterministically from its configuration."""
     kind = inv.CHECKS[cfg.check].kind  # names the RunConfig field, flag and loader
+    other = "immersion" if kind == "manifold" else "manifold"
     source = getattr(cfg, kind)
     if source is None:
         raise ConfigError(f"check {cfg.check!r} needs --{kind}")
+    if getattr(cfg, other) is not None:
+        raise ConfigError(f"check {cfg.check!r} takes --{kind}, not --{other}")
     report, _ = _run_loaded(cfg, getattr(models, f"load_{kind}")(source))
     if cfg.output:
         _write_json(cfg.output, report.to_json_dict())

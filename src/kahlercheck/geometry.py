@@ -354,14 +354,23 @@ class KahlerManifold:
 
     def _check_reality(self, potential: ex.Tape):
         """Raise unless the unfolded potential, lowered to ``potential``, is
-        real at 8 seeded points of the domain (points where it raises are skipped)."""
+        real at 8 seeded points of the domain (points where it raises are skipped).
+
+        The points run as one stack; only if that run raises do they run
+        again one by one, to skip the points that raise."""
         rng = np.random.default_rng(1811)
-        for _ in range(8):
-            p = self.domain.sample_point(rng, self.m)
-            try:
-                value = complex(potential.run(self.assignment(p))[0])
-            except ex.EvaluationDomainError:
-                continue
+        points = np.array([self.domain.sample_point(rng, self.m) for _ in range(8)])
+        try:
+            found = list(zip(points, potential.run(self.assignment(points))[:, 0]))
+        except ex.EvaluationDomainError:
+            found = []
+            for p in points:
+                try:
+                    found.append((p, potential.run(self.assignment(p))[0]))
+                except ex.EvaluationDomainError:
+                    continue
+        for p, value in found:
+            value = complex(value)
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ValueError(
                     f"potential is not real on the chart: K({p}) = {value}"
@@ -674,8 +683,11 @@ def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoi
 def join(evaluated: Sequence[tuple]) -> tuple[np.ndarray, ...]:
     """The blocks of ``point_jets`` results, here or in ``submanifold``,
     joined along one leading point axis.  Each result is of one point (its
-    first block, the point, is 1-D) or of a stack of points."""
+    first block, the point, is 1-D) or of a stack of points; the blocks of
+    one result come back as they are, with no copy."""
     stacks = [r if np.ndim(r[0]) > 1 else [block[None] for block in r] for r in evaluated]
+    if len(stacks) == 1:
+        return tuple(stacks[0])
     return tuple(np.concatenate(blocks) for blocks in zip(*stacks))
 
 
@@ -784,13 +796,13 @@ def curvature_operator(
 ) -> np.ndarray:
     """Complex representative of the vector R(X, Y)Z.
 
-    Defined by ``g(R(X,Y)Z, U) = R(X,Y,Z,U)`` for every U; vectors stack
-    and broadcast as in ``real_curvature``.
+    Defined by ``g(R(X,Y)Z, U) = R(X,Y,Z,U)`` for every U, so the index is
+    raised by ``metric.inverse``: one product per point over all its
+    vectors.  Vectors stack and broadcast as in ``real_curvature``, with
+    the point axes of a stacked metric first.
     """
-    g = metric.matrix
     rows = _curvature_rows(curvature, _wedge(x, y))
-    a = np.einsum("...kl,...k->...l", rows, z.components)[..., None]
-    return np.linalg.solve(_per_point(np.swapaxes(g, -1, -2), a), a)[..., 0]
+    return _rows((z.components[..., None, :] @ rows)[..., 0, :], metric.inverse)
 
 
 _PIVOT = 1e-8

@@ -12,8 +12,9 @@ to ``ddg``, so they are exact to round-off and need no room around the point.
 
 Projections onto tangent and normal spaces are orthogonal projections with
 respect to the ambient metric and never require a choice of normal frame.
-They act on vectors stacked along the last axis, and the Codazzi residuals
-of all index triples at a point come back as one (n, n, n) array.
+They act on vectors stacked along the last axis, all the vectors of a point
+in one matrix product, and the Codazzi residuals of all index triples at a
+point come back as one (n, n, n) array.
 
 A state is made in two stages.  ``point_jets`` runs once over the stack of
 a run's parameter points: the box test, one run of the immersion's tape
@@ -224,14 +225,21 @@ class _State:
 
     @cached_property
     def gamma_t(self) -> np.ndarray:
-        """``Gamma^k_{ij} T_b^j``, index order [k, i, b], shape (m, m, n); since
-        Gamma is symmetric in (i, j), also ``Gamma^k_{ji} T_b^j``."""
-        return np.einsum("...kij,...bj->...kib", self.gamma, self.tangents)
+        """``Gamma^k_{ij} T_b^j``, index order [i, b, k], shape (m, n, m): as an
+        (m, n m) matrix it maps a vector v to ``Gamma(v, T_b)`` for every b
+        (see ``_with_tangents``), which is also ``Gamma(T_b, v)`` since
+        Gamma is symmetric in (i, j)."""
+        return np.einsum("...kij,...bj->...ibk", self.gamma, self.tangents)
+
+    @cached_property
+    def gamma_tt(self) -> np.ndarray:
+        """``Gamma(T_a, T_b)``, shape (n, n, m)."""
+        return _with_tangents(self, self.tangents)
 
     @cached_property
     def nabla(self) -> np.ndarray:
         """Ambient covariant derivatives ``nabla_{T_a} T_b``, shape (n, n, m)."""
-        return self.d2f + np.einsum("...ai,...kib->...abk", self.tangents, self.gamma_t)
+        return self.d2f + self.gamma_tt
 
     @cached_property
     def conn(self) -> np.ndarray:
@@ -243,7 +251,7 @@ class _State:
     def alpha(self) -> np.ndarray:
         """Second fundamental form ``alpha(T_a, T_b)``, the normal part of
         ``nabla``; symmetric in (a, b), shape (n, n, m)."""
-        return self.nabla - self.conn @ geo._per_point(self.tangents, self.conn)
+        return self.nabla - geo._rows(self.conn, self.tangents)
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -262,33 +270,40 @@ class _State:
         along ``T_x``.  Metric compatibility gives ``d_x ghat``, and so D_x H.
         """
         _, dg, dgb, d2g, ddg = self.jets
-        gamma, t, d2f, alpha, conn = self.gamma, self.tangents, self.d2f, self.alpha, self.conn
-        ginv, ghat_inv = self.metric.inverse, self.induced_inv
-        # d Gamma = g^-1 (d dg - (d g) Gamma) for d = d_{z_a} (s = 0) and d_{zb_a} (s = 1);
-        # along T_x, Gamma_x = d_{z_a} Gamma T_x^a + d_{zb_a} Gamma conj(T_x^a)
-        d2 = np.stack([ddg, np.swapaxes(d2g, -4, -3)], axis=-5)
-        d1 = np.stack([dg, dgb], axis=-4)
-        d_gamma = np.einsum(
-            "...qk,...saijq->...sakij", ginv, d2 - np.einsum("...sapq,...pij->...saijq", d1, gamma)
-        )
-        gamma_x = np.einsum("...sxa,...sakij->...xkij", np.stack([t, t.conj()], axis=-3), d_gamma)
+        t, d2f, alpha, conn = self.tangents, self.d2f, self.alpha, self.conn
+        points, (n, m) = t.shape[:-2], t.shape[-2:]
+        # Along T_x, d_x = T_x^a d_{z_a} + conj(T_x^a) d_{zb_a}, and
+        # (d_x Gamma)(T_y, T_z) = g^-1 [(d_x dg)(T_y, T_z) - (d_x g) Gamma(T_y, T_z)]
+        # from d Gamma = g^-1 (d dg - (d g) Gamma).  The rows (z_a, zb_a) of the
+        # metric's second and first derivatives meet T_x in one product per
+        # point, then [T_y^i T_z^j, -Gamma(T_y, T_z)] in one per direction x.
+        tx = np.concatenate([t, t.conj()], axis=-1)
+        second = np.concatenate([ddg, np.swapaxes(d2g, -4, -3)], axis=-4).reshape(*points, 2 * m, m * m, m)
+        rows = np.concatenate([second, np.concatenate([dg, dgb], axis=-3)], axis=-2)
+        d_x = (tx @ rows.reshape(*points, 2 * m, -1)).reshape(*points, n, m * m + m, m)
+        tt = (t[..., :, None, :, None] * t[..., None, :, None, :]).reshape(*points, n * n, m * m)
+        pairs = np.concatenate([tt, -self.gamma_tt.reshape(*points, n * n, m)], axis=-1)
+        gamma_x = geo._rows(pairs[..., None, :, :] @ d_x, self.metric.inverse).reshape(*points, n, n, n, m)
         # Gamma(d2f_xy, T_z), and Gamma(T_y, d2f_xz) by the symmetry of Gamma
-        gamma_d2f = np.einsum("...xyi,...kiz->...xyzk", d2f, self.gamma_t)
+        gamma_d2f = _with_tangents(self, d2f)
+        # Gamma(T_x, alpha_yz) and conn_yza d2f_xa in index order [y, z, x, k]; d2f
+        # is exactly symmetric in (x, a), so its rows a are the (n, n m) matrix d2f.
+        conn_d2f = geo._rows(conn, d2f.reshape(*points, n, n * m)).reshape(*points, n, n, n, m)
         d_alpha = _normal_part(
             self,
             self.d3f
-            + np.einsum("...yi,...xkiz->...xyzk", t, np.einsum("...xkij,...zj->...xkiz", gamma_x, t))
+            + gamma_x
             + gamma_d2f
             + np.swapaxes(gamma_d2f, -3, -2)
-            + np.einsum("...kjx,...yzj->...xyzk", self.gamma_t, alpha)
-            - np.einsum("...yza,...xak->...xyzk", conn, d2f),
+            + np.moveaxis(_with_tangents(self, alpha), -2, -4)
+            - np.moveaxis(conn_d2f, -2, -4),
         )
-        d_ghat = np.einsum("...xya,...az->...xyz", conn, self.induced)
+        d_ghat = geo._rows(conn, self.induced)
         d_ghat = d_ghat + np.swapaxes(d_ghat, -1, -2)
-        inv = geo._per_point(ghat_inv, d_ghat)
+        inv = geo._per_point(self.induced_inv, d_ghat)
         d_ghat_inv = -inv @ d_ghat @ inv
-        d_h = np.einsum("...xyz,...yzk->...xk", d_ghat_inv, alpha)
-        d_h = d_h + np.einsum("...yz,...xyzk->...xk", ghat_inv, d_alpha)
+        d_h = d_ghat_inv.reshape(*points, n, n * n) @ alpha.reshape(*points, n * n, m)
+        d_h = d_h + np.einsum("...yz,...xyzk->...xk", self.induced_inv, d_alpha)
         return d_alpha, d_h / self.imm.n
 
 
@@ -369,15 +384,25 @@ def stack(imm: Immersion, evaluated: Sequence[tuple]) -> _State:
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
     """Real coefficients c[..., a] with tangential part of W equal to
-    sum_a c[..., a] T_a, for vectors W stacked along the last axis."""
+    sum_a c[..., a] T_a, for vectors W stacked along the last axis, after
+    the point axes of ``st``: all the vectors of a point as one (N, m)
+    matrix in each product."""
     tg = np.swapaxes(st.tangents @ st.metric.matrix, -1, -2)
-    rhs = 2.0 * np.real(np.conj(w) @ geo._per_point(tg, w))
-    return rhs @ geo._per_point(np.swapaxes(st.induced_inv, -1, -2), rhs)
+    rhs = 2.0 * np.real(geo._rows(np.conj(w), tg))
+    return geo._rows(rhs, np.swapaxes(st.induced_inv, -1, -2))
+
+
+def _with_tangents(st: _State, v: np.ndarray) -> np.ndarray:
+    """``Gamma(v, T_b)`` for every b, for vectors v stacked along the last
+    axis after the point axes of ``st``, shape (..., n, m): one product
+    per point."""
+    gt = st.gamma_t
+    m, n = gt.shape[-3:-1]
+    return geo._rows(v, gt.reshape(*gt.shape[:-3], m, n * m)).reshape(*np.shape(v)[:-1], n, m)
 
 
 def _normal_part(st: _State, w: np.ndarray) -> np.ndarray:
-    coeffs = _tangential_coeffs(st, w)
-    return w - coeffs @ geo._per_point(st.tangents, coeffs)
+    return w - geo._rows(_tangential_coeffs(st, w), st.tangents)
 
 
 def second_fundamental_form(imm: Immersion, u: Sequence[float]) -> np.ndarray:
@@ -417,8 +442,13 @@ def _codazzi_lhs(st: _State) -> np.ndarray:
 
 def _codazzi_general(st: _State) -> np.ndarray:
     """The Codazzi residual of every index triple (a, b, c) at ``st``, shape (n, n, n)."""
-    # The term alpha(nabla_{T_x} T_y, T_z) is symmetric in (x, y) and cancels below.
-    dbar = st.derivatives[0] - np.einsum("...xze,...yek->...xyzk", st.conn, st.alpha)
+    # The term alpha(nabla_{T_x} T_y, T_z) is symmetric in (x, y) and cancels below;
+    # alpha(T_y, nabla_{T_x} T_z) = conn_xze alpha_ye is one product per point,
+    # with the rows e of alpha, in index order [x, z, y, k].
+    d_alpha = st.derivatives[0]
+    n, m = st.alpha.shape[-2:]
+    alpha_rows = np.swapaxes(st.alpha, -3, -2).reshape(*st.alpha.shape[:-3], n, n * m)
+    dbar = d_alpha - np.swapaxes(geo._rows(st.conn, alpha_rows).reshape(d_alpha.shape), -3, -2)
     rhs = dbar - np.swapaxes(dbar, -4, -3)
     return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
 
@@ -428,7 +458,7 @@ def _codazzi_umbilical(st: _State) -> np.ndarray:
     raised to the umbilical residual where that is larger: the reduced relation
     follows from Codazzi only on a totally umbilical immersion."""
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
-    rhs = np.einsum("...bc,...ak->...abck", st.induced, st.derivatives[1])
+    rhs = st.induced[..., None, :, :, None] * st.derivatives[1][..., :, None, None, :]
     rhs = rhs - np.swapaxes(rhs, -4, -3)
     reduced = st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
     return np.maximum(reduced, _umbilical_residual(st)[..., None, None, None])

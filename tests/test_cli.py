@@ -139,6 +139,27 @@ def test_a_check_on_the_wrong_kind_of_target_is_a_config_error(check, load, mess
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check", "bochner", "--manifold", "builtin:fs:2", "--immersion", "builtin:sphere-flat2-r1"],
+            "check 'bochner' takes --manifold, not --immersion",
+        ),
+        (
+            ["check", "umbilical", "--immersion", "builtin:sphere-flat2-r1", "--manifold", "builtin:fs:2"],
+            "check 'umbilical' takes --immersion, not --manifold",
+        ),
+    ],
+)
+def test_a_check_given_both_target_flags_is_a_config_error(argv, message, capsys):
+    # The flag of the other kind is not left unread: the run stops before any build.
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    with pytest.raises(ConfigError, match="--manifold, not --immersion"):
+        run_check(RunConfig(manifold="builtin:fs:2", check="einstein", immersion="builtin:sphere-flat2-r1"))
+
+
 def test_umbilical_check_on_builtin_sphere():
     cfg = RunConfig(
         manifold=None,

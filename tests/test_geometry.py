@@ -87,6 +87,42 @@ def test_non_real_potential_rejected():
         geo.KahlerManifold(1, ex.mul(ex.z(1), ex.z(1)), geo.ball(1.0))
 
 
+def _count_tape_runs(monkeypatch) -> list:
+    """The assignment of every ``Tape.run`` from here on, in order."""
+    runs = []
+    real_run = ex.Tape.run
+
+    def run(tape, assignment, *args):
+        runs.append(assignment)
+        return real_run(tape, assignment, *args)
+
+    monkeypatch.setattr(ex.Tape, "run", run)
+    return runs
+
+
+def test_the_reality_check_runs_its_eight_points_as_one_stack(monkeypatch):
+    runs = _count_tape_runs(monkeypatch)
+    models.build_model("builtin:fs:2")
+    assert len(runs) == 1
+    assert {np.shape(value) for value in runs[0].values()} == {(8,)}
+
+
+def test_a_potential_that_overflows_at_some_points_is_still_tested_at_the_rest(monkeypatch):
+    # exp(2000|z|^2) overflows at 5 of the 8 seeded points of the unit disc: the
+    # stacked run raises, and the points run again one by one, skipping those.
+    runs = _count_tape_runs(monkeypatch)
+    text = "(1 + 0.5i)*exp(2000*z1*zb1)"
+    with pytest.raises(ValueError) as err:
+        geo.KahlerManifold(1, ex.parse_expression(text, 1, ("z", "zb")), geo.ball(1.0))
+    assert str(err.value).startswith("potential is not real on the chart: K([-0.3352157+0.46429241j]) = (")
+    assert len(runs) == 1 + 8
+
+
+def test_a_real_potential_that_overflows_at_some_points_builds():
+    m = geo.KahlerManifold(1, ex.parse_expression("exp(2000*z1*zb1)", 1, ("z", "zb")), geo.ball(1.0))
+    assert m.m == 1
+
+
 @pytest.mark.parametrize("blocks", [1, 4, 5])
 def test_a_domain_error_of_a_built_chart_names_its_subexpression(blocks):
     text = "z1*zb1 + z1*zb1*log(z1*zb1)"

@@ -426,6 +426,45 @@ def test_codazzi_at_round_off_where_normal_curvature_is_large(generic, rng):
         assert inv.CHECKS["codazzi-general"].value(st) <= 1e-12, generic.name
 
 
+def _generic_stack(imm, rng, points=5):
+    return sub.stack(imm, [sub.point_jets(imm, imm.domain.sample(rng, points))])
+
+
+def test_stacked_curvature_operator_matches_a_solve_per_vector(generic, rng):
+    # The index is raised by the metric's inverse, one product per point; the
+    # reference solves g^T v = R(X, Y, Z, .) for each vector alone.
+    st = _generic_stack(generic, rng)
+    curv = geo.curvature_tensor(st.point, st.metric, st.jets[:4])
+    t = st.tangents
+    x, y, z = (geo.RealTangentVector(np.expand_dims(t, a)) for a in ((-3, -2), (-4, -2), (-4, -3)))
+    got = geo.curvature_operator(curv, st.metric, x, y, z)
+    n = generic.n
+    assert got.shape == (len(t), n, n, n, generic.ambient.m)
+    for p, (r, g) in enumerate(zip(curv.tensor, st.metric.matrix)):
+        for a in range(n):
+            for b in range(n):
+                w = np.outer(t[p, a], t[p, b].conj()) - np.outer(t[p, b], t[p, a].conj())
+                for c in range(n):
+                    want = np.linalg.solve(g.T, np.einsum("ij,ijkl,k->l", w, r, t[p, c]))
+                    scale = max(np.max(np.abs(want)), 1e-300)
+                    assert np.max(np.abs(got[p, a, b, c] - want)) <= 1e-13 * scale, (generic.name, p, a, b, c)
+
+
+def test_the_normal_part_is_orthogonal_to_every_tangent(generic, rng):
+    st = _generic_stack(generic, rng)
+    m = generic.ambient.m
+    w = rng.normal(size=(len(st.u), 7, m)) + 1j * rng.normal(size=(len(st.u), 7, m))
+    for vectors in (w, st.d3f, st.nabla):
+        normal = sub._normal_part(st, vectors)
+        assert normal.shape == vectors.shape
+        # g(N, T_a) = 2 Re h(N, T_a), for every stacked N and tangent T_a
+        flat = normal.reshape(len(st.u), -1, m)
+        products = 2.0 * np.real(flat @ st.metric.matrix @ np.swapaxes(st.tangents.conj(), -1, -2))
+        lengths = st.metric.norm(geo.RealTangentVector(vectors)).reshape(len(st.u), -1, 1)
+        tangents = st.metric.norm(geo.RealTangentVector(st.tangents))[:, None, :]
+        assert np.all(np.abs(products) <= 1e-14 * lengths * tangents), generic.name
+
+
 def test_codazzi_fails_with_the_curvature_sign_flipped(generic, rng, monkeypatch):
     real_operator = geo.curvature_operator
     monkeypatch.setattr(geo, "curvature_operator", lambda *a: -real_operator(*a))
