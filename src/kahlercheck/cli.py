@@ -21,9 +21,11 @@ seeded with ``--seed``.  Every check is one entry of ``invariants.CHECKS``,
 and only a run's points stage (``_run_points``) knows its kind.  Both kinds
 go points first (``_points_first``): the domain tests and each tape run once
 over the stack of all the run's points, then the tests of the stack run
-once.  Only when the first stage raises does it run again point by point,
-to name the point that fails.  From the stack on, every check takes one
-path: ``invariants.draw``, ``invariants.reduce_samples``, a ``CheckReport``.
+once.  Every test raises with the ``index`` of the first point that fails
+it, and one rule names the run's first failing point: when point k > 0
+fails, both stages run again on the points before it, and k is named only
+if they pass.  From the stack on, every check takes one path:
+``invariants.draw``, ``invariants.reduce_samples``, a ``CheckReport``.
 A report is a deterministic function of its RunConfig (up to the timestamp
 field).
 """
@@ -34,7 +36,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
@@ -55,10 +56,11 @@ class ConfigError(ValueError):
 
 class PointError(Exception):
     """A check failed at one of its sample points: the ``index``-th, counted
-    from 0, of the run with ``seed``.  ``stage`` is the stage of the run
-    that raised: "points" (the domain test and the tapes, at the point
-    alone), "stack" (the tests and fields of the stacked points) or "check"
-    (the check's frames and values).  The original error is the cause."""
+    from 0, of the run with ``seed``, the first point of the run that fails
+    any test of the points and stack stages.  ``stage`` is the stage of the
+    run that raised: "points" (the domain tests and the tapes), "stack"
+    (the tests and fields of the stacked points) or "check" (the check's
+    frames and values).  The original error is the cause."""
 
     def __init__(self, cfg: RunConfig, stage: str, index: int, err: Exception):
         super().__init__(f"{cfg.check}: point {index} of {cfg.points}, seed {cfg.seed}: {err}")
@@ -95,40 +97,28 @@ class RunConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-@contextmanager
-def _first_failing_point(cfg: RunConfig, stage: str):
-    """A ``GeometryError`` of a test run on a stack of points, re-raised as
-    a ``PointError`` of ``stage`` naming the first point that failed it."""
+def _points_first(cfg: RunConfig, points: np.ndarray, evaluate: Callable, stack: Callable):
+    """The two stages of a run on the stack ``points``: ``evaluate`` on the
+    whole stack, then ``stack`` on its result.
+
+    Every test of either raises with the ``index`` of the first point that
+    fails it, but a point before that one may fail a later test.  So on an
+    error at point k > 0, both stages run again on the points before k,
+    and k is named, as a ``PointError`` of the stage that raised, only if
+    they pass.  A re-run that fails does so at an earlier point and in a
+    later test (a tape's ops count as tests), so the re-runs are few."""
+    stage = "points"
     try:
-        yield
-    except geo.GeometryError as err:
-        raise PointError(cfg, stage, err.index[0], err) from err
-
-
-def _points_first(cfg: RunConfig, points: np.ndarray, evaluate: Callable, join: Callable):
-    """The two stages of a run on the stack ``points``.  ``evaluate`` runs
-    once on the whole stack, and ``join`` once on a list of its results;
-    a ``GeometryError`` there names the first point that failed it.
-
-    ``evaluate``'s errors name no point, so if it raises, it runs again on
-    each point alone (a stack of one), in order, and the first error there
-    is re-raised as a ``PointError`` naming its point.  When point k fails
-    alone, ``join`` first runs on the results of the points before it, so
-    that an earlier point failing a stacked test is the one named."""
-    try:
-        found = [evaluate(points)]
-    except Exception:  # some point fails: find the first, one point at a time
-        found = []
-        for index in range(len(points)):
-            try:
-                found.append(evaluate(points[index : index + 1]))
-            except Exception as err:  # re-raised with where it happened
-                if found:
-                    with _first_failing_point(cfg, "stack"):
-                        join(found)
-                raise PointError(cfg, "points", index, err) from err
-    with _first_failing_point(cfg, "stack"):
-        return join(found)
+        found = evaluate(points)
+        stage = "stack"
+        return stack(found)
+    except Exception as err:
+        index = getattr(err, "index", None)
+        if not index:
+            raise
+        if index[0]:
+            _points_first(cfg, points[: index[0]], evaluate, stack)
+        raise PointError(cfg, stage, index[0], err) from err
 
 
 def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
@@ -168,8 +158,10 @@ def _run_loaded(
     ``PointError`` names the stage that failed (see its ``stage``).
     """
     name, run, frames = shared or _run_points(cfg, target)
-    with _first_failing_point(cfg, "check"):
+    try:
         sampled = inv.draw(cfg.check, run, cfg.samples, frames.get(cfg.check))
+    except geo.GeometryError as err:
+        raise PointError(cfg, "check", err.index[0], err) from err
     residuals, worst = inv.reduce_samples(inv.CHECKS[cfg.check].reduce, sampled)
     return CheckReport(
         manifold=name,

@@ -49,7 +49,12 @@ class ParseError(ExprError):
 
 
 class EvaluationDomainError(ExprError):
-    """log(0), division by zero, 0 raised to a negative power, or overflow."""
+    """log(0), division by zero, 0 raised to a negative power, or overflow.
+
+    Raised by a tape run, it carries the leading-axis ``index`` of the
+    point of the stack where it rose (see ``Tape.run``); else ``index`` is None."""
+
+    index: tuple[int, ...] | None = None
 
     def __init__(self, message: str, node: "Expr"):
         self.node = node
@@ -575,6 +580,8 @@ class Tape:
         the first subexpression, in tape order, that fails at any point of
         the stack, for log(0), division by zero, zero raised to a negative
         power and overflow, and ``ValueError`` when a variable has no value.
+        An error raised at a point, this one or an operator's own, carries
+        the leading-axis ``index`` of the first point where its op fails.
         """
         n = len(self._outputs) if outputs is None else outputs
         try:
@@ -600,19 +607,24 @@ class Tape:
             except FloatingPointError:
                 pass  # op k raised a flag: it and the rest run checked
         if k < stop:
-            self._run_checked(rows, k, stop)
+            self._run_checked(rows, k, stop, points)
         return slots[self._outputs[:n]].T.reshape(*points, n)
 
-    def _run_checked(self, rows: list[np.ndarray], start: int, stop: int) -> None:
+    def _run_checked(self, rows: list[np.ndarray], start: int, stop: int, points: tuple[int, ...]) -> None:
         """Run the ops of slots ``start`` to ``stop`` with numpy's flags
         ignored, giving each point where an op's value is not finite to
-        its Python operator, which raises where a recursive evaluation would."""
+        its Python operator, which raises where a recursive evaluation would,
+        with the ``index`` of that point in the stack of shape ``points``."""
         with np.errstate(all="ignore"):
             for k in range(start, stop):
                 fn, i, j = self._ufuncs[k - self._base]
                 fn(rows[i], rows[k]) if j < 0 else fn(rows[i], rows[j], rows[k])
                 for point in np.flatnonzero(~np.isfinite(rows[k])):
-                    self._python_op(k, [rows[s][point].item() for s in (i, j) if s >= 0])
+                    try:
+                        self._python_op(k, [rows[s][point].item() for s in (i, j) if s >= 0])
+                    except Exception as err:
+                        err.index = tuple(map(int, np.unravel_index(point, points)))
+                        raise
 
     def _python_op(self, k: int, args: list[complex]) -> None:
         """Apply the Python operator of the op of slot ``k`` to ``args``,

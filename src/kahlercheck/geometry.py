@@ -35,8 +35,8 @@ vanishes on constant-curvature models):
 Points stack along leading axes.  The chart's jet tape runs once over a
 stack of points (``point_jets``), its outputs are filled into jet blocks
 once (``KahlerManifold.fill``), and the formula functions broadcast over
-the stack, each test naming the first point that fails it; a point gives
-the same bits at any position of a stack as alone.
+the stack, each test naming the first point that fails it by its
+``index``; a point gives the same bits at any position of a stack as alone.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -356,20 +356,17 @@ class KahlerManifold:
         """Raise unless the unfolded potential, lowered to ``potential``, is
         real at 8 seeded points of the domain (points where it raises are skipped).
 
-        The points run as one stack; only if that run raises do they run
-        again one by one, to skip the points that raise."""
+        The points run as one stack; a run that raises drops the point its
+        error names, and the rest run again."""
         rng = np.random.default_rng(1811)
         points = np.array([self.domain.sample_point(rng, self.m) for _ in range(8)])
-        try:
-            found = list(zip(points, potential.run(self.assignment(points))[:, 0]))
-        except ex.EvaluationDomainError:
-            found = []
-            for p in points:
-                try:
-                    found.append((p, potential.run(self.assignment(p))[0]))
-                except ex.EvaluationDomainError:
-                    continue
-        for p, value in found:
+        while True:
+            try:
+                values = potential.run(self.assignment(points))[:, 0]
+                break
+            except ex.EvaluationDomainError as err:
+                points = np.delete(points, err.index, axis=0)
+        for p, value in zip(points, values):
             value = complex(value)
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ValueError(
@@ -453,30 +450,26 @@ def hermitian_metric(p: ChartPoint, g: np.ndarray) -> HermitianMetric:
     definite, with inverse; here and below, a NaN fails every test.
 
     Points and matrices may stack along leading axes, one matrix per point.
-    Each point is tested alone, and the error names the first point that
-    fails any test, with that point's own message.
+    The tests run one after another over the stack, and the error names the
+    first point that fails the first failing test, with that point's own
+    message and ``index``.  A point before it may fail a later test: a run
+    names the first failing point by running its points before that one
+    again (``cli._points_first``).
     """
-    try:
-        largest = np.max(np.abs(g), axis=(-2, -1))  # inf or NaN where an entry is
-        _raise_at_first(~np.isfinite(largest), p, "metric not finite", MetricError)
-        gh = np.swapaxes(g, -1, -2).conj()
-        hermitian = np.max(np.abs(g - gh), axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, largest)
-        _raise_at_first(~hermitian, p, "metric not Hermitian", MetricError)
-        g = 0.5 * (g + gh)
-        smallest = np.linalg.eigvalsh(g)[..., 0]
-        _raise_at_first(
-            ~(smallest > 0.0), p, "metric not positive definite", MetricError,
-            lambda index: f": smallest eigenvalue {smallest[index]:.6e}",
-        )
-        inverse = np.linalg.inv(g)
-        inverted = np.max(np.abs(g @ inverse - np.eye(g.shape[-1])), axis=(-2, -1)) <= 1e-10
-        _raise_at_first(~inverted, p, "metric inversion failed", MetricError)
-    except MetricError as err:
-        # The tests run one after another over the stack, so a point before
-        # the one named may fail a later test: that point comes first.
-        if err.index and err.index[0]:
-            hermitian_metric(p[: err.index[0]], g[: err.index[0]])
-        raise
+    largest = np.max(np.abs(g), axis=(-2, -1))  # inf or NaN where an entry is
+    _raise_at_first(~np.isfinite(largest), p, "metric not finite", MetricError)
+    gh = np.swapaxes(g, -1, -2).conj()
+    hermitian = np.max(np.abs(g - gh), axis=(-2, -1)) <= 1e-12 * np.maximum(1.0, largest)
+    _raise_at_first(~hermitian, p, "metric not Hermitian", MetricError)
+    g = 0.5 * (g + gh)
+    smallest = np.linalg.eigvalsh(g)[..., 0]
+    _raise_at_first(
+        ~(smallest > 0.0), p, "metric not positive definite", MetricError,
+        lambda index: f": smallest eigenvalue {smallest[index]:.6e}",
+    )
+    inverse = np.linalg.inv(g)
+    inverted = np.max(np.abs(g @ inverse - np.eye(g.shape[-1])), axis=(-2, -1)) <= 1e-10
+    _raise_at_first(~inverted, p, "metric inversion failed", MetricError)
     return HermitianMetric(matrix=g, inverse=inverse)
 
 
@@ -516,19 +509,15 @@ def curvature_tensor(
     the check guards those and jets a caller supplies.  The reality of K
     itself rests on ``KahlerManifold._check_reality`` and on the
     Hermiticity test of ``hermitian_metric``.  Points, metrics and jets may
-    stack along leading axes; each point is validated alone, and the error
-    names the first that fails.  Jets whose ``dg``, ``dgb`` or ``d2g`` hold
-    a value that is not finite fail first, before any product.
+    stack along leading axes.  Jets whose ``dg``, ``dgb`` or ``d2g`` hold a
+    value that is not finite fail first, before any product; as in
+    ``hermitian_metric``, the error names the first point that fails the
+    first failing test.
     """
     _, dg, dgb, d2g = jets
     finite = np.isfinite(dg).all(axis=(-3, -2, -1)) & np.isfinite(dgb).all(axis=(-3, -2, -1))
     finite &= np.isfinite(d2g).all(axis=(-4, -3, -2, -1))
-    try:
-        _raise_at_first(~finite, p, "metric derivatives not finite")
-    except GeometryError as err:
-        if err.index and (k := err.index[0]):  # an earlier point failing the symmetry test comes first
-            curvature_tensor(p[:k], HermitianMetric(metric.matrix[:k], metric.inverse[:k]), [b[:k] for b in jets])
-        raise
+    _raise_at_first(~finite, p, "metric derivatives not finite")
     minus_d2g, quadratic = _curvature_terms(metric, jets)
     r = minus_d2g + quadratic
     axes = (-4, -3, -2, -1)
@@ -575,8 +564,7 @@ def ricci_tensor(
     The two must agree to 1e-8.  On a chart's own jets, route (b) reads
     ``dgb`` filled from ``dg`` by conjugation; the finite-difference oracle
     (``oracle.riemann_tensor_fd``) reads only the metric.  Points stack as in
-    ``curvature_tensor``: each is cross-checked alone, and the error names
-    the first that fails.
+    ``curvature_tensor``, and the error names the first point that fails.
     """
     ginv = metric.inverse
     s_contract = np.einsum("...li,...ijkl->...kj", ginv, curvature.tensor)
@@ -673,22 +661,10 @@ def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoi
     """The first stage of ``point_data``: ``p``, one point or a stack of
     them, checked against the chart domain, and one run of the chart's jet
     tape over all of them (``KahlerManifold.tape_values``).  Gives ``p``
-    and the raw tape outputs, with the points' axis first.  A tape error
-    carries no point index: a run finds the failing point by running this
-    stage again on each point alone."""
+    and the raw tape outputs, with the points' axis first.  An error of
+    either carries the ``index`` of the first point where it rose."""
     p = manifold.require_in_domain(p)
     return p, manifold.tape_values(p)
-
-
-def join(evaluated: Sequence[tuple]) -> tuple[np.ndarray, ...]:
-    """The blocks of ``point_jets`` results, here or in ``submanifold``,
-    joined along one leading point axis.  Each result is of one point (its
-    first block, the point, is 1-D) or of a stack of points; the blocks of
-    one result come back as they are, with no copy."""
-    stacks = [r if np.ndim(r[0]) > 1 else [block[None] for block in r] for r in evaluated]
-    if len(stacks) == 1:
-        return tuple(stacks[0])
-    return tuple(np.concatenate(blocks) for blocks in zip(*stacks))
 
 
 def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) -> PointData:
@@ -709,13 +685,13 @@ def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
     return _tensors(manifold, p, manifold.fill(values))
 
 
-def stack(manifold: KahlerManifold, evaluated: Sequence[tuple]) -> PointData:
-    """The ``point_jets`` results of points of ``manifold`` (see ``join``)
-    as one ``PointData`` with a leading point axis: the jets are filled
-    from the tape outputs, and the metric test, curvature, Ricci and tau
-    run, once for all of them.  A ``GeometryError`` from any of their tests
-    carries the ``index`` of the first failing point."""
-    points, values = join(evaluated)
+def stack(manifold: KahlerManifold, evaluated: tuple[ChartPoint, np.ndarray]) -> PointData:
+    """The ``point_jets`` result of a stack of points of ``manifold`` as one
+    ``PointData`` with a leading point axis: the jets are filled from the
+    tape outputs, and the metric test, curvature, Ricci and tau run, once
+    for all of them.  A ``GeometryError`` from any of their tests carries
+    the ``index`` of the first point that fails the first failing test."""
+    points, values = evaluated
     return _tensors(manifold, points, manifold.fill(values))
 
 

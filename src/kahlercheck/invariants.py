@@ -281,7 +281,7 @@ def sample(
     ``check`` makes at that seed."""
     points_rng, frames = streams(rng)
     stacked = np.array([manifold.sample_point(points_rng) for _ in range(points)])
-    return draw(name, geo.stack(manifold, [geo.point_jets(manifold, stacked)]), samples, frames[name])
+    return draw(name, geo.stack(manifold, geo.point_jets(manifold, stacked)), samples, frames[name])
 
 
 def _spread(sampled: PointSamples) -> tuple[np.ndarray, float, float]:

@@ -19,14 +19,15 @@ point come back as one (n, n, n) array.
 A state is made in two stages.  ``point_jets`` runs once over the stack of
 a run's parameter points: the box test, one run of the immersion's tape
 with the test that f(u) lies in the ambient chart domain, and one run of
-the ambient ``immersion_tape`` at f(u).  ``stack`` joins its results and
-runs the metric test and the rank test of the differential once over them,
-giving one ``_State`` with a leading point axis; ``state`` runs the same
-two stages at one point, with no leading axis.  The derived fields
-(connection, second fundamental form, mean curvature and their derivatives)
-are computed once, on first use, by formulas that broadcast over leading
-axes, so a stack derives each field once for all its points, and per point
-exactly as a state of that point alone would.  The residuals of the
+the ambient ``immersion_tape`` at f(u).  ``stack`` runs the metric test,
+the finiteness test of the other jets and the rank test of the differential
+once over its result, giving one ``_State`` with a leading point axis;
+``state`` runs the same two stages at one point, with no leading axis.
+Every test raises with the ``index`` of the first point that fails it.
+The derived fields (connection, second fundamental form, mean curvature
+and their derivatives) are computed once, on first use, by formulas that
+broadcast over leading axes, so a stack derives each field once for all
+its points, and per point exactly as a state of that point alone would.  The residuals of the
 immersion checks give one value per point of a state; ``invariants.CHECKS``
 names them beside the manifold checks.
 """
@@ -51,7 +52,12 @@ class RankError(geo.GeometryError):
 
 
 class ParameterDomainError(Exception):
-    """Parameter point of the wrong shape or outside the box."""
+    """Parameter point of the wrong shape or outside the box.  ``index`` is
+    the leading-axis index of the first point outside (None for a shape error)."""
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 _SAMPLE_MARGIN = 0.05
@@ -161,7 +167,8 @@ class Immersion:
             )
         outside = ~self.domain.contains(u)
         if outside.any():
-            raise ParameterDomainError(f"parameter point {u[geo.first_index(outside)]} outside the box")
+            index = geo.first_index(outside)
+            raise ParameterDomainError(f"parameter point {u[index]} outside the box", index)
         return u
 
     def jets(self, u: Sequence[float], blocks: int = 4) -> list[np.ndarray]:
@@ -314,9 +321,8 @@ def point_jets(imm: Immersion, u: Sequence[float]) -> tuple[np.ndarray, ...]:
     """The first stage of a state: ``u``, one parameter point or a stack of
     them, checked against the box, one run of the immersion's tape over all
     of them with the test that f(u) lies in the ambient chart domain, and
-    one run of the ambient ``immersion_tape`` at f(u).  A tape error carries
-    no point index: a run finds the failing point by running this stage
-    again on each point alone.
+    one run of the ambient ``immersion_tape`` at f(u).  Each error carries
+    the ``index`` of the first point where it rose.
 
     Gives ``u``, the immersion jets ``(f, df, d2f, d3f)`` and the ambient
     jets ``(g, dg, dgb, d2g, ddg)`` as one flat tuple, the points' axis
@@ -349,15 +355,18 @@ def _require_rank(u: np.ndarray, tangents: np.ndarray) -> None:
 
 def _tested(imm: Immersion, u, point, tangents, d2f, d3f, *jets: np.ndarray) -> _State:
     """The stage of a state that runs once over the output of ``point_jets``,
-    at one point or joined over a stack: the metric test, then the rank
-    test.  Each error names the first point that fails; a point that fails
-    both is named by the metric test."""
-    try:
-        metric = geo.hermitian_metric(point, jets[0])
-    except geo.MetricError as err:
-        if err.index:  # a rank failure at an earlier point of the stack comes first
-            _require_rank(u[: err.index[0]], tangents[: err.index[0]])
-        raise
+    at one point or over a stack: the metric test, the test that every other
+    jet the fields read is finite, then the rank test.  Each error names the
+    first point that fails it; a point that fails more than one is named by
+    the first of them."""
+    metric = geo.hermitian_metric(point, jets[0])
+    # A jet that is not finite would turn the fields NaN without an error;
+    # one pass over the blocks of every point tests them all.
+    flat = [b.reshape(*u.shape[:-1], -1) for b in (d2f, d3f, *jets[1:])]
+    finite = np.isfinite(np.concatenate(flat, axis=-1))
+    own = flat[0].shape[-1] + flat[1].shape[-1]
+    geo._raise_at_first(~finite[..., own:].all(axis=-1), point, "metric derivatives not finite")
+    geo._raise_at_first(~finite[..., :own].all(axis=-1), u, "immersion derivatives not finite")
     _require_rank(u, tangents)
     return _State(imm, u, point, metric, tangents, d2f, d3f, list(jets))
 
@@ -373,13 +382,14 @@ def state(imm: Immersion, u: Sequence[float]) -> _State:
     return _tested(imm, *point_jets(imm, u))
 
 
-def stack(imm: Immersion, evaluated: Sequence[tuple]) -> _State:
-    """The ``point_jets`` results of points of ``imm`` (see ``geometry.join``)
-    as one state with a leading point axis: the metric and rank tests run
-    once for all of them, each derived field is computed once, and a check
-    gives one residual per point.  A ``GeometryError`` from a test, or from
-    the ambient curvature, carries the ``index`` of the first failing point."""
-    return _tested(imm, *geo.join(evaluated))
+def stack(imm: Immersion, evaluated: tuple[np.ndarray, ...]) -> _State:
+    """The ``point_jets`` result of a stack of points of ``imm`` as one state
+    with a leading point axis: the tests of ``_tested`` run once for all of
+    them, each derived field is computed once, and a check gives one
+    residual per point.  A ``GeometryError`` from a test, or from the
+    ambient curvature, carries the ``index`` of the first point that fails
+    the first failing test."""
+    return _tested(imm, *evaluated)
 
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
@@ -506,5 +516,5 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     if points < 1:
         raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
     us = imm.domain.sample(rng, points)
-    return float(np.max(_parallel_h_residual(stack(imm, [point_jets(imm, us)]))))
+    return float(np.max(_parallel_h_residual(stack(imm, point_jets(imm, us)))))
 

@@ -586,19 +586,28 @@ def test_a_suite_evaluates_its_points_once(monkeypatch):
     assert runs == [manifold.tape]
 
 
-@pytest.mark.parametrize("bad", [0, 2])
-def test_a_ricci_disagreement_in_a_stack_names_its_point(bad, monkeypatch):
-    # Route (b) of the Ricci cross-check alone reads d2g from the jets: a
-    # change there at one point of the stack makes the routes disagree there.
-    manifold = models.load_manifold("builtin:fs:3")
-    real_ricci = geo.ricci_tensor
+def _broken_ricci(monkeypatch, bad):
+    """Make route (b) of the Ricci cross-check, which alone reads d2g from
+    the jets, disagree at the ``bad``-th point of the run (counted from 0),
+    wherever that point stands in a stack; the first call is on the stack
+    of all the run's points.  Gives the real ``ricci_tensor``."""
+    real, stacks = geo.ricci_tensor, []
 
     def broken_ricci(p, metric, curvature, jets):
+        stacks.append(p)
         d2g = jets[3].copy()
-        d2g[bad, 0, 0, 0, 0] += 1e-3
-        return real_ricci(p, metric, curvature, [*jets[:3], d2g])
+        d2g[np.all(p == stacks[0][bad], axis=-1), 0, 0, 0, 0] += 1e-3
+        return real(p, metric, curvature, [*jets[:3], d2g])
 
     monkeypatch.setattr(geo, "ricci_tensor", broken_ricci)
+    return real
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_a_ricci_disagreement_in_a_stack_names_its_point(bad, monkeypatch):
+    # A change of d2g at one point of the stack makes the routes disagree there.
+    manifold = models.load_manifold("builtin:fs:3")
+    real_ricci = _broken_ricci(monkeypatch, bad)
     cfg = RunConfig(manifold=manifold.name, check="einstein", points=4, samples=3, seed=3)
     with pytest.raises(cli.PointError) as info:
         cli._run_loaded(cfg, manifold)
@@ -625,16 +634,25 @@ def test_a_check_run_equals_its_report_in_the_suite(source):
         assert key(alone) == key(report), report.check
 
 
+def _stub_failure(row: int) -> ValueError:
+    """An error raised at row ``row`` of a stack, with its ``index`` as a
+    tape run gives it."""
+    err = ValueError("stub tape failure")
+    err.index = (row,)
+    return err
+
+
 def _stubbed_jets(monkeypatch, manifold, failing):
-    """Make the jet tape raise on any stack that holds the ``failing``-th
-    point of the run (counted from 0); the run's first tape call is on the
-    stack of all its points."""
+    """Make the jet tape raise, at its row, on any stack that holds the
+    ``failing``-th point of the run (counted from 0); the run's first tape
+    call is on the stack of all its points."""
     real, stacks = manifold.tape_values, []
 
     def tape_values(p, *a):
         stacks.append(p)
-        if any(np.array_equal(q, stacks[0][failing]) for q in p):
-            raise ValueError("stub tape failure")
+        rows = np.flatnonzero(np.all(p == stacks[0][failing], axis=-1))
+        if rows.size:
+            raise _stub_failure(int(rows[0]))
         return real(p, *a)
 
     monkeypatch.setattr(manifold, "tape_values", tape_values)
@@ -662,14 +680,7 @@ def test_an_earlier_ricci_disagreement_comes_before_a_later_point_error(monkeypa
     # The whole stacked stage, not the metric test alone, runs on the points
     # before one that fails alone: point 1 fails the Ricci cross-check.
     manifold = models.load_manifold("builtin:fs:3")
-    real_ricci = geo.ricci_tensor
-
-    def broken_ricci(p, metric, curvature, jets):
-        d2g = jets[3].copy()
-        d2g[1, 0, 0, 0, 0] += 1e-3
-        return real_ricci(p, metric, curvature, [*jets[:3], d2g])
-
-    monkeypatch.setattr(geo, "ricci_tensor", broken_ricci)
+    _broken_ricci(monkeypatch, 1)
     _stubbed_jets(monkeypatch, manifold, 3)
     cfg = RunConfig(manifold=manifold.name, check="einstein", points=5, samples=3, seed=3)
     with pytest.raises(cli.PointError) as info:
@@ -850,15 +861,16 @@ def test_parallel_h_check_is_the_run_of_its_check():
 def _broken_point_jets(monkeypatch, metric=(), rank=(), fail=None):
     """Make the per-point stage give an indefinite metric at the points of
     the run in ``metric``, a zero differential at those in ``rank``, and
-    raise on any stack that holds point ``fail``, all counted from 0 by
-    their position in the run; its first call is on the stack of all of them."""
+    raise, at its row, on any stack that holds point ``fail``, all counted
+    from 0 by their position in the run; its first call is on the stack of
+    all of them."""
     real, stacks = sub.point_jets, []
 
     def point_jets(imm, u):
         stacks.append(u)
         where = [next(k for k, v in enumerate(stacks[0]) if np.array_equal(v, row)) for row in u]
         if fail in where:
-            raise ValueError("stub tape failure")
+            raise _stub_failure(where.index(fail))
         u, f, df, *rest = (np.copy(x) for x in real(imm, u))
         for row, k in enumerate(where):
             if k in metric:
@@ -957,6 +969,104 @@ def test_an_overflowing_potential_names_its_point_and_fault(seed, message, tmp_p
     path.write_text(OVERFLOW_SPEC)
     assert main(["check", "einstein", "--manifold", str(path), "--seed", str(seed)]) == 2
     assert capsys.readouterr().err == f"error: einstein: {message}\n"
+    assert not recwarn.list
+
+
+# The indefinite chart in z1 beside an overflowing potential in z2: a point
+# may fail the metric test, a tape or a test of the curvature.
+MIXED_SPECS = {
+    "mixed-exp": 'dimension = 2\npotential = "z1*zb1 - 0.5*(z1*zb1)^2 + exp(1000*z2*zb2)"\ndomain = ball 1.0\n',
+    "mixed-power": 'dimension = 2\npotential = "z1*zb1 - 0.5*(z1*zb1)^2 + 1e300*(z2*zb2)^3"\ndomain = ball 1.0\n',
+}
+
+
+def _first_failing_alone(manifold, points):
+    """The index and error text of the first of ``points`` at which
+    ``geometry.point_data`` raises alone, or None if none does."""
+    for index, p in enumerate(points):
+        try:
+            geo.point_data(manifold, p)
+        except Exception as err:
+            return index, str(err)
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec", [INDEFINITE_SPEC, OVERFLOW_SPEC, *MIXED_SPECS.values()], ids=["indefinite", "overflow", *MIXED_SPECS]
+)
+def test_a_run_names_the_first_point_that_fails_alone(spec, tmp_path):
+    # An independent route: the run's points evaluated one at a time, in order.
+    path = tmp_path / "chart.manifold"
+    path.write_text(spec)
+    manifold = models.load_manifold(str(path))
+    failing = 0
+    for seed in range(50):
+        cfg = RunConfig(manifold=str(path), check="einstein", samples=2, seed=seed)
+        rng, _ = inv.streams(np.random.default_rng(seed))
+        want = _first_failing_alone(manifold, [manifold.sample_point(rng) for _ in range(cfg.points)])
+        try:
+            cli._run_loaded(cfg, manifold)
+            got = None
+        except cli.PointError as err:
+            got = (err.index, str(err.__cause__))
+        assert got == want, seed
+        failing += want is not None
+    assert failing >= 10
+
+
+def test_an_earlier_point_that_fails_a_later_test_is_named(tmp_path, capsys):
+    # At seed 118 of the mixed chart, point 4 fails the metric test and point
+    # 1 only the curvature's finiteness test, which runs after it: point 1 is
+    # named, with the text that a run of its first 2 points gives.
+    path = tmp_path / "mixed.manifold"
+    path.write_text(MIXED_SPECS["mixed-exp"])
+    cause = "metric derivatives not finite at [-0.01900549-0.24035771j  0.80398002-0.20693955j]"
+    for points in (5, 2):
+        assert main(["check", "einstein", "--manifold", str(path), "--seed", "118", "--points", str(points)]) == 2
+        assert capsys.readouterr().err == f"error: einstein: point 1 of {points}, seed 118: {cause}\n"
+
+
+def test_a_stacked_metric_test_names_the_first_failing_point(monkeypatch):
+    # The metric tests run one after another over the stack: point 2 fails
+    # the first (finiteness), point 1 a later one (positivity), point 3 the
+    # Hermiticity test between them, and the run names point 1.
+    manifold = models.load_manifold("builtin:fs:3")
+    real, stacks = geo.hermitian_metric, []
+
+    def broken_metric(p, g):
+        stacks.append(p)
+        g = g.copy()
+        for row, q in enumerate(p):
+            k = next(k for k, v in enumerate(stacks[0]) if np.array_equal(v, q))
+            if k == 2:
+                g[row, 0, 0] = np.nan
+            elif k == 1:
+                g[row] = -g[row]
+            elif k == 3:
+                g[row, 0, 1] += 1.0
+        return real(p, g)
+
+    monkeypatch.setattr(geo, "hermitian_metric", broken_metric)
+    cfg = RunConfig(manifold=manifold.name, check="einstein", points=5, samples=3, seed=6)
+    with pytest.raises(cli.PointError) as info:
+        cli._run_loaded(cfg, manifold)
+    err = info.value
+    assert (err.stage, err.index, type(err.__cause__)) == ("stack", 1, geo.MetricError)
+    assert str(err).startswith(f"einstein: point 1 of 5, seed 6: metric not positive definite at {stacks[0][1]}: ")
+
+
+@pytest.mark.parametrize("check", ["parallel-h", "umbilical", "codazzi-general"])
+def test_an_immersion_whose_ambient_jets_are_not_finite_names_its_point(check, tmp_path, capsys, recwarn):
+    # exp(1000 |z1|^2) and its metric are finite at point 2, u1 = 0.827, but
+    # not all its derivatives: every check stops there, with no NaN residual
+    # and no numpy warning.
+    (tmp_path / "overflow.manifold").write_text(OVERFLOW_SPEC)
+    path = tmp_path / "rim.immersion"
+    path.write_text('ambient = overflow.manifold\nparameters = 1\ncomponent1 = "u1"\ndomain = box 0.80 0.835\n')
+    assert main(["check", check, "--immersion", str(path), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {check}: point 2 of 5, seed 3: metric derivatives not finite at [0.82699015+0.j]\n"
+    )
     assert not recwarn.list
 
 

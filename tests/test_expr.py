@@ -395,6 +395,26 @@ def test_a_stacked_run_raises_the_fault_of_its_failing_point(text, bad, message)
     assert good.shape == (3, 1) and np.isfinite(good).all()
 
 
+@pytest.mark.parametrize(
+    "text, bad, error, message",
+    [
+        ("log(z1)", 0j, EvaluationDomainError, "log of zero in subexpression 'log(z1)'"),
+        ("exp(z1)", 1e3 + 0j, EvaluationDomainError, "overflow in subexpression 'exp(z1)'"),
+        # cmath.exp of an infinite imaginary part names no domain fault: the
+        # operator's own error is raised as it is, with the index too
+        ("exp(z1)", complex(0, np.inf), ValueError, "math domain error"),
+    ],
+)
+def test_a_tape_error_carries_the_index_of_its_point(text, bad, error, message):
+    # Only point 1 of a 3-point stack fails; on a (2, 2) grid the index has
+    # both leading axes, and at one point it is ().
+    tape = _stack_tape(text)
+    for z1, index in ((np.array([0.5, bad, 0.25]), (1,)), (np.array([[0.5, 2j], [bad, 0.25]]), (1, 0)), (bad, ())):
+        with pytest.raises(error) as info:
+            tape.run({ex.z(1): z1, ex.z(2): np.ones_like(z1, dtype=complex)})
+        assert str(info.value) == message and info.value.index == index
+
+
 def test_a_silent_overflow_gives_inf_with_no_error(recwarn):
     # Python lets a complex * overflow through; so does the tape, without a
     # warning, and the other points of the stack keep their values.

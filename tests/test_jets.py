@@ -141,7 +141,7 @@ def test_a_stacked_fill_equals_the_jets_of_each_point(chart):
             for got, grid, want in zip(stacked, square, chart.jets(p, blocks)):
                 assert np.array_equal(got[k], want)
                 assert np.array_equal(grid[divmod(k, 2)], want)
-    pd = geo.stack(chart, [geo.point_jets(chart, p) for p in points])
+    pd = geo.stack(chart, geo.point_jets(chart, np.array(points)))
     for k, p in enumerate(points):
         assert all(np.array_equal(got[k], want) for got, want in zip(pd.jets, chart.jets(p)))
 
@@ -160,7 +160,7 @@ def test_the_quadratic_curvature_term_matches_an_index_level_sum(chart):
     # On charts that are not U(m)-symmetric, at one point and on a stack.
     rng = np.random.default_rng(24)
     points = [chart.sample_point(rng) for _ in range(3)]
-    pd = geo.stack(chart, [geo.point_jets(chart, p) for p in points])
+    pd = geo.stack(chart, geo.point_jets(chart, np.array(points)))
     stacked = geo._curvature_terms(pd.metric, pd.jets)
     for k, p in enumerate(points):
         one = geo.point_data(chart, p)

@@ -427,7 +427,7 @@ def test_codazzi_at_round_off_where_normal_curvature_is_large(generic, rng):
 
 
 def _generic_stack(imm, rng, points=5):
-    return sub.stack(imm, [sub.point_jets(imm, imm.domain.sample(rng, points))])
+    return sub.stack(imm, sub.point_jets(imm, imm.domain.sample(rng, points)))
 
 
 def test_stacked_curvature_operator_matches_a_solve_per_vector(generic, rng):
@@ -537,6 +537,10 @@ def test_immersion_component_count_checked():
 def test_parameter_point_outside_box(sphere):
     with pytest.raises(sub.ParameterDomainError):
         sub.state(sphere, [10.0, 0.5])
+    # a stack names its first point outside, and carries its index
+    with pytest.raises(sub.ParameterDomainError, match=r"parameter point \[10\. .* outside the box") as info:
+        sub.point_jets(sphere, [[1.0, 0.5], [10.0, 0.5], [20.0, 0.5]])
+    assert info.value.index == (1,)
 
 
 @pytest.mark.parametrize("fixture", ["linear", "cp1"])
@@ -577,7 +581,7 @@ def test_each_state_builds_nabla_once(check, sphere, rng, monkeypatch):
     st.alpha, st.h, st.derivatives
     assert len(nablas) == 1
     # A stack of the 8 points of a run derives each field once for all of them.
-    run = sub.stack(sphere, [sub.point_jets(sphere, u) for u in sphere.domain.sample(rng, 8)])
+    run = sub.stack(sphere, sub.point_jets(sphere, sphere.domain.sample(rng, 8)))
     inv.CHECKS[check].value(run)
     run.alpha, run.h, run.derivatives
     assert nablas == [st, run]
@@ -597,7 +601,7 @@ def test_a_stacked_state_equals_the_loop_over_its_points(name, rng):
     for points in (1, 3, 8):
         us = [imm.domain.sample(rng) for _ in range(points)]
         loop = [sub.state(imm, u) for u in us]
-        run = sub.stack(imm, [sub.point_jets(imm, u) for u in us])
+        run = sub.stack(imm, sub.point_jets(imm, np.array(us)))
         for check in inv.IMMERSION_CHECKS:
             residual = inv.CHECKS[check].value
             got = residual(run)
@@ -640,12 +644,28 @@ def test_the_tested_stage_at_one_point(scale_g, scale_df, error, cp1, rng, monke
     u = cp1.domain.sample(rng)
     good, evaluated = sub.point_jets(cp1, u), _with_metric_and_differential(cp1, u, scale_g, scale_df)
     with pytest.raises(error) as info:
-        sub.stack(cp1, [good, evaluated])
+        sub.stack(cp1, tuple(np.stack(blocks) for blocks in zip(good, evaluated)))
     assert info.value.index == (1,)
     monkeypatch.setattr(sub, "point_jets", lambda imm, u: evaluated)
     with pytest.raises(error, match=r"at (u=)?\[") as info:
         sub.state(cp1, u)
     assert info.value.index == ()
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [(4, "immersion derivatives not finite at ["), (6, "metric derivatives not finite at ["), (9, "metric derivatives not finite at [")],
+    ids=["d3f", "dg", "ddg"],
+)
+def test_the_tested_stage_names_a_point_whose_jets_are_not_finite(block, message, cp1, rng):
+    # Every jet the fields read is tested, after the metric: a NaN in one
+    # entry of a block at point 1 of 3 names point 1, at the stack or alone.
+    evaluated = [np.copy(b) for b in sub.point_jets(cp1, cp1.domain.sample(rng, 3))]
+    evaluated[block][1].flat[-1] = np.nan
+    for stacked, index in ((tuple(evaluated), (1,)), (tuple(b[1] for b in evaluated), ())):
+        with pytest.raises(geo.GeometryError) as info:
+            sub.stack(cp1, stacked)
+        assert str(info.value).startswith(message) and info.value.index == index
 
 
 def test_codazzi_residuals_are_one_array_per_point(sphere, linear, rng):
