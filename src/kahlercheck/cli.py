@@ -4,8 +4,8 @@ Commands::
 
     check <name> [--manifold URI|PATH] [--immersion PATH|builtin:NAME]
                  [--points N] [--samples K] [--tol T] [--seed S] [--json PATH]
-    suite --manifold URI|PATH [--tol T] [--seed S] [--points N] [--samples K]
-                 [--json PATH]
+    suite [--manifold URI|PATH] [--immersion PATH|builtin:NAME]
+                 [--points N] [--samples K] [--tol T] [--seed S] [--json PATH]
     parse --expr TEXT --dim M [--kinds z,zb,u]
 
 Exit status: 0 when every requested check passes, 1 on a failed verdict,
@@ -17,16 +17,19 @@ the first draws every chart point, and one per check draws that check's
 frames.  A suite evaluates one set of points for all its checks, so
 ``check X --seed s`` gives the X report of ``suite --seed s``.  An
 immersion run draws all its parameter points in one call of one generator
-seeded with ``--seed``.  Every check is one entry of ``invariants.CHECKS``,
-and only a run's points stage (``_run_points``) knows its kind.  Both kinds
-go points first (``_points_first``): the domain tests and each tape run once
-over the stack of all the run's points, then the tests of the stack run
-once.  Every test raises with the ``index`` of the first point that fails
-it, and one rule names the run's first failing point: when point k > 0
-fails, both stages run again on the points before it, and k is named only
-if they pass.  From the stack on, every check takes one path:
-``invariants.draw``, ``invariants.reduce_samples``, a ``CheckReport``.
-A report is a deterministic function of its RunConfig (up to the timestamp
+seeded with ``--seed``, so the same holds for immersions.  Every check is
+one entry of ``invariants.CHECKS``, and a check is a suite of one: ``_run``
+loads a target of the checks' kind, and only it and the points stage
+(``_run_points``) know that kind.  Both kinds go points first
+(``_points_first``): the domain tests and each tape run once over the
+stack of all the run's points, then the tests of the stack run once.
+Every test raises with the ``index`` of the first point that fails it, and
+one rule names the run's first failing point: when point k > 0 fails, both
+stages run again on the points before it, and k is named only if they
+pass.  From the stack on, every check takes one path: ``invariants.draw``,
+``invariants.reduce_samples``, a ``CheckReport``.  A suite's summary is
+read from the property each check tests (``invariants.summary``).  A
+report is a deterministic function of its RunConfig (up to the timestamp
 field).
 """
 
@@ -36,7 +39,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -47,7 +50,7 @@ from . import geometry as geo
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
-from .invariants import IMMERSION_CHECKS, MANIFOLD_CHECKS, CheckReport  # IMMERSION_CHECKS: re-exported
+from .invariants import IMMERSION_CHECKS, MANIFOLD_CHECKS, CheckReport
 
 
 class ConfigError(ValueError):
@@ -130,16 +133,10 @@ def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> t
     ``cfg.seed``, then ``geo.point_jets`` and ``geo.stack`` evaluate them;
     an immersion run draws them in one call of one generator seeded with
     ``cfg.seed``, then ``sub.point_jets`` and ``sub.stack`` evaluate them."""
-    check = inv.CHECKS[cfg.check]
-    kind = "immersion" if isinstance(target, sub.Immersion) else "manifold"
-    if kind != check.kind:
-        raise ConfigError(f"check {cfg.check!r} needs a target of kind {check.kind}, got the {kind} {target.name!r}")
-    if kind == "immersion":
+    if isinstance(target, sub.Immersion):
         us = target.domain.sample(np.random.default_rng(cfg.seed), cfg.points)
         run = _points_first(cfg, us, partial(sub.point_jets, target), partial(sub.stack, target))
         return f"{target.ambient.name}::{target.name}", run, {}
-    if target.m < check.min_dim:
-        raise ConfigError(f"check {cfg.check!r} needs complex dimension >= {check.min_dim} (got m={target.m})")
     rng, frames = inv.streams(np.random.default_rng(cfg.seed))
     points = np.array([target.sample_point(rng) for _ in range(cfg.points)])
     return target.name, _points_first(cfg, points, partial(geo.point_jets, target), partial(geo.stack, target)), frames
@@ -182,57 +179,60 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def run_check(cfg: RunConfig) -> CheckReport:
-    """Run one named check deterministically from its configuration."""
+def _run(cfg: RunConfig, suite: bool = False) -> tuple[list[CheckReport], list[str]]:
+    """Load the target of ``cfg`` and run ``cfg.check`` on it or, for a
+    ``suite``, every check of its kind that the target's dimension allows,
+    all on one points stage.  Gives the reports and the suite's lines: the
+    checks skipped, then ``invariants.summary``."""
     kind = inv.CHECKS[cfg.check].kind  # names the RunConfig field, flag and loader
     other = "immersion" if kind == "manifold" else "manifold"
-    source = getattr(cfg, kind)
-    if source is None:
-        raise ConfigError(f"check {cfg.check!r} needs --{kind}")
+    what = "suite" if suite else f"check {cfg.check!r}"
+    if getattr(cfg, kind) is None:
+        raise ConfigError(f"{what} needs --{kind}")
     if getattr(cfg, other) is not None:
-        raise ConfigError(f"check {cfg.check!r} takes --{kind}, not --{other}")
-    report, _ = _run_loaded(cfg, getattr(models, f"load_{kind}")(source))
+        raise ConfigError(f"{what} takes --{kind}, not --{other}")
+    names = [name for name, check in inv.CHECKS.items() if check.kind == kind] if suite else [cfg.check]
+    configs = [replace(cfg, check=name) for name in names]
+    target = getattr(models, f"load_{kind}")(getattr(cfg, kind))
+    m = target.m if kind == "manifold" else target.ambient.m  # the complex dimension of its chart
+    skipped = [name for name in names if m < inv.CHECKS[name].min_dim]
+    if skipped and not suite:
+        raise ConfigError(f"{what} needs complex dimension >= {inv.CHECKS[cfg.check].min_dim} (got m={m})")
+    configs = [c for c in configs if c.check not in skipped]
+    # One point set for every check; an error there is named by the first check.
+    shared = _run_points(configs[0], target)
+    runs = {c.check: _run_loaded(c, target, shared) for c in configs}
+    lines = [f"skipped {name} (needs complex dimension >= {inv.CHECKS[name].min_dim})" for name in skipped]
+    return [report for report, _ in runs.values()], lines + inv.summary(runs, m)
+
+
+def run_check(cfg: RunConfig) -> CheckReport:
+    """Run one named check deterministically from its configuration."""
+    (report,), _ = _run(cfg)
     if cfg.output:
         _write_json(cfg.output, report.to_json_dict())
     return report
 
 
 def run_suite(
-    manifold_source: str,
+    manifold: str | None,
     tol: float = RunConfig.tol,
     seed: int = RunConfig.seed,
     points: int = RunConfig.points,
     samples: int = RunConfig.samples,
+    immersion: str | None = None,
 ) -> tuple[list[CheckReport], list[str]]:
-    """Run every manifold-level check and summarize the verification pipeline.
-
-    Returns the reports plus human-readable summary lines stating whether
-    the manifold is (at sampling fidelity) Bochner-flat, Einstein, and of
-    constant holomorphic sectional curvature.
-    """
-    settings = dict(points=points, samples=samples, tol=tol, seed=seed)
-    configs = [RunConfig(manifold_source, name, **settings) for name in MANIFOLD_CHECKS]
-    manifold = models.load_manifold(manifold_source)
-    skipped = [name for name in MANIFOLD_CHECKS if manifold.m < inv.CHECKS[name].min_dim]
-    configs = [cfg for cfg in configs if cfg.check not in skipped]
-    # One point set for every check; an error there is named by the first check.
-    shared = _run_points(configs[0], manifold)
-    runs = {cfg.check: _run_loaded(cfg, manifold, shared) for cfg in configs}
-
-    def yes(*names: str) -> str:
-        return "yes" if all(runs[name][0].passed for name in names if name in runs) else "no"
-
-    lines = [f"skipped {name} (needs complex dimension >= {inv.CHECKS[name].min_dim})" for name in skipped]
-    lines.append(f"Bochner-flat at sampling fidelity: {yes('bochner', 'basis-sum', 'lemma')}")
-    lines.append(f"Einstein at sampling fidelity: {yes('einstein', 'ricci-offdiag')}")
-    chsc, values = runs["chsc"]
-    constant = f"yes (c = {float(np.mean(values)):.6g})" if chsc.passed else "no"
-    lines.append(f"constant holomorphic sectional curvature: {constant}")
-    return [report for report, _ in runs.values()], lines
+    """Run every check of the target given, the immersion if any, and
+    summarize it: the reports, then the lines of ``_run``."""
+    first = (MANIFOLD_CHECKS if immersion is None else IMMERSION_CHECKS)[0]
+    return _run(RunConfig(manifold, first, immersion, points, samples, tol, seed), suite=True)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The run settings of ``check`` and ``suite``, with RunConfig's defaults."""
+    """The target flags and run settings of ``check`` and ``suite``, with
+    RunConfig's defaults."""
+    parser.add_argument("--manifold", help="builtin URI or manifold spec file")
+    parser.add_argument("--immersion", help="immersion spec file or builtin:<name>")
     helps = {"samples": "frames per point (immersion checks ignore it; their report records it)"}
     for name in ("points", "samples", "tol", "seed"):
         default = getattr(RunConfig, name)
@@ -250,13 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="run one named check")
     check.add_argument("check", choices=inv.CHECKS)
-    check.add_argument("--manifold", help="builtin URI or manifold spec file")
-    check.add_argument("--immersion", help="immersion spec file or builtin:<name>")
     _add_run_flags(check)
-
-    suite = commands.add_parser("suite", help="run all manifold checks")
-    suite.add_argument("--manifold", required=True)
-    _add_run_flags(suite)
+    _add_run_flags(commands.add_parser("suite", help="run every check of one manifold or immersion"))
 
     parse = commands.add_parser("parse", help="parse an expression (debugging aid)")
     parse.add_argument("--expr", required=True)
@@ -283,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  worst residual {worst.residual:.3e} at point "
                       f"{np.array2string(np.asarray(worst.point), precision=4)}")
             return 0 if report.passed else 1
-        reports, lines = run_suite(args.manifold, args.tol, args.seed, args.points, args.samples)
+        reports, lines = run_suite(args.manifold, args.tol, args.seed, args.points, args.samples, args.immersion)
         for line in [r.summary_line() for r in reports] + lines:
             print(line)
         if args.output:

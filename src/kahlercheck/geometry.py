@@ -525,7 +525,8 @@ def curvature_tensor(
     def largest(t: np.ndarray) -> np.ndarray:
         return np.max(np.abs(t), axis=axes)
 
-    scale = np.maximum(1.0, largest(r))
+    # R is the difference of two terms that may cancel: its round-off scales with the larger.
+    scale = np.maximum(1.0, np.maximum(largest(minus_d2g), largest(quadratic)))
     pair = np.maximum(largest(r - np.swapaxes(r, -4, -2)), largest(r - np.swapaxes(r, -3, -1)))
     conj = largest(r - np.swapaxes(np.swapaxes(r, -4, -3), -2, -1).conj())
     _raise_at_first(~(np.maximum(pair, conj) <= 1e-10 * scale), p, "curvature symmetries violated")
@@ -579,7 +580,8 @@ def ricci_tensor(
     def largest(t: np.ndarray) -> np.ndarray:
         return np.max(np.abs(t), axis=(-2, -1))
 
-    scale = np.maximum(1.0, largest(s_contract))
+    # As in ``curvature_tensor``, round-off scales with the larger term of route (b).
+    scale = np.maximum(1.0, np.maximum(largest(t1), largest(t2)))
     _raise_at_first(~(largest(s_contract - s_logdet) <= 1e-8 * scale), p, "Ricci computation routes disagree")
     s = 0.5 * (s_contract + np.swapaxes(s_contract, -1, -2).conj())
     return RicciData(matrix=s, metric=metric)

@@ -194,6 +194,8 @@ class Check:
     legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
     An immersion check has no sampler: ``value(state)`` is one residual per
     point of a stacked state.  The sampler sets the ``kind`` of the check.
+    ``tests`` is the property the check tests, a key of ``PROPERTIES``, or
+    None for an identity, which holds on every target.
     ``reduce`` is "max" (each |value| is a residual), "std" (one residual
     per point: the standard deviation of its values) or "spread" (one
     residual: the ``_spread`` of all values).  Samplers and the public
@@ -202,6 +204,7 @@ class Check:
     """
 
     value: Callable
+    tests: str | None
     reduce: str
     sampler: str | None = None
     k: int | None = None
@@ -225,19 +228,27 @@ def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarra
     return geo.real_curvature(r_minus_b, *frame) - reconstruct_curvature_from_ricci(pd, *frame)
 
 
+# The line of a suite's summary that states each property a check tests.
+PROPERTIES = {
+    "Bochner-flat": "Bochner-flat at sampling fidelity",
+    "Einstein": "Einstein at sampling fidelity",
+    "constant HSC": "constant holomorphic sectional curvature",
+    "totally umbilical": "totally umbilical at sampling fidelity",
+    "parallel mean curvature": "parallel mean curvature at sampling fidelity",
+}
 _UNIT, _ANTI = "unit_tangents", "antiholomorphic_frames"
 CHECKS: dict[str, Check] = {
-    "bochner": Check(lambda pd, f: bochner_at(pd, *f), "max", _UNIT, 4),
-    "lemma": Check(lambda pd, f: lemma_residual(pd, *f), "max", _ANTI, 3, min_dim=3),
-    "basis-sum": Check(lambda pd, f: basis_sum(pd, f), "std", _ANTI),
-    "einstein": Check(_einstein, "max", _UNIT, 2),
-    "ricci-offdiag": Check(lambda pd, f: pd.ricci(*f), "max", _ANTI, 2, min_dim=2),
-    "chsc": Check(lambda pd, f: holomorphic_sectional_curvature(pd, *f), "spread", _UNIT, 1),
-    "reconstruct-2-3": Check(_reconstruct, "max", _UNIT, 4),
-    "umbilical": Check(sub._umbilical_residual, "max"),
-    "parallel-h": Check(sub._parallel_h_residual, "max"),
-    "codazzi-general": Check(lambda st: sub._worst_triple(sub._codazzi_general(st)), "max"),
-    "codazzi-umbilical": Check(lambda st: sub._worst_triple(sub._codazzi_umbilical(st)), "max"),
+    "bochner": Check(lambda pd, f: bochner_at(pd, *f), "Bochner-flat", "max", _UNIT, 4),
+    "lemma": Check(lambda pd, f: lemma_residual(pd, *f), "Bochner-flat", "max", _ANTI, 3, min_dim=3),
+    "basis-sum": Check(lambda pd, f: basis_sum(pd, f), "Bochner-flat", "std", _ANTI),
+    "einstein": Check(_einstein, "Einstein", "max", _UNIT, 2),
+    "ricci-offdiag": Check(lambda pd, f: pd.ricci(*f), "Einstein", "max", _ANTI, 2, min_dim=2),
+    "chsc": Check(lambda pd, f: holomorphic_sectional_curvature(pd, *f), "constant HSC", "spread", _UNIT, 1),
+    "reconstruct-2-3": Check(_reconstruct, None, "max", _UNIT, 4),
+    "umbilical": Check(sub._umbilical_residual, "totally umbilical", "max"),
+    "parallel-h": Check(sub._parallel_h_residual, "parallel mean curvature", "max"),
+    "codazzi-general": Check(lambda st: sub._worst_triple(sub._codazzi_general(st)), None, "max"),
+    "codazzi-umbilical": Check(lambda st: sub._worst_triple(sub._codazzi_umbilical(st)), "totally umbilical", "max"),
 }
 MANIFOLD_CHECKS = tuple(name for name, check in CHECKS.items() if check.kind == "manifold")
 IMMERSION_CHECKS = tuple(name for name, check in CHECKS.items() if check.kind == "immersion")
@@ -319,6 +330,50 @@ def reduce_samples(how: str, sampled: PointSamples) -> tuple[np.ndarray, WorstCa
     per_point = values.std(axis=1) if how == "std" else far.max(axis=1)
     worst = WorstCases(run.point.copy(), frames[np.arange(len(far)), far.argmax(axis=1)], per_point)
     return per_point if how == "std" else far.ravel(), worst
+
+
+def _hsc_rule(checks: dict[str | None, list[str]], passed: dict[str, bool], m: int) -> list[str]:
+    # For m >= 2, constant HSC holds exactly when B = 0 and the metric is
+    # Einstein (Bryant, "Bochner-Kähler metrics", J. AMS 14, 2001, section 1).
+    names = [checks[prop] for prop in ("Bochner-flat", "Einstein", "constant HSC")]
+    flat, einstein, hsc = (all(passed[name] for name in group) for group in names)
+    if m < 2 or not all(names) or hsc == (flat and einstein):
+        return []
+    return [name for group in names for name in group]
+
+
+# The rules a suite's verdicts keep.  A rule reads the run's checks of each
+# property (key None: the identities), each check's verdict and the
+# complex dimension, and gives the checks that break it, none if it holds.
+RULES: dict[str, Callable[[dict, dict, int], list[str]]] = {
+    "checks of one property agree": lambda checks, passed, m: [
+        name for prop, names in checks.items() if prop and len({passed[n] for n in names}) > 1 for name in names
+    ],
+    "identity checks pass": lambda checks, passed, m: [name for name in checks[None] if not passed[name]],
+    "for m >= 2, constant HSC iff Bochner-flat and Einstein": _hsc_rule,
+}
+
+
+def summary(runs: dict[str, tuple[CheckReport, np.ndarray]], m: int) -> list[str]:
+    """The summary lines of a suite's ``runs`` (each check's report and
+    values) on a chart of complex dimension ``m``.  Each property that a
+    check of the run tests gets its ``PROPERTIES`` line: "yes" when all its
+    checks pass, with the mean value of a "spread" check as its constant,
+    else "no".  Each rule of ``RULES`` that the verdicts break adds one line
+    naming the checks that break it and their max residuals."""
+    checks = {prop: [name for name in runs if CHECKS[name].tests == prop] for prop in (*PROPERTIES, None)}
+    passed = {name: report.passed for name, (report, _) in runs.items()}
+    lines = []
+    for prop, line in PROPERTIES.items():
+        if checks[prop]:
+            fits = [f" (c = {float(np.mean(runs[n][1])):.6g})" for n in checks[prop] if CHECKS[n].reduce == "spread"]
+            held = all(passed[name] for name in checks[prop])
+            lines.append(f"{line}: yes{''.join(fits)}" if held else f"{line}: no")
+    for rule, broken in RULES.items():
+        if names := broken(checks, passed, m):
+            residuals = ", ".join(f"{name} max={runs[name][0].max_residual:.3e}" for name in names)
+            lines.append(f"rule broken: {rule}: {residuals}")
+    return lines
 
 
 def einstein_residual(

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from . import expr as ex
 from .expr import Expr
 from .geometry import ChartDomain, KahlerManifold, ball
-from .invariants import MANIFOLD_CHECKS
+from .invariants import CHECKS, MANIFOLD_CHECKS
 from .submanifold import Immersion, ParameterBox, box
 
 
@@ -122,15 +122,11 @@ class ModelDescriptor:
     expectations: dict[str, bool]
     hsc_sign: int  # -1, 0, +1; meaningful when constant-HSC
 
-    def __post_init__(self):
-        missing = set(MANIFOLD_CHECKS) - set(self.expectations)
-        if missing:
-            raise ValueError(f"expectation table incomplete for {self.uri}: {missing}")
-
 
 def builtin_descriptors() -> list[ModelDescriptor]:
     def table(good: bool) -> dict[str, bool]:
-        return {name: good for name in MANIFOLD_CHECKS} | {"reconstruct-2-3": True}
+        # A check passes where the model has the property it tests; an identity passes everywhere.
+        return {name: good or CHECKS[name].tests is None for name in MANIFOLD_CHECKS}
 
     return [
         ModelDescriptor(
@@ -150,9 +146,7 @@ def builtin_descriptors() -> list[ModelDescriptor]:
         ),
         ModelDescriptor(
             uri="builtin:product:fs:1:fs:2",
-            # The reconstruction check compares two routes to the Bochner
-            # decomposition of R and passes on every manifold; all genuine
-            # flatness checks fail.
+            # Neither Einstein nor Bochner-flat: only the identities pass.
             expectations=table(False),
             hsc_sign=+1,
         ),

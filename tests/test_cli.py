@@ -119,27 +119,6 @@ def test_immersion_check_needs_immersion():
 
 
 @pytest.mark.parametrize(
-    "check, load, message",
-    [
-        (
-            "bochner",
-            lambda: models.load_immersion("builtin:sphere-flat2-r1"),
-            "check 'bochner' needs a target of kind manifold, got the immersion 'sphere-flat2-r1'",
-        ),
-        (
-            "umbilical",
-            lambda: models.load_manifold("builtin:fs:2"),
-            "check 'umbilical' needs a target of kind immersion, got the manifold 'builtin:fs:2'",
-        ),
-    ],
-)
-def test_a_check_on_the_wrong_kind_of_target_is_a_config_error(check, load, message):
-    with pytest.raises(ConfigError) as info:
-        cli._run_loaded(RunConfig(manifold=None, check=check), load())
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
     "argv, message",
     [
         (
@@ -158,6 +137,28 @@ def test_a_check_given_both_target_flags_is_a_config_error(argv, message, capsys
     assert capsys.readouterr().err.strip() == f"error: {message}"
     with pytest.raises(ConfigError, match="--manifold, not --immersion"):
         run_check(RunConfig(manifold="builtin:fs:2", check="einstein", immersion="builtin:sphere-flat2-r1"))
+
+
+@pytest.mark.parametrize(
+    "flags, check, message",
+    [
+        (
+            ["--immersion", "builtin:sphere-flat2-r1", "--manifold", "builtin:fs:2"],
+            ["umbilical"],
+            "takes --immersion, not --manifold",
+        ),
+        ([], ["bochner"], "needs --manifold"),
+    ],
+    ids=["both", "neither"],
+)
+def test_a_suite_given_both_target_flags_or_neither_is_a_config_error(flags, check, message, monkeypatch, capsys):
+    # The texts of ``check`` with "suite" for the check's name; nothing is built.
+    monkeypatch.setattr(models, "load_manifold", lambda source: pytest.fail("built a manifold"))
+    monkeypatch.setattr(models, "load_immersion", lambda source: pytest.fail("built an immersion"))
+    assert main(["check", *check, *flags]) == 2
+    assert capsys.readouterr().err == f"error: check {check[0]!r} {message}\n"
+    assert main(["suite", *flags]) == 2
+    assert capsys.readouterr().err == f"error: suite {message}\n"
 
 
 def test_umbilical_check_on_builtin_sphere():
@@ -304,6 +305,116 @@ def test_run_suite_builds_the_chart_once(monkeypatch):
     monkeypatch.setattr(models, "load_manifold", lambda src: loads.append(src) or real_load(src))
     run_suite("builtin:fs:3", seed=7, points=1, samples=5)
     assert loads == ["builtin:fs:3"]
+
+
+def test_an_immersion_suite_builds_its_immersion_once(monkeypatch):
+    # One build and one points stage for the four checks.
+    loads, stages = [], []
+    real_load, real_point_jets = models.load_immersion, sub.point_jets
+    monkeypatch.setattr(models, "load_immersion", lambda src: loads.append(src) or real_load(src))
+    monkeypatch.setattr(sub, "point_jets", lambda imm, u: stages.append(len(u)) or real_point_jets(imm, u))
+    reports, _ = run_suite(None, seed=7, points=3, immersion="builtin:cp1-in-cp2")
+    assert [r.check for r in reports] == list(cli.IMMERSION_CHECKS)
+    assert (loads, stages) == (["builtin:cp1-in-cp2"], [3])
+
+
+@pytest.mark.parametrize("fixture, verdict, status", [("cp1-in-cp2", "yes", 0), ("ellipsoid-flat2", "no", 1)])
+def test_an_immersion_suite_states_its_properties(fixture, verdict, status, capsys):
+    assert main(["suite", "--immersion", f"builtin:{fixture}", "--seed", "3"]) == status
+    assert capsys.readouterr().out.splitlines()[4:] == [
+        f"totally umbilical at sampling fidelity: {verdict}",
+        f"parallel mean curvature at sampling fidelity: {verdict}",
+    ]
+
+
+# fs:3 plus eps times |z1|^4 + z1^2 zb2 zb3 + zb1^2 z2 z3, on ball 0.5: for a
+# small eps the checks of the curvature sit at the tolerance.
+def _perturbed_fs3(eps: str) -> str:
+    return (
+        "dimension = 3\n"
+        f'potential = "log(1 + z1*zb1 + z2*zb2 + z3*zb3) + {eps}*((z1*zb1)^2 + z1^2*zb2*zb3 + zb1^2*z2*z3)"\n'
+        "domain = ball 0.5\n"
+    )
+
+
+PRODUCT_1E9_SPEC = 'dimension = 3\npotential = "1e9*log(1 + z1*zb1) + 0.5e9*log(1 + z2*zb2 + z3*zb3)"\ndomain = ball 1.2\n'
+
+
+@pytest.mark.parametrize(
+    "spec, verdicts, failing, broken",
+    [
+        (
+            "builtin:fs:3:1e8",
+            ("no", "no", "yes (c = 2e+08)"),
+            {"bochner", "lemma", "basis-sum", "einstein", "ricci-offdiag", "reconstruct-2-3"},
+            {
+                "identity checks pass": ["reconstruct-2-3"],
+                "for m >= 2, constant HSC iff Bochner-flat and Einstein": list(MANIFOLD_CHECKS[:6]),
+            },
+        ),
+        (
+            _perturbed_fs3("2e-9"),
+            ("yes", "no", "yes (c = 2)"),
+            {"einstein", "ricci-offdiag"},
+            {"for m >= 2, constant HSC iff Bochner-flat and Einstein": list(MANIFOLD_CHECKS[:6])},
+        ),
+        (
+            _perturbed_fs3("5e-9"),
+            ("no", "no", "no"),
+            {"lemma", "basis-sum", "einstein", "ricci-offdiag", "chsc"},
+            {"checks of one property agree": ["bochner", "lemma", "basis-sum"]},
+        ),
+        (
+            PRODUCT_1E9_SPEC,
+            ("yes", "yes", "no"),
+            {"chsc"},
+            {"for m >= 2, constant HSC iff Bochner-flat and Einstein": list(MANIFOLD_CHECKS[:6])},
+        ),
+    ],
+    ids=["fs3-1e8", "eps-2e-9", "eps-5e-9", "product-1e9"],
+)
+def test_a_suite_names_each_rule_its_verdicts_break(spec, verdicts, failing, broken, tmp_path, capsys):
+    source = spec
+    if not spec.startswith("builtin:"):
+        source = str(tmp_path / "chart.manifold")
+        Path(source).write_text(spec)
+    assert main(["suite", "--manifold", source, "--seed", "7"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    reports = {line.split()[1]: line for line in out[:7]}
+    assert {name for name, line in reports.items() if line.startswith("[fail]")} == failing
+    assert out[7:10] == [
+        f"Bochner-flat at sampling fidelity: {verdicts[0]}",
+        f"Einstein at sampling fidelity: {verdicts[1]}",
+        f"constant holomorphic sectional curvature: {verdicts[2]}",
+    ]
+    assert [line.split(": ")[1] for line in out[10:]] == list(broken)
+    for line, names in zip(out[10:], broken.values()):
+        # Each check named with the max residual its report line gives.
+        named = line.split(": ", 2)[2].split(", ")
+        assert [entry.split()[0] for entry in named] == names
+        for entry in named:
+            name, residual = entry.split()
+            assert f" {residual} " in reports[name]
+
+
+def test_a_curvature_of_two_huge_cancelling_terms_gets_a_verdict(tmp_path, capsys):
+    # R is the difference of -d2g and the quadratic term, both near 1e300 in
+    # z2 here: their round-off passes the symmetry test, scaled by the larger.
+    path = tmp_path / "huge.manifold"
+    path.write_text('dimension = 2\npotential = "z1*zb1 - 0.5*(z1*zb1)^2 + 1e300*(z2*zb2)^3"\ndomain = ball 0.6\n')
+    assert main(["check", "einstein", "--manifold", str(path), "--seed", "2"]) == 1
+    assert "[fail] einstein on" in capsys.readouterr().out
+    report = run_check(RunConfig(manifold=str(path), check="einstein", seed=2))
+    assert report.max_residual == pytest.approx(5.18, abs=0.005)
+
+
+def test_a_ricci_flat_chart_with_large_route_terms_gets_a_verdict(tmp_path):
+    # The pullback of flat C^2 by (z1 + 100 z2^2, z2): S = 0, but the traces
+    # of the log-determinant route are near 1e8, and so is their round-off.
+    path = tmp_path / "pullback.manifold"
+    path.write_text('dimension = 2\npotential = "(z1 + 100*z2^2)*(zb1 + 100*zb2^2) + z2*zb2"\ndomain = ball 0.5\n')
+    for seed in range(4):
+        assert run_check(RunConfig(manifold=str(path), check="einstein", seed=seed)).max_residual < 1e-7
 
 
 def test_chsc_passes_on_flat_pullback_chart(flat_pullback_path):

@@ -1,6 +1,8 @@
 """Builtin models, expectation tables, and spec-file parsing."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,26 @@ def test_every_check_is_one_entry_of_one_table():
     assert all(inv.CHECKS[name].reduce == "max" for name in immersion)
     assert models.MANIFOLD_CHECKS is cli.MANIFOLD_CHECKS is inv.MANIFOLD_CHECKS == manifold
     assert cli.IMMERSION_CHECKS is inv.IMMERSION_CHECKS == immersion
+    # One property per entry, a key of the one property table; None is an identity.
+    assert {name: inv.CHECKS[name].tests for name in inv.CHECKS} == {
+        "bochner": "Bochner-flat",
+        "lemma": "Bochner-flat",
+        "basis-sum": "Bochner-flat",
+        "einstein": "Einstein",
+        "ricci-offdiag": "Einstein",
+        "chsc": "constant HSC",
+        "reconstruct-2-3": None,
+        "umbilical": "totally umbilical",
+        "parallel-h": "parallel mean curvature",
+        "codazzi-general": None,
+        "codazzi-umbilical": "totally umbilical",
+    }
+    assert {check.tests for check in inv.CHECKS.values()} - {None} == set(inv.PROPERTIES)
+    # No code of the runner or the models names a check: both read the table.
+    for module in (cli, models):
+        literals = {node.value for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+                    if isinstance(node, ast.Constant)}
+        assert not literals & set(inv.CHECKS), module.__name__
     # The frame streams are the 7 children after the points' one, keyed by
     # the manifold checks in this order: adding an immersion check moves none.
     _, frames = inv.streams(np.random.default_rng(5))

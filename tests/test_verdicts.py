@@ -107,6 +107,32 @@ def test_run_keeps_its_verdicts(key, expected, spec_dir):
     assert _outcome(RUNS[key], spec_dir) == expected[key]
 
 
+def test_no_suite_of_the_corpus_breaks_a_rule(expected):
+    assert not [key for key, outcome in expected.items() if any("rule broken" in line for line in outcome["lines"])]
+
+
+def _reports(argv: list[str], path: Path) -> tuple[list[str], list[str]]:
+    """The report lines a run prints and its JSON reports, timestamp aside."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main([*argv, "--json", str(path)])
+    payload = json.loads(path.read_text())
+    reports = payload if isinstance(payload, list) else [payload]
+    texts = [json.dumps({k: v for k, v in r.items() if k != "timestamp"}, sort_keys=True) for r in reports]
+    return [line for line in out.getvalue().splitlines() if line.startswith("[")], texts
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+@pytest.mark.parametrize("seed", ["3", "7"])
+def test_an_immersion_suite_gives_the_reports_of_its_checks(fixture, seed, tmp_path):
+    # The 48 immersion runs of the corpus, 4 to a suite of one build and one points stage.
+    argv = ["--immersion", f"builtin:{fixture}", "--seed", seed, "--points", "8"]
+    lines, texts = _reports(["suite", *argv], tmp_path / "suite.json")
+    alone = [_reports(["check", check, *argv], tmp_path / f"{check}.json") for check in cli.IMMERSION_CHECKS]
+    assert lines == [line for check_lines, _ in alone for line in check_lines]
+    assert texts == [text for _, check_texts in alone for text in check_texts]
+
+
 if __name__ == "__main__":
     import tempfile
 
