@@ -19,18 +19,18 @@ frames.  A suite evaluates one set of points for all its checks, so
 immersion run draws all its parameter points in one call of one generator
 seeded with ``--seed``, so the same holds for immersions.  Every check is
 one entry of ``invariants.CHECKS``, and a check is a suite of one: ``_run``
-loads a target of the checks' kind, and only it and the points stage
-(``_run_points``) know that kind.  Both kinds go points first
-(``_points_first``): the domain tests and each tape run once over the
-stack of all the run's points, then the tests of the stack run once.
+loads a target of the checks' kind.  The CLI and the library helpers share
+each check's count rule (``geometry.require_counts``) and the points stage
+(``invariants.run_points``): the domain tests and each tape run once over
+the stack of all the run's points, then the tests of the stack run once.
 Every test raises with the ``index`` of the first point that fails it, and
-one rule names the run's first failing point: when point k > 0 fails, both
-stages run again on the points before it, and k is named only if they
-pass.  From the stack on, every check takes one path: ``invariants.draw``,
-``invariants.reduce_samples``, a ``CheckReport``.  A suite's summary is
-read from the property each check tests (``invariants.summary``).  A
-report is a deterministic function of its RunConfig (up to the timestamp
-field).
+one rule names the run's first failing point (``geometry.run_stages``):
+when point k > 0 fails, both stages run again on the points before it, and
+k is named only if they pass.  From the stack on, every check takes one
+path: ``invariants.draw``, ``invariants.reduce_samples``, a
+``CheckReport``.  A suite's summary is read from the property each check
+tests (``invariants.summary``).  A report is a deterministic function of
+its RunConfig (up to the timestamp field).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -50,20 +48,15 @@ from . import geometry as geo
 from . import invariants as inv
 from . import models
 from . import submanifold as sub
+from .geometry import ConfigError
 from .invariants import IMMERSION_CHECKS, MANIFOLD_CHECKS, CheckReport
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class PointError(Exception):
-    """A check failed at one of its sample points: the ``index``-th, counted
-    from 0, of the run with ``seed``, the first point of the run that fails
-    any test of the points and stack stages.  ``stage`` is the stage of the
-    run that raised: "points" (the domain tests and the tapes), "stack"
-    (the tests and fields of the stacked points) or "check" (the check's
-    frames and values).  The original error is the cause."""
+    """A check failed at the ``index``-th point, counted from 0, of the run
+    with ``seed``: the first failing point of its points stage, with that
+    ``stage`` (see ``geometry.StageError``), or a point of the check's
+    frames and values (stage "check").  The original error is the cause."""
 
     def __init__(self, cfg: RunConfig, stage: str, index: int, err: Exception):
         super().__init__(f"{cfg.check}: point {index} of {cfg.points}, seed {cfg.seed}: {err}")
@@ -72,8 +65,11 @@ class PointError(Exception):
 
 @dataclass
 class RunConfig:
+    """The settings of a run: of the check ``check``, or of a suite when
+    ``check`` is None."""
+
     manifold: str | None
-    check: str
+    check: str | None
     immersion: str | None = None
     points: int = 5
     samples: int = 200
@@ -82,17 +78,11 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.check not in inv.CHECKS:
-            raise ConfigError(
-                f"unknown check {self.check!r}; known: {', '.join(inv.CHECKS)}"
-            )
-        if self.points < 1 or self.samples < 1:
-            raise ConfigError("points and samples must be >= 1")
-        # A standard deviation or a spread of one value is 0 whatever the chart.
-        how = inv.CHECKS[self.check].reduce
-        if {"std": self.samples, "spread": self.points * self.samples}.get(how, 2) < 2:
-            what = "samples" if how == "std" else "points x samples"
-            raise ConfigError(f"check {self.check!r} needs {what} >= 2")
+        # A suite's counts are those of each of its checks (``_run``).
+        if self.check is not None:
+            if self.check not in inv.CHECKS:
+                raise ConfigError(f"unknown check {self.check!r}; known: {', '.join(inv.CHECKS)}")
+            geo.require_counts(self.check, self.points, self.samples, inv.CHECKS[self.check].reduce)
         # An infinite tolerance would pass every check whatever its residuals.
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("tolerance must be positive and finite")
@@ -100,51 +90,19 @@ class RunConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-def _points_first(cfg: RunConfig, points: np.ndarray, evaluate: Callable, stack: Callable):
-    """The two stages of a run on the stack ``points``: ``evaluate`` on the
-    whole stack, then ``stack`` on its result.
-
-    Every test of either raises with the ``index`` of the first point that
-    fails it, but a point before that one may fail a later test.  So on an
-    error at point k > 0, both stages run again on the points before k,
-    and k is named, as a ``PointError`` of the stage that raised, only if
-    they pass.  A re-run that fails does so at an earlier point and in a
-    later test (a tape's ops count as tests), so the re-runs are few."""
-    stage = "points"
-    try:
-        found = evaluate(points)
-        stage = "stack"
-        return stack(found)
-    except Exception as err:
-        index = getattr(err, "index", None)
-        if not index:
-            raise
-        if index[0]:
-            _points_first(cfg, points[: index[0]], evaluate, stack)
-        raise PointError(cfg, stage, index[0], err) from err
-
-
 def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
-    """The points stage of a run, the one stage that knows the kind of its
-    target: the target's name in the report, the run's points as one stack,
-    and the generator of each manifold check's frames.
-
-    A manifold run draws its points one by one from ``inv.streams`` of
-    ``cfg.seed``, then ``geo.point_jets`` and ``geo.stack`` evaluate them;
-    an immersion run draws them in one call of one generator seeded with
-    ``cfg.seed``, then ``sub.point_jets`` and ``sub.stack`` evaluate them."""
-    if isinstance(target, sub.Immersion):
-        us = target.domain.sample(np.random.default_rng(cfg.seed), cfg.points)
-        run = _points_first(cfg, us, partial(sub.point_jets, target), partial(sub.stack, target))
-        return f"{target.ambient.name}::{target.name}", run, {}
-    rng, frames = inv.streams(np.random.default_rng(cfg.seed))
-    points = np.array([target.sample_point(rng) for _ in range(cfg.points)])
-    return target.name, _points_first(cfg, points, partial(geo.point_jets, target), partial(geo.stack, target)), frames
+    """The points stage of the run of ``cfg`` (``invariants.run_points``),
+    a failure named as a ``PointError``: the target's name in the report,
+    the run's points as one stack and each manifold check's frame generator."""
+    try:
+        run, frames = inv.run_points(target, cfg.points, np.random.default_rng(cfg.seed))
+    except geo.StageError as err:
+        raise PointError(cfg, err.stage, err.index, err.__cause__) from err.__cause__
+    name = f"{target.ambient.name}::{target.name}" if isinstance(target, sub.Immersion) else target.name
+    return name, run, frames
 
 
-def _run_loaded(
-    cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, shared: tuple | None = None
-) -> tuple:
+def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, shared: tuple | None = None) -> tuple:
     """Run ``cfg.check`` on an already built manifold or immersion.
 
     Returns the report and one array of the values it was reduced from:
@@ -160,17 +118,11 @@ def _run_loaded(
     except geo.GeometryError as err:
         raise PointError(cfg, "check", err.index[0], err) from err
     residuals, worst = inv.reduce_samples(inv.CHECKS[cfg.check].reduce, sampled)
-    return CheckReport(
-        manifold=name,
-        check=cfg.check,
-        seed=cfg.seed,
-        points=cfg.points,
-        samples=cfg.samples,
-        tolerance=cfg.tol,
-        max_residual=float(np.max(residuals)),
-        mean_residual=float(np.mean(residuals)),
-        worst_cases=worst,
-    ), sampled[2].ravel()
+    report = CheckReport(
+        manifold=name, check=cfg.check, seed=cfg.seed, points=cfg.points, samples=cfg.samples, tolerance=cfg.tol,
+        max_residual=float(np.max(residuals)), mean_residual=float(np.mean(residuals)), worst_cases=worst,
+    )
+    return report, sampled[2].ravel()
 
 
 def _write_json(path: str, payload) -> None:
@@ -179,24 +131,24 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _run(cfg: RunConfig, suite: bool = False) -> tuple[list[CheckReport], list[str]]:
+def _run(cfg: RunConfig) -> tuple[list[CheckReport], list[str]]:
     """Load the target of ``cfg`` and run ``cfg.check`` on it or, for a
-    ``suite``, every check of its kind that the target's dimension allows,
-    all on one points stage.  Gives the reports and the suite's lines: the
+    suite, every check of its kind that the target's dimension allows, all
+    on one points stage.  Gives the reports and the suite's lines: the
     checks skipped, then ``invariants.summary``."""
-    kind = inv.CHECKS[cfg.check].kind  # names the RunConfig field, flag and loader
+    names = [cfg.check] if cfg.check else list(MANIFOLD_CHECKS if cfg.immersion is None else IMMERSION_CHECKS)
+    kind = inv.CHECKS[names[0]].kind  # names the RunConfig field, flag and loader
     other = "immersion" if kind == "manifold" else "manifold"
-    what = "suite" if suite else f"check {cfg.check!r}"
+    what = f"check {cfg.check!r}" if cfg.check else "suite"
     if getattr(cfg, kind) is None:
         raise ConfigError(f"{what} needs --{kind}")
     if getattr(cfg, other) is not None:
         raise ConfigError(f"{what} takes --{kind}, not --{other}")
-    names = [name for name, check in inv.CHECKS.items() if check.kind == kind] if suite else [cfg.check]
     configs = [replace(cfg, check=name) for name in names]
     target = getattr(models, f"load_{kind}")(getattr(cfg, kind))
     m = target.m if kind == "manifold" else target.ambient.m  # the complex dimension of its chart
     skipped = [name for name in names if m < inv.CHECKS[name].min_dim]
-    if skipped and not suite:
+    if skipped and cfg.check:
         raise ConfigError(f"{what} needs complex dimension >= {inv.CHECKS[cfg.check].min_dim} (got m={m})")
     configs = [c for c in configs if c.check not in skipped]
     # One point set for every check; an error there is named by the first check.
@@ -224,8 +176,7 @@ def run_suite(
 ) -> tuple[list[CheckReport], list[str]]:
     """Run every check of the target given, the immersion if any, and
     summarize it: the reports, then the lines of ``_run``."""
-    first = (MANIFOLD_CHECKS if immersion is None else IMMERSION_CHECKS)[0]
-    return _run(RunConfig(manifold, first, immersion, points, samples, tol, seed), suite=True)
+    return _run(RunConfig(manifold, None, immersion, points, samples, tol, seed))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

@@ -861,7 +861,11 @@ def parse_expression(
         raise ValueError(f"unknown variable kind {', '.join(map(repr, unknown))}")
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(_tokenize(text), dimension, allowed).parse()
+    parser = _Parser(_tokenize(text), dimension, allowed)
+    try:
+        return parser.parse()
+    except RecursionError:  # the parser descends four calls per parenthesis
+        raise ParseError("expression nested too deeply", parser.cur.pos) from None
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5

@@ -454,7 +454,7 @@ def hermitian_metric(p: ChartPoint, g: np.ndarray) -> HermitianMetric:
     first point that fails the first failing test, with that point's own
     message and ``index``.  A point before it may fail a later test: a run
     names the first failing point by running its points before that one
-    again (``cli._points_first``).
+    again (``run_stages``).
     """
     largest = np.max(np.abs(g), axis=(-2, -1))  # inf or NaN where an entry is
     _raise_at_first(~np.isfinite(largest), p, "metric not finite", MetricError)
@@ -552,6 +552,54 @@ def first_index(bad: np.ndarray) -> tuple[int, ...]:
     """The leading-axis indices of the first point of a stack where ``bad``
     holds (() for one point)."""
     return tuple(map(int, np.unravel_index(np.argmax(bad), np.shape(bad))))
+
+
+class ConfigError(ValueError):
+    """The settings of a run are invalid."""
+
+
+def require_counts(check: str, points: int, samples: int, how: str = "max") -> None:
+    """The count rule of a run of ``check``, ``samples`` frames at each of
+    ``points`` points, whose values reduce as ``how`` (``invariants.Check``):
+    one of each at least, and two values to a "std" or a "spread", which is
+    0 on one value whatever the chart."""
+    for what, count in (("points", points), ("samples", samples)):
+        if count < 1:
+            raise ConfigError(f"check {check!r} needs {what} >= 1, got {count}")
+    if {"std": samples, "spread": points * samples}.get(how, 2) < 2:
+        what = "samples" if how == "std" else "points x samples"
+        raise ConfigError(f"check {check!r} needs {what} >= 2")
+
+
+class StageError(Exception):
+    """A run's first failing point (``run_stages``): its ``index`` and the
+    ``stage`` that raised, "points" or "stack"; the original error is the cause."""
+
+    def __init__(self, stage: str, index: int, err: Exception):
+        super().__init__(f"point {index}: {err}")
+        self.stage, self.index = stage, index
+
+
+def run_stages(points: np.ndarray, evaluate: Callable, stack: Callable):
+    """The two stages of a run on the stack ``points``: ``evaluate``, then
+    ``stack`` on its result.  Every test of either raises with the ``index``
+    of the first point that fails it, but an earlier point may fail a later
+    test: so on an error at point k > 0 both stages run again on the points
+    before k, and k is named, in a ``StageError``, only if they pass.  A
+    failing re-run fails at an earlier point and in a later test (a tape's
+    ops count as tests), so the re-runs are few."""
+    stage = "points"
+    try:
+        found = evaluate(points)
+        stage = "stack"
+        return stack(found)
+    except Exception as err:
+        index = getattr(err, "index", None)
+        if not index:
+            raise
+        if index[0]:
+            run_stages(points[: index[0]], evaluate, stack)
+        raise StageError(stage, index[0], err) from err
 
 
 def ricci_tensor(
@@ -660,18 +708,23 @@ class PointData:
 
 
 def point_jets(manifold: KahlerManifold, p: Sequence[complex]) -> tuple[ChartPoint, np.ndarray]:
-    """The first stage of ``point_data``: ``p``, one point or a stack of
-    them, checked against the chart domain, and one run of the chart's jet
-    tape over all of them (``KahlerManifold.tape_values``).  Gives ``p``
-    and the raw tape outputs, with the points' axis first.  An error of
-    either carries the ``index`` of the first point where it rose."""
+    """The first stage of a run: ``p``, one point or a stack of them,
+    checked against the chart domain, and one run of the chart's jet tape
+    over all of them (``KahlerManifold.tape_values``).  Gives ``p`` and the
+    raw tape outputs, with the points' axis first.  An error of either
+    carries the ``index`` of the first point where it rose."""
     p = manifold.require_in_domain(p)
     return p, manifold.tape_values(p)
 
 
-def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) -> PointData:
-    """The metric test, curvature, Ricci and scalar curvature from the jets
-    at one point or at a stack of points."""
+def stack(manifold: KahlerManifold, evaluated: tuple[ChartPoint, np.ndarray]) -> PointData:
+    """The second stage of a run: the ``point_jets`` result of one point or
+    of a stack as one ``PointData``.  The jets are filled, and the metric
+    test, curvature, Ricci and tau run, once for all the points; an error of
+    their tests carries the ``index`` of the first point that fails the
+    first failing test."""
+    p, values = evaluated
+    jets = manifold.fill(values)
     metric = hermitian_metric(p, jets[0])
     curvature = curvature_tensor(p, metric, jets)
     ricci = ricci_tensor(p, metric, curvature, jets)
@@ -681,20 +734,9 @@ def _tensors(manifold: KahlerManifold, p: ChartPoint, jets: list[np.ndarray]) ->
 
 
 def point_data(manifold: KahlerManifold, p: Sequence[complex]) -> PointData:
-    """Evaluate metric, curvature, Ricci and scalar curvature at ``p``,
-    from one run of the chart's jet tape."""
-    p, values = point_jets(manifold, p)
-    return _tensors(manifold, p, manifold.fill(values))
-
-
-def stack(manifold: KahlerManifold, evaluated: tuple[ChartPoint, np.ndarray]) -> PointData:
-    """The ``point_jets`` result of a stack of points of ``manifold`` as one
-    ``PointData`` with a leading point axis: the jets are filled from the
-    tape outputs, and the metric test, curvature, Ricci and tau run, once
-    for all of them.  A ``GeometryError`` from any of their tests carries
-    the ``index`` of the first point that fails the first failing test."""
-    points, values = evaluated
-    return _tensors(manifold, points, manifold.fill(values))
+    """Metric, curvature, Ricci and scalar curvature at ``p``: the two
+    stages of a run at one point."""
+    return stack(manifold, point_jets(manifold, p))
 
 
 # One tensor at one point of a chart.  The metric runs only the tape prefix

@@ -17,7 +17,7 @@ the run's chart points; the jet tape runs once over all of them, and
 Each check then draws the frames of every point in one call from its own
 stream (``draw``), and computes its values once for the stack.  So a seed
 fixes every residual, and every check of a suite sees the same points.
-``sample`` runs one check this way.
+``sample`` runs one check this way, under the count and point rules of ``check``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -283,16 +284,27 @@ def draw(name: str, pd: Any, samples: int, rng: np.random.Generator | None) -> P
     return pd, frames, check.value(pd, [RealTangentVector(frames[..., a, :]) for a in range(frames.shape[-2])])
 
 
-def sample(
-    name: str, manifold: KahlerManifold, points: int, samples: int, rng: np.random.Generator
-) -> PointSamples:
-    """A run of check ``name`` on the ``streams`` of ``rng``: ``points``
-    chart points evaluated as one ``geometry.stack``, then ``draw`` on it.
-    With ``rng = np.random.default_rng(seed)`` this is the run that
-    ``check`` makes at that seed."""
+def run_points(target: KahlerManifold | sub.Immersion, points: int, rng: np.random.Generator) -> tuple[Any, dict]:
+    """The points stage of a run: ``points`` points of a manifold (from the
+    first of the ``streams`` of ``rng``) or of an immersion through the two
+    stages of ``geometry.run_stages``, and each manifold check's frame generator."""
+    if isinstance(target, sub.Immersion):
+        return sub.run_points(target, points, rng), {}
     points_rng, frames = streams(rng)
-    stacked = np.array([manifold.sample_point(points_rng) for _ in range(points)])
-    return draw(name, geo.stack(manifold, geo.point_jets(manifold, stacked)), samples, frames[name])
+    drawn = np.array([target.sample_point(points_rng) for _ in range(points)])
+    return geo.run_stages(drawn, partial(geo.point_jets, target), partial(geo.stack, target)), frames
+
+
+def sample(
+    name: str, target: KahlerManifold | sub.Immersion, points: int, samples: int, rng: np.random.Generator
+) -> PointSamples:
+    """The run of check ``name`` on ``target``: its count rule
+    (``geometry.require_counts``), ``run_points``, then ``draw``.  With
+    ``rng = np.random.default_rng(seed)`` this is the run that ``check``
+    makes at that seed, down to the counts it rejects and the point it names."""
+    geo.require_counts(name, points, samples, CHECKS[name].reduce)
+    run, frames = run_points(target, points, rng)
+    return draw(name, run, samples, frames.get(name))
 
 
 def _spread(sampled: PointSamples) -> tuple[np.ndarray, float, float]:
@@ -376,41 +388,36 @@ def summary(runs: dict[str, tuple[CheckReport, np.ndarray]], m: int) -> list[str
     return lines
 
 
-def einstein_residual(
-    pd: PointData, samples: int, rng: np.random.Generator
-) -> float:
+def _largest(name: str, pd: PointData, samples: int, rng: np.random.Generator) -> float:
+    """max |value| of check ``name`` over ``samples`` frames drawn from
+    ``rng`` at each point of ``pd``, under the count rule of ``check``."""
+    geo.require_counts(name, np.size(pd.tau), samples, CHECKS[name].reduce)
+    return float(np.max(np.abs(draw(name, pd, samples, rng)[2])))
+
+
+def einstein_residual(pd: PointData, samples: int, rng: np.random.Generator) -> float:
     """max |S(X, Y) - (tau / 2m) g(X, Y)| over random unit vector pairs."""
-    return float(np.max(np.abs(draw("einstein", pd, samples, rng)[2]), initial=0.0))
+    return _largest("einstein", pd, samples, rng)
 
 
-def ricci_offdiagonal_check(
-    pd: PointData, samples: int, rng: np.random.Generator
-) -> float:
+def ricci_offdiagonal_check(pd: PointData, samples: int, rng: np.random.Generator) -> float:
     """max |S(y, z)| over pairs with g(y,z) = g(y,Jz) = 0.
 
     The pairs are the first two legs of random antiholomorphic 2-frames,
     which satisfy both orthogonality constraints by construction.
     """
-    return float(np.max(np.abs(draw("ricci-offdiag", pd, samples, rng)[2]), initial=0.0))
+    return _largest("ricci-offdiag", pd, samples, rng)
 
 
-def chsc_fit(
-    manifold: KahlerManifold,
-    points: int,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
+def chsc_fit(manifold: KahlerManifold, points: int, samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """Estimate the holomorphic sectional curvature constant.
 
-    Samples ``points`` chart points and ``samples`` random directions at
-    each; returns ``(mean H, relative spread)`` as ``_spread`` defines
-    them.  A manifold is of constant holomorphic sectional curvature at
-    sampling fidelity when the spread is below tolerance.  Raises
-    ``ValueError`` unless ``points`` and ``samples`` are both at least 1.
+    The run of ``check chsc`` (``sample``), with its count rule and its
+    first failing point, on ``points`` chart points and ``samples`` random
+    directions at each; returns ``(mean H, relative spread)`` as ``_spread``
+    defines them.  The curvature is constant at sampling fidelity when the
+    spread is below tolerance.
     """
-    for name, count in (("points", points), ("samples", samples)):
-        if count < 1:
-            raise ValueError(f"chsc_fit needs {name} >= 1, got {count}")
     _, mean, spread = _spread(sample("chsc", manifold, points, samples, rng))
     return mean, spread
 

@@ -23,7 +23,8 @@ the ambient ``immersion_tape`` at f(u).  ``stack`` runs the metric test,
 the finiteness test of the other jets and the rank test of the differential
 once over its result, giving one ``_State`` with a leading point axis;
 ``state`` runs the same two stages at one point, with no leading axis.
-Every test raises with the ``index`` of the first point that fails it.
+Every test raises with the ``index`` of the first point that fails it;
+``run_points`` names a run's first failing point (``geometry.run_stages``).
 The derived fields (connection, second fundamental form, mean curvature
 and their derivatives) are computed once, on first use, by formulas that
 broadcast over leading axes, so a stack derives each field once for all
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -353,12 +354,13 @@ def _require_rank(u: np.ndarray, tangents: np.ndarray) -> None:
         )
 
 
-def _tested(imm: Immersion, u, point, tangents, d2f, d3f, *jets: np.ndarray) -> _State:
-    """The stage of a state that runs once over the output of ``point_jets``,
-    at one point or over a stack: the metric test, the test that every other
-    jet the fields read is finite, then the rank test.  Each error names the
-    first point that fails it; a point that fails more than one is named by
-    the first of them."""
+def stack(imm: Immersion, evaluated: tuple[np.ndarray, ...]) -> _State:
+    """The second stage of a state: the ``point_jets`` result of one point
+    or of a stack as one state.  The metric test, the finiteness test of
+    every other jet the fields read, then the rank test run once for all the
+    points; an error of a test, or of the ambient curvature, carries the
+    ``index`` of the first point that fails the first failing test."""
+    u, point, tangents, d2f, d3f, *jets = evaluated
     metric = geo.hermitian_metric(point, jets[0])
     # A jet that is not finite would turn the fields NaN without an error;
     # one pass over the blocks of every point tests them all.
@@ -368,28 +370,23 @@ def _tested(imm: Immersion, u, point, tangents, d2f, d3f, *jets: np.ndarray) -> 
     geo._raise_at_first(~finite[..., own:].all(axis=-1), point, "metric derivatives not finite")
     geo._raise_at_first(~finite[..., :own].all(axis=-1), u, "immersion derivatives not finite")
     _require_rank(u, tangents)
-    return _State(imm, u, point, metric, tangents, d2f, d3f, list(jets))
+    return _State(imm, u, point, metric, tangents, d2f, d3f, jets)
 
 
 def state(imm: Immersion, u: Sequence[float]) -> _State:
-    """The state of ``imm`` at ``u``: one run of its tape and one of
-    ``immersion_tape``, then the metric and rank tests.
+    """The state of ``imm`` at ``u``: the two stages of a run at one point.
 
     Everything here can fail at a point, so the caller names the point; the
     fields derived from the state cannot, apart from the ambient curvature's
     symmetry test.
     """
-    return _tested(imm, *point_jets(imm, u))
+    return stack(imm, point_jets(imm, u))
 
 
-def stack(imm: Immersion, evaluated: tuple[np.ndarray, ...]) -> _State:
-    """The ``point_jets`` result of a stack of points of ``imm`` as one state
-    with a leading point axis: the tests of ``_tested`` run once for all of
-    them, each derived field is computed once, and a check gives one
-    residual per point.  A ``GeometryError`` from a test, or from the
-    ambient curvature, carries the ``index`` of the first point that fails
-    the first failing test."""
-    return _tested(imm, *evaluated)
+def run_points(imm: Immersion, points: int, rng: np.random.Generator) -> _State:
+    """The points stage of a run: ``points`` parameter points drawn in one
+    call of ``rng``, through the two stages of ``geometry.run_stages``."""
+    return geo.run_stages(imm.domain.sample(rng, points), partial(point_jets, imm), partial(stack, imm))
 
 
 def _tangential_coeffs(st: _State, w: np.ndarray) -> np.ndarray:
@@ -510,11 +507,8 @@ def parallel_h_check(imm: Immersion, points: int, rng: np.random.Generator) -> f
     """max ||D_{T_a} H|| over sampled parameter points and all directions.
 
     Zero (to round-off) exactly when the mean curvature vector is parallel
-    in the normal connection.  Raises ``ValueError`` unless ``points`` is
-    at least 1.
+    in the normal connection.  The run of ``check parallel-h``, with its
+    count rule and its first failing point (``run_points``).
     """
-    if points < 1:
-        raise ValueError(f"parallel_h_check needs points >= 1, got {points}")
-    us = imm.domain.sample(rng, points)
-    return float(np.max(_parallel_h_residual(stack(imm, point_jets(imm, us)))))
-
+    geo.require_counts("parallel-h", points, 1)
+    return float(np.max(_parallel_h_residual(run_points(imm, points, rng))))

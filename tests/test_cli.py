@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,55 @@ def test_library_helpers_agree_with_the_cli(check, points, library):
     report = run_check(RunConfig(manifold=source, check=check, points=points, samples=30, seed=13))
     assert value > 0.0
     assert value == report.max_residual
+
+
+@pytest.mark.parametrize(
+    "check, points, samples, library",
+    [
+        ("chsc", 1, 1, lambda pd, imm, rng: inv.chsc_fit(pd.manifold, 1, 1, rng)),
+        ("einstein", 1, 0, lambda pd, imm, rng: inv.einstein_residual(pd, 0, rng)),
+        ("ricci-offdiag", 1, 0, lambda pd, imm, rng: inv.ricci_offdiagonal_check(pd, 0, rng)),
+        ("parallel-h", 0, 1, lambda pd, imm, rng: sub.parallel_h_check(imm, 0, rng)),
+    ],
+)
+def test_the_library_helpers_reject_the_counts_that_check_rejects(check, points, samples, library):
+    # On the product chart, chsc_fit of one value read (1.339..., 0.0), a
+    # constant HSC, and the residual helpers of no sample read 0.0.
+    with pytest.raises(ConfigError) as cli_error:
+        RunConfig(manifold=None, check=check, points=points, samples=samples)
+    rng = np.random.default_rng(1)
+    pd = _point(models.load_manifold("builtin:product:fs:1:fs:2"), rng)
+    with pytest.raises(ConfigError) as library_error:
+        library(pd, models.load_immersion("builtin:ellipsoid-flat2"), rng)
+    assert str(library_error.value) == str(cli_error.value)
+
+
+def _failure(run, errors):
+    """``run()``'s failing point and the text of its cause, None if it passes."""
+    try:
+        run()
+    except errors as err:
+        return err.index, str(err.__cause__)
+    return None
+
+
+def test_chsc_fit_names_the_point_that_check_names(tmp_path):
+    # The mixed chart fails at 68 of these seeds.  At four of them (44, 65,
+    # 78 and 118) the first point that fails in the stack is not the first
+    # that fails at all: at seed 118 point 4 fails the metric test, and point
+    # 1 only the later test of the curvature's finiteness.
+    path = tmp_path / "mixed.manifold"
+    path.write_text(MIXED_SPECS["mixed-exp"])
+    manifold = models.load_manifold(str(path))
+    named = {}
+    for seed in range(120):
+        cfg = RunConfig(manifold=str(path), check="chsc", points=5, samples=2, seed=seed)
+        runs = (partial(cli._run_loaded, cfg, manifold), partial(inv.chsc_fit, manifold, 5, 2, np.random.default_rng(seed)))
+        want, got = (_failure(run, (cli.PointError, geo.StageError)) for run in runs)
+        assert got == want, seed
+        named[seed] = want
+    assert sum(v is not None for v in named.values()) == 68
+    assert named[118][0] == 1
 
 
 def test_unknown_check_rejected():
@@ -531,6 +581,48 @@ def test_a_tree_too_deep_to_build_names_its_line(name, text, command, where, tmp
     assert f"{where}: build: expression nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, text, command, where",
+    [
+        (
+            "overflow.manifold",
+            'dimension = 1\npotential = "z1*zb1 + 1e300^2"\n',
+            ["check", "einstein", "--manifold"],
+            "overflow.manifold:2: potential",
+        ),
+        (
+            "overflow.immersion",
+            'ambient = builtin:flat:2\nparameters = 2\ncomponent1 = "u1 + 1e300^2"\ncomponent2 = "u2"\n'
+            "domain = box -1 1 -1 1\n",
+            ["check", "umbilical", "--immersion"],
+            "overflow.immersion:3: component1",
+        ),
+    ],
+)
+def test_a_constant_that_overflows_in_the_build_names_its_line(name, text, command, where, tmp_path, capsys):
+    # Folding the constant 1e300^2 overflows while the target is built.
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path.parent / where}: build: overflow in subexpression '1e+300^2'\n"
+
+
+DEEP_PARENTHESES = "(" * 400 + "z1*zb1" + ")" * 400
+
+
+def test_parentheses_too_deep_to_parse_are_a_parse_error(tmp_path, capsys):
+    # The parser descends a few calls per parenthesis: 400 of them pass
+    # Python's recursion limit, and the error names the offset it reached.
+    path = tmp_path / "deep.manifold"
+    path.write_text(f'dimension = 1\npotential = "{DEEP_PARENTHESES}"\n')
+    assert main(["check", "einstein", "--manifold", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: potential: expression nested too deeply at offset ")
+    assert main(["parse", "--expr", DEEP_PARENTHESES, "--dim", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: expression nested too deeply at offset ")
+    with pytest.raises(ex.ParseError, match="nested too deeply"):
+        ex.parse_expression(DEEP_PARENTHESES, 1)
+
+
 def test_a_non_real_potential_names_its_line(tmp_path, capsys):
     path = tmp_path / "nonreal.manifold"
     path.write_text('dimension = 1\n# holomorphic, so not real\npotential = "z1*z1"\n')
@@ -632,6 +724,8 @@ def test_a_stacked_stage_error_names_its_first_failing_point(first, monkeypatch)
     # are stacked; it is named like an error at a point, by its first one.
     imm = models.load_immersion("builtin:cp1-in-cp2")
     real_stack = sub.stack
+    rng = np.random.default_rng(3)
+    point = [sub.state(imm, imm.domain.sample(rng)).point for _ in range(4)][first]
 
     def broken_stack(imm, evaluated):
         run = real_stack(imm, evaluated)
@@ -644,8 +738,6 @@ def test_a_stacked_stage_error_names_its_first_failing_point(first, monkeypatch)
     with pytest.raises(cli.PointError) as info:
         cli._run_loaded(cfg, imm)
     err = info.value
-    rng = np.random.default_rng(3)
-    point = [sub.state(imm, imm.domain.sample(rng)).point for _ in range(4)][first]
     assert (err.check, err.index, err.seed) == ("codazzi-general", first, 3)
     assert isinstance(err.__cause__, geo.GeometryError)
     assert str(err) == f"codazzi-general: point {first} of 4, seed 3: curvature symmetries violated at {point}"
@@ -1023,6 +1115,10 @@ def test_an_immersion_run_names_its_first_failing_point(broken, named, cause, mo
     err = info.value
     assert (err.check, err.index, err.seed) == ("umbilical", named, 3)
     assert str(err).startswith(f"umbilical: point {named} of 5, seed 3: {cause}")
+    # The library's parallel-H run has the same points stage.
+    with pytest.raises(geo.StageError) as library:
+        sub.parallel_h_check(imm, 5, np.random.default_rng(3))
+    assert (library.value.index, str(library.value.__cause__)) == (named, str(err.__cause__))
 
 
 def test_an_indefinite_ambient_metric_names_its_parameter_point(tmp_path, capsys):
