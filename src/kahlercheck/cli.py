@@ -78,11 +78,11 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        # A suite's counts are those of each of its checks (``_run``).
-        if self.check is not None:
-            if self.check not in inv.CHECKS:
-                raise ConfigError(f"unknown check {self.check!r}; known: {', '.join(inv.CHECKS)}")
-            geo.require_counts(self.check, self.points, self.samples, inv.CHECKS[self.check].reduce)
+        if self.check is not None and self.check not in inv.CHECKS:
+            raise ConfigError(f"unknown check {self.check!r}; known: {', '.join(inv.CHECKS)}")
+        # A suite tests the counts that every check needs; each of its checks adds its own rule (``_run``).
+        how = inv.CHECKS[self.check].reduce if self.check else "max"
+        geo.require_counts(self.check, self.points, self.samples, how)
         # An infinite tolerance would pass every check whatever its residuals.
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("tolerance must be positive and finite")
@@ -160,6 +160,8 @@ def _run(cfg: RunConfig) -> tuple[list[CheckReport], list[str]]:
 
 def run_check(cfg: RunConfig) -> CheckReport:
     """Run one named check deterministically from its configuration."""
+    if cfg.check is None:
+        raise ConfigError("run_check runs one check, and cfg names none; a suite is run_suite")
     (report,), _ = _run(cfg)
     if cfg.output:
         _write_json(cfg.output, report.to_json_dict())

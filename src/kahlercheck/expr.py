@@ -160,28 +160,22 @@ def _children(e: Expr) -> tuple[Expr, ...]:
     return (e.base,) if isinstance(e, Power) else ()
 
 
-_UNARY_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp}
-_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-# The ufunc that runs each Python operator of a tape over a stack of points.
-_UFUNCS = {
-    operator.neg: np.negative, cmath.log: np.log, cmath.exp: np.exp, operator.pow: np.power,
-    operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply, operator.truediv: np.divide,
-}
 # The op of a table node: a leaf, a power, or the op of a Unary or Binary node.
 _CONST, _VAR, _POW = "c", "v", "^"
 _CONST_NODE = (_CONST, -1, -1)
+_BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# The Python operator of each op of a tape node, and the ufunc that runs it over a stack of points.
+_FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp, _POW: operator.pow, **_BINARY_FNS}
+_UFUNCS = {
+    "neg": np.negative, "log": np.log, "exp": np.exp, _POW: np.power,
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+}
 
 
-def _fault(op: str, b) -> str | None:
-    """The domain error a node can raise itself, from its op and, for a
-    power, its exponent ``b``; None if it raises none (overflow is not counted)."""
-    if op == "log":
-        return "log of zero"
-    if op == "/":
-        return "division by zero"
-    if op == _POW and b < 0:
-        return "zero raised to a negative power"
-    return None
+# The domain error a node of each op can raise itself (overflow is not
+# counted).  A power raises it only at a negative exponent: at any other,
+# Python's ``pow`` raises nothing but ``OverflowError``.
+_FAULTS = {"log": "log of zero", "/": "division by zero", _POW: "zero raised to a negative power"}
 
 
 class Dag:
@@ -224,40 +218,40 @@ class Dag:
 
     # ------------------------------------------------------------ nodes
 
-    def _new(self, key: tuple, node: tuple, value, risky: bool, nonzero: bool) -> int:
+    def _leaf(self, key: tuple, value: complex | None) -> int:
+        """A new constant, or a variable when ``value`` is None: it raises
+        nothing, and only a nonzero constant is nonzero."""
         n = self._ids[key] = len(self._nodes)
-        self._nodes.append(node)
+        self._nodes.append(key if value is None else _CONST_NODE)
         self._values.append(value)
-        self._risky.append(risky)
-        self._nonzero.append(nonzero)
+        self._risky.append(False)
+        self._nonzero.append(value is not None and value != 0)
         return n
 
     def _const(self, value: complex) -> int:
         key = (value.real.hex(), value.imag.hex())
         n = self._ids.get(key)
-        if n is None:
-            n = self._new(key, _CONST_NODE, value, False, value != 0)
-        return n
+        return self._leaf(key, value) if n is None else n
 
     def _var(self, kind: str, index: int) -> int:
         key = (_VAR, kind, index)
         n = self._ids.get(key)
-        if n is None:
-            n = self._new(key, key, None, False, False)
-        return n
+        return self._leaf(key, None) if n is None else n
 
     def _node(self, op: str, a: int, b=-1) -> int:
         key = (op, a, b)
         n = self._ids.get(key)
         if n is None:
+            n = self._ids[key] = len(self._nodes)
+            self._nodes.append(key)
+            self._values.append(None)
             risky, nonzero = self._risky, self._nonzero
             if op in _BINARY_FNS:
-                risk = risky[a] or risky[b]
-                nz = op == "*" and nonzero[a] and nonzero[b]
-            else:  # unary, or a power of the base ``a``
-                risk = risky[a]
-                nz = op == "exp" or (op != "log" and nonzero[a])
-            n = self._new(key, key, None, risk or _fault(op, b) is not None, nz)
+                risky.append(risky[a] or risky[b] or op in _FAULTS)
+                nonzero.append(op == "*" and nonzero[a] and nonzero[b])
+            else:  # unary (b = -1), or a power of the base ``a`` (b = its exponent)
+                risky.append(risky[a] or (op in _FAULTS and b < 0))
+                nonzero.append(op == "exp" or (op != "log" and nonzero[a]))
         return n
 
     # ------------------------------------------------ smart constructors
@@ -394,47 +388,45 @@ class Dag:
         memo = self._derivatives.get(v)
         if memo is None:
             memo = self._derivatives[v] = {}
-        return self._derive(n, v, memo)
+        return memo[n] if n in memo else self._derive(n, v, memo)
 
     def _derive(self, e: int, v: int, memo: dict[int, int]) -> int:
-        d = memo.get(e)
-        if d is not None:
-            return d
+        # Callers look ``e`` up in ``memo`` first.  Both operands of a binary
+        # node are derived, a constant one too: its derivative is zero and
+        # makes no node.
         op, a, b = self._nodes[e]
-        if op == _CONST:
-            d = self._zero
-        elif op == _VAR:
+        if op == _CONST or op == _VAR:
             d = self._one if e == v else self._zero
-        elif op == "neg":
-            d = self._neg(self._derive(a, v, memo))
-        elif op == "log":
-            d = self._div(self._derive(a, v, memo), a)
-        elif op == "exp":
-            d = self._mul(e, self._derive(a, v, memo))
-        elif op == _POW:
-            if b == 0:
-                d = self._mul(self._zero, e)  # still raises wherever e does
-            else:
-                db = self._derive(a, v, memo)
-                scale = self._mul(self._const(complex(b)), self._power(a, b - 1))
-                d = self._mul(scale, db)
-        elif op == "*" and self._values[a] is not None:
-            d = self._mul(a, self._derive(b, v, memo))
-        elif op == "*" and self._values[b] is not None:
-            d = self._mul(self._derive(a, v, memo), b)
-        elif op == "/" and self._values[b] is not None:
-            d = self._div(self._derive(a, v, memo), b)
+        elif op == _POW and b == 0:
+            d = self._mul(self._zero, e)  # still raises wherever e does
         else:
-            dl, dr = self._derive(a, v, memo), self._derive(b, v, memo)
-            if op == "+":
-                d = self._add(dl, dr)
-            elif op == "-":
-                d = self._sub(dl, dr)
-            elif op == "*":
-                d = self._add(self._mul(dl, b), self._mul(a, dr))
-            else:  # quotient rule
-                num = self._sub(self._mul(dl, b), self._mul(a, dr))
-                d = self._div(num, self._power(b, 2))
+            da = memo[a] if a in memo else self._derive(a, v, memo)
+            if op in _BINARY_FNS:
+                db = memo[b] if b in memo else self._derive(b, v, memo)
+                if op == "*" and self._values[a] is not None:
+                    d = self._mul(a, db)
+                elif op == "*" and self._values[b] is not None:
+                    d = self._mul(da, b)
+                elif op == "/" and self._values[b] is not None:
+                    d = self._div(da, b)
+                elif op == "+":
+                    d = self._add(da, db)
+                elif op == "-":
+                    d = self._sub(da, db)
+                elif op == "*":
+                    d = self._add(self._mul(da, b), self._mul(a, db))
+                else:  # quotient rule
+                    num = self._sub(self._mul(da, b), self._mul(a, db))
+                    d = self._div(num, self._power(b, 2))
+            elif op == "neg":
+                d = self._neg(da)
+            elif op == "log":
+                d = self._div(da, a)
+            elif op == "exp":
+                d = self._mul(e, da)
+            else:  # a power
+                scale = self._mul(self._const(complex(b)), self._power(a, b - 1))
+                d = self._mul(scale, da)
         memo[e] = d
         return d
 
@@ -500,12 +492,12 @@ class Tape:
     at one point or at a stack of points in one pass.
 
     Slots hold, in order: constants, the integer exponents of powers, the
-    variables, then one value per op.  An op is ``(fn, i, j)`` and stores
-    ``fn(slot[i])`` (``j < 0``) or ``fn(slot[i], slot[j])``, where ``fn`` is
-    the Python operator of the node (``operator.pow`` for a power).  A run
-    gives every slot a row with one double-precision complex value per
-    point and applies each op as the numpy ufunc of that operator to whole
-    rows, so the ops run once for the whole stack.  Each point's value is
+    variables, then one value per op.  An op is ``(ufunc, i, j)`` and stores
+    ``ufunc(slot[i])`` (``j < 0``) or ``ufunc(slot[i], slot[j])``, where
+    ``ufunc`` runs the Python operator of the node (``operator.pow`` for a
+    power).  A run gives every slot a row with one double-precision complex
+    value per point and applies each op to whole rows, so the ops run once
+    for the whole stack.  Each point's value is
     elementwise numpy arithmetic, the same bits at any position of any
     stack; numpy's complex ``*`` and ``/`` may differ from Python's in the
     last bit.
@@ -534,31 +526,22 @@ class Tape:
     ):
         table, values = dag._nodes, dag._values
         exponents = sorted({table[n][2] for n in nodes if table[n][0] == _POW})
-        slot = [0] * len(table)
-        for k, n in enumerate(consts):
-            slot[n] = k
         first_var = len(consts) + len(exponents)
-        for k, n in enumerate(variables, first_var):
-            slot[n] = k
         base = first_var + len(variables)
-        for k, n in enumerate(nodes, base):
-            slot[n] = k
-        exponent_slot = {x: len(consts) + k for k, x in enumerate(exponents)}
+        slot = dict(zip(consts, range(first_var)))
+        slot.update(zip(variables, range(first_var, base)))
+        slot.update(zip(nodes, range(base, base + len(nodes))))
+        exponent_slot = dict(zip(exponents, range(len(consts), first_var)))
         ops = []
         for n in nodes:
             op, a, b = table[n]
-            if op == _POW:
-                ops.append((operator.pow, slot[a], exponent_slot[b]))
-            elif op in _UNARY_FNS:
-                ops.append((_UNARY_FNS[op], slot[a], -1))
-            else:
-                ops.append((_BINARY_FNS[op], slot[a], slot[b]))
+            # a unary op's b is -1
+            ops.append((_UFUNCS[op], slot[a], exponent_slot[b] if op == _POW else slot.get(b, -1)))
         self._leaves: list = [values[n] for n in consts] + exponents
         self._leaf_rows = np.array(self._leaves, dtype=complex).reshape(-1, 1)
         self._finite_leaves = bool(np.isfinite(self._leaf_rows).all())
         self._variables = tuple(dag.expr(n) for n in variables)
         self._ops = ops
-        self._ufuncs = [(_UFUNCS[fn], i, j) for fn, i, j in ops]
         self._dag = dag
         self._op_nodes = nodes
         self._first_var = first_var
@@ -601,7 +584,7 @@ class Tape:
         if self._finite_leaves and np.isfinite(variables).all():
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    for k, (fn, i, j) in enumerate(islice(self._ufuncs, stop - base), base):
+                    for k, (fn, i, j) in enumerate(islice(self._ops, stop - base), base):
                         fn(rows[i], rows[k]) if j < 0 else fn(rows[i], rows[j], rows[k])
                 k = stop
             except FloatingPointError:
@@ -617,7 +600,7 @@ class Tape:
         with the ``index`` of that point in the stack of shape ``points``."""
         with np.errstate(all="ignore"):
             for k in range(start, stop):
-                fn, i, j = self._ufuncs[k - self._base]
+                fn, i, j = self._ops[k - self._base]
                 fn(rows[i], rows[k]) if j < 0 else fn(rows[i], rows[j], rows[k])
                 for point in np.flatnonzero(~np.isfinite(rows[k])):
                     try:
@@ -630,15 +613,14 @@ class Tape:
         """Apply the Python operator of the op of slot ``k`` to ``args``,
         raising ``EvaluationDomainError`` (or the operator's own error, where
         it names no domain fault) if it raises."""
-        fn, _, j = self._ops[k - self._base]
-        if fn is operator.pow:
-            args[1] = self._leaves[j]  # the integer exponent
+        node = self._op_nodes[k - self._base]
+        op = self._dag._nodes[node][0]
+        if op == _POW:
+            args[1] = self._leaves[self._ops[k - self._base][2]]  # the integer exponent
         try:
-            fn(*args)
+            _FNS[op](*args)
         except (OverflowError, ZeroDivisionError, ValueError) as err:
-            node = self._op_nodes[k - self._base]
-            op, _, b = self._dag._nodes[node]
-            fault = "overflow" if isinstance(err, OverflowError) else _fault(op, b)
+            fault = "overflow" if isinstance(err, OverflowError) else _FAULTS.get(op)
             if fault is None:
                 raise
             raise EvaluationDomainError(fault, self._dag.expr(node)) from None
@@ -686,12 +668,15 @@ def validate_variables(e: Expr, dimension: int, allowed_kinds: Iterable[str]) ->
 # Numbers are decimal literals; a trailing 'i' (or a bare 'i') makes an
 # imaginary constant, so immersion components can carry complex constants.
 # A literal too large for a double is an error, since 'inf' does not re-parse.
+# Parentheses, a function's included, nest at most _MAX_NESTING deep: the
+# parser descends five calls per level, well inside Python's recursion limit.
 # --------------------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?i?")
 _NAME_RE = re.compile(r"[A-Za-z]+[0-9]*")
 _VAR_RE = re.compile(r"(zb|z|u)([0-9]+)$")
 _OPS = "+-*/^()"
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -735,6 +720,7 @@ class _Parser:
         self.i = 0
         self.dimension = dimension
         self.allowed = allowed_kinds
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -807,24 +793,29 @@ class _Parser:
         if tok.kind == "name":
             return self.name_atom()
         if tok.kind == "(":
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.nested()
         raise ParseError(
             f"unexpected {tok.kind} {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.pos,
             ("number", "variable", "function", "'('"),
         )
 
+    def nested(self) -> Expr:
+        """``'(' expr ')'``, at most ``_MAX_NESTING`` deep."""
+        tok = self.expect("(")
+        if self.depth == _MAX_NESTING:
+            raise ParseError("expression nested too deeply", tok.pos)
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
+        self.expect(")")
+        return e
+
     def name_atom(self) -> Expr:
         tok = self.advance()
         name = tok.text
         if name in ("log", "exp"):
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return Unary(name, arg)
+            return Unary(name, self.nested())
         if name == "i":
             return Const(1j)
         m = _VAR_RE.match(name)
@@ -861,11 +852,7 @@ def parse_expression(
         raise ValueError(f"unknown variable kind {', '.join(map(repr, unknown))}")
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text), dimension, allowed)
-    try:
-        return parser.parse()
-    except RecursionError:  # the parser descends four calls per parenthesis
-        raise ParseError("expression nested too deeply", parser.cur.pos) from None
+    return _Parser(_tokenize(text), dimension, allowed).parse()
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5

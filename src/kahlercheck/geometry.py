@@ -110,10 +110,12 @@ class ChartDomain:
         """Uniform draw from the domain shrunk by ``_SAMPLE_MARGIN`` of its radius."""
         if self.kind == "ball":
             direction = rng.normal(size=2 * dimension)
-            direction /= np.linalg.norm(direction)
             radius = self.radii[0] * (1.0 - _SAMPLE_MARGIN) * rng.random() ** (1.0 / (2 * dimension))
-            x = direction * radius
-            return x[:dimension] + 1j * x[dimension:]
+            # the norm as np.linalg.norm forms it for a 1-D float array, bit for bit
+            x = direction / math.sqrt(direction.dot(direction)) * radius
+            point = np.empty(dimension, dtype=complex)
+            point.real, point.imag = x[:dimension], x[dimension:]
+            return point
         coords = []
         for r in self.radii:
             rho = r * (1.0 - _SAMPLE_MARGIN) * math.sqrt(rng.random())
@@ -366,12 +368,11 @@ class KahlerManifold:
                 break
             except ex.EvaluationDomainError as err:
                 points = np.delete(points, err.index, axis=0)
-        for p, value in zip(points, values):
-            value = complex(value)
-            if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
-                raise ValueError(
-                    f"potential is not real on the chart: K({p}) = {value}"
-                )
+        # fmax, as Python's max(1.0, |K|), reads a NaN modulus as 1
+        unreal = np.abs(values.imag) > 1e-12 * np.fmax(1.0, np.abs(values))
+        if unreal.any():
+            k = first_index(unreal)
+            raise ValueError(f"potential is not real on the chart: K({points[k]}) = {complex(values[k])}")
 
     def assignment(self, p: Sequence[complex]) -> dict[Var, np.ndarray]:
         """Evaluation assignment binding zb_k to the conjugate of z_k, at one
@@ -484,14 +485,15 @@ def christoffel_symbols(metric: HermitianMetric, dg: np.ndarray) -> ChristoffelD
 def _curvature_terms(
     metric: HermitianMetric, jets: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two terms whose sum is the curvature tensor."""
+    """The two terms ``d2g`` and ``quadratic`` whose difference
+    ``quadratic - d2g`` is the curvature tensor."""
     _, dg, dgb, d2g = jets
-    # R[i,j,k,l] = -d2g[i,j,k,l] + g^{p qbar} dg[i,k,q] dgb[j,p,l], with the
+    # R[i,j,k,l] = g^{p qbar} dg[i,k,q] dgb[j,p,l] - d2g[i,j,k,l], with the
     # quadratic term as rows (i,k) of dg g^-1 times columns (j,l) of dgb
     *points, m = dg.shape[:-2]
     rows = dg.reshape(*points, m * m, m) @ metric.inverse
     columns = np.swapaxes(dgb, -3, -2).reshape(*points, m, m * m)
-    return -d2g, np.swapaxes((rows @ columns).reshape(*points, m, m, m, m), -3, -2)
+    return d2g, np.swapaxes((rows @ columns).reshape(*points, m, m, m, m), -3, -2)
 
 
 def curvature_tensor(
@@ -518,15 +520,15 @@ def curvature_tensor(
     finite = np.isfinite(dg).all(axis=(-3, -2, -1)) & np.isfinite(dgb).all(axis=(-3, -2, -1))
     finite &= np.isfinite(d2g).all(axis=(-4, -3, -2, -1))
     _raise_at_first(~finite, p, "metric derivatives not finite")
-    minus_d2g, quadratic = _curvature_terms(metric, jets)
-    r = minus_d2g + quadratic
-    axes = (-4, -3, -2, -1)
+    _, quadratic = _curvature_terms(metric, jets)
+    r = quadratic - d2g
+    points = r.shape[:-4]
 
     def largest(t: np.ndarray) -> np.ndarray:
-        return np.max(np.abs(t), axis=axes)
+        return np.abs(t).reshape(*points, -1).max(axis=-1)
 
     # R is the difference of two terms that may cancel: its round-off scales with the larger.
-    scale = np.maximum(1.0, np.maximum(largest(minus_d2g), largest(quadratic)))
+    scale = np.maximum(1.0, np.maximum(largest(d2g), largest(quadratic)))
     pair = np.maximum(largest(r - np.swapaxes(r, -4, -2)), largest(r - np.swapaxes(r, -3, -1)))
     conj = largest(r - np.swapaxes(np.swapaxes(r, -4, -3), -2, -1).conj())
     _raise_at_first(~(np.maximum(pair, conj) <= 1e-10 * scale), p, "curvature symmetries violated")
@@ -558,17 +560,18 @@ class ConfigError(ValueError):
     """The settings of a run are invalid."""
 
 
-def require_counts(check: str, points: int, samples: int, how: str = "max") -> None:
-    """The count rule of a run of ``check``, ``samples`` frames at each of
-    ``points`` points, whose values reduce as ``how`` (``invariants.Check``):
-    one of each at least, and two values to a "std" or a "spread", which is
-    0 on one value whatever the chart."""
+def require_counts(check: str | None, points: int, samples: int, how: str = "max") -> None:
+    """The count rule of a run of ``check`` (of a suite when None),
+    ``samples`` frames at each of ``points`` points, whose values reduce as
+    ``how`` (``invariants.Check``): one of each at least, and two values to
+    a "std" or a "spread", which is 0 on one value whatever the chart."""
+    name = f"check {check!r}" if check else "suite"
     for what, count in (("points", points), ("samples", samples)):
         if count < 1:
-            raise ConfigError(f"check {check!r} needs {what} >= 1, got {count}")
+            raise ConfigError(f"{name} needs {what} >= 1, got {count}")
     if {"std": samples, "spread": points * samples}.get(how, 2) < 2:
         what = "samples" if how == "std" else "points x samples"
-        raise ConfigError(f"check {check!r} needs {what} >= 2")
+        raise ConfigError(f"{name} needs {what} >= 2")
 
 
 class StageError(Exception):
@@ -619,10 +622,16 @@ def ricci_tensor(
     s_contract = np.einsum("...li,...ijkl->...kj", ginv, curvature.tensor)
 
     _, dg, dgb, d2g = jets
-    t1 = np.einsum("...ab,...ijba->...ij", ginv, d2g)
-    # g^{a b} d_i g_{b c} g^{c d} d_jbar g_{d a}, as two products and one trace
-    inverse = ginv[..., None, :, :]
-    t2 = np.einsum("...iac,...jca->...ij", inverse @ dg, inverse @ dgb)
+    *points, m = ginv.shape[:-1]
+    # Route (b) as one product per point each.  g^{a b} d_i d_jbar g_{b a}:
+    # the rows (i, j) of d2g times g^-1 transposed, flattened.
+    t1 = (d2g.reshape(*points, m * m, m * m) @ np.swapaxes(ginv, -1, -2).reshape(*points, m * m, 1)).reshape(ginv.shape)
+    # g^{a b} d_i g_{b c} g^{c d} d_jbar g_{d a}: g^-1 d_i g as [a, i, c] and
+    # g^-1 d_jbar g as [c, j, a], then their sum over (a, c), rows i by columns j.
+    left, right = (
+        (ginv @ np.swapaxes(d, -3, -2).reshape(*points, m, m * m)).reshape(*points, m, m, m) for d in (dg, dgb)
+    )
+    t2 = np.swapaxes(left, -3, -2).reshape(*points, m, m * m) @ np.moveaxis(right, -1, -3).reshape(*points, m * m, m)
     s_logdet = -t1 + t2
 
     def largest(t: np.ndarray) -> np.ndarray:

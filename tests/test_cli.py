@@ -611,16 +611,21 @@ DEEP_PARENTHESES = "(" * 400 + "z1*zb1" + ")" * 400
 
 
 def test_parentheses_too_deep_to_parse_are_a_parse_error(tmp_path, capsys):
-    # The parser descends a few calls per parenthesis: 400 of them pass
-    # Python's recursion limit, and the error names the offset it reached.
+    # The parser nests at most 100 deep, however deep its caller is: every
+    # route names the 101st parenthesis, at offset 100.
     path = tmp_path / "deep.manifold"
     path.write_text(f'dimension = 1\npotential = "{DEEP_PARENTHESES}"\n')
     assert main(["check", "einstein", "--manifold", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}:2: potential: expression nested too deeply at offset ")
+    assert capsys.readouterr().err == f"error: {path}:2: potential: expression nested too deeply at offset 100\n"
     assert main(["parse", "--expr", DEEP_PARENTHESES, "--dim", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: expression nested too deeply at offset ")
-    with pytest.raises(ex.ParseError, match="nested too deeply"):
+    assert capsys.readouterr().err == "error: expression nested too deeply at offset 100\n"
+    with pytest.raises(ex.ParseError, match="^expression nested too deeply at offset 100$"):
         ex.parse_expression(DEEP_PARENTHESES, 1)
+    # 100 levels parse, of parentheses and of function calls alike.
+    assert ex.parse_expression("(" * 100 + "z1*zb1" + ")" * 100, 1) == ex.parse_expression("z1*zb1", 1)
+    with pytest.raises(ex.ParseError, match="at offset 403$"):
+        ex.parse_expression("log(" * 101 + "z1" + ")" * 101, 1)
+    assert ex.node_count(ex.parse_expression("log(" * 100 + "z1" + ")" * 100, 1)) == 101
 
 
 def test_a_non_real_potential_names_its_line(tmp_path, capsys):
@@ -987,6 +992,24 @@ def test_minimum_samples_follow_the_reduction():
         RunConfig(manifold="builtin:fs:2", check="basis-sum", points=3, samples=1)
     with pytest.raises(ConfigError, match="'basis-sum' needs samples >= 2"):
         run_suite("builtin:fs:2", points=3, samples=1)
+
+
+@pytest.mark.parametrize("target, flags, message", [
+    ("--manifold builtin:fs:2", "--points 0", "suite needs points >= 1, got 0"),
+    ("--manifold builtin:fs:2", "--samples 0", "suite needs samples >= 1, got 0"),
+    ("--immersion builtin:cp1-in-cp2", "--points 0", "suite needs points >= 1, got 0"),
+    ("--immersion builtin:cp1-in-cp2", "--samples 0", "suite needs samples >= 1, got 0"),
+    # the rule of one check still names that check
+    ("--manifold builtin:fs:2", "--samples 1", "check 'basis-sum' needs samples >= 2"),
+])
+def test_a_suite_names_itself_in_the_counts_every_check_needs(target, flags, message, capsys):
+    assert main(["suite", *target.split(), *flags.split()]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_check_of_a_suite_config_is_a_config_error():
+    with pytest.raises(ConfigError, match="^run_check runs one check, and cfg names none; a suite is run_suite$"):
+        run_check(RunConfig("builtin:fs:2", None, points=1, samples=3))
 
 
 def test_basis_sum_with_two_samples_fails_on_product():

@@ -1,5 +1,6 @@
 """Metric, connection, curvature, Ricci, scalar curvature, frames."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -105,6 +106,46 @@ def test_the_reality_check_runs_its_eight_points_as_one_stack(monkeypatch):
     models.build_model("builtin:fs:2")
     assert len(runs) == 1
     assert {np.shape(value) for value in runs[0].values()} == {(8,)}
+
+
+def _bits(points) -> list[str]:
+    """The exact bits of each coordinate of ``points``, as ``float.hex`` pairs."""
+    return [f"{z.real.hex()},{z.imag.hex()}" for z in np.ravel(points)]
+
+
+def _digest(points) -> str:
+    return hashlib.sha256(" ".join(_bits(points)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("domain, m, first, digest", [
+    (geo.ball(1.0), 1, ["-0x1.56ad3fb0d7f8ap-2,-0x1.1af5712df181fp-1"], "ed9e2ae0c410383f"),
+    (geo.ball(0.8), 3, [
+        "-0x1.00a316b5ccbfcp-2,0x1.0d1ad9bf3dec9p-3", "-0x1.a7d386887d42fp-2,0x1.6b8fd367ef544p-2",
+        "-0x1.3ded2a33c5375p-4,0x1.18de82ff09935p-5",
+    ], "7813bdb3a0ae7925"),
+    (geo.ball(1.0), 4, [
+        "-0x1.cba5469b918c4p-3,0x1.45936248fad46p-2", "-0x1.7b8b25f440f7fp-2,0x1.f70bd09b265fdp-6",
+        "-0x1.1cb55d5f4fc77p-4,-0x1.3cc33c43b806cp-3", "0x1.e1f9d41d4e139p-4,-0x1.c1d0a8bee78d7p-3",
+    ], "9aa6add6c9bff10a"),
+    (geo.polydisc(0.5, 1.0, 2.0), 3, [
+        "0x1.266be9c9e4887p-3,-0x1.8257b4bc9cadep-2", "-0x1.272326f36a902p-3,0x1.4274ef228404bp-1",
+        "-0x1.3e2a076bb3a37p-2,0x1.1e59005e85495p-2",
+    ], "88a4e97924388c2a"),
+])
+def test_sampled_points_keep_their_bits(domain, m, first, digest):
+    # Every pinned failing point and residual rests on these draws.
+    rng = np.random.default_rng(5)
+    points = [domain.sample_point(rng, m) for _ in range(4)]
+    assert _bits(points[0]) == first
+    assert _digest(points) == digest
+
+
+def test_the_reality_check_points_keep_their_bits(monkeypatch):
+    runs = _count_tape_runs(monkeypatch)
+    models.build_model("builtin:fs:2")
+    points = np.stack([runs[0][ex.z(1)], runs[0][ex.z(2)]], axis=-1)
+    assert _bits(points[0]) == ["0x1.4f472a08c49eep-1,-0x1.1151dba816187p-1", "-0x1.2c7bc54b9ff41p-2,-0x1.4fdd85b40011fp-1"]
+    assert _digest(points) == "64491f685120e438"
 
 
 def test_a_potential_that_overflows_at_some_points_is_still_tested_at_the_rest(monkeypatch):

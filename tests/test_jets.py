@@ -164,10 +164,10 @@ def test_the_quadratic_curvature_term_matches_an_index_level_sum(chart):
     stacked = geo._curvature_terms(pd.metric, pd.jets)
     for k, p in enumerate(points):
         one = geo.point_data(chart, p)
-        minus_d2g, quadratic = geo._curvature_terms(one.metric, one.jets)
+        d2g_term, quadratic = geo._curvature_terms(one.metric, one.jets)
         _, dg, dgb, d2g = one.jets
         want = _quadratic_reference(one.metric.inverse, dg, dgb)
         assert np.max(np.abs(want)) > 0
         for got in (quadratic, stacked[1][k]):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(minus_d2g, -d2g) and np.array_equal(stacked[0][k], -d2g)
+        assert np.array_equal(d2g_term, d2g) and np.array_equal(stacked[0][k], d2g)

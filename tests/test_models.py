@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kahlercheck import cli
+from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
@@ -175,8 +176,9 @@ def test_immersion_tape_size_is_capped(uri, measured):
 
 def _tape_digest(tape):
     leaves = [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v for v in tape._leaves]
+    python = {ex._UFUNCS[op]: fn for op, fn in ex._FNS.items()}  # each op by its Python operator
     record = (
-        [(fn.__name__, i, j) for fn, i, j in tape._ops],
+        [(python[ufunc].__name__, i, j) for ufunc, i, j in tape._ops],
         leaves,
         tape._outputs,
         tape._ends,
