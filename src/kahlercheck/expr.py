@@ -883,15 +883,14 @@ def _unparse(e: Expr) -> tuple[str, int]:
         inner, _ = _unparse(e.arg)
         return f"{e.op}({inner})", _LEVEL_ATOM
     if isinstance(e, Binary):
-        if e.op in "+-":
-            own, sub_right = _LEVEL_ADD, _LEVEL_MUL if e.op == "-" else _LEVEL_ADD
-        else:
-            own, sub_right = _LEVEL_MUL, _LEVEL_NEG if e.op == "/" else _LEVEL_MUL
+        own = _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
         lt, ll = _unparse(e.left)
         rt, rl = _unparse(e.right)
         if ll < own:
             lt = f"({lt})"
-        if rl < sub_right or (e.op in "*/" and rl == _LEVEL_ADD):
+        # The parser nests operators of one level to the left, so a right
+        # operand at the operator's own level keeps its parentheses.
+        if rl <= own:
             rt = f"({rt})"
         return f"{lt} {e.op} {rt}", own
     bt, bl = _unparse(e.base)

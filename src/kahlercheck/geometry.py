@@ -26,7 +26,8 @@ vanishes on constant-curvature models):
   y^i conj(x^j)) R_{i jbar k lbar}`` in (k, l), so the second factor folds
   into one product: ``R(X,Y,Z,U) = 2 Re sum rows_{kl} z^k conj(u^l)``.  On
   a J-pair the first factor is ``-2i x^i conj(x^j)``, so ``R(X,JX,JX,X) =
-  4 sum R_{i jbar k lbar} x^i conj(x^j) x^k conj(x^l)``
+  4 sum R_{i jbar k lbar} x^i conj(x^j) x^k conj(x^l)``: a real quadratic
+  form in the m^2 real coordinates of the Hermitian square ``x x^H``
 * Ricci is the trace of the curvature operator over a real orthonormal
   basis, ``S_{k jbar} = g^{l ibar}-contraction of R``; it coincides with
   ``-d_k d_jbar log det g``
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -780,13 +781,37 @@ def real_curvature(
 
 def holomorphic_square(curvature: ComplexCurvature, x: RealTangentVector) -> float:
     """``R(X, JX, JX, X) = 4 sum R_{i jbar k lbar} x^i conj(x^j) x^k conj(x^l)``,
-    one value per stacked vector: one Hermitian square of x, contracted
-    with R on both sides.  ``curvature`` needs the symmetry that
-    ``real_curvature`` needs."""
-    square = _outer(x.components, x.components)
-    rows = _curvature_rows(curvature, square)
-    flat = (*square.shape[:-2], -1)
-    return 4.0 * np.einsum("...i,...i->...", rows.reshape(flat), square.reshape(flat)).real
+    one value per stacked vector: a real quadratic form ``h^T F h`` of R at
+    the vector's point, on the m^2 real coordinates h of the Hermitian
+    square ``x x^H`` (``_square_basis``).  ``curvature`` needs the symmetry
+    that ``real_curvature`` needs."""
+    t, v = curvature.tensor, np.asarray(x.components)
+    points, m = t.shape[:-4], t.shape[-1]
+    i, j, basis = _square_basis(m)
+    # F = 4 Re(T^T R T), with R as an (m^2, m^2) matrix and vec(x x^H) = T h
+    form = 4.0 * (basis.T @ t.reshape(*points, m * m, m * m) @ basis).real
+    # h component-major: the vectors of each point run along the last axis
+    v_t = np.swapaxes(v.reshape(*points, -1, m), -1, -2)
+    square = v_t[..., i, :] * np.conj(v_t[..., j, :])
+    h = np.concatenate([square.real, square.imag[..., i < j, :]], axis=-2)
+    return np.einsum("...pn,...pn->...n", form @ h, h).reshape(v.shape[:-1])
+
+
+@cache
+def _square_basis(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i <= j, whose entries of a Hermitian ``x x^H``
+    give its m^2 real coordinates h (the real parts of all of them, then the
+    imaginary parts of those with i < j), and the complex ``(m^2, m^2)``
+    matrix T with ``vec(x x^H) = T h``."""
+    i, j = np.triu_indices(m)
+    re, im, strict = np.arange(len(i)), np.arange(len(i), m * m), i < j
+    t = np.zeros((m * m, m * m), dtype=complex)
+    t[i * m + j, re] = t[j * m + i, re] = 1.0
+    t[(i * m + j)[strict], im] = 1j
+    t[(j * m + i)[strict], im] = -1j
+    for cached in (i, j, t):
+        cached.flags.writeable = False
+    return i, j, t
 
 
 def _pair(rows: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -839,11 +864,11 @@ _PIVOT = 1e-8
 
 def _gaussian(rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
     """Complex Gaussian seeds of shape ``size``, all real parts drawn first,
-    written into one complex array: the bits of ``rng.normal(size=size) +
-    1j * rng.normal(size=size)``."""
+    written into one complex array: the bits of ``rng.standard_normal(size=size)
+    + 1j * rng.standard_normal(size=size)``, which are those of ``normal``."""
     seeds = np.empty(size, dtype=complex)
-    seeds.real = rng.normal(size=size)
-    seeds.imag = rng.normal(size=size)
+    seeds.real = rng.standard_normal(size=size)
+    seeds.imag = rng.standard_normal(size=size)
     return seeds
 
 
@@ -866,8 +891,8 @@ def unit_tangents(
     floor = 1e-6 * np.sqrt(np.max(np.abs(metric.matrix), axis=(-2, -1)))
     v = _gaussian(rng, (*points, count, k, m))
     n = metric.norm(RealTangentVector(v))
-    draws = 1
-    while (small := n <= _per_point(floor, n, 0) * np.linalg.norm(v, axis=-1)).any():
+    draws, w = 1, v.view(float)  # w: the real and imaginary parts, interleaved
+    while (small := n <= _per_point(floor, n, 0) * np.sqrt(np.einsum("...i,...i->...", w, w))).any():
         if (draws := draws + 1) > 64:
             raise _frame_error(small.any(axis=-1), "failed to draw a nonzero tangent vector")
         v[small] = _gaussian(rng, (int(small.sum()), m))
@@ -925,16 +950,17 @@ def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m)`` view of that layout.
     """
     w = np.ascontiguousarray(np.moveaxis(w, (-2, -1), (0, 1)))
-    q = np.empty_like(w)
+    q, conj = np.empty_like(w), np.empty_like(w)  # each finished row, and its conjugate
     ok = np.ones(w.shape[2:], dtype=bool)
     floor = _PIVOT * _length(w, axis=1)
     for a in range(len(w)):
         v, done = w[a], q[:a]
         for _ in range(2 if a else 0):  # the first row has nothing to project out
-            v = v - (np.sum(done.conj() * v, axis=1)[:, None] * done).sum(axis=0)
+            v = v - (np.sum(conj[:a] * v, axis=1)[:, None] * done).sum(axis=0)
         pivot = _length(v, axis=0)
         ok &= (good := pivot > floor[a])
         np.divide(v, np.where(good, pivot, 1.0), out=q[a])
+        np.conjugate(q[a], out=conj[a])
     return np.moveaxis(q, (0, 1), (-2, -1)), ok
 
 

@@ -22,6 +22,7 @@ fixes every residual, and every check of a suite sees the same points.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -41,28 +42,36 @@ class FrameConditionError(Exception):
 
 
 def _stack(legs: Sequence[RealTangentVector]) -> np.ndarray:
-    """The legs' components broadcast and stacked as one ``(..., k, m)`` array."""
+    """The legs' components broadcast and stacked as one ``(..., k, m)`` frame array."""
     return np.stack(np.broadcast_arrays(*(x.components for x in legs)), axis=-2)
 
 
-def _gram(matrix: np.ndarray, legs: Sequence[RealTangentVector]) -> np.ndarray:
+def _legs(f: np.ndarray) -> list[RealTangentVector]:
+    """The legs of the frames ``f`` (``(..., k, m)``): leg a stacks the a-th vector of each."""
+    return [RealTangentVector(f[..., a, :]) for a in range(f.shape[-2])]
+
+
+def _gram(matrix: np.ndarray, legs: np.ndarray | Sequence[RealTangentVector], pairs=None) -> np.ndarray:
     """``(..., k, k)`` values ``2 a(v_a, v_b)`` of the Hermitian form ``a`` on
     the legs: for the metric ``g(x_a, x_b) + i g(x_a, J x_b)``, for the Ricci
-    matrix ``S(x_a, x_b) + i S(x_a, J x_b)``."""
-    v = _stack(legs)
-    rows, conj = geo._rows(v, matrix), np.conj(v)
-    gram = np.empty((*v.shape[:-1], len(legs)), dtype=complex)
-    # Row by row: the bits of one einsum over (a, b), and faster than it or
-    # a batched matmul on stacks of these small matrices.
-    for a in range(len(legs)):
-        gram[..., a, :] = np.einsum("...i,...bi->...b", rows[..., a, :], conj)
-    gram *= 2.0
-    return gram
+    matrix ``S(x_a, x_b) + i S(x_a, J x_b)``.  ``legs`` is a ``(..., k, m)``
+    frame array, or its legs (``_stack``).  Each entry (a, b) of ``pairs``
+    (default: all) is one product; the others are left unset."""
+    f = legs if isinstance(legs, np.ndarray) else _stack(legs)
+    k = f.shape[-2]
+    # The rows of 2a: the factor 2 is exact, so these are the bits of 2 a(v_a, v_b).
+    rows, conj = geo._rows(f, 2.0 * matrix), np.conj(f)
+    gram = np.empty((k, k, *f.shape[:-2]), dtype=complex)
+    for a, b in itertools.product(range(k), repeat=2) if pairs is None else pairs:
+        np.einsum("...i,...i->...", rows[..., a, :], conj[..., b, :], out=gram[a, b, ...])
+    return np.moveaxis(gram, (0, 1), (-2, -1))
 
 
 # The Bochner blocks read the metric Gram ``g`` and the Ricci Gram ``s`` of
-# the legs 0..3 = x, y, z, u.  ``Re(g_ab conj(s_cd)) = g(a, b) S(c, d) +
-# g(a, Jb) S(c, Jd)`` gives two terms of the combination at once.
+# the legs 0..3 = x, y, z, u, at the entries a < b (``_PAIRS``) only.
+# ``Re(g_ab conj(s_cd)) = g(a, b) S(c, d) + g(a, Jb) S(c, Jd)`` gives two
+# terms of the combination at once.
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def _ricci_block(g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -115,12 +124,16 @@ def reconstruct_curvature_from_ricci(
     """Curvature value rebuilt from metric, Ricci and scalar curvature alone.
 
     This is the paper's real-vector route, through ``_ricci_block`` and
-    ``_metric_block`` on one metric and one Ricci Gram of the four legs.
+    ``_metric_block`` on the metric and Ricci Gram entries of the four legs.
     For Bochner-flat manifolds it reproduces R(X, Y, Z, U); in general
     ``R - reconstruction`` equals B identically.
     """
-    legs, m = (x, y, z, u), pd.m
-    g, s = _gram(pd.metric.matrix, legs), _gram(pd.ricci.matrix, legs)
+    return _reconstruction(pd, _stack((x, y, z, u)))
+
+
+def _reconstruction(pd: PointData, f: np.ndarray) -> np.ndarray:
+    m = pd.m
+    g, s = (_gram(matrix, f, _PAIRS) for matrix in (pd.metric.matrix, pd.ricci.matrix))
     metric_block = _metric_block(g)
     tau = geo._per_point(pd.tau, metric_block, 0)
     return _ricci_block(g, s) / (2.0 * (m + 2)) - tau * metric_block / (4.0 * (m + 1) * (m + 2))
@@ -129,15 +142,18 @@ def reconstruct_curvature_from_ricci(
 _FRAME_TOL = 1e-8
 
 
-def _check_antiholomorphic_frame(pd: PointData, vectors: Sequence[RealTangentVector]) -> None:
-    gram = _gram(pd.metric.matrix, vectors)
+def _check_antiholomorphic_frame(pd: PointData, f: np.ndarray) -> None:
+    """Raise unless each ``(k, m)`` frame of ``f`` is orthonormal and
+    antiholomorphic, naming the first pair a <= b of the first frame that is not."""
+    a, b = np.triu_indices(f.shape[-2])
+    gram = _gram(pd.metric.matrix, f, zip(a, b))[..., a, b]
     # written as "not within", so that a NaN entry fails too
-    bad = ~((np.abs(gram.real - np.eye(len(vectors))) <= _FRAME_TOL) & (np.abs(gram.imag) <= _FRAME_TOL))
+    bad = ~((np.abs(gram.real - (a == b)) <= _FRAME_TOL) & (np.abs(gram.imag) <= _FRAME_TOL))
     if bad.any():
-        *_, a, b = first = tuple(np.argwhere(bad)[0])
+        first = tuple(np.argwhere(bad)[0])
         raise FrameConditionError(
-            f"vectors do not form an orthonormal antiholomorphic {len(vectors)}-frame "
-            f"(pair {a},{b}: g={gram[first].real:.3e}, g(.,J.)={gram[first].imag:.3e})"
+            f"vectors do not form an orthonormal antiholomorphic {f.shape[-2]}-frame "
+            f"(pair {a[first[-1]]},{b[first[-1]]}: g={gram[first].real:.3e}, g(.,J.)={gram[first].imag:.3e})"
         )
 
 
@@ -152,7 +168,12 @@ def lemma_residual(
     Vanishes for all such frames exactly when the Bochner tensor vanishes
     (in complex dimension >= 3).
     """
-    _check_antiholomorphic_frame(pd, (x, y, z))
+    return _lemma(pd, _stack((x, y, z)))
+
+
+def _lemma(pd: PointData, f: np.ndarray) -> np.ndarray:
+    _check_antiholomorphic_frame(pd, f)
+    x, y, z = _legs(f)
     rc = pd.curvature
     # R(x, Jx, y, z) through the Hermitian square of x, as in
     # ``geometry.holomorphic_square``: w(x, Jx) = -2i x conj(x).
@@ -168,8 +189,12 @@ def basis_sum(pd: PointData, basis: Sequence[RealTangentVector]) -> float:
     """
     if len(basis) != pd.m:
         raise FrameConditionError(f"expected {pd.m} basis vectors, got {len(basis)}")
-    _check_antiholomorphic_frame(pd, basis)
-    return geo.holomorphic_square(pd.curvature, RealTangentVector(_stack(basis))).sum(axis=-1)
+    return _basis_sum(pd, _stack(basis))
+
+
+def _basis_sum(pd: PointData, f: np.ndarray) -> np.ndarray:
+    _check_antiholomorphic_frame(pd, f)
+    return geo.holomorphic_square(pd.curvature, RealTangentVector(f)).sum(axis=-1)
 
 
 def holomorphic_sectional_curvature(pd: PointData, x: RealTangentVector) -> float:
@@ -191,17 +216,17 @@ class Check:
 
     A manifold check draws at each point ``samples`` frames of k legs from
     ``geometry.<sampler>`` (k = None: the complex dimension), one
-    ``(points, samples, k, m)`` draw for a stacked ``pd``; ``value(pd,
-    legs)`` is its signed value on every frame, ``legs[a]`` stacking leg a.
+    ``(points, samples, k, m)`` draw for a stacked ``pd``; ``value(pd, f)``
+    is its signed value on every frame of that array ``f``.
     An immersion check has no sampler: ``value(state)`` is one residual per
     point of a stacked state.  The sampler sets the ``kind`` of the check.
     ``tests`` is the property the check tests, a key of ``PROPERTIES``, or
     None for an identity, which holds on every target.
     ``reduce`` is "max" (each |value| is a residual), "std" (one residual
     per point: the standard deviation of its values) or "spread" (one
-    residual: the ``_spread`` of all values).  Samplers and the public
-    functions that manifold values call are looked up by module name, so a
-    module-attribute wrapper sees each call.
+    residual: the ``_spread`` of all values).  Samplers, and the public
+    functions that the bochner and chsc values call, are looked up by module
+    name, so a module-attribute wrapper sees each call.
     """
 
     value: Callable
@@ -216,17 +241,17 @@ class Check:
         return "manifold" if self.sampler else "immersion"
 
 
-def _einstein(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
-    x, y = frame
+def _einstein(pd: PointData, f: np.ndarray) -> np.ndarray:
+    x, y = _legs(f)
     inner = pd.metric.inner(x, y)
     return pd.ricci(x, y) - geo._per_point(pd.tau, inner, 0) / (2.0 * pd.m) * inner
 
 
-def _reconstruct(pd: PointData, frame: Sequence[RealTangentVector]) -> np.ndarray:
+def _reconstruct(pd: PointData, f: np.ndarray) -> np.ndarray:
     # (R - B) - reconstruction: the real-vector blocks against the index-level
     # B, with R - B contracted once.
     r_minus_b = geo.ComplexCurvature(pd.curvature.tensor - pd.bochner.tensor)
-    return geo.real_curvature(r_minus_b, *frame) - reconstruct_curvature_from_ricci(pd, *frame)
+    return geo.real_curvature(r_minus_b, *_legs(f)) - _reconstruction(pd, f)
 
 
 # The line of a suite's summary that states each property a check tests.
@@ -239,12 +264,12 @@ PROPERTIES = {
 }
 _UNIT, _ANTI = "unit_tangents", "antiholomorphic_frames"
 CHECKS: dict[str, Check] = {
-    "bochner": Check(lambda pd, f: bochner_at(pd, *f), "Bochner-flat", "max", _UNIT, 4),
-    "lemma": Check(lambda pd, f: lemma_residual(pd, *f), "Bochner-flat", "max", _ANTI, 3, min_dim=3),
-    "basis-sum": Check(lambda pd, f: basis_sum(pd, f), "Bochner-flat", "std", _ANTI),
+    "bochner": Check(lambda pd, f: bochner_at(pd, *_legs(f)), "Bochner-flat", "max", _UNIT, 4),
+    "lemma": Check(_lemma, "Bochner-flat", "max", _ANTI, 3, min_dim=3),
+    "basis-sum": Check(_basis_sum, "Bochner-flat", "std", _ANTI),
     "einstein": Check(_einstein, "Einstein", "max", _UNIT, 2),
-    "ricci-offdiag": Check(lambda pd, f: pd.ricci(*f), "Einstein", "max", _ANTI, 2, min_dim=2),
-    "chsc": Check(lambda pd, f: holomorphic_sectional_curvature(pd, *f), "constant HSC", "spread", _UNIT, 1),
+    "ricci-offdiag": Check(lambda pd, f: pd.ricci(*_legs(f)), "Einstein", "max", _ANTI, 2, min_dim=2),
+    "chsc": Check(lambda pd, f: holomorphic_sectional_curvature(pd, *_legs(f)), "constant HSC", "spread", _UNIT, 1),
     "reconstruct-2-3": Check(_reconstruct, None, "max", _UNIT, 4),
     "umbilical": Check(sub._umbilical_residual, "totally umbilical", "max"),
     "parallel-h": Check(sub._parallel_h_residual, "parallel mean curvature", "max"),
@@ -281,7 +306,7 @@ def draw(name: str, pd: Any, samples: int, rng: np.random.Generator | None) -> P
     if check.sampler is None:
         return pd, pd.tangents[:, None], check.value(pd)[:, None]
     frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng)
-    return pd, frames, check.value(pd, [RealTangentVector(frames[..., a, :]) for a in range(frames.shape[-2])])
+    return pd, frames, check.value(pd, frames)
 
 
 def run_points(target: KahlerManifold | sub.Immersion, points: int, rng: np.random.Generator) -> tuple[Any, dict]:

@@ -1307,6 +1307,9 @@ class _Ones:
     def normal(self, size):
         return np.ones(size)
 
+    def standard_normal(self, size):
+        return np.ones(size)
+
 
 @pytest.mark.parametrize(
     "stage, spec, check, seed, index, cause",

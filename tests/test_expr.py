@@ -668,6 +668,8 @@ def test_derivative_matches_wirtinger_finite_differences(tree, data):
 @given(tree=_exprs())
 @example(tree=Power(Const(complex(-0.0, 0.0)), 0))
 @example(tree=Unary("neg", Const(complex(-0.0, 0.0))))
+# Unparsed without the parentheses of its right factor, this overflows at a point where it does not.
+@example(tree=ex.parse_expression("log(4 + (z1/1.1125369292536007e-308) * (z1*0))", 2, ("z", "zb")))
 def test_parse_unparse_round_trip(tree):
     text = ex.unparse(tree)
     back = ex.parse_expression(text, 2, ("z", "zb"))
@@ -696,6 +698,16 @@ def test_unparse_of_parse_is_semantic_identity(text):
     tree = ex.parse_expression(text, 2, ("z", "zb"))
     again = ex.parse_expression(ex.unparse(tree), 2, ("z", "zb"))
     _eval_equal(tree, again, dim=2, tol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "text", ["z1 * (z2 / zb1)", "z1 + (z2 + zb1)", "log(4 + (z1/1.1125369292536007e-308) * (z1*0))"]
+)
+def test_unparse_keeps_the_parentheses_of_a_right_operand_at_its_own_level(text):
+    # The parser nests one level's operators to the left, so without them
+    # the text would re-parse as another tree, with other rounding.
+    tree = ex.parse_expression(text, 2, ("z", "zb"))
+    assert ex.parse_expression(ex.unparse(tree), 2, ("z", "zb")) == tree
 
 
 def test_round_trip_on_builtin_potentials(fs3, chyp3, product):

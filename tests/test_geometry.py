@@ -593,8 +593,9 @@ def _gram(gm, frames):
 
 
 class _Draws:
-    """Generator stand-in: ``normal`` hands out ``override(call, values)``
-    for values drawn from a real generator, and records each size."""
+    """Generator stand-in: ``normal`` and ``standard_normal`` hand out
+    ``override(call, values)`` for values drawn from a real generator, and
+    record each size."""
 
     def __init__(self, seed, override=lambda call, values: values):
         self.real = np.random.default_rng(seed)
@@ -604,6 +605,9 @@ class _Draws:
     def normal(self, size):
         self.sizes.append(size)
         return self.override(len(self.sizes), self.real.normal(size=size))
+
+    def standard_normal(self, size):
+        return self.normal(size)
 
 
 def test_only_the_dependent_frame_is_redrawn(fs3):
@@ -746,6 +750,35 @@ def test_gaussian_seeds_keep_the_bits_of_the_complex_sum(size):
     want = ref.normal(size=size) + 1j * ref.normal(size=size)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+def _frame_draws(manifold, count):
+    """Gaussian seeds, unit tangents (k = 1, 2, 4) and antiholomorphic frames
+    (k = 2, 3, m) drawn at fixed seeds for a stack of ``count`` points."""
+    points, g = _metric_stack(manifold, 8, count)
+    metric, m = geo.hermitian_metric(points, g), manifold.m
+    draws = {"gaussian": geo._gaussian(np.random.default_rng(21), (count, 7, m))}
+    for k in (1, 2, 4):
+        draws[f"unit {k}"] = geo.unit_tangents(metric, 6, k, np.random.default_rng(22 + k))
+    for k in sorted({2, 3, m}):
+        draws[f"frames {k}"] = geo.antiholomorphic_frames(metric, 6, k, np.random.default_rng(30 + k))
+    return draws
+
+
+@pytest.mark.parametrize("chart, count, digests", [
+    ("fs3", 2, {
+        "gaussian": "f1da4f9f103467bc", "unit 1": "4dcecdf56aac4b63", "unit 2": "640924c84d16e470",
+        "unit 4": "0885b6b780b5b4d9", "frames 2": "80c6264907ba15f3", "frames 3": "8111072718ea961d",
+    }),
+    ("product", 5, {
+        "gaussian": "a29b1a924011a167", "unit 1": "1193b2d081211284", "unit 2": "cded4c08ea6ec107",
+        "unit 4": "8f9b47be15740cfd", "frames 2": "73411792fbe2de54", "frames 3": "1c02950d50affd2a",
+    }),
+])
+def test_sampled_frames_keep_their_bits(chart, count, digests, request):
+    # Every pinned residual and worst case rests on these draws.
+    draws = _frame_draws(request.getfixturevalue(chart), count)
+    assert {name: _digest(v) for name, v in draws.items()} == digests
 
 
 def test_a_first_draw_without_redraws_is_two_flat_normal_calls(fs3):

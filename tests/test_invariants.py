@@ -7,6 +7,7 @@ from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
 from kahlercheck import models
+from test_jets import _mixed_chart
 
 
 def _unit_vecs(pd, rng, count):
@@ -396,20 +397,24 @@ def test_stacked_values_match_one_frame_calls(chart, request, rng):
         pd = inv.point_data(manifold, manifold.sample_point(rng))
         _, frames, values = inv.draw(name, pd, 7, rng)
         assert frames.shape == (7, check.k or manifold.m, manifold.m), name
-        singles = [check.value(pd, [geo.RealTangentVector(v) for v in f]) for f in frames]
+        singles = [check.value(pd, f) for f in frames]
         assert all(np.ndim(s) == 0 for s in singles), name
         scale = max(1.0, float(np.max(np.abs(singles))))
         assert values.shape == (7,) and np.max(np.abs(values - singles)) <= 1e-14 * scale, name
 
 
 class _Share:
-    """Generator stand-in for one point of a stacked draw: ``normal`` hands
-    out, in turn, the point's rows of each of the stack's draws."""
+    """Generator stand-in for one point of a stacked draw: ``normal`` and
+    ``standard_normal`` hand out, in turn, the point's rows of each of the
+    stack's draws."""
 
     def __init__(self, draws, point):
         self.draws, self.point = iter(draws), point
 
     def normal(self, size):
+        return next(self.draws)[self.point * size[0] : (self.point + 1) * size[0]]
+
+    def standard_normal(self, size):
         return next(self.draws)[self.point * size[0] : (self.point + 1) * size[0]]
 
 
@@ -592,3 +597,44 @@ def test_kernels_match_index_level_sums(product, rng):
     terms = geo._curvature_terms(pd.metric, pd.jets)
     in_frame = [np.einsum("ijkl,ia,jb,kc,ld->abcd", t, c, c.conj(), c, c.conj()) for t in terms]
     _close(pd.term_scale, max(np.linalg.norm(t) for t in in_frame))
+
+
+_CHARTS = ["builtin:fs:1", "builtin:fs:2", "builtin:fs:3", "builtin:fs:4", "builtin:chyp:3", "builtin:product:fs:1:fs:2", "mixed"]
+
+
+def _stacked_point_data(uri, tmp_path, count=3):
+    if uri == "mixed":
+        manifold = _mixed_chart(tmp_path)
+    else:
+        manifold = models.build_model(uri)
+    rng = np.random.default_rng(17)
+    points = np.array([manifold.sample_point(rng) for _ in range(count)])
+    return geo.stack(manifold, geo.point_jets(manifold, points)), rng
+
+
+@pytest.mark.parametrize("uri", _CHARTS)
+def test_hermitian_squares_match_index_level_sums(uri, tmp_path):
+    # The real form of R on the real coordinates of x x^H, per point of a
+    # stack, on charts with and without U(m) symmetry.
+    pd, rng = _stacked_point_data(uri, tmp_path)
+    r = pd.curvature.tensor
+    x = geo.unit_tangents(pd.metric, 5, 2, rng)
+    want = np.array([_real_curvature_sum(r[i], x[i], 1j * x[i], 1j * x[i], x[i]) for i in range(len(x))])
+    _close(geo.holomorphic_square(pd.curvature, geo.RealTangentVector(x)), want)
+    e = geo.antiholomorphic_frames(pd.metric, 5, pd.m, rng)
+    want = np.array([_real_curvature_sum(r[i], e[i], 1j * e[i], 1j * e[i], e[i]).sum(axis=-1) for i in range(len(e))])
+    _close(inv.basis_sum(pd, inv._legs(e)), want)
+
+
+@pytest.mark.parametrize("uri", _CHARTS)
+def test_the_reconstruction_reads_the_entries_of_full_grams(uri, tmp_path):
+    # Only the entries a < b of the two Grams are computed; the blocks on
+    # full Grams give the same bits.
+    pd, rng = _stacked_point_data(uri, tmp_path)
+    legs = inv._legs(geo.unit_tangents(pd.metric, 5, 4, rng))
+    g, s = inv._gram(pd.metric.matrix, legs), inv._gram(pd.ricci.matrix, legs)
+    metric = inv._metric_block(g)
+    m = pd.m
+    want = inv._ricci_block(g, s) / (2.0 * (m + 2)) - geo._per_point(pd.tau, metric, 0) * metric / (4.0 * (m + 1) * (m + 2))
+    got = inv.reconstruct_curvature_from_ricci(pd, *legs)
+    assert got.tobytes() == want.tobytes()
