@@ -220,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
             tree = ex.parse_expression(args.expr, args.dim, [k.strip() for k in args.kinds.split(",")])
             print(ex.unparse(tree))
             print(f"nodes: {ex.node_count(tree)}")
-            names = sorted(ex.unparse(v) for v in ex.variables(tree))
+            (dag := ex.Dag()).intern_id(tree)
+            names = sorted(ex.unparse(v) for v in dag.variables())
             print(f"variables: {', '.join(names) if names else '(none)'}")
             return 0
         if args.command == "check":

@@ -197,11 +197,12 @@ class Dag:
     away, so folding cannot turn a domain error into a success.  Folds are
     memoized per id, and derivatives per id in one memo per variable.
 
-    Charts and immersions are built on ids: ``intern_id``, ``fold_id``,
-    ``derive`` and ``lower``.  ``expr`` gives the tree of an id, one object
-    per id, built on first use, for error text and a tape's variable keys;
-    a ``Tape`` builds its failing node only when it raises.  The table
-    lives as long as the build that owns it; nothing is cached globally.
+    Charts and immersions are built on ids: ``intern_id``, ``check_variables``,
+    ``fold_id``, ``derive`` and ``lower``.  ``expr`` gives the tree of an id,
+    one object per id, built on first use, for error text and a tape's
+    variable keys; a ``Tape`` builds its failing node only when it raises.
+    The table lives as long as its build and is never cached; the per-shape
+    tables of a chart build live in ``geometry`` (``_reality_points``, ``_conjugate_fill``).
     """
 
     def __init__(self):
@@ -468,6 +469,19 @@ class Dag:
             ends.append(len(ops))
         return Tape(self, consts, variables, ops, roots, ends)
 
+    def variables(self) -> list[Var]:
+        """The variables of the table, in the order they were added."""
+        return [Var(kind, index) for op, kind, index in self._nodes if op == _VAR]
+
+    def check_variables(self, dimension: int, kinds: Sequence[str]) -> None:
+        """Raise ``ValueError`` naming the first variable added to the table
+        whose kind is not in ``kinds`` or whose index is not in 1..dimension."""
+        for v in self.variables():
+            if v.kind not in kinds:
+                raise ValueError(f"variable kind '{v.kind}' not allowed here")
+            if not 1 <= v.index <= dimension:
+                raise ValueError(f"variable index out of range: '{unparse(v)}' with dimension {dimension}")
+
     def expr(self, n: int) -> Expr:
         """The tree of node ``n``: one object per id, built on first use."""
         e = self._exprs.get(n)
@@ -528,15 +542,15 @@ class Tape:
         exponents = sorted({table[n][2] for n in nodes if table[n][0] == _POW})
         first_var = len(consts) + len(exponents)
         base = first_var + len(variables)
-        slot = dict(zip(consts, range(first_var)))
-        slot.update(zip(variables, range(first_var, base)))
-        slot.update(zip(nodes, range(base, base + len(nodes))))
+        slot = [-1] * (len(table) + 1)  # by node id; a unary op's b = -1 reads the extra last entry
+        for s, n in (*enumerate(consts), *enumerate(variables, first_var)):
+            slot[n] = s
         exponent_slot = dict(zip(exponents, range(len(consts), first_var)))
         ops = []
-        for n in nodes:
+        for s, n in enumerate(nodes, base):  # in post-order: an op's operands have their slots
             op, a, b = table[n]
-            # a unary op's b is -1
-            ops.append((_UFUNCS[op], slot[a], exponent_slot[b] if op == _POW else slot.get(b, -1)))
+            slot[n] = s
+            ops.append((_UFUNCS[op], slot[a], exponent_slot[b] if op == _POW else slot[b]))
         self._leaves: list = [values[n] for n in consts] + exponents
         self._leaf_rows = np.array(self._leaves, dtype=complex).reshape(-1, 1)
         self._finite_leaves = bool(np.isfinite(self._leaf_rows).all())
@@ -626,35 +640,12 @@ class Tape:
             raise EvaluationDomainError(fault, self._dag.expr(node)) from None
 
 
-def variables(e: Expr) -> frozenset[Var]:
-    out: set[Var] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node)
-        stack.extend(_children(node))
-    return frozenset(out)
-
-
 def node_count(e: Expr) -> int:
     count, stack = 0, [e]
     while stack:
         count += 1
         stack.extend(_children(stack.pop()))
     return count
-
-
-def validate_variables(e: Expr, dimension: int, allowed_kinds: Iterable[str]) -> None:
-    """Check every variable of ``e`` against a dimension and kind whitelist."""
-    allowed = frozenset(allowed_kinds)
-    for v in variables(e):
-        if v.kind not in allowed:
-            raise ValueError(f"variable kind '{v.kind}' not allowed here")
-        if not 1 <= v.index <= dimension:
-            raise ValueError(
-                f"variable index out of range: '{unparse(v)}' with dimension {dimension}"
-            )
 
 
 # --------------------------------------------------------------------------

@@ -243,40 +243,55 @@ def run_jets(tape: ex.Tape, assignment: dict, layout: Sequence[tuple]) -> list[n
     return [values[..., block].reshape(*points, *shape) for block, shape in layout]
 
 
-def _conjugate_fill(m: int, pairs: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each block ``g, dg, dgb, d2g, ddg`` of ``KahlerManifold.jets``,
-    in the block's shape: the tape output each entry reads, and whether it
-    is that output's conjugate.  The tape holds g and dg, then one d2g
-    output per pair of sorted index pairs ``pairs[h] <= pairs[a]`` in
-    row-major order, then (on ``immersion_tape``) ``ddg``."""
-    first, count = m * m + m**3, len(pairs)
+@cache
+def _conjugate_fill(m: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], tuple[int, ...]]:
+    """For each block ``g, dg, dgb, d2g, ddg`` of ``KahlerManifold.jets``, in
+    the block's shape: the tape output each entry reads and whether it is
+    that output's conjugate (read-only); then the outputs the first b blocks
+    read, for each b.  The tape holds g and dg, then one d2g output per pair
+    ``pairs[h] <= pairs[a]`` of the sorted pairs (i, k), i <= k, in row-major
+    order, then (on ``immersion_tape``) ``ddg``."""
+    first, count = m * m + m**3, m * (m + 1) // 2
     pair = np.empty((m, m), dtype=int)
-    for n, (i, k) in enumerate(pairs):
-        pair[i, k] = pair[k, i] = n
+    i, k = np.triu_indices(m)
+    pair[i, k] = pair[k, i] = np.arange(count)
     # the sorted pairs (i, k) and (j, l) of each d2g[i, j, k, l], and the
     # row-major position of (lo, hi) among the pairs of pairs with lo <= hi
     h, a = pair[:, None, :, None], pair[None, :, None, :]
     lo, hi = np.minimum(h, a), np.maximum(h, a)
     dg = m * m + np.arange(m**3).reshape(m, m, m)
-    return [
+    fill = (
         (np.arange(m * m).reshape(m, m), np.zeros((m, m), bool)),
         (dg, np.zeros((m, m, m), bool)),
         (dg.transpose(0, 2, 1), np.ones((m, m, m), bool)),  # dgb[b, i, j] = conj(dg[b, j, i])
         (first + lo * (2 * count - lo + 1) // 2 + hi - lo, h > a),
         (first + count * (count + 1) // 2 + np.arange(m**4).reshape(m, m, m, m), np.zeros((m,) * 4, bool)),
-    ]
+    )
+    for index, conjugate in fill:
+        index.flags.writeable = conjugate.flags.writeable = False
+    return fill, tuple(accumulate((int(index.max()) + 1 for index, _ in fill), max))
+
+
+@cache
+def _reality_points(domain: ChartDomain, m: int) -> np.ndarray:
+    """The reality check's 8 points, read-only: ``sample_point`` draws from ``default_rng(1811)``."""
+    rng = np.random.default_rng(1811)
+    points = np.array([domain.sample_point(rng, m) for _ in range(8)])
+    points.flags.writeable = False
+    return points
 
 
 class KahlerManifold:
     """Chart of a Kähler manifold defined by a symbolic potential.
 
-    The constructor validates the potential (variable kinds/indices and
-    reality on sampled points) and differentiates it once, in one node
-    table (``expr.Dag``): ``g``, its first derivatives ``dg`` in the
-    holomorphic variables, and the mixed second derivatives ``d2g`` needed
-    for curvature.  Each distinct mixed partial is built once, from its
-    sorted indices, and every other index order of a block is that same
-    node, so the blocks are exactly symmetric under their index swaps.
+    The constructor reads the potential into one node table (``expr.Dag``),
+    checks its variables there and its reality at 8 seeded points, drawn
+    once per domain and dimension (``_reality_points``), and differentiates
+    it once, in that table: ``g``, its first derivatives ``dg`` in the
+    holomorphic variables, and the mixed second derivatives ``d2g``.  Each
+    distinct mixed partial is built once, from its sorted indices, and every
+    other index order of a block is that same node, so the blocks are
+    exactly symmetric under their index swaps.
 
     K is real, so ``dgb[b, i, j] = conj(dg[b, j, i])`` and
     ``d2g[j, i, l, k] = conj(d2g[i, j, k, l])``.  ``tape`` evaluates, in
@@ -309,16 +324,15 @@ class KahlerManifold:
         self.potential = potential
         self.domain = domain if domain is not None else ball(1.0)
         self.name = name
-        ex.validate_variables(potential, self.m, (Z, ZB))
         self._variables = [(Var(Z, i + 1), Var(ZB, i + 1)) for i in range(self.m)]
         dag = ex.Dag()
         unfolded = dag.intern_id(potential)
+        dag.check_variables(self.m, (Z, ZB))
         self._check_reality(dag.lower([unfolded]))
 
         m = self.m
         d = dag.derive
-        zs = [dag.intern_id(z) for z, _ in self._variables]
-        zbs = [dag.intern_id(zb) for _, zb in self._variables]
+        zs, zbs = ([dag.intern_id(v) for v in kind] for kind in zip(*self._variables))
         K = dag.fold_id(unfolded)
         r = range(m)
         # Flat, row-major blocks; the derivatives of folded nodes come out
@@ -331,10 +345,8 @@ class KahlerManifold:
         # holomorphic pair (i, k) <= sorted antiholomorphic pair (j, l).
         pairs = [(i, k) for i in r for k in r if i <= k]
         d2g = [d(dg[(i * m + k) * m + j], zbs[l]) for h, (i, k) in enumerate(pairs) for j, l in pairs[h:]]
-        self._dag, self._roots, self._dg = dag, g + dg + d2g, dg
-        self._fill = _conjugate_fill(m, pairs)
-        # the tape outputs that the first b blocks read, for each b
-        self._outputs = list(accumulate((int(index.max()) + 1 for index, _ in self._fill), max))
+        self._dag, self._roots, self._dg, self._zs = dag, g + dg + d2g, dg, zs
+        self._fill, self._outputs = _conjugate_fill(m)
 
     @cached_property
     def tape(self) -> ex.Tape:
@@ -346,23 +358,19 @@ class KahlerManifold:
         """``tape`` followed by ``ddg[a, i, j, l] = d_{z_a} d_{z_i} g_{j lbar}``,
         each entry built once from the sorted triple (a, i, j)."""
         m, r, dag = self.m, range(self.m), self._dag
-        zs = [dag.intern_id(z) for z, _ in self._variables]
-
-        def entry(a, i, j, l):
-            x, y, w = sorted((a, i, j))
-            return dag.derive(self._dg[(x * m + y) * m + l], zs[w])
-
-        ddg = [entry(a, i, j, l) for a in r for i in r for j in r for l in r]
+        ddg = [
+            dag.derive(self._dg[(x * m + y) * m + l], self._zs[w])
+            for a in r for i in r for j in r for l in r for x, y, w in [sorted((a, i, j))]
+        ]
         return dag.lower(self._roots + ddg)
 
     def _check_reality(self, potential: ex.Tape):
         """Raise unless the unfolded potential, lowered to ``potential``, is
-        real at 8 seeded points of the domain (points where it raises are skipped).
+        real at the 8 points of ``_reality_points`` (points where it raises are skipped).
 
         The points run as one stack; a run that raises drops the point its
         error names, and the rest run again."""
-        rng = np.random.default_rng(1811)
-        points = np.array([self.domain.sample_point(rng, self.m) for _ in range(8)])
+        points = _reality_points(self.domain, self.m)
         while True:
             try:
                 values = potential.run(self.assignment(points))[:, 0]

@@ -271,7 +271,7 @@ CHECKS: dict[str, Check] = {
     "ricci-offdiag": Check(lambda pd, f: pd.ricci(*_legs(f)), "Einstein", "max", _ANTI, 2, min_dim=2),
     "chsc": Check(lambda pd, f: holomorphic_sectional_curvature(pd, *_legs(f)), "constant HSC", "spread", _UNIT, 1),
     "reconstruct-2-3": Check(_reconstruct, None, "max", _UNIT, 4),
-    "umbilical": Check(sub._umbilical_residual, "totally umbilical", "max"),
+    "umbilical": Check(lambda st: st.umbilical, "totally umbilical", "max"),
     "parallel-h": Check(sub._parallel_h_residual, "parallel mean curvature", "max"),
     "codazzi-general": Check(lambda st: sub._worst_triple(sub._codazzi_general(st)), None, "max"),
     "codazzi-umbilical": Check(lambda st: sub._worst_triple(sub._codazzi_umbilical(st)), "totally umbilical", "max"),

@@ -130,24 +130,23 @@ class Immersion:
         self.components = tuple(components)
         self.domain = domain
         self.name = name
-        for c in components:
-            ex.validate_variables(c, self.n, (U,))
         self._variables = [Var(U, a + 1) for a in range(self.n)]
 
         dag = ex.Dag()
         m, n = ambient.m, self.n
+        unfolded = [dag.intern_id(c) for c in components]
+        dag.check_variables(n, (U,))
         us = [dag.intern_id(v) for v in self._variables]
-        f = [dag.fold_id(dag.intern_id(c)) for c in components]
+        f = [dag.fold_id(c) for c in unfolded]
         df = [dag.derive(f[i], us[a]) for a in range(n) for i in range(m)]
         r = range(n)
         # Partials commute: each distinct one is built from its sorted indices.
         d2f = [dag.derive(df[min(a, b) * m + i], us[max(a, b)]) for a in r for b in r for i in range(m)]
 
-        def third(x, a, b, i):
-            s, t, w = sorted((x, a, b))
-            return dag.derive(d2f[(s * n + t) * m + i], us[w])
-
-        d3f = [third(x, a, b, i) for x in r for a in r for b in r for i in range(m)]
+        d3f = [
+            dag.derive(d2f[(s * n + t) * m + i], us[w])
+            for x in r for a in r for b in r for i in range(m) for s, t, w in [sorted((x, a, b))]
+        ]
         # One tape for f, df, d2f and d3f in that order; ``jets`` runs a prefix of it.
         self.tape = dag.lower(f + df + d2f + d3f)
         self._jets = geo.jet_layout(((m,), (n, m), (n, n, m), (n, n, n, m)))
@@ -314,6 +313,19 @@ class _State:
         d_h = d_h + np.einsum("...yz,...xyzk->...xk", self.induced_inv, d_alpha)
         return d_alpha, d_h / self.imm.n
 
+    @cached_property
+    def umbilical(self) -> np.ndarray:
+        """The umbilical residual ``max_ab || alpha(a,b) - ghat_ab H ||``."""
+        residual = RealTangentVector(self.alpha - self.induced[..., None] * self.h[..., None, None, :])
+        return np.max(self.metric.norm(residual), axis=(-2, -1), initial=0.0)
+
+    @cached_property
+    def codazzi_lhs(self) -> np.ndarray:
+        """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
+        curv = geo.curvature_tensor(self.point, self.metric, self.jets[:4])
+        x, y, z = (RealTangentVector(np.expand_dims(self.tangents, a)) for a in ((-3, -2), (-4, -2), (-4, -3)))
+        return _normal_part(self, geo.curvature_operator(curv, self.metric, x, y, z))
+
 
 _RANK_TOL = 1e-8
 
@@ -428,23 +440,11 @@ def mean_curvature(imm: Immersion, u: Sequence[float]) -> np.ndarray:
 
 def umbilical_residual(imm: Immersion, u: Sequence[float]) -> float:
     """max_ab || alpha(a,b) - ghat_ab H || in the ambient metric."""
-    return float(_umbilical_residual(state(imm, u)))
+    return float(state(imm, u).umbilical)
 
 
 # The residuals below take a state of one point or of a stack of points,
 # and give their values per point.
-
-
-def _umbilical_residual(st: _State) -> np.ndarray:
-    residual = RealTangentVector(st.alpha - st.induced[..., None] * st.h[..., None, None, :])
-    return np.max(st.metric.norm(residual), axis=(-2, -1), initial=0.0)
-
-
-def _codazzi_lhs(st: _State) -> np.ndarray:
-    """Normal components of R(T_a, T_b) T_c in the ambient manifold, shape (n, n, n, m)."""
-    curv = geo.curvature_tensor(st.point, st.metric, st.jets[:4])
-    x, y, z = (RealTangentVector(np.expand_dims(st.tangents, a)) for a in ((-3, -2), (-4, -2), (-4, -3)))
-    return _normal_part(st, geo.curvature_operator(curv, st.metric, x, y, z))
 
 
 def _codazzi_general(st: _State) -> np.ndarray:
@@ -457,7 +457,7 @@ def _codazzi_general(st: _State) -> np.ndarray:
     alpha_rows = np.swapaxes(st.alpha, -3, -2).reshape(*st.alpha.shape[:-3], n, n * m)
     dbar = d_alpha - np.swapaxes(geo._rows(st.conn, alpha_rows).reshape(d_alpha.shape), -3, -2)
     rhs = dbar - np.swapaxes(dbar, -4, -3)
-    return st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
+    return st.metric.norm(RealTangentVector(st.codazzi_lhs - rhs))
 
 
 def _codazzi_umbilical(st: _State) -> np.ndarray:
@@ -467,8 +467,8 @@ def _codazzi_umbilical(st: _State) -> np.ndarray:
     # rhs[a, b, c] = ghat_bc D_a H - ghat_ac D_b H
     rhs = st.induced[..., None, :, :, None] * st.derivatives[1][..., :, None, None, :]
     rhs = rhs - np.swapaxes(rhs, -4, -3)
-    reduced = st.metric.norm(RealTangentVector(_codazzi_lhs(st) - rhs))
-    return np.maximum(reduced, _umbilical_residual(st)[..., None, None, None])
+    reduced = st.metric.norm(RealTangentVector(st.codazzi_lhs - rhs))
+    return np.maximum(reduced, st.umbilical[..., None, None, None])
 
 
 def _worst_triple(residuals: np.ndarray) -> np.ndarray:

@@ -239,15 +239,17 @@ def test_codazzi_check_on_builtin_sphere():
 
 
 @pytest.mark.parametrize(
-    "check", ["umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical"]
+    "check", ["umbilical", "parallel-h", "codazzi-general", "codazzi-umbilical", None]
 )
 def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     # One per-point stage per run, on the stack of its parameter points: the
     # derivatives of alpha and H along every direction are closed forms in
     # the jets, shared by every index triple.  The ambient curvature is
     # evaluated once, from the same jets, in one call on the stack, and each
-    # tape runs once for all the points.
+    # tape runs once for all the points.  A suite (check None) shares all
+    # of it between its four checks: both Codazzi checks read one curvature.
     imm = models.load_immersion("builtin:linear-flat3")
+    monkeypatch.setattr(models, "load_immersion", lambda source: imm)
     evaluated, curvatures, runs = [], [], []
     real_point_jets, real_curvature, real_run = sub.point_jets, geo.curvature_tensor, ex.Tape.run
     monkeypatch.setattr(sub, "point_jets", lambda *a: evaluated.append(a) or real_point_jets(*a))
@@ -255,9 +257,11 @@ def test_one_stencil_and_one_curvature_per_parameter_point(check, monkeypatch):
     monkeypatch.setattr(ex.Tape, "run", lambda tape, *a: runs.append(tape) or real_run(tape, *a))
     points = 2
     cfg = RunConfig(manifold=None, check=check, immersion=imm.name, points=points, seed=3)
-    assert cli._run_loaded(cfg, imm)[0].passed
+    reports, _ = cli._run(cfg)
+    assert [r.check for r in reports] == ([check] if check else list(cli.IMMERSION_CHECKS))
+    assert all(r.passed for r in reports)
     assert [len(u) for _, u in evaluated] == [points]
-    assert [len(a[0]) for a in curvatures] == ([points] if check.startswith("codazzi") else [])
+    assert [len(a[0]) for a in curvatures] == ([] if check in ("umbilical", "parallel-h") else [points])
     assert runs == [imm.tape, imm.ambient.immersion_tape]
     # The chart's own jet tape is never lowered, so it never runs.
     assert "tape" not in vars(imm.ambient)

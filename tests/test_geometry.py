@@ -140,6 +140,36 @@ def test_sampled_points_keep_their_bits(domain, m, first, digest):
     assert _digest(points) == digest
 
 
+@pytest.mark.parametrize("domain, m", [
+    (geo.ball(1.0), 1), (geo.ball(0.8), 3), (geo.ball(1.0), 4), (geo.polydisc(0.5, 1.0, 2.0), 3),
+])
+def test_the_reality_points_are_eight_seeded_draws(domain, m):
+    rng = np.random.default_rng(1811)
+    fresh = [domain.sample_point(rng, m) for _ in range(8)]
+    points = geo._reality_points(domain, m)
+    assert _bits(points) == _bits(fresh)
+    assert not points.flags.writeable
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_the_fill_tables_are_read_only(m):
+    blocks, _ = geo._conjugate_fill(m)
+    for block in blocks:
+        assert not any(array.flags.writeable for array in block)
+
+
+def test_a_second_build_on_a_domain_draws_no_points(monkeypatch):
+    draws = []
+    real_sample = geo.ChartDomain.sample_point
+    monkeypatch.setattr(geo.ChartDomain, "sample_point", lambda *a: draws.append(a) or real_sample(*a))
+    geo._reality_points.cache_clear()
+    potential = models.flat_potential(2)
+    geo.KahlerManifold(2, potential, geo.polydisc(0.5, 1.0))
+    assert len(draws) == 8
+    geo.KahlerManifold(2, potential, geo.polydisc(0.5, 1.0))  # an equal domain, not the same object
+    assert len(draws) == 8
+
+
 def test_the_reality_check_points_keep_their_bits(monkeypatch):
     runs = _count_tape_runs(monkeypatch)
     models.build_model("builtin:fs:2")

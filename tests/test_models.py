@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from kahlercheck import invariants as inv
 from kahlercheck import models
 from kahlercheck.expr import Var
 from kahlercheck.models import MANIFOLD_CHECKS, ModelError
+from kahlercheck.submanifold import Immersion, box
 from test_jets import MIXED_SPEC
 
 
@@ -437,6 +439,47 @@ def test_immersion_file_errors(lineno, line, match):
     lines[lineno - 1] = line
     with pytest.raises(ModelError, match=match):
         models.parse_immersion_spec("\n".join(lines), "<test>")
+
+
+# The builds check the variables of trees that no parser has seen.
+@pytest.mark.parametrize("potential, message", [
+    (ex.mul(ex.u(1), ex.zb(1)), "variable kind 'u' not allowed here"),
+    (ex.add(ex.mul(ex.z(1), ex.zb(1)), ex.mul(ex.z(2), ex.zb(1))), "variable index out of range: 'z2' with dimension 1"),
+])
+def test_a_chart_built_from_a_tree_rejects_its_bad_variable(potential, message):
+    with pytest.raises(ValueError) as err:
+        geo.KahlerManifold(1, potential, geo.ball(1.0))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("component, message", [
+    (ex.mul(ex.const(2), ex.z(1)), "variable kind 'z' not allowed here"),
+    (ex.add(ex.u(1), ex.u(2)), "variable index out of range: 'u2' with dimension 1"),
+])
+def test_an_immersion_built_from_trees_rejects_its_bad_variable(flat2, component, message):
+    with pytest.raises(ValueError) as err:
+        Immersion(flat2, 1, [ex.u(1), component], box(-0.5, 0.5))
+    assert str(err.value) == message
+
+
+def test_the_first_bad_variable_in_reading_order_is_named(flat2):
+    # Several bad variables: the one named does not depend on hashing.
+    potential = ex.add(ex.mul(ex.zb(3), ex.z(1)), ex.mul(ex.z(2), ex.u(1)))
+    with pytest.raises(ValueError, match="^variable index out of range: 'zb3' with dimension 1$"):
+        geo.KahlerManifold(1, potential, geo.ball(1.0))
+    with pytest.raises(ValueError, match="^variable kind 'z' not allowed here$"):
+        Immersion(flat2, 1, [ex.u(1), ex.add(ex.z(2), ex.u(3))], box(-0.5, 0.5))
+
+
+def test_a_potential_of_shared_subtrees_builds_at_the_cost_of_its_nodes():
+    # 60 doublings of z1*zb1: 2^60 paths through the tree, 62 nodes in the table.
+    potential = ex.mul(ex.z(1), ex.zb(1))
+    for _ in range(60):
+        potential = ex.add(potential, potential)
+    start = time.perf_counter()
+    chart = geo.KahlerManifold(1, potential, geo.ball(1.0))
+    assert time.perf_counter() - start < 0.5
+    assert chart.jets([0.5 + 0j], 1)[0][0, 0] == 2.0**60
 
 
 def test_manifold_checks_are_the_keys_of_one_table():
