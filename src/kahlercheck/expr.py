@@ -22,9 +22,10 @@ import cmath
 import math
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Container, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -163,6 +164,8 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 # The op of a table node: a leaf, a power, or the op of a Unary or Binary node.
 _CONST, _VAR, _POW = "c", "v", "^"
 _CONST_NODE = (_CONST, -1, -1)
+_BITS = struct.Struct("<2d").pack  # the exact bits of a constant: its key in a table
+_OPERANDS_READ = object()  # marks the stack of ``Dag.intern_id``
 _BINARY_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # The Python operator of each op of a tape node, and the ufunc that runs it over a stack of points.
 _FNS = {"neg": operator.neg, "log": cmath.log, "exp": cmath.exp, _POW: operator.pow, **_BINARY_FNS}
@@ -201,12 +204,13 @@ class Dag:
     ``fold_id``, ``derive`` and ``lower``.  ``expr`` gives the tree of an id,
     one object per id, built on first use, for error text and a tape's
     variable keys; a ``Tape`` builds its failing node only when it raises.
+    ``fold_id``, ``derive``, ``lower`` and ``expr`` loop over ``_post_order``, the one walk of the table.
     The table lives as long as its build and is never cached; the per-shape
     tables of a chart build live in ``geometry`` (``_reality_points``, ``_conjugate_fill``).
     """
 
     def __init__(self):
-        self._ids: dict[tuple, int] = {}
+        self._ids: dict[tuple | bytes, int] = {}
         self._nodes: list[tuple] = []
         self._values: list[complex | None] = []
         self._risky: list[bool] = []
@@ -219,7 +223,7 @@ class Dag:
 
     # ------------------------------------------------------------ nodes
 
-    def _leaf(self, key: tuple, value: complex | None) -> int:
+    def _leaf(self, key: tuple | bytes, value: complex | None) -> int:
         """A new constant, or a variable when ``value`` is None: it raises
         nothing, and only a nonzero constant is nonzero."""
         n = self._ids[key] = len(self._nodes)
@@ -230,7 +234,7 @@ class Dag:
         return n
 
     def _const(self, value: complex) -> int:
-        key = (value.real.hex(), value.imag.hex())
+        key = _BITS(value.real, value.imag)
         n = self._ids.get(key)
         return self._leaf(key, value) if n is None else n
 
@@ -279,6 +283,8 @@ class Dag:
 
     def _mul(self, l: int, r: int) -> int:
         x, y = self._values[l], self._values[r]
+        if x is None and y is None:
+            return self._node("*", l, r)
         if x is not None and y is not None:
             return self._const(x * y)
         if x == 0 and not self._risky[r]:
@@ -340,132 +346,128 @@ class Dag:
 
     # ------------------------------------------------------- id methods
 
-    def intern_id(self, e: Expr) -> int:
-        """The id of ``e``, adding it and its subtrees as needed."""
-        return self._intern(e, {})
+    def _post_order(self, root: int, done: Container[int]) -> Iterator[int]:
+        """The one walk of the table: yield each id under ``root`` not in ``done``
+        after its operands, left first, as a left-to-right recursion would; the
+        caller adds each id to ``done`` before it asks for the next.  Its own
+        stack holds ``~id`` of a node whose operands are pending, and operands to walk."""
+        if root in done:
+            return
+        nodes, stack, n = self._nodes, [], root
+        while True:  # n is not done
+            op, a, b = nodes[n]
+            left = op != _CONST and op != _VAR and a not in done
+            right = op in _BINARY_FNS and b not in done
+            if left or right:  # walk its first pending operand now, the other later
+                stack.append(~n)
+                if left and right:
+                    stack.append(b)
+                n = a if left else b
+                continue
+            yield n
+            while stack:
+                n = stack.pop()
+                if n < 0:
+                    yield ~n
+                elif n not in done:
+                    break
+            else:
+                return
 
-    def _intern(self, e: Expr, done: dict[int, int]) -> int:
-        # ``done`` maps id() of the nodes of one outside tree read so far, so
-        # a subtree shared by object is read once; the tree keeps them alive.
-        n = done.get(id(e))
-        if n is not None:
-            return n
-        if isinstance(e, Binary):
-            n = self._node(e.op, self._intern(e.left, done), self._intern(e.right, done))
-        elif isinstance(e, Unary):
-            n = self._node(e.op, self._intern(e.arg, done))
-        elif isinstance(e, Power):
-            n = self._node(_POW, self._intern(e.base, done), e.exponent)
-        elif isinstance(e, Var):
-            n = self._var(e.kind, e.index)
-        else:
-            n = self._const(complex(e.value))
-        done[id(e)] = n
-        return n
+    def intern_id(self, e: Expr) -> int:
+        """The id of ``e``, adding it and its subtrees as needed, each after
+        its operands, left first; a subtree shared by object is read once."""
+        done, stack = {}, [e]  # done: id() of each node read -> its id; ``e`` keeps them alive
+        while stack:
+            x = stack.pop()
+            if x is _OPERANDS_READ:  # the operands of the next node are read
+                x = stack.pop()
+                if isinstance(x, Binary):
+                    done[id(x)] = self._node(x.op, done[id(x.left)], done[id(x.right)])
+                elif isinstance(x, Unary):
+                    done[id(x)] = self._node(x.op, done[id(x.arg)])
+                else:
+                    done[id(x)] = self._node(_POW, done[id(x.base)], x.exponent)
+            elif isinstance(x, Var):
+                done[id(x)] = self._var(x.kind, x.index)
+            elif isinstance(x, Const):
+                done[id(x)] = self._const(complex(x.value))
+            elif id(x) not in done:
+                stack += (x, _OPERANDS_READ, x.right, x.left) if isinstance(x, Binary) else (x, _OPERANDS_READ, *_children(x))
+        return done[id(e)]
 
     def fold_id(self, n: int) -> int:
         """The id of ``n`` with constant subtrees and 0/1 identities collapsed;
         a subtree whose evaluation could raise is never folded away."""
-        done = self._folds.get(n)
-        if done is None:
-            op, a, b = self._nodes[n]
+        nodes, folds, rules = self._nodes, self._folds, self._RULES
+        for k in self._post_order(n, folds):
+            op, a, b = nodes[k]
             if op == _CONST or op == _VAR:
-                done = n
-            elif op == _POW:
-                done = self._power(self.fold_id(a), b)
+                folds[k] = k
             elif op in _BINARY_FNS:
-                left = self.fold_id(a)
-                done = self._RULES[op](self, left, self.fold_id(b))
+                folds[k] = rules[op](self, folds[a], folds[b])
             else:
-                done = self._RULES[op](self, self.fold_id(a))
-            self._folds[n] = done
-        return done
+                folds[k] = self._power(folds[a], b) if op == _POW else rules[op](self, folds[a])
+        return folds[n]
 
     def derive(self, n: int, v: int) -> int:
         """The id of the exact derivative of ``n`` by the variable ``v``.  Other
         variables (``zb_k`` under ``d/dz_k`` too) are held constant, and a
         constant factor or divisor is carried through (``d(c x) = c dx``), so
-        no dead ``x * 0`` term is built around a subtree that could raise."""
+        no dead ``x * 0`` term is built around a subtree that could raise.
+        Every operand is derived, a constant one and the base of ``x^0`` too."""
         memo = self._derivatives.get(v)
         if memo is None:
             memo = self._derivatives[v] = {}
-        return memo[n] if n in memo else self._derive(n, v, memo)
-
-    def _derive(self, e: int, v: int, memo: dict[int, int]) -> int:
-        # Callers look ``e`` up in ``memo`` first.  Both operands of a binary
-        # node are derived, a constant one too: its derivative is zero and
-        # makes no node.
-        op, a, b = self._nodes[e]
-        if op == _CONST or op == _VAR:
-            d = self._one if e == v else self._zero
-        elif op == _POW and b == 0:
-            d = self._mul(self._zero, e)  # still raises wherever e does
-        else:
-            da = memo[a] if a in memo else self._derive(a, v, memo)
+        if n in memo:
+            return memo[n]
+        nodes, values = self._nodes, self._values
+        for e in self._post_order(n, memo):
+            op, a, b = nodes[e]
             if op in _BINARY_FNS:
-                db = memo[b] if b in memo else self._derive(b, v, memo)
-                if op == "*" and self._values[a] is not None:
-                    d = self._mul(a, db)
-                elif op == "*" and self._values[b] is not None:
-                    d = self._mul(da, b)
-                elif op == "/" and self._values[b] is not None:
-                    d = self._div(da, b)
-                elif op == "+":
-                    d = self._add(da, db)
-                elif op == "-":
-                    d = self._sub(da, db)
+                if op == "+" or op == "-":
+                    d = self._RULES[op](self, memo[a], memo[b])
                 elif op == "*":
-                    d = self._add(self._mul(da, b), self._mul(a, db))
+                    if values[a] is not None:
+                        d = self._mul(a, memo[b])
+                    elif values[b] is not None:
+                        d = self._mul(memo[a], b)
+                    else:
+                        d = self._add(self._mul(memo[a], b), self._mul(a, memo[b]))
+                elif values[b] is not None:
+                    d = self._div(memo[a], b)
                 else:  # quotient rule
-                    num = self._sub(self._mul(da, b), self._mul(a, db))
+                    num = self._sub(self._mul(memo[a], b), self._mul(a, memo[b]))
                     d = self._div(num, self._power(b, 2))
+            elif op == _CONST or op == _VAR:
+                d = self._one if e == v else self._zero
             elif op == "neg":
-                d = self._neg(da)
+                d = self._neg(memo[a])
             elif op == "log":
-                d = self._div(da, a)
+                d = self._div(memo[a], a)
             elif op == "exp":
-                d = self._mul(e, da)
+                d = self._mul(e, memo[a])
+            elif b == 0:  # a power to the 0th
+                d = self._mul(self._zero, e)  # still raises wherever e does
             else:  # a power
                 scale = self._mul(self._const(complex(b)), self._power(a, b - 1))
-                d = self._mul(scale, da)
-        memo[e] = d
-        return d
+                d = self._mul(scale, memo[a])
+            memo[e] = d
+        return memo[n]
 
     def lower(self, roots: Sequence[int]) -> "Tape":
-        """Lower the nodes ``roots`` to one straight-line tape.
-
-        Ops follow a depth-first post-order over the roots in turn, so the
-        ops any prefix of the roots needs form a prefix of the tape, and the
-        first op to fail is the subexpression a left-to-right recursive
-        evaluation would fail at.  The walk keeps its own stack.
-        """
-        nodes = self._nodes
-        seen = bytearray(len(nodes))
-        consts: list[int] = []
-        variables: list[int] = []
-        ops: list[int] = []
-        ends: list[int] = []  # ops needed by each prefix of the roots
+        """Lower the nodes ``roots`` to one straight-line tape.  Ops follow
+        ``_post_order`` over the roots in turn, so the ops any prefix of the
+        roots needs form a prefix of the tape, and the first op to fail is the
+        subexpression a left-to-right recursive evaluation would fail at."""
+        nodes, done = self._nodes, set()
+        consts, variables, ops, ends = [], [], [], []  # ends: ops needed by each prefix of the roots
         for root in roots:
-            stack = [root]
-            while stack:
-                n = stack.pop()
-                if n < 0:  # all children done
-                    ops.append(~n)
-                    continue
-                if seen[n]:
-                    continue
-                seen[n] = 1
-                op, a, b = nodes[n]
-                if op == _CONST:
-                    consts.append(n)
-                elif op == _VAR:
-                    variables.append(n)
-                else:
-                    stack.append(~n)
-                    if op in _BINARY_FNS and not seen[b]:
-                        stack.append(b)
-                    if not seen[a]:
-                        stack.append(a)
+            if root not in done:  # most roots of a jet tape share an earlier root's ops
+                for n in self._post_order(root, done):
+                    done.add(n)
+                    op = nodes[n][0]
+                    (consts if op == _CONST else variables if op == _VAR else ops).append(n)
             ends.append(len(ops))
         return Tape(self, consts, variables, ops, roots, ends)
 
@@ -484,21 +486,16 @@ class Dag:
 
     def expr(self, n: int) -> Expr:
         """The tree of node ``n``: one object per id, built on first use."""
-        e = self._exprs.get(n)
-        if e is None:
-            op, a, b = self._nodes[n]
-            if op == _CONST:
-                e = Const(self._values[n])
-            elif op == _VAR:
-                e = Var(a, b)
-            elif op == _POW:
-                e = Power(self.expr(a), b)
+        nodes, exprs = self._nodes, self._exprs
+        for k in self._post_order(n, exprs):
+            op, a, b = nodes[k]
+            if op == _CONST or op == _VAR:
+                exprs[k] = Const(self._values[k]) if op == _CONST else Var(a, b)
             elif op in _BINARY_FNS:
-                e = Binary(op, self.expr(a), self.expr(b))
+                exprs[k] = Binary(op, exprs[a], exprs[b])
             else:
-                e = Unary(op, self.expr(a))
-            self._exprs[n] = e
-        return e
+                exprs[k] = Power(exprs[a], b) if op == _POW else Unary(op, exprs[a])
+        return exprs[n]
 
 
 class Tape:
@@ -860,36 +857,41 @@ def _format_const(v: complex) -> tuple[str, int]:
     return f"({v.real!r} + {v.imag!r}i)" if v.imag >= 0 else f"({v.real!r} - {abs(v.imag)!r}i)", _LEVEL_ATOM
 
 
-def _unparse(e: Expr) -> tuple[str, int]:
+def _level(e: Expr) -> int:
+    """The binding level of the text of ``e``."""
     if isinstance(e, Const):
-        return _format_const(complex(e.value))
-    if isinstance(e, Var):
-        return f"{e.kind}{e.index}", _LEVEL_ATOM
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            text, level = _unparse(e.arg)
-            if level < _LEVEL_POW:
-                text = f"({text})"
-            return f"-{text}", _LEVEL_NEG
-        inner, _ = _unparse(e.arg)
-        return f"{e.op}({inner})", _LEVEL_ATOM
+        return _format_const(complex(e.value))[1]
     if isinstance(e, Binary):
-        own = _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
-        lt, ll = _unparse(e.left)
-        rt, rl = _unparse(e.right)
-        if ll < own:
-            lt = f"({lt})"
-        # The parser nests operators of one level to the left, so a right
-        # operand at the operator's own level keeps its parentheses.
-        if rl <= own:
-            rt = f"({rt})"
-        return f"{lt} {e.op} {rt}", own
-    bt, bl = _unparse(e.base)
-    if bl < _LEVEL_ATOM:
-        bt = f"({bt})"
-    return f"{bt}^{e.exponent}", _LEVEL_POW
+        return _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
+    if isinstance(e, Power):
+        return _LEVEL_POW
+    return _LEVEL_NEG if isinstance(e, Unary) and e.op == "neg" else _LEVEL_ATOM
+
+
+def _operand(e: Expr, bound: int) -> tuple:
+    """``e``, in parentheses where its level is at most ``bound``."""
+    return ("(", e, ")") if _level(e) <= bound else (e,)
 
 
 def unparse(e: Expr) -> str:
-    """Render ``e`` as text that re-parses to an evaluation-equivalent tree."""
-    return _unparse(e)[0]
+    """Render ``e`` as text that re-parses to an evaluation-equivalent tree.
+    The walk keeps its own stack of the texts and subtrees still to write,
+    so a tree of any depth renders."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, str):
+            out.append(e)
+        elif isinstance(e, (Const, Var)):
+            out.append(_format_const(complex(e.value))[0] if isinstance(e, Const) else f"{e.kind}{e.index}")
+        elif isinstance(e, Binary):
+            # The parser nests operators of one level to the left, so a right
+            # operand at the operator's own level keeps its parentheses.
+            own = _level(e)
+            stack += reversed((*_operand(e.left, own - 1), f" {e.op} ", *_operand(e.right, own)))
+        elif isinstance(e, Power):
+            stack += reversed((*_operand(e.base, _LEVEL_POW), f"^{e.exponent}"))
+        else:
+            stack += reversed(("-", *_operand(e.arg, _LEVEL_NEG)) if e.op == "neg" else (f"{e.op}(", e.arg, ")"))
+    return "".join(out)

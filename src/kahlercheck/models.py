@@ -335,18 +335,16 @@ def _read(entries: dict[str, str], where: dict[str, str], key: str, parse: Calla
 
 
 def _build(where: dict[str, str], key: str, build: Callable, *args):
-    """``build(*args)``; an error from it names the line of ``key``: a
-    RecursionError, which the recursive build walks raise on a tree nested
-    deeper than Python's recursion limit, an ExprError, which folding a
-    constant subexpression raises where it overflows (``1e300^2``), and a
-    ValueError, which a chart raises for a potential that is not real and
-    whose text names the potential.  The parsers have already checked every
-    other value the builds could reject."""
+    """``build(*args)``; an error from it names the line of ``key``: an
+    ExprError, which folding a constant subexpression raises where it
+    overflows (``1e300^2``), and a ValueError, which a chart raises for a
+    potential that is not real and whose text names the potential.  The
+    parsers have already checked every other value the builds could reject,
+    and the builds keep stacks of their own, so a tree of any depth builds."""
     try:
         return build(*args)
-    except (RecursionError, ex.ExprError) as err:
-        what = f"expression nested too deeply ({err})" if isinstance(err, RecursionError) else err
-        raise ModelError(f"{where[key]}: {key}: build: {what}") from None
+    except ex.ExprError as err:
+        raise ModelError(f"{where[key]}: {key}: build: {err}") from None
     except ValueError as err:
         raise ModelError(f"{where[key]}: {err}") from None
 

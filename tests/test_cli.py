@@ -547,42 +547,41 @@ def test_main_error_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_a_potential_of_450_terms_builds_and_checks(tmp_path, capsys):
-    # A left-deep sum: each build walk over it nests one call per term.
-    path = tmp_path / "long.manifold"
-    terms = " + ".join(["0.001*z1*zb1"] * 450)
-    path.write_text(f'dimension = 1\npotential = "{terms}"\n')
-    assert main(["check", "einstein", "--manifold", str(path), "--points", "1", "--samples", "2"]) == 0
-    assert "[pass] einstein" in capsys.readouterr().out
-
-
-# 1,000 terms nest deeper than the recursive build walks can descend.
+# Left-deep sums: the parse nests no parentheses, and the build walks keep
+# stacks of their own, so neither Python's recursion limit nor the number of
+# terms bounds what builds.
 DEEP_POTENTIAL = " + ".join(["0.001*z1*zb1"] * 1000)
 DEEP_COMPONENT = " + ".join(["0.001*u1"] * 1000)
 
 
 @pytest.mark.parametrize(
-    "name, text, command, where",
+    "text, command",
     [
         (
-            "long1000.manifold",
-            f'dimension = 1\npotential = "{DEEP_POTENTIAL}"\n',
+            'dimension = 1\npotential = "%s"\n' % " + ".join(["0.001*z1*zb1"] * 450),
             ["check", "einstein", "--manifold"],
-            "long1000.manifold:2: potential",
         ),
+        (f'dimension = 1\npotential = "{DEEP_POTENTIAL}"\n', ["check", "einstein", "--manifold"]),
         (
-            "long1000.immersion",
             f'ambient = builtin:flat:1\nparameters = 1\ncomponent1 = "{DEEP_COMPONENT}"\ndomain = box -1 1\n',
             ["check", "umbilical", "--immersion"],
-            "long1000.immersion:3: component1",
         ),
     ],
+    ids=["potential-450", "potential-1000", "component-1000"],
 )
-def test_a_tree_too_deep_to_build_names_its_line(name, text, command, where, tmp_path, capsys):
-    path = tmp_path / name
+def test_a_long_sum_builds_and_checks(text, command, tmp_path, capsys):
+    path = tmp_path / ("long.immersion" if "--immersion" in command else "long.manifold")
     path.write_text(text)
-    assert main([*command, str(path)]) == 2
-    assert f"{where}: build: expression nested too deeply" in capsys.readouterr().err
+    assert main([*command, str(path), "--points", "1", "--samples", "2"]) == 0
+    assert f"[pass] {command[1]}" in capsys.readouterr().out
+
+
+def test_parse_prints_a_long_sum(capsys):
+    assert main(["parse", "--expr", DEEP_POTENTIAL, "--dim", "1"]) == 0
+    text, nodes, variables = capsys.readouterr().out.splitlines()
+    assert (nodes, variables) == ("nodes: 5999", "variables: z1, zb1")
+    # Compared as text: == on two trees this deep would recurse.
+    assert ex.unparse(ex.parse_expression(text, 1)) == text == ex.unparse(ex.parse_expression(DEEP_POTENTIAL, 1))
 
 
 @pytest.mark.parametrize(

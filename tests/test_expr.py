@@ -230,6 +230,18 @@ def test_derivative_of_zeroth_power_builds_no_negative_power():
         dag.lower([risky]).run({ex.z(1): 0j})
 
 
+def test_a_deep_failing_node_names_its_subexpression():
+    # 1 / (z1 + ... + z1), 1,000 terms: the error text renders the whole sum.
+    total = ex.z(1)
+    for _ in range(999):
+        total = ex.add(total, ex.z(1))
+    dag = ex.Dag()
+    tape = dag.lower([dag.intern_id(ex.div(ex.const(1), total))])
+    with pytest.raises(EvaluationDomainError) as err:
+        tape.run({ex.z(1): 0j})
+    assert str(err.value).startswith("division by zero in subexpression '1.0 / (z1 + z1")
+
+
 def test_evaluate_missing_assignment():
     with pytest.raises(ValueError, match="no value assigned"):
         evaluate(ex.z(1), {})

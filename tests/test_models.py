@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import sys
 import time
 from pathlib import Path
 
@@ -469,6 +470,42 @@ def test_the_first_bad_variable_in_reading_order_is_named(flat2):
         geo.KahlerManifold(1, potential, geo.ball(1.0))
     with pytest.raises(ValueError, match="^variable kind 'z' not allowed here$"):
         Immersion(flat2, 1, [ex.u(1), ex.add(ex.z(2), ex.u(3))], box(-0.5, 0.5))
+
+
+# SHA-256 of a node table: each node and the exact bits of its constant, in
+# id order, taken while the build walks recursed.  ``builtin:fs:3`` is taken
+# after its ``immersion_tape`` has added ``ddg``.  The walks must make the
+# same nodes under the same ids.
+NODE_TABLE_DIGESTS = {
+    "builtin:fs:3": "d3d9a6f2e2e978305383ed86ec26c970cd4aa8bb590556cf04b5face9f32bd6c",
+    "ellipsoid-flat2": "f62949e7de4820c2dfca362d8431d82aefd1de59ffdb6adcb3fd01f8304cd5ce",
+}
+
+
+@pytest.mark.parametrize("name", list(NODE_TABLE_DIGESTS))
+def test_node_tables_keep_their_pinned_fingerprints(name):
+    if name.startswith("builtin:"):
+        chart = models.build_model(name)
+        chart.immersion_tape
+        dag = chart._dag
+    else:
+        dag = models.builtin_immersion(name).tape._dag
+    bits = [v if v is None else (v.real.hex(), v.imag.hex()) for v in dag._values]
+    record = list(zip(dag._nodes, bits))
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == NODE_TABLE_DIGESTS[name]
+
+
+def test_a_sum_of_100000_terms_builds_at_the_default_recursion_limit():
+    # A left-deep tree 100,000 nodes deep, far deeper than the recursion limit.
+    limit = sys.getrecursionlimit()
+    term = ex.mul(ex.const(0.001), ex.mul(ex.z(1), ex.zb(1)))
+    tree = term
+    for _ in range(99_999):
+        tree = ex.add(tree, term)
+    chart = geo.KahlerManifold(1, tree)
+    dag = chart._dag
+    assert ex.unparse(dag.expr(dag.intern_id(tree))) == ex.unparse(tree)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_a_potential_of_shared_subtrees_builds_at_the_cost_of_its_nodes():
