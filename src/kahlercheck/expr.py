@@ -324,8 +324,11 @@ class Dag:
 
     def _exp(self, e: int) -> int:
         x = self._values[e]
-        if x is not None:
-            return self._const(cmath.exp(x))
+        if x is not None:  # a fold that overflows names its subexpression, as ``_power``'s does
+            try:
+                return self._const(cmath.exp(x))
+            except OverflowError:
+                raise EvaluationDomainError("overflow", Unary("exp", self.expr(e))) from None
         return self._node("exp", e)
 
     def _power(self, base: int, exponent: int) -> int:

@@ -334,19 +334,22 @@ def _read(entries: dict[str, str], where: dict[str, str], key: str, parse: Calla
         raise ModelError(f"{where[key]}: {key}: {err}") from None
 
 
-def _build(where: dict[str, str], key: str, build: Callable, *args):
-    """``build(*args)``; an error from it names the line of ``key``: an
+def _build(where: dict[str, str], keys: Sequence[str], build: Callable, *args):
+    """``build(*args)``; an error from it names the line of one of ``keys``,
+    the first unless it carries the index of another (``component``): an
     ExprError, which folding a constant subexpression raises where it
-    overflows (``1e300^2``), and a ValueError, which a chart raises for a
-    potential that is not real and whose text names the potential.  The
-    parsers have already checked every other value the builds could reject,
-    and the builds keep stacks of their own, so a tree of any depth builds."""
+    overflows (``1e300^2``, ``exp(1000)``), and a ValueError, which a chart
+    raises for a potential that is not real and whose text names the
+    potential.  The parsers have already checked every other value the
+    builds could reject, and the builds keep stacks of their own, so a tree
+    of any depth builds."""
     try:
         return build(*args)
     except ex.ExprError as err:
+        key = keys[getattr(err, "component", 0)]
         raise ModelError(f"{where[key]}: {key}: build: {err}") from None
     except ValueError as err:
-        raise ModelError(f"{where[key]}: {err}") from None
+        raise ModelError(f"{where[keys[0]]}: {err}") from None
 
 
 def _parse_domain(value: str, m: int) -> ChartDomain:
@@ -362,7 +365,7 @@ def parse_manifold_spec(text: str, path: str = "<text>") -> KahlerManifold:
     m = _read(entries, where, "dimension", _require_dim)
     potential = _read(entries, where, "potential", ex.parse_expression, m, ("z", "zb"))
     domain = _read(entries, where, "domain", _parse_domain, m) if "domain" in entries else ball(1.0)
-    return _build(where, "potential", KahlerManifold, m, potential, domain, path)
+    return _build(where, ["potential"], KahlerManifold, m, potential, domain, path)
 
 
 def load_manifold(source: str) -> KahlerManifold:
@@ -395,8 +398,7 @@ def parse_immersion_spec(text: str, path: str = "<text>") -> Immersion:
     n = _read(entries, where, "parameters", _require_dim)
     expressions = [_read(entries, where, key, ex.parse_expression, n, ("u",)) for key in components]
     domain = _read(entries, where, "domain", _parse_box, n)
-    largest = max(zip(components, expressions), key=lambda c: ex.node_count(c[1]))[0]
-    return _build(where, largest, Immersion, ambient, n, expressions, domain, path)
+    return _build(where, components, Immersion, ambient, n, expressions, domain, path)
 
 
 def load_immersion(source: str) -> Immersion:

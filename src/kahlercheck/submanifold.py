@@ -137,7 +137,13 @@ class Immersion:
         unfolded = [dag.intern_id(c) for c in components]
         dag.check_variables(n, (U,))
         us = [dag.intern_id(v) for v in self._variables]
-        f = [dag.fold_id(c) for c in unfolded]
+        f = []
+        for k, c in enumerate(unfolded):  # in order; an error carries the index of the first that fails
+            try:
+                f.append(dag.fold_id(c))
+            except ex.ExprError as err:
+                err.component = k
+                raise
         df = [dag.derive(f[i], us[a]) for a in range(n) for i in range(m)]
         r = range(n)
         # Partials commute: each distinct one is built from its sorted indices.

@@ -372,13 +372,22 @@ def test_an_immersion_suite_builds_its_immersion_once(monkeypatch):
     assert (loads, stages) == (["builtin:cp1-in-cp2"], [3])
 
 
+# The keys of each report of a --json file.
+REPORT_KEYS = {
+    "manifold", "check", "seed", "points", "samples", "tolerance",
+    "max_residual", "mean_residual", "verdict", "worst_cases", "timestamp",
+}
+
+
 @pytest.mark.parametrize("fixture, verdict, status", [("cp1-in-cp2", "yes", 0), ("ellipsoid-flat2", "no", 1)])
-def test_an_immersion_suite_states_its_properties(fixture, verdict, status, capsys):
-    assert main(["suite", "--immersion", f"builtin:{fixture}", "--seed", "3"]) == status
+def test_an_immersion_suite_states_its_properties(fixture, verdict, status, tmp_path, capsys):
+    out = tmp_path / "suite.json"
+    assert main(["suite", "--immersion", f"builtin:{fixture}", "--seed", "3", "--json", str(out)]) == status
     assert capsys.readouterr().out.splitlines()[4:] == [
         f"totally umbilical at sampling fidelity: {verdict}",
         f"parallel mean curvature at sampling fidelity: {verdict}",
     ]
+    assert [set(r) for r in json.loads(out.read_text())] == [REPORT_KEYS] * 4
 
 
 # fs:3 plus eps times |z1|^4 + z1^2 zb2 zb3 + zb1^2 z2 z3, on ball 0.5: for a
@@ -547,6 +556,51 @@ def test_main_error_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        # true identities at a round-off tolerance
+        ("codazzi-general --immersion builtin:sphere-flat2-r1 --tol 1e-12", 0),
+        ("codazzi-general --immersion builtin:sphere-flat2-r1 --points 40 --tol 1e-12", 0),
+        ("codazzi-general --immersion builtin:cp1-in-cp2 --tol 1e-12", 0),
+        ("codazzi-umbilical --immersion builtin:cp1-in-cp2 --points 40 --tol 1e-12", 0),
+        ("parallel-h --immersion builtin:sphere-flat2-r1 --tol 1e-12", 0),
+        ("einstein --manifold builtin:fs:4 --points 30 --samples 2 --tol 1e-13", 0),
+        ("bochner --manifold builtin:fs:4 --points 30 --samples 2 --tol 1e-13", 0),
+        ("ricci-offdiag --manifold builtin:fs:4 --points 30 --samples 2 --tol 1e-13", 0),
+        ("basis-sum --manifold builtin:fs:4 --tol 1e-12", 0),
+        ("chsc --manifold builtin:chyp:3 --tol 1e-12", 0),
+        # a flat ambient, whose jet tape has only constant outputs
+        ("codazzi-general --immersion builtin:linear-flat3 --points 2", 0),
+        # the largest builtin chart, whose build is most of its run
+        ("einstein --manifold builtin:fs:6 --points 2 --samples 5", 0),
+        # frames drawn on metrics scaled by 1e-16 and 1e-20; the lemma's
+        # residual is absolute, so on curvature near 1e20 it fails
+        ("chsc --manifold builtin:fs:1:1e16 --points 2 --samples 50", 0),
+        ("lemma --manifold builtin:fs:3:1e20 --points 1 --samples 5", 1),
+    ],
+)
+def test_a_check_exits_with_its_verdict(argv, status, capsys):
+    assert main(["check", *argv.split()]) == status
+    assert capsys.readouterr().out.startswith(f"[{'fail' if status else 'pass'}] {argv.split()[0]} on ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("bochner --immersion builtin:sphere-flat2-r1", "check 'bochner' needs --manifold"),
+        ("umbilical --manifold builtin:fs:2", "check 'umbilical' needs --immersion"),
+        ("lemma --manifold builtin:fs:2", "check 'lemma' needs complex dimension >= 3 (got m=2)"),
+        ("einstein --manifold builtin:fs:2 --tol inf", "tolerance must be positive and finite"),
+    ],
+)
+def test_a_check_it_cannot_run_is_a_config_error(argv, message, capsys):
+    # The wrong kind of target or too small a chart, as the check table
+    # gives them, and a tolerance that every residual would pass.
+    assert main(["check", *argv.split()]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Left-deep sums: the parse nests no parentheses, and the build walks keep
 # stacks of their own, so neither Python's recursion limit nor the number of
 # terms bounds what builds.
@@ -584,30 +638,71 @@ def test_parse_prints_a_long_sum(capsys):
     assert ex.unparse(ex.parse_expression(text, 1)) == text == ex.unparse(ex.parse_expression(DEEP_POTENTIAL, 1))
 
 
+_TWO_COMPONENTS = (
+    'ambient = builtin:flat:2\nparameters = 2\ncomponent1 = "%s"\ncomponent2 = "%s"\ndomain = box -1 1 -1 1\n'
+)
+_MANIFOLD = ["check", "einstein", "--manifold"]
+_IMMERSION = ["check", "umbilical", "--immersion"]
+
+
 @pytest.mark.parametrize(
-    "name, text, command, where",
+    "name, text, command, where, subexpression",
     [
         (
             "overflow.manifold",
             'dimension = 1\npotential = "z1*zb1 + 1e300^2"\n',
-            ["check", "einstein", "--manifold"],
+            _MANIFOLD,
             "overflow.manifold:2: potential",
+            "1e+300^2",
         ),
         (
             "overflow.immersion",
-            'ambient = builtin:flat:2\nparameters = 2\ncomponent1 = "u1 + 1e300^2"\ncomponent2 = "u2"\n'
-            "domain = box -1 1 -1 1\n",
-            ["check", "umbilical", "--immersion"],
+            _TWO_COMPONENTS % ("u1 + 1e300^2", "u2"),
+            _IMMERSION,
             "overflow.immersion:3: component1",
+            "1e+300^2",
+        ),
+        (
+            "exp.manifold",
+            'dimension = 1\npotential = "z1*zb1 + exp(1000)"\n',
+            _MANIFOLD,
+            "exp.manifold:2: potential",
+            "exp(1000.0)",
+        ),
+        (
+            "exp.immersion",
+            _TWO_COMPONENTS % ("u1", "u2 + exp(1000)"),
+            _IMMERSION,
+            "exp.immersion:4: component2",
+            "exp(1000.0)",
+        ),
+        (
+            # the component that overflows is named, not the larger one
+            "smaller.immersion",
+            _TWO_COMPONENTS % ("u1 + u1 + u1 + u1", "u2 + 1e300^2"),
+            _IMMERSION,
+            "smaller.immersion:4: component2",
+            "1e+300^2",
+        ),
+        (
+            # of two components that overflow, the first
+            "first.immersion",
+            _TWO_COMPONENTS % ("u1 + 1e300^2", "u2 + u2 + u2 + exp(1000)"),
+            _IMMERSION,
+            "first.immersion:3: component1",
+            "1e+300^2",
         ),
     ],
 )
-def test_a_constant_that_overflows_in_the_build_names_its_line(name, text, command, where, tmp_path, capsys):
-    # Folding the constant 1e300^2 overflows while the target is built.
+def test_a_constant_that_overflows_in_the_build_names_its_line(
+    name, text, command, where, subexpression, tmp_path, capsys
+):
+    # Folding a constant subexpression overflows while the target is built.
     path = tmp_path / name
     path.write_text(text)
     assert main([*command, str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path.parent / where}: build: overflow in subexpression '1e+300^2'\n"
+    err = capsys.readouterr().err
+    assert err == f"error: {path.parent / where}: build: overflow in subexpression '{subexpression}'\n"
 
 
 DEEP_PARENTHESES = "(" * 400 + "z1*zb1" + ")" * 400
@@ -948,6 +1043,22 @@ def test_a_number_out_of_range_names_its_line(tmp_path, capsys):
     assert f"{path}:2: potential: number out of range at offset 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "potential, message",
+    [
+        ("z1*", "potential: unexpected end of input at offset 3 (expected number or variable or function or '(')\n"),
+        # not real, and overflowing at 5 of the 8 points of the reality check
+        ("(1 + 0.5i)*exp(2000*z1*zb1)", "potential is not real on the chart: K([-0.3352157+0.46429241j]) = ("),
+    ],
+    ids=["cut-off", "not-real-and-overflowing"],
+)
+def test_a_potential_that_cannot_be_built_names_its_line(potential, message, tmp_path, capsys):
+    path = tmp_path / "spec.manifold"
+    path.write_text(f'dimension = 1\npotential = "{potential}"\ndomain = ball 1.0\n')
+    assert main(["check", "einstein", "--manifold", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: {message}")
+
+
 def test_main_suite_json_deterministic(tmp_path):
     args = [
         "suite",
@@ -965,6 +1076,7 @@ def test_main_suite_json_deterministic(tmp_path):
     assert main(args + ["--json", str(out2)]) == 0
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
+    assert [set(r) for r in a] == [REPORT_KEYS] * 6
     for r in a + b:
         r.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

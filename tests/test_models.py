@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import FLAT_PULLBACK_SPEC
 from kahlercheck import cli
 from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
@@ -190,17 +191,11 @@ def _tape_digest(tape):
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
-FLAT_PULLBACK_TEXT = """dimension = 2
-potential = "(z1 + 0.3*z1^2 + 0.1*z2^3)*(zb1 + 0.3*zb1^2 + 0.1*zb2^3) + (z2 + 0.2*z1*z2)*(zb2 + 0.2*zb1*zb2)"
-domain = ball 0.5
-"""
-
-
 def _chart(name, tmp_path):
     if name.startswith("builtin:"):
         return models.build_model(name)
     path = tmp_path / f"{name}.manifold"
-    path.write_text({"flat-pullback": FLAT_PULLBACK_TEXT, "mixed": MIXED_SPEC}[name])
+    path.write_text({"flat-pullback": FLAT_PULLBACK_SPEC, "mixed": MIXED_SPEC}[name])
     return models.load_manifold(str(path))
 
 
