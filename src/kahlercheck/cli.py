@@ -90,12 +90,13 @@ class RunConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion) -> tuple:
+def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, checks: list[str]) -> tuple:
     """The points stage of the run of ``cfg`` (``invariants.run_points``),
     a failure named as a ``PointError``: the target's name in the report,
-    the run's points as one stack and each manifold check's frame generator."""
+    the run's points as one stack and the frame generator of each manifold
+    check of ``checks``."""
     try:
-        run, frames = inv.run_points(target, cfg.points, np.random.default_rng(cfg.seed))
+        run, frames = inv.run_points(target, cfg.points, np.random.default_rng(cfg.seed), checks)
     except geo.StageError as err:
         raise PointError(cfg, err.stage, err.index, err.__cause__) from err.__cause__
     name = f"{target.ambient.name}::{target.name}" if isinstance(target, sub.Immersion) else target.name
@@ -112,7 +113,7 @@ def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, shar
     computes the check's frames and values once for all of them.  A
     ``PointError`` names the stage that failed (see its ``stage``).
     """
-    name, run, frames = shared or _run_points(cfg, target)
+    name, run, frames = shared or _run_points(cfg, target, [cfg.check])
     try:
         sampled = inv.draw(cfg.check, run, cfg.samples, frames.get(cfg.check))
     except geo.GeometryError as err:
@@ -134,8 +135,8 @@ def _write_json(path: str, payload) -> None:
 def _run(cfg: RunConfig) -> tuple[list[CheckReport], list[str]]:
     """Load the target of ``cfg`` and run ``cfg.check`` on it or, for a
     suite, every check of its kind that the target's dimension allows, all
-    on one points stage.  Gives the reports and the suite's lines: the
-    checks skipped, then ``invariants.summary``."""
+    on one points stage.  Gives the reports and, for a suite, its lines:
+    the checks skipped, then ``invariants.summary``."""
     names = [cfg.check] if cfg.check else list(MANIFOLD_CHECKS if cfg.immersion is None else IMMERSION_CHECKS)
     kind = inv.CHECKS[names[0]].kind  # names the RunConfig field, flag and loader
     other = "immersion" if kind == "manifold" else "manifold"
@@ -152,10 +153,13 @@ def _run(cfg: RunConfig) -> tuple[list[CheckReport], list[str]]:
         raise ConfigError(f"{what} needs complex dimension >= {inv.CHECKS[cfg.check].min_dim} (got m={m})")
     configs = [c for c in configs if c.check not in skipped]
     # One point set for every check; an error there is named by the first check.
-    shared = _run_points(configs[0], target)
+    shared = _run_points(configs[0], target, [c.check for c in configs])
     runs = {c.check: _run_loaded(c, target, shared) for c in configs}
+    reports = [report for report, _ in runs.values()]
+    if cfg.check:
+        return reports, []
     lines = [f"skipped {name} (needs complex dimension >= {inv.CHECKS[name].min_dim})" for name in skipped]
-    return [report for report, _ in runs.values()], lines + inv.summary(runs, m)
+    return reports, lines + inv.summary(runs, m)
 
 
 def run_check(cfg: RunConfig) -> CheckReport:

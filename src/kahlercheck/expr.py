@@ -50,7 +50,7 @@ class ParseError(ExprError):
 
 
 class EvaluationDomainError(ExprError):
-    """log(0), division by zero, 0 raised to a negative power, or overflow.
+    """log(0), division by zero, 0 raised to a negative power, overflow, or another fault (``Dag._value``).
 
     Raised by a tape run, it carries the leading-axis ``index`` of the
     point of the stack where it rose (see ``Tape.run``); else ``index`` is None."""
@@ -175,9 +175,10 @@ _UFUNCS = {
 }
 
 
-# The domain error a node of each op can raise itself (overflow is not
-# counted).  A power raises it only at a negative exponent: at any other,
-# Python's ``pow`` raises nothing but ``OverflowError``.
+# The domain error a node of each op can raise itself.  A power raises it
+# only at a negative exponent: at any other, Python's ``pow`` raises nothing
+# but ``OverflowError``.  Overflow is not counted, so a fold may drop a
+# subtree that can only overflow: ``0*z1^3`` folds to 0.
 _FAULTS = {"log": "log of zero", "/": "division by zero", _POW: "zero raised to a negative power"}
 
 
@@ -197,8 +198,9 @@ class Dag:
 
     The smart constructors fold constant subtrees and 0/1 identities as
     nodes are made.  A subtree whose evaluation could raise is never folded
-    away, so folding cannot turn a domain error into a success.  Folds are
-    memoized per id, and derivatives per id in one memo per variable.
+    away, so folding cannot turn a domain error into a success; a constant
+    that faults raises (``_value``).  Folds are memoized per id, and
+    derivatives per id in one memo per variable.
 
     Charts and immersions are built on ids: ``intern_id``, ``check_variables``,
     ``fold_id``, ``derive`` and ``lower``.  ``expr`` gives the tree of an id,
@@ -299,8 +301,8 @@ class Dag:
 
     def _div(self, l: int, r: int) -> int:
         x, y = self._values[l], self._values[r]
-        if x is not None and y is not None and y != 0:
-            return self._const(x / y)
+        if x is not None and y is not None:
+            return self._const(self._value("/", l, r, x, y))
         if y == 1:
             return l
         if x == 0 and self._nonzero[r]:
@@ -318,32 +320,38 @@ class Dag:
 
     def _log(self, e: int) -> int:
         x = self._values[e]
-        if x is not None and x != 0:
-            return self._const(cmath.log(x))
+        if x is not None:
+            return self._const(self._value("log", e, -1, x))
         return self._node("log", e)
 
     def _exp(self, e: int) -> int:
         x = self._values[e]
-        if x is not None:  # a fold that overflows names its subexpression, as ``_power``'s does
-            try:
-                return self._const(cmath.exp(x))
-            except OverflowError:
-                raise EvaluationDomainError("overflow", Unary("exp", self.expr(e))) from None
+        if x is not None:
+            return self._const(self._value("exp", e, -1, x))
         return self._node("exp", e)
 
     def _power(self, base: int, exponent: int) -> int:
         exponent = int(exponent)
         x = self._values[base]
-        if x is not None and not (x == 0 and exponent < 0):
-            try:
-                return self._const(x**exponent)
-            except OverflowError:
-                raise EvaluationDomainError("overflow", Power(self.expr(base), exponent)) from None
+        if x is not None:
+            return self._const(self._value(_POW, base, exponent, x, exponent))
         if exponent == 1:
             return base
         if exponent == 0 and not self._risky[base]:
             return self._one
         return self._node(_POW, base, exponent)
+
+    def _value(self, op: str, a: int, b: int, *args: complex) -> complex:
+        """The node ``(op, a, b)``'s Python operator (``_FNS``) on its operands'
+        values ``args``: the one fault rule of folds and tape points.  Its
+        ``OverflowError``, ``ZeroDivisionError`` or ``ValueError`` raises
+        ``EvaluationDomainError`` with "overflow", the ``_FAULTS`` text or its
+        own, naming the node, which is added to the table only then."""
+        try:
+            return _FNS[op](*args)
+        except (OverflowError, ZeroDivisionError, ValueError) as err:
+            fault = "overflow" if isinstance(err, OverflowError) else _FAULTS.get(op, str(err))
+            raise EvaluationDomainError(fault, self.expr(self._node(op, a, b))) from None
 
     _RULES = {"+": _add, "-": _sub, "*": _mul, "/": _div, "neg": _neg, "log": _log, "exp": _exp}
 
@@ -519,10 +527,10 @@ class Tape:
     Faults are Python's.  From the first op at which numpy raises a
     floating-point flag (or from the start, if a leaf is not finite), the
     ops run with the flags ignored, and every point where an op's value is
-    not finite goes to the op's Python operator on the same operands.
-    Where that raises, the run raises ``EvaluationDomainError`` as a
-    recursive evaluation would; where it does not (an overflowing ``*``,
-    which Python allows), numpy's value stands.
+    not finite goes to the op's Python operator on the same operands
+    (``Dag._value``).  Where that raises, the run raises as a recursive
+    evaluation would; where it does not (an overflowing ``*``, which Python
+    allows), numpy's value stands.
 
     Built by ``Dag.lower`` from the table's node ids, and immutable
     afterwards; it keeps the table, from which it builds the tree of a
@@ -575,10 +583,9 @@ class Tape:
         whose broadcast shape ``points`` is the stack.  Runs only the tape
         prefix those roots need.  Raises ``EvaluationDomainError`` naming
         the first subexpression, in tape order, that fails at any point of
-        the stack, for log(0), division by zero, zero raised to a negative
-        power and overflow, and ``ValueError`` when a variable has no value.
-        An error raised at a point, this one or an operator's own, carries
-        the leading-axis ``index`` of the first point where its op fails.
+        the stack (see ``Dag._value``), with the leading-axis ``index`` of
+        the first point where its op fails, and ``ValueError`` when a
+        variable has no value.
         """
         n = len(self._outputs) if outputs is None else outputs
         try:
@@ -619,25 +626,17 @@ class Tape:
                 for point in np.flatnonzero(~np.isfinite(rows[k])):
                     try:
                         self._python_op(k, [rows[s][point].item() for s in (i, j) if s >= 0])
-                    except Exception as err:
+                    except EvaluationDomainError as err:
                         err.index = tuple(map(int, np.unravel_index(point, points)))
                         raise
 
     def _python_op(self, k: int, args: list[complex]) -> None:
-        """Apply the Python operator of the op of slot ``k`` to ``args``,
-        raising ``EvaluationDomainError`` (or the operator's own error, where
-        it names no domain fault) if it raises."""
-        node = self._op_nodes[k - self._base]
-        op = self._dag._nodes[node][0]
+        """Apply the Python operator of the op of slot ``k`` to ``args`` by
+        the fault rule of ``Dag._value``."""
+        op, a, b = self._dag._nodes[self._op_nodes[k - self._base]]
         if op == _POW:
-            args[1] = self._leaves[self._ops[k - self._base][2]]  # the integer exponent
-        try:
-            _FNS[op](*args)
-        except (OverflowError, ZeroDivisionError, ValueError) as err:
-            fault = "overflow" if isinstance(err, OverflowError) else _FAULTS.get(op)
-            if fault is None:
-                raise
-            raise EvaluationDomainError(fault, self._dag.expr(node)) from None
+            args[1] = b  # the integer exponent
+        self._dag._value(op, a, b, *args)
 
 
 def node_count(e: Expr) -> int:

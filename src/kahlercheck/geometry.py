@@ -366,16 +366,20 @@ class KahlerManifold:
 
     def _check_reality(self, potential: ex.Tape):
         """Raise unless the unfolded potential, lowered to ``potential``, is
-        real at the 8 points of ``_reality_points`` (points where it raises are skipped).
+        real at the 8 points of ``_reality_points`` (points where it raises are
+        skipped), and raise the first error met if it raises at all of them.
 
         The points run as one stack; a run that raises drops the point its
         error names, and the rest run again."""
-        points = _reality_points(self.domain, self.m)
+        points, first = _reality_points(self.domain, self.m), None
         while True:
             try:
                 values = potential.run(self.assignment(points))[:, 0]
                 break
             except ex.EvaluationDomainError as err:
+                first = first or err
+                if len(points) == 1:
+                    raise first
                 points = np.delete(points, err.index, axis=0)
         # fmax, as Python's max(1.0, |K|), reads a NaN modulus as 1
         unreal = np.abs(values.imag) > 1e-12 * np.fmax(1.0, np.abs(values))

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Container, Sequence
 
 import numpy as np
 
@@ -286,16 +286,21 @@ IMMERSION_CHECKS = tuple(name for name, check in CHECKS.items() if check.kind ==
 PointSamples = tuple[Any, np.ndarray, np.ndarray]
 
 
-def streams(rng: np.random.Generator) -> tuple[np.random.Generator, dict[str, np.random.Generator]]:
-    """The generators of a manifold run, spawned from ``rng``: the first
-    draws every chart point, and one per check of ``MANIFOLD_CHECKS``, in
-    order, draws that check's frames.  From ``np.random.default_rng(seed)``
-    they are the children of ``np.random.SeedSequence(seed).spawn(8)``,
-    which is how ``check`` and ``suite`` draw: every check of a suite sees
-    the same points, and a check's frames do not depend on the other checks.
-    ``Generator.spawn`` needs numpy 1.25."""
-    points, *frames = rng.spawn(1 + len(MANIFOLD_CHECKS))
-    return points, dict(zip(MANIFOLD_CHECKS, frames))
+def streams(
+    rng: np.random.Generator, checks: Container[str] = MANIFOLD_CHECKS
+) -> tuple[np.random.Generator, dict[str, np.random.Generator]]:
+    """The generators of a manifold run, spawned from ``rng`` as ``rng.spawn(8)``
+    would: the first draws every chart point, and one per check of
+    ``MANIFOLD_CHECKS``, in order, draws that check's frames; only those of
+    ``checks`` are built.  From ``np.random.default_rng(seed)`` they are the
+    children of ``np.random.SeedSequence(seed).spawn(8)``, which is how
+    ``check`` and ``suite`` draw: every check of a suite sees the same
+    points, and a check's frames do not depend on the other checks.
+    ``BitGenerator.seed_seq`` needs numpy 1.25."""
+    bits = type(rng.bit_generator)
+    points, *frames = rng.bit_generator.seed_seq.spawn(1 + len(MANIFOLD_CHECKS))
+    frames = {name: np.random.Generator(bits(s)) for name, s in zip(MANIFOLD_CHECKS, frames) if name in checks}
+    return np.random.Generator(bits(points)), frames
 
 
 def draw(name: str, pd: Any, samples: int, rng: np.random.Generator | None) -> PointSamples:
@@ -309,13 +314,19 @@ def draw(name: str, pd: Any, samples: int, rng: np.random.Generator | None) -> P
     return pd, frames, check.value(pd, frames)
 
 
-def run_points(target: KahlerManifold | sub.Immersion, points: int, rng: np.random.Generator) -> tuple[Any, dict]:
+def run_points(
+    target: KahlerManifold | sub.Immersion,
+    points: int,
+    rng: np.random.Generator,
+    checks: Container[str] = MANIFOLD_CHECKS,
+) -> tuple[Any, dict]:
     """The points stage of a run: ``points`` points of a manifold (from the
     first of the ``streams`` of ``rng``) or of an immersion through the two
-    stages of ``geometry.run_stages``, and each manifold check's frame generator."""
+    stages of ``geometry.run_stages``, and the frame generator of each
+    manifold check of ``checks``."""
     if isinstance(target, sub.Immersion):
         return sub.run_points(target, points, rng), {}
-    points_rng, frames = streams(rng)
+    points_rng, frames = streams(rng, checks)
     drawn = np.array([target.sample_point(points_rng) for _ in range(points)])
     return geo.run_stages(drawn, partial(geo.point_jets, target), partial(geo.stack, target)), frames
 
@@ -328,7 +339,7 @@ def sample(
     ``rng = np.random.default_rng(seed)`` this is the run that ``check``
     makes at that seed, down to the counts it rejects and the point it names."""
     geo.require_counts(name, points, samples, CHECKS[name].reduce)
-    run, frames = run_points(target, points, rng)
+    run, frames = run_points(target, points, rng, (name,))
     return draw(name, run, samples, frames.get(name))
 
 

@@ -338,7 +338,8 @@ def _build(where: dict[str, str], keys: Sequence[str], build: Callable, *args):
     """``build(*args)``; an error from it names the line of one of ``keys``,
     the first unless it carries the index of another (``component``): an
     ExprError, which folding a constant subexpression raises where it
-    overflows (``1e300^2``, ``exp(1000)``), and a ValueError, which a chart
+    faults (``log(0)``, ``1e300^2``) and a chart's reality check where the
+    potential faults at all its points, and a ValueError, which a chart
     raises for a potential that is not real and whose text names the
     potential.  The parsers have already checked every other value the
     builds could reject, and the builds keep stacks of their own, so a tree

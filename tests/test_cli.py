@@ -705,6 +705,40 @@ def test_a_constant_that_overflows_in_the_build_names_its_line(
     assert err == f"error: {path.parent / where}: build: overflow in subexpression '{subexpression}'\n"
 
 
+_POTENTIAL = 'dimension = 1\npotential = "z1*zb1 + %s"\n'
+
+
+@pytest.mark.parametrize(
+    "name, text, command, where, error",
+    [
+        ("log.manifold", _POTENTIAL % "log(0)", _MANIFOLD, "log.manifold:2: potential",
+         "log of zero in subexpression 'log(0.0)'"),
+        ("div.manifold", _POTENTIAL % "1/0", _MANIFOLD, "div.manifold:2: potential",
+         "division by zero in subexpression '1.0 / 0.0'"),
+        ("pow.manifold", _POTENTIAL % "0^-1", _MANIFOLD, "pow.manifold:2: potential",
+         "zero raised to a negative power in subexpression '0.0^-1'"),
+        # not folded away by its zero factor
+        ("zero.manifold", _POTENTIAL % "0*log(0)", _MANIFOLD, "zero.manifold:2: potential",
+         "log of zero in subexpression 'log(0.0)'"),
+        # cmath.exp's own text, for an infinite imaginary part
+        ("exp.manifold", _POTENTIAL % "exp(1i*1e300*1e300)", _MANIFOLD, "exp.manifold:2: potential",
+         "math domain error in subexpression 'exp(1.0i * 1e+300 * 1e+300)'"),
+        # not a constant, but it faults at every point of the reality check
+        ("every.manifold", _POTENTIAL % "log(z1 - z1)", _MANIFOLD, "every.manifold:2: potential",
+         "log of zero in subexpression 'log(z1 - z1)'"),
+        ("log.immersion", _TWO_COMPONENTS % ("u1", "log(0)*u2"), _IMMERSION, "log.immersion:4: component2",
+         "log of zero in subexpression 'log(0.0)'"),
+    ],
+)
+def test_a_constant_that_faults_in_the_build_names_its_line(name, text, command, where, error, tmp_path, capsys):
+    # Folding and evaluating share one fault rule, so a constant that faults
+    # stops the build at its line, as one that overflows does.
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path.parent / where}: build: {error}\n"
+
+
 DEEP_PARENTHESES = "(" * 400 + "z1*zb1" + ")" * 400
 
 
@@ -1445,7 +1479,7 @@ def test_a_point_error_names_its_stage(stage, spec, check, seed, index, cause, t
     manifold = models.load_manifold(source)
     if stage == "check":
         points, frames = inv.streams(np.random.default_rng(seed))
-        monkeypatch.setattr(inv, "streams", lambda rng: (points, {name: _Ones() for name in frames}))
+        monkeypatch.setattr(inv, "streams", lambda rng, checks: (points, {name: _Ones() for name in frames}))
     cfg = RunConfig(manifold=source, check=check, seed=seed)
     with pytest.raises(cli.PointError) as info:
         cli._run_loaded(cfg, manifold)

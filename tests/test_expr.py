@@ -288,6 +288,34 @@ def test_fold_preserves_domain_errors():
     assert tape.run({ex.z(1): 1 + 0j}) == [0j]
 
 
+def test_fold_drops_a_subtree_that_can_only_overflow():
+    # Overflow is not a fault of _FAULTS: 0*z1^3 folds to 0, though z1^3
+    # overflows for |z1| > 5.6e102, where the unfolded tape raises.
+    dag = ex.Dag()
+    n = dag.intern_id(ex.parse_expression("0*z1^3", 1, ("z",)))
+    assert dag.expr(dag.fold_id(n)) == Const(0j)
+    with pytest.raises(EvaluationDomainError, match=r"^overflow in subexpression 'z1\^3'$"):
+        dag.lower([n]).run({ex.z(1): 1e200 + 0j})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("log(0)", "log of zero in subexpression 'log(0.0)'"),
+        ("1/(1 - 1)", "division by zero in subexpression '1.0 / 0.0'"),
+        ("0^-2", "zero raised to a negative power in subexpression '0.0^-2'"),
+        ("exp(1i*1e300*1e300)", "math domain error in subexpression 'exp(infi)'"),
+    ],
+)
+def test_a_constant_that_faults_stops_the_fold(text, message):
+    # The fault rule of a tape point, with the folded operands in the text.
+    dag = ex.Dag()
+    n = dag.intern_id(ex.parse_expression(text, 1, ()))
+    with pytest.raises(EvaluationDomainError) as err:
+        dag.fold_id(n)
+    assert str(err.value) == message and err.value.index is None
+
+
 def test_fold_zero_numerator_guard():
     # 0 / z1 must stay a division (error at z1 = 0), but 0 / exp(z1) may fold.
     dag = ex.Dag()
@@ -412,9 +440,9 @@ def test_a_stacked_run_raises_the_fault_of_its_failing_point(text, bad, message)
     [
         ("log(z1)", 0j, EvaluationDomainError, "log of zero in subexpression 'log(z1)'"),
         ("exp(z1)", 1e3 + 0j, EvaluationDomainError, "overflow in subexpression 'exp(z1)'"),
-        # cmath.exp of an infinite imaginary part names no domain fault: the
-        # operator's own error is raised as it is, with the index too
-        ("exp(z1)", complex(0, np.inf), ValueError, "math domain error"),
+        # cmath.exp of an infinite imaginary part names no fault of its own:
+        # the operator's text names it, with the subexpression and the index
+        ("exp(z1)", complex(0, np.inf), EvaluationDomainError, "math domain error in subexpression 'exp(z1)'"),
     ],
 )
 def test_a_tape_error_carries_the_index_of_its_point(text, bad, error, message):
@@ -489,11 +517,9 @@ def _reference_evaluate(e, a):
         fn(*python)
     except OverflowError:
         raise EvaluationDomainError("overflow", e) from None
-    except (ZeroDivisionError, ValueError):
+    except (ZeroDivisionError, ValueError) as err:
         fault = {"log": "log of zero", "/": "division by zero", "^": "zero raised to a negative power"}
-        if (op := getattr(e, "op", "^")) not in fault:
-            raise
-        raise EvaluationDomainError(fault[op], e) from None
+        raise EvaluationDomainError(fault.get(getattr(e, "op", "^"), str(err)), e) from None
     with np.errstate(all="ignore"):
         return ufunc(*args)
 

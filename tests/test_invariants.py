@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kahlercheck import cli
 from kahlercheck import expr as ex
 from kahlercheck import geometry as geo
 from kahlercheck import invariants as inv
@@ -416,6 +417,39 @@ class _Share:
 
     def standard_normal(self, size):
         return next(self.draws)[self.point * size[0] : (self.point + 1) * size[0]]
+
+
+@pytest.mark.parametrize("checks", [inv.MANIFOLD_CHECKS, ("einstein",), ("chsc", "bochner"), ()])
+def test_streams_build_the_children_of_the_seed_for_the_checks_asked(checks):
+    # Each generator draws the bits of its child of SeedSequence(seed).spawn(8):
+    # the points' first, then each manifold check's by its place in the table.
+    children = np.random.SeedSequence(7).spawn(8)
+    points, frames = inv.streams(np.random.default_rng(7), checks)
+    assert tuple(frames) == tuple(name for name in inv.MANIFOLD_CHECKS if name in checks)
+    pairs = [(points, children[0])] + [(frames[n], children[1 + inv.MANIFOLD_CHECKS.index(n)]) for n in frames]
+    for rng, child in pairs:
+        assert np.array_equal(rng.integers(0, 2**63, 8), np.random.default_rng(child).integers(0, 2**63, 8))
+    # A reused rng is advanced as rng.spawn(8) advances it.
+    reused, spawned = np.random.default_rng(7), np.random.default_rng(7)
+    inv.streams(reused, checks)
+    spawned.spawn(8)
+    assert inv.streams(reused)[0].random() == spawned.spawn(8)[0].random()
+
+
+def test_a_check_run_builds_the_frame_generator_of_its_own_check_only(monkeypatch):
+    seen, real = [], inv.streams
+
+    def streams(rng, checks):
+        points, frames = real(rng, checks)
+        seen.append(tuple(frames))
+        return points, frames
+
+    monkeypatch.setattr(inv, "streams", streams)
+    cli.run_check(cli.RunConfig("builtin:fs:2", "einstein", points=1, samples=2))
+    inv.sample("chsc", models.build_model("builtin:fs:2"), 1, 2, np.random.default_rng(0))
+    cli.run_suite("builtin:fs:2", points=1, samples=2)
+    suite = tuple(name for name in inv.MANIFOLD_CHECKS if inv.CHECKS[name].min_dim <= 2)
+    assert seen == [("einstein",), ("chsc",), suite]
 
 
 @pytest.mark.parametrize("points", [1, 3, 8])
