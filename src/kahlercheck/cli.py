@@ -28,9 +28,11 @@ one rule names the run's first failing point (``geometry.run_stages``):
 when point k > 0 fails, both stages run again on the points before it, and
 k is named only if they pass.  From the stack on, every check takes one
 path: ``invariants.draw``, ``invariants.reduce_samples``, a
-``CheckReport``.  A suite's summary is read from the property each check
-tests (``invariants.summary``).  A report is a deterministic function of
-its RunConfig (up to the timestamp field).
+``CheckReport``.  A suite of manifold checks makes each check's first
+frame draw ahead, on one helper thread that ends with the run
+(``_DrawsAhead``); the reports keep their bits.  A suite's summary is read
+from the property each check tests (``invariants.summary``).  A report is
+a deterministic function of its RunConfig (up to the timestamp field).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import argparse
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -90,32 +93,83 @@ class RunConfig:
             raise ConfigError("seed must be a 64-bit unsigned integer")
 
 
-def _run_points(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, checks: list[str]) -> tuple:
+class _DrawsAhead:
+    """The first frame draw (``geometry.first_draw``) of each check of a
+    manifold suite, made on one helper thread from that check's own
+    generator while the points stage and the earlier checks run on the
+    caller's.  ``start`` is the ``ahead`` of ``invariants.run_points``,
+    ``take`` waits for one check's draw and hands it over, and ``join`` ends
+    the thread.  The helper makes only the first draw of each generator, and
+    its check's sampler draws again only after taking it, so each generator
+    is used by one thread at a time and every frame keeps its bits."""
+
+    def __init__(self, points: int, samples: int, m: int):
+        self.points, self.samples, self.m = points, samples, m
+        self.draws: dict[str, np.ndarray | Exception] = {}
+        self.ready: dict[str, threading.Event] = {}
+        self.thread = None
+
+    def start(self, frames: dict[str, np.random.Generator]) -> None:
+        self.ready = {name: threading.Event() for name in frames}
+        self.thread = threading.Thread(target=self._draw, args=(frames,), name="kahlercheck-draws")
+        self.thread.start()
+
+    def _draw(self, frames: dict[str, np.random.Generator]) -> None:
+        for name, rng in frames.items():
+            k = inv.CHECKS[name].k or self.m
+            try:
+                self.draws[name] = geo.first_draw(rng, (self.points,), self.samples, k, self.m, at_once=True)
+            except Exception as err:  # raised by ``take``, in the check that draws
+                self.draws[name] = err
+            self.ready[name].set()
+
+    def take(self, name: str) -> np.ndarray:
+        self.ready[name].wait()
+        if isinstance(first := self.draws.pop(name), Exception):
+            raise first
+        return first
+
+    def join(self) -> None:
+        if self.thread is not None:
+            self.thread.join()
+
+
+def _run_points(
+    cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, checks: list[str], ahead: _DrawsAhead | None = None
+) -> tuple:
     """The points stage of the run of ``cfg`` (``invariants.run_points``),
     a failure named as a ``PointError``: the target's name in the report,
     the run's points as one stack and the frame generator of each manifold
-    check of ``checks``."""
+    check of ``checks``.  ``ahead`` starts on those generators."""
     try:
-        run, frames = inv.run_points(target, cfg.points, np.random.default_rng(cfg.seed), checks)
+        start = ahead.start if ahead else None
+        run, frames = inv.run_points(target, cfg.points, np.random.default_rng(cfg.seed), checks, start)
     except geo.StageError as err:
         raise PointError(cfg, err.stage, err.index, err.__cause__) from err.__cause__
     name = f"{target.ambient.name}::{target.name}" if isinstance(target, sub.Immersion) else target.name
     return name, run, frames
 
 
-def _run_loaded(cfg: RunConfig, target: inv.KahlerManifold | sub.Immersion, shared: tuple | None = None) -> tuple:
+def _run_loaded(
+    cfg: RunConfig,
+    target: inv.KahlerManifold | sub.Immersion,
+    shared: tuple | None = None,
+    ahead: _DrawsAhead | None = None,
+) -> tuple:
     """Run ``cfg.check`` on an already built manifold or immersion.
 
     Returns the report and one array of the values it was reduced from:
     every sample of a manifold check, one per point of an immersion check.
     The points stage (``_run_points``, or the ``shared`` one of a suite)
     gives the run's points as one stack; then, for either kind, ``inv.draw``
-    computes the check's frames and values once for all of them.  A
-    ``PointError`` names the stage that failed (see its ``stage``).
+    computes the check's frames and values once for all of them, from the
+    first draw that a suite's ``ahead`` made.  A ``PointError`` names the
+    stage that failed (see its ``stage``).
     """
     name, run, frames = shared or _run_points(cfg, target, [cfg.check])
+    first = ahead.take(cfg.check) if ahead else None
     try:
-        sampled = inv.draw(cfg.check, run, cfg.samples, frames.get(cfg.check))
+        sampled = inv.draw(cfg.check, run, cfg.samples, frames.get(cfg.check), first)
     except geo.GeometryError as err:
         raise PointError(cfg, "check", err.index[0], err) from err
     residuals, worst = inv.reduce_samples(inv.CHECKS[cfg.check].reduce, sampled)
@@ -136,7 +190,12 @@ def _run(cfg: RunConfig) -> tuple[list[CheckReport], list[str]]:
     """Load the target of ``cfg`` and run ``cfg.check`` on it or, for a
     suite, every check of its kind that the target's dimension allows, all
     on one points stage.  Gives the reports and, for a suite, its lines:
-    the checks skipped, then ``invariants.summary``."""
+    the checks skipped, then ``invariants.summary``.
+
+    A run of two or more manifold checks makes their first frame draws on
+    one helper thread (``_DrawsAhead``), started as soon as the points stage
+    has made the generators and joined before the run returns or raises.  A
+    single check and an immersion run start no thread."""
     names = [cfg.check] if cfg.check else list(MANIFOLD_CHECKS if cfg.immersion is None else IMMERSION_CHECKS)
     kind = inv.CHECKS[names[0]].kind  # names the RunConfig field, flag and loader
     other = "immersion" if kind == "manifold" else "manifold"
@@ -153,8 +212,13 @@ def _run(cfg: RunConfig) -> tuple[list[CheckReport], list[str]]:
         raise ConfigError(f"{what} needs complex dimension >= {inv.CHECKS[cfg.check].min_dim} (got m={m})")
     configs = [c for c in configs if c.check not in skipped]
     # One point set for every check; an error there is named by the first check.
-    shared = _run_points(configs[0], target, [c.check for c in configs])
-    runs = {c.check: _run_loaded(c, target, shared) for c in configs}
+    ahead = _DrawsAhead(cfg.points, cfg.samples, m) if kind == "manifold" and len(configs) > 1 else None
+    try:
+        shared = _run_points(configs[0], target, [c.check for c in configs], ahead)
+        runs = {c.check: _run_loaded(c, target, shared, ahead) for c in configs}
+    finally:
+        if ahead:
+            ahead.join()
     reports = [report for report, _ in runs.values()]
     if cfg.check:
         return reports, []

@@ -889,8 +889,28 @@ def _frame_error(todo: np.ndarray, what: str) -> FrameError:
     return FrameError(what, tuple(map(int, np.argwhere(todo)[0][:-1])))
 
 
+def first_draw(
+    rng: np.random.Generator, points: tuple[int, ...], count: int, k: int, m: int, at_once: bool = False
+) -> np.ndarray:
+    """The first draw of ``unit_tangents`` and ``antiholomorphic_frames``:
+    the ``(*points, count, k, m)`` Gaussian seeds of ``count`` frames of k
+    legs at each point of the point axes ``points`` in complex dimension m,
+    from one flat ``(points * count, k, m)`` ``_gaussian`` call.  A sampler
+    given it as ``first`` gives the bits of the same call that draws it.
+
+    ``at_once`` draws the same bits in one ``standard_normal`` call, since
+    the real parts and then the imaginary parts are one stream.  A helper
+    thread draws so: each numpy call it makes takes the GIL back once."""
+    size = (math.prod(points) * count, k, m)
+    if at_once:
+        seeds = np.moveaxis(rng.standard_normal(size=(2, *size)), 0, -1).copy().view(complex)[..., 0]
+    else:
+        seeds = _gaussian(rng, size)
+    return seeds.reshape(*points, count, k, m)
+
+
 def unit_tangents(
-    metric: HermitianMetric, count: int, k: int, rng: np.random.Generator
+    metric: HermitianMetric, count: int, k: int, rng: np.random.Generator, first: np.ndarray | None = None
 ) -> np.ndarray:
     """``(count, k, m)`` random g-unit tangent vectors (complex Gaussian
     directions, real parts drawn first).  One whose g-norm is at most
@@ -898,10 +918,12 @@ def unit_tangents(
 
     A metric with leading point axes gives ``(*points, count, k, m)``: one
     draw for every point, each vector unit in its own point's metric.
+    ``first``, if given, is the ``first_draw`` already made from ``rng``, and
+    the sampler writes into it; any redraw still comes from ``rng``, after it.
     """
     points, m = metric.matrix.shape[:-2], metric.matrix.shape[-1]
     floor = 1e-6 * np.sqrt(np.max(np.abs(metric.matrix), axis=(-2, -1)))
-    v = _gaussian(rng, (*points, count, k, m))
+    v = first_draw(rng, points, count, k, m) if first is None else first
     n = metric.norm(RealTangentVector(v))
     draws, w = 1, v.view(float)  # w: the real and imaginary parts, interleaved
     while (small := n <= _per_point(floor, n, 0) * np.sqrt(np.einsum("...i,...i->...", w, w))).any():
@@ -914,7 +936,7 @@ def unit_tangents(
 
 
 def antiholomorphic_frames(
-    metric: HermitianMetric, count: int, k: int, rng: np.random.Generator
+    metric: HermitianMetric, count: int, k: int, rng: np.random.Generator, first: np.ndarray | None = None
 ) -> np.ndarray:
     """``(count, k, m)`` frames with ``g(x_a, x_b) = delta_ab`` and ``g(x_a, J x_b) = 0``.
 
@@ -922,8 +944,8 @@ def antiholomorphic_frames(
     whitened by the Cholesky factor of g and go through Gram-Schmidt over h,
     all frames of a draw at once.  Only frames with a pivot at most ``_PIVOT``
     times the length of its row are redrawn, 64 draws at most.  A metric
-    with leading point axes gives ``(*points, count, k, m)`` as
-    ``unit_tangents`` does.
+    with leading point axes gives ``(*points, count, k, m)``, and ``first``
+    stands for the first draw, as in ``unit_tangents``.
     """
     points, m = metric.matrix.shape[:-2], metric.matrix.shape[-1]
     if k > m:
@@ -933,7 +955,7 @@ def antiholomorphic_frames(
     # h(v, w) is the standard product of v L and w L, for g = L L^H.
     lower = np.linalg.cholesky(metric.matrix)
     back = np.linalg.inv(lower) / math.sqrt(2.0)
-    seeds = _gaussian(rng, (math.prod(points) * count, k, m)).reshape(*points, count, k, m)
+    seeds = first_draw(rng, points, count, k, m) if first is None else first
     q, ok = _gram_schmidt(_rows(seeds, lower))
     frames, todo, draws = _rows(q, back), ~ok, 1
     while todo.any():

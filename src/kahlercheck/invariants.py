@@ -303,14 +303,18 @@ def streams(
     return np.random.Generator(bits(points)), frames
 
 
-def draw(name: str, pd: Any, samples: int, rng: np.random.Generator | None) -> PointSamples:
+def draw(
+    name: str, pd: Any, samples: int, rng: np.random.Generator | None, first: np.ndarray | None = None
+) -> PointSamples:
     """``samples`` frames of check ``name`` at each point of ``pd`` in one
-    draw, and the check's value on each frame.  An immersion check, on a
+    draw, and the check's value on each frame.  ``first``, if given, is the
+    sampler's first draw (``geometry.first_draw``), already made from ``rng``
+    on another thread; the frames keep their bits.  An immersion check, on a
     stacked state, has one frame per point: its tangents."""
     check = CHECKS[name]
     if check.sampler is None:
         return pd, pd.tangents[:, None], check.value(pd)[:, None]
-    frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng)
+    frames = getattr(geo, check.sampler)(pd.metric, samples, check.k or pd.m, rng, first)
     return pd, frames, check.value(pd, frames)
 
 
@@ -319,14 +323,19 @@ def run_points(
     points: int,
     rng: np.random.Generator,
     checks: Container[str] = MANIFOLD_CHECKS,
+    ahead: Callable[[dict[str, np.random.Generator]], Any] | None = None,
 ) -> tuple[Any, dict]:
     """The points stage of a run: ``points`` points of a manifold (from the
     first of the ``streams`` of ``rng``) or of an immersion through the two
     stages of ``geometry.run_stages``, and the frame generator of each
-    manifold check of ``checks``."""
+    manifold check of ``checks``.  A manifold run calls ``ahead``, if given,
+    with those generators as soon as they are made, before any point is
+    drawn: there a suite starts drawing its checks' first frames (``cli._run``)."""
     if isinstance(target, sub.Immersion):
         return sub.run_points(target, points, rng), {}
     points_rng, frames = streams(rng, checks)
+    if ahead is not None:
+        ahead(frames)
     drawn = np.array([target.sample_point(points_rng) for _ in range(points)])
     return geo.run_stages(drawn, partial(geo.point_jets, target), partial(geo.stack, target)), frames
 

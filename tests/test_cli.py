@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from functools import partial
 from pathlib import Path
 
@@ -959,19 +961,81 @@ def test_a_ricci_disagreement_in_a_stack_names_its_point(bad, monkeypatch):
     assert str(err) == f"einstein: point {bad} of 4, seed 3: Ricci computation routes disagree at {point}"
 
 
-@pytest.mark.parametrize("source", ["builtin:fs:3", "builtin:product:fs:1:fs:2"])
-def test_a_check_run_equals_its_report_in_the_suite(source):
+@pytest.mark.parametrize("source, points, samples", [
+    pytest.param("builtin:fs:3", 3, 20, id="builtin:fs:3"),
+    pytest.param("builtin:product:fs:1:fs:2", 3, 20, id="builtin:product:fs:1:fs:2"),
+    # The charts and counts of a suite-chsc round, whose first frame draws
+    # are made ahead on the helper thread.
+    pytest.param("builtin:chyp:3", 2, 600, id="builtin:chyp:3-2x600"),
+    pytest.param("flat-pullback", 2, 600, id="flat-pullback-2x600"),
+])
+def test_a_check_run_equals_its_report_in_the_suite(source, points, samples, request):
     # The suite evaluates one point set for all checks; each check draws its
     # frames from its own stream, so running it alone changes nothing.
     def key(report):
         return {k: v for k, v in report.to_json_dict().items() if k != "timestamp"}
 
-    settings = dict(points=3, samples=20, seed=5)
+    if source == "flat-pullback":
+        source = request.getfixturevalue("flat_pullback_path")
+    settings = dict(points=points, samples=samples, seed=5)
     reports, _ = cli.run_suite(source, **settings)
-    assert [r.check for r in reports] == list(MANIFOLD_CHECKS)
+    m = models.load_manifold(source).m
+    assert [r.check for r in reports] == [c for c in MANIFOLD_CHECKS if m >= inv.CHECKS[c].min_dim]
     for report in reports:
         alone = run_check(RunConfig(manifold=source, check=report.check, **settings))
         assert key(alone) == key(report), report.check
+
+
+def test_no_thread_outlives_a_suite(tmp_path, monkeypatch):
+    # A suite draws its first frames on a helper thread, which the run joins
+    # when it returns, when its points stage fails and when a check fails.
+    # Slow draws keep the helper alive until the run has raised.
+    real_draw = geo.first_draw
+    monkeypatch.setattr(geo, "first_draw", lambda *a, **kw: time.sleep(0.02) or real_draw(*a, **kw))
+    before = threading.active_count()
+    cli.run_suite("builtin:fs:3", points=2, samples=20)
+    assert threading.active_count() == before
+    path = tmp_path / "indefinite.manifold"
+    path.write_text(INDEFINITE_SPEC)
+    with pytest.raises(cli.PointError) as info:
+        cli.run_suite(str(path), points=5, samples=3, seed=18)
+    assert str(info.value).startswith(
+        "bochner: point 2 of 5, seed 18: metric not positive definite at [-0.05722205+0.75095072j]"
+    )
+    assert threading.active_count() == before
+
+    def no_frames(metric, count, k, rng, first=None):
+        raise geo.FrameError("failed to draw an independent frame", (1,))
+
+    monkeypatch.setattr(geo, "antiholomorphic_frames", no_frames)
+    with pytest.raises(cli.PointError) as info:
+        cli.run_suite("builtin:fs:3", points=2, samples=20)
+    assert (info.value.check, info.value.index, info.value.stage) == ("lemma", 1, "check")
+    assert threading.active_count() == before
+
+
+def test_an_error_of_a_draw_ahead_is_raised_by_the_run(monkeypatch):
+    # The helper thread's error is raised where the check takes its draw.
+    def failing(rng, points, count, k, m, at_once=False):
+        raise MemoryError(f"no room for {points[0] * count} frames of {k} legs")
+
+    monkeypatch.setattr(geo, "first_draw", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for 40 frames of 4 legs"):
+        cli.run_suite("builtin:fs:3", points=2, samples=20)
+    assert threading.active_count() == before
+
+
+def test_only_a_suite_of_manifold_checks_draws_ahead(monkeypatch):
+    # A check run and an immersion run start no thread.
+    started = []
+    monkeypatch.setattr(cli._DrawsAhead, "start", lambda self, frames: started.append(list(frames)))
+    monkeypatch.setattr(cli._DrawsAhead, "take", lambda self, name: None)
+    run_check(RunConfig(manifold="builtin:fs:3", check="lemma", points=2, samples=5))
+    cli.run_suite(None, points=2, immersion="builtin:cp1-in-cp2")
+    assert started == []
+    cli.run_suite("builtin:fs:2", points=2, samples=5)
+    assert started == [[c for c in MANIFOLD_CHECKS if c != "lemma"]]
 
 
 def _stub_failure(row: int) -> ValueError:

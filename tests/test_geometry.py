@@ -658,6 +658,48 @@ def test_only_the_dependent_frame_is_redrawn(fs3):
     assert np.allclose(_gram(gm, frames), np.eye(3), rtol=0, atol=1e-12)
 
 
+def test_a_sampler_given_its_first_draw_keeps_the_bits(fs3):
+    # The first draw made beforehand from the same generator, with a redraw
+    # forced after it: the same draws, frames and generator state.
+    gm = geo.metric_at(fs3, fs3.sample_point(np.random.default_rng(3)))
+
+    def dependent(call, values):
+        if call <= 2:  # the dependent frame of test_only_the_dependent_frame_is_redrawn
+            values[1, 2] = values[1, 0]
+        return values
+
+    def zero(call, values):
+        if call <= 2:  # one zero vector, redrawn alone
+            values[2, 1] = 0.0
+        return values
+
+    for sampler, k, override in ((geo.antiholomorphic_frames, 3, dependent), (geo.unit_tangents, 2, zero)):
+        drawn, ahead = _Draws(8, override), _Draws(8, override)
+        want = sampler(gm, 4, k, drawn)
+        got = sampler(gm, 4, k, ahead, geo.first_draw(ahead, (), 4, k, 3))
+        assert len(drawn.sizes) == 4 and ahead.sizes == drawn.sizes, sampler.__name__
+        assert got.tobytes() == want.tobytes(), sampler.__name__
+    # On a stack of points, from a real generator, drawn in two calls or at once.
+    points, g = _metric_stack(fs3, 6, 4)
+    stacked = geo.hermitian_metric(points, g)
+    for sampler, k in ((geo.unit_tangents, 4), (geo.antiholomorphic_frames, 3)):
+        want = sampler(stacked, 5, k, drawn := np.random.default_rng(11))
+        for at_once in (False, True):
+            ahead = np.random.default_rng(11)
+            got = sampler(stacked, 5, k, ahead, geo.first_draw(ahead, (4,), 5, k, 3, at_once=at_once))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (sampler.__name__, at_once)
+            assert ahead.bit_generator.state == drawn.bit_generator.state, (sampler.__name__, at_once)
+
+
+@pytest.mark.parametrize("points, count, k, m", [((2,), 600, 4, 3), ((), 1, 1, 3), ((3,), 7, 2, 2), ((0,), 5, 2, 2)])
+def test_a_first_draw_at_once_keeps_the_bits(points, count, k, m):
+    want = geo.first_draw(drawn := np.random.default_rng(12), points, count, k, m)
+    got = geo.first_draw(once := np.random.default_rng(12), points, count, k, m, at_once=True)
+    assert got.shape == want.shape == (*points, count, k, m) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert once.bit_generator.state == drawn.bit_generator.state
+
+
 def test_dependent_seeds_every_time_raise_frame_error(fs3):
     gm = geo.metric_at(fs3, np.zeros(3))
     stub = _Draws(1, lambda call, values: np.ones_like(values))
